@@ -31,18 +31,20 @@ from .errors import (
     MonodromyMismatchError,
 )
 from .exppoly import (
+    DEFAULT_MERGE_TOL,
+    DEFAULT_QUAD_TOL,
+    DEFAULT_WINDOW,
     Rectangle,
     ZeroSearchOptions,
     ZeroSet,
     find_zeros,
     from_vector,
 )
-from .vectors import RealVector, equivalent, partition
+from .vectors import DEFAULT_EQUIV_TOL, RealVector, equivalent, partition
 
 SCHEMA_VERSION = 1
 COMMANDS = ("zeros", "norms", "monodromy", "equiv", "analyze")
 DEFAULT_INTERVAL = (1.0, 4.0)
-DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
 DEFAULT_GRID_COUNT = 16
 
 EXIT_OK = 0
@@ -181,7 +183,7 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
         if not isinstance(w, dict):
             raise InvalidInputError("window: expected an object")
         _check_keys(w, {"re", "im"}, "window")
-        bounds = {"re": (-1.0, 1.0), "im": (0.5, 40.0)}
+        bounds = {"re": (window.re_min, window.re_max), "im": (window.im_min, window.im_max)}
         for axis in ("re", "im"):
             if axis in w:
                 pair = w[axis]
@@ -218,11 +220,11 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
     if grid_count is not None:
         if not isinstance(grid_count, int) or isinstance(grid_count, bool) or grid_count < 2:
             raise InvalidInputError("options.grid_count: expected an integer >= 2")
-    equiv_tol = _as_positive(opts.get("equiv_tol", 1e-9), "options.equiv_tol")
-    merge_tol = _as_float(opts.get("merge_tol", 1e-12), "options.merge_tol")
+    equiv_tol = _as_positive(opts.get("equiv_tol", DEFAULT_EQUIV_TOL), "options.equiv_tol")
+    merge_tol = _as_float(opts.get("merge_tol", DEFAULT_MERGE_TOL), "options.merge_tol")
     if merge_tol < 0:
         raise InvalidInputError("options.merge_tol: must be non-negative")
-    quad_tol = _as_positive(opts.get("quad_tol", 1e-3), "options.quad_tol")
+    quad_tol = _as_positive(opts.get("quad_tol", DEFAULT_QUAD_TOL), "options.quad_tol")
     match_tol = _as_positive(opts.get("match_tol", 1e-6), "options.match_tol")
     base_raw = opts.get("base_p", 2.0)
     if not isinstance(base_raw, list):
@@ -539,6 +541,14 @@ def emit_curves(vs: list[RealVector], grid: SampleGrid, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _curves_grid(job: JobSpec, cert: Certificate) -> SampleGrid:
+    """The grid the certificate sampled (norms, analyze), else the default one."""
+    enc = cert.payload.get("grid")
+    if enc is None:
+        return make_grid(job.interval[0], job.interval[1], job.grid_count or DEFAULT_GRID_COUNT)
+    return SampleGrid(enc["a"], float(enc["b"]), tuple(enc["points"]), enc["include_infinity"])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pnormcert",
@@ -570,10 +580,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(cert.to_json())
         curves_path = args.curves or job.curves
         if curves_path:
-            grid = make_grid(
-                job.interval[0], job.interval[1], job.grid_count or DEFAULT_GRID_COUNT
-            )
-            emit_curves(list(job.vectors), grid, curves_path)
+            emit_curves(list(job.vectors), _curves_grid(job, cert), curves_path)
         return exit_code
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .continuation import pnorm_at
 from .errors import InvalidInputError
 from .exppoly import (
     DEFAULT_MERGE_TOL,
+    DEFAULT_WINDOW,
     ExpPoly,
     RatioFit,
     Rectangle,
@@ -37,8 +38,9 @@ from .vectors import (
 DEFAULT_GAP_THRESHOLD = 1e6
 DEFAULT_SIGMA_FLOOR = 1e-10
 DEFAULT_ANGLE_TOL = 1e-6
-# Above this length the curves are flat to machine precision (max norm),
-# so wider sampling only degrades conditioning.
+# Finite samples stop this far above a, whatever b is (b = inf adds the
+# exact max-norm row).  The cap is a sampling choice, not a flatness bound:
+# ||(1, 0.999)||_40 = 1.017 while the max norm is 1.
 _INTERVAL_CUTOFF = 39.0
 
 CONSISTENT = "consistent-with-theorem"
@@ -109,9 +111,7 @@ class AnalyzeOptions:
     angle_tol: float = DEFAULT_ANGLE_TOL
     ratio_samples: tuple[float, ...] | None = None
     include_zero_evidence: bool = False
-    zero_window: Rectangle = field(
-        default_factory=lambda: Rectangle(-1.0, 1.0, 0.5, 40.0)
-    )
+    zero_window: Rectangle = DEFAULT_WINDOW
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,9 +296,10 @@ def analyze(
                     f"null space misaligned with trivial dependencies "
                     f"(principal angle {angle:.3e} rad)"
                 )
-    ratio_checks = _ratio_evidence(vs, part, opts)
+    polys = [from_vector(v, opts.merge_tol) for v in vs]
+    ratio_checks = _ratio_evidence(polys, part, opts)
     zero_checks = (
-        _zero_evidence(vs, part, opts) if opts.include_zero_evidence else ()
+        _zero_evidence(polys, part, opts) if opts.include_zero_evidence else ()
     )
     return DependenceReport(
         matrix=matrix,
@@ -316,12 +317,11 @@ def analyze(
 
 
 def _ratio_evidence(
-    vs: list[RealVector], part: EquivalencePartition, opts: AnalyzeOptions
+    polys: list[ExpPoly], part: EquivalencePartition, opts: AnalyzeOptions
 ) -> tuple[tuple[int, int, RatioFit], ...]:
     """Ratio fits backing the partition: members against their class
     representative (residual ~ 0 expected) and representatives pairwise
     (residual visibly positive expected)."""
-    polys = {k: from_vector(vs[k], opts.merge_tol) for k in range(len(vs))}
     samples = list(opts.ratio_samples) if opts.ratio_samples else None
     checks = []
     reps = [cls[0] for cls in part.classes]
@@ -336,10 +336,9 @@ def _ratio_evidence(
 
 
 def _zero_evidence(
-    vs: list[RealVector], part: EquivalencePartition, opts: AnalyzeOptions
+    polys: list[ExpPoly], part: EquivalencePartition, opts: AnalyzeOptions
 ) -> tuple[tuple[int, int, bool], ...]:
     """Zero-multiset comparisons for class representatives, pairwise."""
-    polys = {k: from_vector(vs[k], opts.merge_tol) for k in range(len(vs))}
     reps = [cls[0] for cls in part.classes]
     checks = []
     for i, ra in enumerate(reps):

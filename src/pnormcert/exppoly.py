@@ -13,9 +13,9 @@ what lets the quadrature run with an aggressive acceptance test.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +38,12 @@ _MAX_LEVELS = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _read_only(values: list) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ExpPoly:
     """f(p) = sum of multiplicity * exp(exponent * p), exponents strictly increasing."""
@@ -57,15 +63,15 @@ class ExpPoly:
             raise InvalidInputError("exponents must be strictly increasing")
         object.__setattr__(self, "terms", terms)
 
-    @property
+    @cached_property
     def exponents(self) -> np.ndarray:
-        return np.array([b for b, _ in self.terms])
+        return _read_only([b for b, _ in self.terms])
 
-    @property
+    @cached_property
     def multiplicities(self) -> np.ndarray:
-        return np.array([float(m) for _, m in self.terms])
+        return _read_only([m for _, m in self.terms])
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Total coefficient mass; equals the source vector's non-zero count."""
         return sum(m for _, m in self.terms)
@@ -127,6 +133,9 @@ class Rectangle:
         )
 
 
+DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
+
+
 @dataclass(frozen=True)
 class Zero:
     """One isolated zero (or unresolved cluster) with its multiplicity.
@@ -142,7 +151,7 @@ class Zero:
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Zeros found inside ``window``, sorted by (Re, Im); total counts multiplicity."""
+    """Zeros inside ``window`` by Re (rounded to 1e-9), then Im; total counts multiplicity."""
 
     zeros: tuple[Zero, ...]
     window: Rectangle
@@ -191,42 +200,39 @@ def from_vector(v: RealVector, merge_tol: float = DEFAULT_MERGE_TOL) -> ExpPoly:
     return ExpPoly(tuple(terms))
 
 
-def _stable_parts(f: ExpPoly, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (M, S) with f(ps) = exp(M) * S and every summand of S bounded.
-
-    M is the largest real part over terms of exponent * p, so the residual
-    sum S has all term moduli <= their coefficients: no overflow as long as
-    |M| stays under ~709.
-    """
-    betas = f.exponents
-    mults = f.multiplicities
-    re = np.real(ps)
-    m_val = np.maximum(betas[0] * re, betas[-1] * re)
-    expo = np.exp(betas[:, None] * ps[None, :] - m_val[None, :])
-    s_val = (mults[:, None] * expo).sum(axis=0)
-    return m_val, s_val
-
-
-def _stable_parts_with_derivative(
-    f: ExpPoly, ps: np.ndarray
+def _parts(
+    f: ExpPoly, ps: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Like _stable_parts but also f' / exp(M) and the all-positive bound on |S|."""
+    """(M, S, S', bound) at the points ``ps`` (a scalar is one point).
+
+    f = exp(M) * S and f' = exp(M) * S'.  M is the largest real part over
+    terms of exponent * p, so no summand of S exceeds its coefficient and
+    nothing overflows while |M| < ~709.  bound = sum_j c_j |exp(beta_j p - M)|.
+    """
+    ps = np.asarray(ps).reshape(-1)
     betas = f.exponents
-    mults = f.multiplicities
-    re = np.real(ps)
+    re = ps.real
     m_val = np.maximum(betas[0] * re, betas[-1] * re)
-    expo = np.exp(betas[:, None] * ps[None, :] - m_val[None, :])
-    weighted = mults[:, None] * expo
-    s_val = weighted.sum(axis=0)
-    ds_val = (betas[:, None] * weighted).sum(axis=0)
-    bound = np.abs(weighted).sum(axis=0)
+    weighted = f.multiplicities[:, None] * np.exp(np.multiply.outer(betas, ps) - m_val)
+    s_val = np.add.reduce(weighted)
+    ds_val = np.add.reduce(betas[:, None] * weighted)
+    bound = np.add.reduce(np.abs(weighted))
     return m_val, s_val, ds_val, bound
+
+
+def _log(f: ExpPoly, ps: complex | np.ndarray) -> np.ndarray:
+    """M + log(S) at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree."""
+    m_val, s_val, _, _ = _parts(f, ps)
+    singular = np.abs(s_val) <= 1e-12 * f.degree
+    if singular.any():
+        p = np.asarray(ps).reshape(-1)[singular][0].item()
+        raise SingularEvaluationError(f"f is numerically zero at p={p!r}")
+    return m_val + np.log(s_val)
 
 
 def evaluate(f: ExpPoly, p: complex) -> complex:
     """f(p), overflow-safe for |exponent * Re p| <= 700."""
-    ps = np.asarray([complex(p)])
-    m_val, s_val = _stable_parts(f, ps)
+    m_val, s_val, _, _ = _parts(f, complex(p))
     return complex(np.exp(m_val[0]) * s_val[0])
 
 
@@ -237,35 +243,26 @@ def evaluate_log(f: ExpPoly, p: complex) -> complex:
     large |Re(exponent * p)| never overflows.  Raises SingularEvaluationError
     when |f(p)| falls below 1e-12 of the local term scale.
     """
-    ps = np.asarray([complex(p)])
-    m_val, s_val = _stable_parts(f, ps)
-    s = complex(s_val[0])
-    if abs(s) <= 1e-12 * f.degree:
-        raise SingularEvaluationError(f"f is numerically zero at p={p!r}")
-    return complex(m_val[0] + cmath.log(s))
+    return complex(_log(f, complex(p))[0])
 
 
 def derivative_value(f: ExpPoly, p: complex) -> complex:
     """f'(p) = sum of multiplicity * exponent * exp(exponent * p)."""
-    ps = np.asarray([complex(p)])
-    m_val, _, ds_val, _ = _stable_parts_with_derivative(f, ps)
+    m_val, _, ds_val, _ = _parts(f, complex(p))
     return complex(np.exp(m_val[0]) * ds_val[0])
 
 
 def log_derivative(f: ExpPoly, p: complex) -> complex:
     """f'(p)/f(p); the exp(M) factors cancel, so this never overflows."""
-    ps = np.asarray([complex(p)])
-    _, s_val, ds_val, _ = _stable_parts_with_derivative(f, ps)
-    s = complex(s_val[0])
-    if s == 0:
+    _, s_val, ds_val, _ = _parts(f, complex(p))
+    if s_val[0] == 0:
         raise SingularEvaluationError(f"f vanishes at p={p!r}")
-    return complex(ds_val[0] / s)
+    return complex(ds_val[0] / s_val[0])
 
 
 def relative_magnitude(f: ExpPoly, p: complex) -> float:
     """|f(p)| divided by the local term scale sum_j c_j exp(beta_j Re p); in [0, 1]."""
-    ps = np.asarray([complex(p)])
-    _, s_val, _, bound = _stable_parts_with_derivative(f, ps)
+    _, s_val, _, bound = _parts(f, complex(p))
     return float(abs(s_val[0]) / bound[0])
 
 
@@ -306,7 +303,7 @@ def _contour_sums(
 ) -> tuple[complex, complex]:
     """(1/2πi) ∮ f'/f dp and (1/2πi) ∮ p f'/f dp over the rectangle boundary."""
     pts, wts = _contour_points(rect, level)
-    _, s_val, ds_val, bound = _stable_parts_with_derivative(f, pts)
+    _, s_val, ds_val, bound = _parts(f, pts)
     if check_boundary:
         rel_min = float(np.min(np.abs(s_val) / bound))
         if rel_min < _BOUNDARY_REL_MIN:
@@ -416,8 +413,7 @@ def _newton_polish(
     z = z0
     reach = 2.0 * max(rect.width, rect.height)
     for _ in range(opts.max_newton_iters):
-        ps = np.asarray([z])
-        _, s_val, ds_val, bound = _stable_parts_with_derivative(f, ps)
+        _, s_val, ds_val, bound = _parts(f, z)
         s = complex(s_val[0])
         ds = complex(ds_val[0])
         if abs(s) <= opts.newton_rel_target * float(bound[0]):
@@ -446,17 +442,13 @@ def _ranked_split_lines(
     sort last.  No hard cutoff; the quadrature convergence test is the
     final arbiter.
     """
-    fractions = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
+    fractions = np.array((0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7))
+    coords = lo + fractions * (hi - lo)
     cross = np.linspace(cross_lo, cross_hi, 65)
-    scored: list[tuple[float, float]] = []
-    for frac in fractions:
-        coord = lo + frac * (hi - lo)
-        line = (coord + 1j * cross) if vertical else (cross + 1j * coord)
-        _, s_val, _, bound = _stable_parts_with_derivative(f, line)
-        rel = float(np.min(np.abs(s_val) / bound))
-        scored.append((rel, coord))
-    scored.sort(reverse=True)
-    return [coord for _, coord in scored]
+    lines = coords[:, None] + 1j * cross if vertical else cross + 1j * coords[:, None]
+    _, s_val, _, bound = _parts(f, lines.ravel())
+    rel = (np.abs(s_val) / bound).reshape(lines.shape).min(axis=1)
+    return [coord for _, coord in sorted(zip(rel.tolist(), coords.tolist()), reverse=True)]
 
 
 def _isolate(
@@ -508,27 +500,36 @@ def find_zeros(
     """Locate all zeros of f inside ``rect`` with multiplicities.
 
     The window inflates by small factors (up to ``opts.max_inflations``
-    times) when its boundary starts out too close to a zero; the window
-    actually used is recorded on the result.  Simple zeros are Newton
-    polished to |f(z)| <= 1e-12 of the local term scale; clusters that
-    resist subdivision down to diameter 1e-6 are reported as one zero with
-    summed multiplicity and ``refined=False``.
+    times) when its boundary starts out too close to a zero or its count
+    does not stabilize; the window actually used is recorded on the
+    result.  Simple zeros are Newton polished to |f(z)| <= 1e-12 of the
+    local term scale; clusters that resist subdivision down to diameter
+    1e-6 are reported as one zero with summed multiplicity and
+    ``refined=False``.
     """
     opts = opts or ZeroSearchOptions()
-    window = rect
-    total: int | None = None
-    for attempt in range(opts.max_inflations + 1):
-        try:
-            total = count_zeros(f, window, opts.quad_tol)
-            break
-        except BoundaryProximityError as err:
-            if attempt == opts.max_inflations:
-                raise
-            window = window.inflate(err.suggested_inflation)
-    assert total is not None
+    window, (total,) = _counted_window((f,), rect, opts)
     zeros = _isolate(f, window, total, opts, 0) if total else []
-    zeros.sort(key=lambda z: (z.location.real, z.location.imag))
+    # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
+    zeros.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
     return ZeroSet(tuple(zeros), window, total)
+
+
+def _counted_window(
+    polys: tuple[ExpPoly, ...], rect: Rectangle, opts: ZeroSearchOptions
+) -> tuple[Rectangle, list[int]]:
+    """``rect`` or its first inflation over which every sum counts cleanly.
+
+    An unstable count inflates too: a zero on the edge can slip between the
+    level-0 check nodes.  The last of max_inflations + 1 tries raises.
+    """
+    window = rect
+    for _ in range(opts.max_inflations):
+        try:
+            return window, [count_zeros(f, window, opts.quad_tol) for f in polys]
+        except (BoundaryProximityError, QuadratureError):
+            window = window.inflate(_INFLATION_FACTOR)
+    return window, [count_zeros(f, window, opts.quad_tol) for f in polys]
 
 
 def zero_multiset_equal(
@@ -540,21 +541,12 @@ def zero_multiset_equal(
 ) -> bool:
     """Whether f and g have the same zero multiset inside ``rect``.
 
-    Both zero sets are computed over one shared window (inflated jointly if
-    either boundary is inadmissible), then matched greedily nearest-first;
+    Both zero sets are computed over one shared window (inflated jointly
+    until both counts are clean), then matched greedily nearest-first;
     a match requires equal multiplicities and distance <= ``match_tol``.
     """
     opts = opts or ZeroSearchOptions()
-    window = rect
-    for attempt in range(opts.max_inflations + 1):
-        try:
-            count_zeros(f, window, opts.quad_tol)
-            count_zeros(g, window, opts.quad_tol)
-            break
-        except BoundaryProximityError as err:
-            if attempt == opts.max_inflations:
-                raise
-            window = window.inflate(err.suggested_inflation)
+    window, _ = _counted_window((f, g), rect, opts)
     zf = find_zeros(f, window, opts)
     zg = find_zeros(g, window, opts)
     if zf.total != zg.total or len(zf.zeros) != len(zg.zeros):
@@ -592,22 +584,19 @@ def ratio_factor(
     mismatch on the samples.  When f and g come from equivalent vectors
     with scale ratio c this returns a = 1, beta = ln c, residual ~ 0.
     """
-    ps = list(_DEFAULT_RATIO_SAMPLES) if sample_ps is None else [float(p) for p in sample_ps]
-    if len(set(ps)) < 2:
+    ps = np.array(_DEFAULT_RATIO_SAMPLES if sample_ps is None else sample_ps, dtype=float)
+    if len(set(ps.tolist())) < 2:
         raise InvalidInputError("need at least two distinct sample points")
     a = f.degree / g.degree
-    log_a = math.log(a)
-    diffs = np.array(
-        [evaluate_log(f, p).real - evaluate_log(g, p).real - log_a for p in ps]
-    )
-    ps_arr = np.array(ps)
-    beta = float(np.polyfit(ps_arr, diffs, 1)[0])
-    residual = 0.0
-    for p, diff in zip(ps, diffs):
-        w = diff - beta * p  # log of f / (a exp(beta p) g)
-        log_f = evaluate_log(f, p).real
-        # |f - a exp(beta p) g| / max(1, |f|) = |1 - exp(-w)| * min(1, |f|)
-        damp = 1.0 if log_f >= 0 else math.exp(log_f)
-        mismatch = math.inf if -w > 700 else abs(1.0 - math.exp(-w))
-        residual = max(residual, mismatch * damp)
+    log_f = _log(f, ps)
+    diffs = log_f - _log(g, ps) - math.log(a)
+    centered = ps - ps.mean()
+    beta = float(centered @ (diffs - diffs.mean()) / (centered @ centered))
+    w = diffs - beta * ps  # log of f / (a exp(beta p) g)
+    # |f - a exp(beta p) g| / max(1, |f|) = |1 - exp(-w)| * min(1, |f|)
+    mismatch = np.abs(1.0 - np.exp(np.minimum(-w, 700.0)))
+    mismatch[-w > 700] = math.inf
+    damp = np.exp(np.minimum(log_f, 0.0))
+    # fmax skips the NaN of inf * 0 where |f| underflows
+    residual = float(np.fmax.reduce(mismatch * damp, initial=0.0))
     return RatioFit(a, beta, residual)

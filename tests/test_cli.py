@@ -315,6 +315,22 @@ def test_main_end_to_end(tmp_path, capsys):
     assert doc["command"] == "analyze"
 
 
+def test_main_curves_use_the_certified_grid(tmp_path):
+    # six vectors: analyze samples max(16, 4 * 6) = 24 points
+    job_file = tmp_path / "job.json"
+    cert_file = tmp_path / "cert.json"
+    curve_file = tmp_path / "curves.csv"
+    vectors = [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1], [3, 1]]
+    job_file.write_text(job_text(command="analyze", vectors=vectors, interval=[1, "inf"]))
+    argv = ["analyze", "--input", str(job_file), "--output", str(cert_file)]
+    assert main(argv + ["--curves", str(curve_file)]) == 0
+    grid = json.loads(cert_file.read_text())["payload"]["grid"]
+    assert len(grid["points"]) == 23 and grid["include_infinity"]
+    labels = [line.split(",")[0] for line in curve_file.read_text().splitlines()[1:]]
+    assert labels[:-1] == ["%.17g" % p for p in grid["points"]]
+    assert labels[-1] == "inf"
+
+
 def test_main_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["zeros", "--input", str(missing)]) == 1

@@ -282,3 +282,36 @@ def test_evaluate_handles_large_real_parts():
         val = evaluate_log(f, p)
         assert math.isfinite(val.real) and math.isfinite(val.imag)
     assert evaluate_log(f, 700.0).real == pytest.approx(700.0, rel=1e-15)
+
+
+def test_term_arrays_are_built_once_and_read_only():
+    f = ExpPoly(((-0.5, 2), (1.0, 1)))
+    assert f.exponents is f.exponents
+    assert f.multiplicities is f.multiplicities
+    assert f.multiplicities.tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError):
+        f.exponents[0] = 0.0
+
+
+def test_zeros_on_one_vertical_line_come_out_in_imag_order():
+    # every zero of a two-term sum has the same real part; the order must
+    # not depend on last-bit noise in the computed real parts
+    zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
+    assert zs.total == 6
+    ims = [z.location.imag for z in zs.zeros]
+    assert ims == sorted(ims)
+
+
+def test_window_inflates_when_edge_zero_escapes_the_level_zero_check():
+    # 2 * 2^p + 1 vanishes at -1 + i pi (2k+1) / ln 2, on the left edge of
+    # the default window; its count there does not stabilize
+    f = from_vector(RealVector((2.0, 2.0, 1.0)))
+    zs = find_zeros(f, WINDOW)
+    assert zs.window != WINDOW
+    assert zs.total == 4
+    ln2 = math.log(2.0)
+    expect = [complex(-1.0, (2 * k + 1) * math.pi / ln2) for k in range(4)]
+    assert [z.multiplicity for z in zs.zeros] == [1] * 4
+    for z, e in zip(zs.zeros, expect):
+        assert abs(z.location - e) <= 1e-9 * abs(e)
+    assert zero_multiset_equal(f, f, WINDOW)

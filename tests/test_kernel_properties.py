@@ -1,0 +1,168 @@
+"""Property tests of the exponential-sum kernel against 50-digit mpmath sums.
+
+Exponents and points are drawn so that |beta * Re p| reaches 700, the
+documented overflow-safe range.  Each tolerance is a multiple of the double
+rounding unit times the condition of the quantity: the argument beta * p is
+rounded once, so every term carries a relative error of about
+eps * (1 + max|beta| |p|), and cancellation among the terms magnifies that
+by the term scale over |f|.  Points where |f| is below 1e-6 of the term
+scale (next to a zero, where log f is ill-conditioned) are skipped.
+"""
+
+import math
+
+import mpmath
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pnormcert import ExpPoly, evaluate_log, ratio_factor
+from pnormcert.exppoly import _DEFAULT_RATIO_SAMPLES, log_derivative, relative_magnitude
+
+EPS = 2.0**-52
+DIGITS = 50
+# Tolerances are SLACK times the error model; over 3000 random draws the
+# largest observed error was 0.4 of the tolerance.
+SLACK = 4.0
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def exp_sums(draw, max_beta: float = 20.0) -> ExpPoly:
+    betas = draw(
+        st.lists(
+            st.floats(-max_beta, max_beta), min_size=1, max_size=5, unique=True
+        )
+    )
+    betas.sort()
+    # well-separated exponents stay strictly increasing under a shift
+    assume(all(b2 - b1 >= 1e-6 for b1, b2 in zip(betas, betas[1:])))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(betas), max_size=len(betas)))
+    return ExpPoly(tuple(zip(betas, mults)))
+
+
+@st.composite
+def sums_and_points(draw):
+    """A sum and a point with |beta * Re p| <= 700 for every exponent."""
+    f = draw(exp_sums())
+    top = max(1.0, float(max(abs(f.exponents))))
+    re = draw(st.floats(-1.0, 1.0)) * 700.0 / top
+    im = draw(st.floats(-40.0, 40.0))
+    return f, complex(re, im)
+
+
+def _beta_max(f: ExpPoly) -> float:
+    return float(max(abs(f.exponents)))
+
+
+def _reference(f: ExpPoly, p: complex) -> tuple:
+    """(f(p), f'(p), term scale sum_j c_j exp(beta_j Re p)) at DIGITS digits."""
+    z = mpmath.mpc(p.real, p.imag)
+    terms = [(mpmath.mpf(b), m * mpmath.exp(mpmath.mpf(b) * z)) for b, m in f.terms]
+    value = mpmath.fsum(t for _, t in terms)
+    slope = mpmath.fsum(b * t for b, t in terms)
+    scale = mpmath.fsum(m * mpmath.exp(mpmath.mpf(b) * z.real) for b, m in f.terms)
+    return value, slope, scale
+
+
+def _conditioning(f: ExpPoly, p: complex) -> tuple:
+    value, slope, scale = _reference(f, p)
+    rel = float(abs(value) / scale)
+    unit = EPS * (1.0 + _beta_max(f) * abs(p)) * len(f.terms)
+    return value, slope, rel, unit
+
+
+@PROPERTY
+@given(sums_and_points())
+def test_evaluate_log_matches_mpmath(case):
+    f, p = case
+    with mpmath.workdps(DIGITS):
+        value, _, rel, unit = _conditioning(f, p)
+        assume(rel >= 1e-6)
+        ref = complex(mpmath.log(value))
+    got = evaluate_log(f, p)
+    tol = SLACK * unit / rel
+    assert abs(got.real - ref.real) <= tol * max(1.0, abs(ref.real))
+    assert abs(math.remainder(got.imag - ref.imag, math.tau)) <= tol
+
+
+@PROPERTY
+@given(sums_and_points())
+def test_log_derivative_matches_mpmath(case):
+    f, p = case
+    with mpmath.workdps(DIGITS):
+        value, slope, rel, unit = _conditioning(f, p)
+        assume(rel >= 1e-6)
+        ref = complex(slope / value)
+    got = log_derivative(f, p)
+    assert abs(got - ref) <= SLACK * unit * (_beta_max(f) + abs(ref)) / rel
+
+
+@PROPERTY
+@given(sums_and_points())
+def test_relative_magnitude_matches_mpmath(case):
+    f, p = case
+    with mpmath.workdps(DIGITS):
+        _, _, rel, unit = _conditioning(f, p)
+    assert abs(relative_magnitude(f, p) - rel) <= SLACK * unit
+
+
+def _reference_fit(f: ExpPoly, g: ExpPoly, ps: list[float]) -> tuple[float, float]:
+    """(beta, residual) of ratio_factor's fit, worked at DIGITS digits."""
+    with mpmath.workdps(DIGITS):
+        pts = [mpmath.mpf(p) for p in ps]
+        log_f = [mpmath.log(_reference(f, p)[0].real) for p in ps]
+        log_g = [mpmath.log(_reference(g, p)[0].real) for p in ps]
+        log_a = mpmath.log(mpmath.mpf(f.degree) / g.degree)
+        diffs = [x - y - log_a for x, y in zip(log_f, log_g)]
+        p_mean = mpmath.fsum(pts) / len(pts)
+        d_mean = mpmath.fsum(diffs) / len(diffs)
+        beta = mpmath.fsum((p - p_mean) * (d - d_mean) for p, d in zip(pts, diffs))
+        beta /= mpmath.fsum((p - p_mean) ** 2 for p in pts)
+        residual = mpmath.mpf(0)
+        for p, d, lf in zip(pts, diffs, log_f):
+            w = d - beta * p
+            assume(abs(-w - 700) > 1e-6)
+            if -w > 700:
+                return float(beta), math.inf
+            damp = min(mpmath.mpf(1), mpmath.exp(lf))
+            residual = max(residual, abs(1 - mpmath.exp(-w)) * damp)
+        return float(beta), float(residual)
+
+
+@st.composite
+def ratio_cases(draw):
+    """Two sums and real samples with |beta * p| <= 700 on every sample."""
+    f = draw(exp_sums(max_beta=87.5))
+    if draw(st.booleans()):
+        # an equivalent pair: every exponent shifted by ln c
+        shift = draw(st.floats(-3.0, 3.0))
+        g = ExpPoly(tuple((b + shift, m) for b, m in f.terms))
+    else:
+        g = draw(exp_sums(max_beta=87.5))
+    top = max(1.0, _beta_max(f), _beta_max(g))
+    if top * 8.0 <= 700.0 and draw(st.booleans()):
+        return f, g, list(_DEFAULT_RATIO_SAMPLES)
+    reach = 700.0 / top
+    samples = draw(
+        st.lists(st.floats(-reach, reach), min_size=3, max_size=16, unique=True)
+    )
+    assume(max(samples) - min(samples) >= reach / 4)
+    return f, g, samples
+
+
+@PROPERTY
+@given(ratio_cases())
+def test_ratio_factor_matches_mpmath(case):
+    f, g, samples = case
+    beta, residual = _reference_fit(f, g, samples)
+    fit = ratio_factor(f, g, samples)
+    assert fit.a == f.degree / g.degree
+    top = max(1.0, _beta_max(f), _beta_max(g))
+    reach = max(abs(p) for p in samples)
+    spread = max(samples) - min(samples)
+    unit = EPS * (1.0 + top * reach) * (len(f.terms) + len(g.terms))
+    assert abs(fit.beta - beta) <= SLACK * unit / spread
+    if math.isinf(residual):
+        assert math.isinf(fit.residual)
+    else:
+        assert abs(fit.residual - residual) <= SLACK * unit * (1.0 + residual)
