@@ -15,12 +15,13 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .continuation import loop_monodromy
 from .dependence import (
     AnalyzeOptions,
+    NormMatrix,
     SampleGrid,
     analyze,
     build_matrix,
@@ -40,7 +41,7 @@ from .exppoly import (
     find_zeros,
     from_vector,
 )
-from .vectors import DEFAULT_EQUIV_TOL, RealVector, equivalent, partition
+from .vectors import DEFAULT_EQUIV_TOL, EquivalencePartition, RealVector, equivalent, partition
 
 SCHEMA_VERSION = 1
 COMMANDS = ("zeros", "norms", "monodromy", "equiv", "analyze")
@@ -51,46 +52,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNEXPECTED = 2
 EXIT_ILL_CONDITIONED = 3
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    vectors: tuple[RealVector, ...]
-    interval: tuple[float, float]
-    window: Rectangle
-    grid_count: int | None
-    equiv_tol: float
-    merge_tol: float
-    quad_tol: float
-    match_tol: float
-    base_ps: tuple[float, ...]
-    radius: float
-    target_index: int | None
-    include_zero_evidence: bool
-    output: str | None
-    curves: str | None
-
-
-@dataclass(frozen=True)
-class Certificate:
-    version: str
-    schema: int
-    command: str
-    input: dict
-    payload: dict
-    timing_ms: float
-
-    def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "schema": self.schema,
-            "command": self.command,
-            "input": self.input,
-            "payload": self.payload,
-            "timing_ms": self.timing_ms,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _as_float(value, where: str) -> float:
@@ -113,8 +74,96 @@ def _as_positive(value, where: str) -> float:
     return x
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _as_finite_positive(value, where: str) -> float:
+    x = _as_positive(value, where)
+    if math.isinf(x):
+        raise InvalidInputError(f"{where}: must be finite")
+    return x
+
+
+def _as_non_negative(value, where: str) -> float:
+    x = _as_float(value, where)
+    if x < 0:
+        raise InvalidInputError(f"{where}: must be non-negative")
+    return x
+
+
+def _integer_at_least(minimum: int):
+    def check(value, where: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise InvalidInputError(f"{where}: expected an integer >= {minimum}")
+        return value
+
+    return check
+
+
+def _as_base_ps(value, where: str) -> tuple[float, ...]:
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise InvalidInputError(f"{where}: expected a number or non-empty list")
+    return tuple(_as_finite_positive(x, f"{where}[{i}]") for i, x in enumerate(items))
+
+
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"{where}: expected a boolean")
+    return value
+
+
+def _as_path(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{where}: expected a string path")
+    return value
+
+
+def _option(key: str, default, check):
+    """A job option: its key under "options", its default, and the check that
+    turns its JSON value into the attribute (null passes where the default is None)."""
+    return field(default=default, metadata={"key": key, "check": check})
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    command: str
+    vectors: tuple[RealVector, ...]
+    interval: tuple[float, float]
+    window: Rectangle
+    grid_count: int | None = _option("grid_count", None, _integer_at_least(2))
+    equiv_tol: float = _option("equiv_tol", DEFAULT_EQUIV_TOL, _as_positive)
+    merge_tol: float = _option("merge_tol", DEFAULT_MERGE_TOL, _as_non_negative)
+    quad_tol: float = _option("quad_tol", DEFAULT_QUAD_TOL, _as_positive)
+    base_ps: tuple[float, ...] = _option("base_p", (2.0,), _as_base_ps)
+    radius: float = _option("radius", 0.25, _as_finite_positive)
+    target_index: int | None = _option("target_index", None, _integer_at_least(0))
+    include_zero_evidence: bool = _option("include_zero_evidence", False, _as_bool)
+    output: str | None = _option("output", None, _as_path)
+    curves: str | None = _option("curves", None, _as_path)
+
+    @property
+    def zero_search(self) -> ZeroSearchOptions:
+        return ZeroSearchOptions(quad_tol=self.quad_tol)
+
+
+# The job options by their key under "options", in JobSpec order.
+OPTIONS = {f.metadata["key"]: f for f in fields(JobSpec) if f.metadata}
+
+
+@dataclass(frozen=True)
+class Certificate:
+    version: str
+    schema: int
+    command: str
+    input: dict
+    payload: dict
+    timing_ms: float
+
+    def to_json(self) -> str:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise InvalidInputError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
@@ -199,77 +248,15 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
     opts = raw.get("options", {})
     if not isinstance(opts, dict):
         raise InvalidInputError("options: expected an object")
-    _check_keys(
-        opts,
-        {
-            "grid_count",
-            "equiv_tol",
-            "merge_tol",
-            "quad_tol",
-            "match_tol",
-            "base_p",
-            "radius",
-            "target_index",
-            "include_zero_evidence",
-            "output",
-            "curves",
-        },
-        "options",
-    )
-    grid_count = opts.get("grid_count")
-    if grid_count is not None:
-        if not isinstance(grid_count, int) or isinstance(grid_count, bool) or grid_count < 2:
-            raise InvalidInputError("options.grid_count: expected an integer >= 2")
-    equiv_tol = _as_positive(opts.get("equiv_tol", DEFAULT_EQUIV_TOL), "options.equiv_tol")
-    merge_tol = _as_float(opts.get("merge_tol", DEFAULT_MERGE_TOL), "options.merge_tol")
-    if merge_tol < 0:
-        raise InvalidInputError("options.merge_tol: must be non-negative")
-    quad_tol = _as_positive(opts.get("quad_tol", DEFAULT_QUAD_TOL), "options.quad_tol")
-    match_tol = _as_positive(opts.get("match_tol", 1e-6), "options.match_tol")
-    base_raw = opts.get("base_p", 2.0)
-    if not isinstance(base_raw, list):
-        base_raw = [base_raw]
-    if not base_raw:
-        raise InvalidInputError("options.base_p: expected a number or non-empty list")
-    base_ps = tuple(
-        _as_positive(x, f"options.base_p[{i}]") for i, x in enumerate(base_raw)
-    )
-    for i, x in enumerate(base_ps):
-        if math.isinf(x):
-            raise InvalidInputError(f"options.base_p[{i}]: must be finite")
-    radius = _as_positive(opts.get("radius", 0.25), "options.radius")
-    if math.isinf(radius):
-        raise InvalidInputError("options.radius: must be finite")
-    target_index = opts.get("target_index")
-    if target_index is not None:
-        if not isinstance(target_index, int) or isinstance(target_index, bool) or target_index < 0:
-            raise InvalidInputError("options.target_index: expected an integer >= 0")
-    include_zero_evidence = opts.get("include_zero_evidence", False)
-    if not isinstance(include_zero_evidence, bool):
-        raise InvalidInputError("options.include_zero_evidence: expected a boolean")
-    output = opts.get("output")
-    curves = opts.get("curves")
-    for name, val in (("output", output), ("curves", curves)):
-        if val is not None and not isinstance(val, str):
-            raise InvalidInputError(f"options.{name}: expected a string path")
-
-    return JobSpec(
-        command=cmd,
-        vectors=tuple(vectors),
-        interval=interval,
-        window=window,
-        grid_count=grid_count,
-        equiv_tol=equiv_tol,
-        merge_tol=merge_tol,
-        quad_tol=quad_tol,
-        match_tol=match_tol,
-        base_ps=base_ps,
-        radius=radius,
-        target_index=target_index,
-        include_zero_evidence=include_zero_evidence,
-        output=output,
-        curves=curves,
-    )
+    _check_keys(opts, OPTIONS, "options")
+    values = {}
+    for key, opt in OPTIONS.items():
+        if key in opts:
+            value = opts[key]
+            if value is not None or opt.default is not None:
+                value = opt.metadata["check"](value, f"options.{key}")
+            values[opt.name] = value
+    return JobSpec(cmd, tuple(vectors), interval, window, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +305,22 @@ def _enc_grid(grid: SampleGrid) -> dict:
     }
 
 
+def _enc_matrix(matrix: NormMatrix) -> dict:
+    return {
+        "grid": _enc_grid(matrix.grid),
+        "norms": [[float(x) for x in row] for row in matrix.entries],
+        "column_scales": [float(s) for s in matrix.column_scales],
+    }
+
+
+def _enc_partition(part: EquivalencePartition) -> dict:
+    return {"classes": [list(c) for c in part.classes], "scales": [list(s) for s in part.scales]}
+
+
+def _enc_option(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _echo_input(job: JobSpec) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -326,17 +329,7 @@ def _echo_input(job: JobSpec) -> dict:
         "interval": [job.interval[0], _enc_float(job.interval[1])],
         "window": _enc_rect(job.window),
         "options": {
-            "grid_count": job.grid_count,
-            "equiv_tol": job.equiv_tol,
-            "merge_tol": job.merge_tol,
-            "quad_tol": job.quad_tol,
-            "match_tol": job.match_tol,
-            "base_p": list(job.base_ps),
-            "radius": job.radius,
-            "target_index": job.target_index,
-            "include_zero_evidence": job.include_zero_evidence,
-            "output": job.output,
-            "curves": job.curves,
+            key: _enc_option(getattr(job, opt.name)) for key, opt in OPTIONS.items()
         },
     }
 
@@ -347,10 +340,8 @@ def _echo_input(job: JobSpec) -> dict:
 
 
 def _run_zeros(job: JobSpec, threads: int) -> dict:
-    opts = ZeroSearchOptions(quad_tol=job.quad_tol)
-
     def one(v: RealVector) -> ZeroSet:
-        return find_zeros(from_vector(v, job.merge_tol), job.window, opts)
+        return find_zeros(from_vector(v, job.merge_tol), job.window, job.zero_search)
 
     results = _ordered_map(one, job.vectors, threads)
     return {
@@ -361,24 +352,19 @@ def _run_zeros(job: JobSpec, threads: int) -> dict:
     }
 
 
+def _norms_grid(job: JobSpec) -> SampleGrid:
+    return make_grid(job.interval[0], job.interval[1], job.grid_count or DEFAULT_GRID_COUNT)
+
+
 def _run_norms(job: JobSpec) -> dict:
-    grid = make_grid(
-        job.interval[0], job.interval[1], job.grid_count or DEFAULT_GRID_COUNT
-    )
-    matrix = build_matrix(list(job.vectors), grid)
-    return {
-        "grid": _enc_grid(grid),
-        "norms": [[float(x) for x in row] for row in matrix.entries],
-        "column_scales": [float(s) for s in matrix.column_scales],
-    }
+    return _enc_matrix(build_matrix(list(job.vectors), _norms_grid(job)))
 
 
 def _run_monodromy(job: JobSpec, threads: int) -> dict:
-    opts = ZeroSearchOptions(quad_tol=job.quad_tol)
     out = []
     for k, v in enumerate(job.vectors):
         f = from_vector(v, job.merge_tol)
-        zs = find_zeros(f, job.window, opts)
+        zs = find_zeros(f, job.window, job.zero_search)
         if job.target_index is not None:
             if job.target_index >= len(zs.zeros):
                 raise InvalidInputError(
@@ -428,16 +414,8 @@ def _run_equiv(job: JobSpec) -> dict:
     for i in range(len(job.vectors)):
         for j in range(i + 1, len(job.vectors)):
             flag, ratio = equivalent(job.vectors[i], job.vectors[j], job.equiv_tol)
-            pairs.append(
-                {"i": i, "j": j, "equivalent": flag, "ratio": ratio}
-            )
-    return {
-        "partition": {
-            "classes": [list(c) for c in part.classes],
-            "scales": [list(s) for s in part.scales],
-        },
-        "pairs": pairs,
-    }
+            pairs.append({"i": i, "j": j, "equivalent": flag, "ratio": ratio})
+    return {"partition": _enc_partition(part), "pairs": pairs}
 
 
 def _run_analyze(job: JobSpec) -> tuple[dict, int]:
@@ -447,6 +425,7 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
         grid_count=job.grid_count,
         include_zero_evidence=job.include_zero_evidence,
         zero_window=job.window,
+        quad_tol=job.quad_tol,
     )
     report = analyze(list(job.vectors), job.interval[0], job.interval[1], opts)
     payload = {
@@ -456,10 +435,7 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
         "singular_values": [_enc_float(s) for s in report.singular_values],
         "null_basis": [list(alpha) for alpha in report.null_basis],
         "principal_angle": report.principal_angle,
-        "partition": {
-            "classes": [list(c) for c in report.partition.classes],
-            "scales": [list(s) for s in report.partition.scales],
-        },
+        "partition": _enc_partition(report.partition),
         "ratio_checks": [
             {"i": i, "j": j, "a": fit.a, "beta": fit.beta, "residual": fit.residual}
             for i, j, fit in report.ratio_checks
@@ -468,9 +444,7 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
             {"i": i, "j": j, "equal": flag} for i, j, flag in report.zero_checks
         ],
         "notes": list(report.notes),
-        "grid": _enc_grid(report.matrix.grid),
-        "norms": [[float(x) for x in row] for row in report.matrix.entries],
-        "column_scales": [float(s) for s in report.matrix.column_scales],
+        **_enc_matrix(report.matrix),
     }
     exit_code = {
         "consistent-with-theorem": EXIT_OK,
@@ -527,26 +501,20 @@ def emit_curves(vs: list[RealVector], grid: SampleGrid, path: str) -> None:
     Values carry 17 significant digits (lossless for doubles); the
     infinity sample, if any, appears as a final row with p = inf.
     """
-    if not vs:
-        raise InvalidInputError("need at least one vector")
-    matrix = build_matrix(list(vs), grid)
-    header = "p," + ",".join(f"norm_{k + 1}" for k in range(len(vs)))
-    lines = [header]
-    labels = ["%.17g" % p for p in grid.points]
-    if grid.include_infinity:
+    _write_curves(path, _enc_matrix(build_matrix(list(vs), grid)))
+
+
+def _write_curves(path: str, matrix: dict) -> None:
+    """The CSV of ``emit_curves`` from an encoded matrix (``_enc_matrix``)."""
+    grid, rows = matrix["grid"], matrix["norms"]
+    labels = ["%.17g" % p for p in grid["points"]]
+    if grid["include_infinity"]:
         labels.append("inf")
-    for label, row in zip(labels, matrix.entries):
+    lines = ["p," + ",".join(f"norm_{k + 1}" for k in range(len(rows[0])))]
+    for label, row in zip(labels, rows):
         lines.append(label + "," + ",".join("%.17g" % x for x in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _curves_grid(job: JobSpec, cert: Certificate) -> SampleGrid:
-    """The grid the certificate sampled (norms, analyze), else the default one."""
-    enc = cert.payload.get("grid")
-    if enc is None:
-        return make_grid(job.interval[0], job.interval[1], job.grid_count or DEFAULT_GRID_COUNT)
-    return SampleGrid(enc["a"], float(enc["b"]), tuple(enc["points"]), enc["include_infinity"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -579,8 +547,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(cert.to_json())
         curves_path = args.curves or job.curves
-        if curves_path:
-            emit_curves(list(job.vectors), _curves_grid(job, cert), curves_path)
+        if curves_path and "norms" in cert.payload:
+            _write_curves(curves_path, cert.payload)  # the matrix norms/analyze certified
+        elif curves_path:
+            emit_curves(list(job.vectors), _norms_grid(job), curves_path)
         return exit_code
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .exppoly import (
     ExpPoly,
     Zero,
     evaluate_log,
-    log_derivative,
+    log_with_derivative,
     relative_magnitude,
 )
 from .vectors import RealVector
@@ -124,12 +124,13 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
     the path starts on the real axis, since f > 0 on reals).  At every
     accepted point the real part is re-read from the principal log, which
     is exact; only the argument accumulates, unwrapped step by step, so
-    exp(logf) always reproduces f(p) to machine accuracy.
+    exp(logf) always reproduces f(p) to machine accuracy.  One kernel call
+    per point (start and every trial) gives log f and the f'/f of the next step.
     """
     opts = opts or StepOptions()
     p = path.points[0]
     try:
-        principal = evaluate_log(f, p)
+        principal, deriv = log_with_derivative(f, p)
     except SingularEvaluationError as err:
         raise ContinuationError("path starts at a zero of f", point=p) from err
     re_log = principal.real
@@ -145,10 +146,6 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
         direction = seg / length
         t = 0.0
         while t < length:
-            try:
-                deriv = log_derivative(f, p)
-            except SingularEvaluationError as err:
-                raise ContinuationError("f vanishes on the path", point=p) from err
             mag = abs(deriv)
             h_pred = opts.target_arg_change / mag if mag > 0 else math.inf
             while True:
@@ -159,7 +156,7 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
                     trial_t = t + allowed
                     p_trial = z0 + direction * trial_t
                 try:
-                    trial = evaluate_log(f, p_trial)
+                    trial, trial_deriv = log_with_derivative(f, p_trial)
                 except SingularEvaluationError as err:
                     raise ContinuationError(
                         "path runs into a zero of f", point=p_trial
@@ -177,6 +174,7 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
             im_log += darg
             re_log = trial.real
             prev_arg = trial.imag
+            deriv = trial_deriv
             p = p_trial
             t = trial_t
             streak += 1

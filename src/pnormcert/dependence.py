@@ -19,10 +19,12 @@ from .continuation import pnorm_at
 from .errors import InvalidInputError
 from .exppoly import (
     DEFAULT_MERGE_TOL,
+    DEFAULT_QUAD_TOL,
     DEFAULT_WINDOW,
     ExpPoly,
     RatioFit,
     Rectangle,
+    ZeroSearchOptions,
     from_vector,
     ratio_factor,
     zero_multiset_equal,
@@ -112,6 +114,7 @@ class AnalyzeOptions:
     ratio_samples: tuple[float, ...] | None = None
     include_zero_evidence: bool = False
     zero_window: Rectangle = DEFAULT_WINDOW
+    quad_tol: float = DEFAULT_QUAD_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,10 +343,10 @@ def _zero_evidence(
 ) -> tuple[tuple[int, int, bool], ...]:
     """Zero-multiset comparisons for class representatives, pairwise."""
     reps = [cls[0] for cls in part.classes]
+    search = ZeroSearchOptions(quad_tol=opts.quad_tol)
     checks = []
     for i, ra in enumerate(reps):
         for rb in reps[i + 1 :]:
-            checks.append(
-                (ra, rb, zero_multiset_equal(polys[ra], polys[rb], opts.zero_window))
-            )
+            equal = zero_multiset_equal(polys[ra], polys[rb], opts.zero_window, opts=search)
+            checks.append((ra, rb, equal))
     return tuple(checks)

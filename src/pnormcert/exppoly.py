@@ -220,14 +220,16 @@ def _parts(
     return m_val, s_val, ds_val, bound
 
 
-def _log(f: ExpPoly, ps: complex | np.ndarray) -> np.ndarray:
-    """M + log(S) at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree."""
-    m_val, s_val, _, _ = _parts(f, ps)
+def _log(
+    f: ExpPoly, ps: complex | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M + log(S), S, S') at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree."""
+    m_val, s_val, ds_val, _ = _parts(f, ps)
     singular = np.abs(s_val) <= 1e-12 * f.degree
     if singular.any():
         p = np.asarray(ps).reshape(-1)[singular][0].item()
         raise SingularEvaluationError(f"f is numerically zero at p={p!r}")
-    return m_val + np.log(s_val)
+    return m_val + np.log(s_val), s_val, ds_val
 
 
 def evaluate(f: ExpPoly, p: complex) -> complex:
@@ -243,7 +245,13 @@ def evaluate_log(f: ExpPoly, p: complex) -> complex:
     large |Re(exponent * p)| never overflows.  Raises SingularEvaluationError
     when |f(p)| falls below 1e-12 of the local term scale.
     """
-    return complex(_log(f, complex(p))[0])
+    return complex(_log(f, complex(p))[0][0])
+
+
+def log_with_derivative(f: ExpPoly, p: complex) -> tuple[complex, complex]:
+    """(evaluate_log(f, p), f'(p)/f(p)) from one kernel call; singular as evaluate_log."""
+    logs, s_val, ds_val = _log(f, complex(p))
+    return complex(logs[0]), complex(ds_val[0] / s_val[0])
 
 
 def derivative_value(f: ExpPoly, p: complex) -> complex:
@@ -509,6 +517,11 @@ def find_zeros(
     """
     opts = opts or ZeroSearchOptions()
     window, (total,) = _counted_window((f,), rect, opts)
+    return _zero_set(f, window, total, opts)
+
+
+def _zero_set(f: ExpPoly, window: Rectangle, total: int, opts: ZeroSearchOptions) -> ZeroSet:
+    """Isolate the ``total`` zeros already counted over ``window``."""
     zeros = _isolate(f, window, total, opts, 0) if total else []
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     zeros.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
@@ -541,16 +554,17 @@ def zero_multiset_equal(
 ) -> bool:
     """Whether f and g have the same zero multiset inside ``rect``.
 
-    Both zero sets are computed over one shared window (inflated jointly
-    until both counts are clean), then matched greedily nearest-first;
+    Both sums are counted once over one shared window (inflated jointly
+    until both counts are clean); unequal counts answer False.  Otherwise
+    both zero sets are isolated there and matched greedily nearest-first;
     a match requires equal multiplicities and distance <= ``match_tol``.
     """
     opts = opts or ZeroSearchOptions()
-    window, _ = _counted_window((f, g), rect, opts)
-    zf = find_zeros(f, window, opts)
-    zg = find_zeros(g, window, opts)
-    if zf.total != zg.total or len(zf.zeros) != len(zg.zeros):
+    window, (total_f, total_g) = _counted_window((f, g), rect, opts)
+    if total_f != total_g:
         return False
+    zf = _zero_set(f, window, total_f, opts)
+    zg = _zero_set(g, window, total_g, opts)
     remaining = list(zg.zeros)
     for zero in zf.zeros:
         best = None
@@ -588,8 +602,8 @@ def ratio_factor(
     if len(set(ps.tolist())) < 2:
         raise InvalidInputError("need at least two distinct sample points")
     a = f.degree / g.degree
-    log_f = _log(f, ps)
-    diffs = log_f - _log(g, ps) - math.log(a)
+    log_f = _log(f, ps)[0]
+    diffs = log_f - _log(g, ps)[0] - math.log(a)
     centered = ps - ps.mean()
     beta = float(centered @ (diffs - diffs.mean()) / (centered @ centered))
     w = diffs - beta * ps  # log of f / (a exp(beta p) g)

@@ -1,17 +1,35 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from pnormcert import InvalidInputError, Rectangle, SampleGrid
+from pnormcert import InvalidInputError, Rectangle, SampleGrid, cli, dependence
 from pnormcert.cli import (
     DEFAULT_WINDOW,
+    OPTIONS,
     emit_curves,
     main,
     parse_jobspec,
     run,
 )
 from pnormcert.vectors import RealVector
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# One value per job option, each different from the option's default.
+NON_DEFAULT = {
+    "grid_count": 12,
+    "equiv_tol": 1e-7,
+    "merge_tol": 1e-10,
+    "quad_tol": 1e-4,
+    "base_p": [2.5, 3.0],
+    "radius": 0.5,
+    "target_index": 1,
+    "include_zero_evidence": True,
+    "output": "cert.json",
+    "curves": "curves.csv",
+}
 
 
 def job_text(**fields) -> str:
@@ -60,6 +78,9 @@ def test_parse_rejects_unknown_fields_by_section():
     with pytest.raises(InvalidInputError) as err:
         parse_jobspec(job_text(command="zeros", vectors=[[1]], options={"grid": 3}))
     assert "options" in str(err.value) and "grid" in str(err.value)
+    with pytest.raises(InvalidInputError) as err:  # read by nothing, so not an option
+        parse_jobspec(job_text(command="zeros", vectors=[[1]], options={"match_tol": 1e-6}))
+    assert "options" in str(err.value) and "match_tol" in str(err.value)
 
 
 def test_parse_command_and_schema_checks():
@@ -254,6 +275,64 @@ def test_input_echo_round_trips():
     assert again == job
 
 
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_input_echo_round_trips_each_option(key):
+    opt = OPTIONS[key]
+    job = parse_jobspec(
+        job_text(
+            command="analyze",
+            vectors=[[1, 0], [0, 1]],
+            interval=[1, "inf"],
+            options={key: NON_DEFAULT[key]},
+        )
+    )
+    assert getattr(job, opt.name) != opt.default
+    cert, _ = run(job)
+    assert cert.input["options"][key] == NON_DEFAULT[key]
+    assert sorted(cert.input["options"]) == sorted(OPTIONS)
+    assert parse_jobspec(json.dumps(cert.input)) == job
+
+
+def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
+    seen = []
+    real = dependence.zero_multiset_equal
+
+    def spy(f, g, rect, match_tol=1e-6, opts=None):
+        seen.append(opts.quad_tol)
+        return real(f, g, rect, match_tol, opts)
+
+    monkeypatch.setattr(dependence, "zero_multiset_equal", spy)
+    job = parse_jobspec(
+        job_text(
+            command="analyze",
+            vectors=[[math.e, 1], [math.e**2, 1]],
+            window={"im": [1, 10]},
+            options={"include_zero_evidence": True, "quad_tol": 0.01},
+        )
+    )
+    cert, _ = run(job)
+    assert seen == [0.01]
+    assert cert.payload["zero_checks"] == [{"i": 0, "j": 1, "equal": False}]
+
+
+def test_job_schema_has_ten_options():
+    assert len(OPTIONS) == 10
+    assert sorted(OPTIONS) == sorted(NON_DEFAULT)
+
+
+def test_readme_options_table_matches_the_code():
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            rows[cells[0].strip("`")] = json.loads(cells[1].strip("`"))
+    assert sorted(rows) == sorted(OPTIONS)
+    base = dict(command="norms", vectors=[[1]])
+    default_job = parse_jobspec(job_text(**base))
+    for key, default in rows.items():
+        assert parse_jobspec(job_text(**base, options={key: default})) == default_job, key
+
+
 def test_emit_curves_known_rows(tmp_path):
     out = tmp_path / "curves.csv"
     emit_curves(
@@ -315,7 +394,16 @@ def test_main_end_to_end(tmp_path, capsys):
     assert doc["command"] == "analyze"
 
 
-def test_main_curves_use_the_certified_grid(tmp_path):
+def test_main_curves_use_the_certified_grid(tmp_path, monkeypatch):
+    built = []
+    real = dependence.build_matrix
+
+    def spy(vs, grid):
+        built.append(grid)
+        return real(vs, grid)
+
+    monkeypatch.setattr(dependence, "build_matrix", spy)
+    monkeypatch.setattr(cli, "build_matrix", spy)
     # six vectors: analyze samples max(16, 4 * 6) = 24 points
     job_file = tmp_path / "job.json"
     cert_file = tmp_path / "cert.json"
@@ -329,6 +417,12 @@ def test_main_curves_use_the_certified_grid(tmp_path):
     labels = [line.split(",")[0] for line in curve_file.read_text().splitlines()[1:]]
     assert labels[:-1] == ["%.17g" % p for p in grid["points"]]
     assert labels[-1] == "inf"
+    # the CSV reuses the certified matrix: built once, and byte for byte
+    # what emit_curves writes for the same grid
+    assert len(built) == 1
+    again = tmp_path / "again.csv"
+    emit_curves([RealVector(tuple(v)) for v in vectors], built[0], str(again))
+    assert curve_file.read_bytes() == again.read_bytes()
 
 
 def test_main_error_paths(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pnormcert import exppoly
 from pnormcert import (
     ClearanceError,
     ContinuationError,
@@ -315,3 +316,28 @@ def test_random_paths_keep_branch_invariant():
         end = continue_log(f, Path(tuple(pts)))
         val = evaluate(f, end.p)
         assert abs(cmath.exp(end.logf) - val) <= 1e-10 * abs(val)
+
+
+def test_continue_log_evaluates_each_point_once(monkeypatch):
+    points = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        points.append(complex(ps))
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    f = from_vector(RealVector((math.e, 1.0)))
+    end = continue_log(f, build_loop_path(1j * math.pi, 2.0, 0.25))
+    # the start point and the 114 trial points of this loop, one kernel call each
+    assert len(points) == 115
+    assert points[0] == points[-1] == complex(2.0, 0.0)
+    # pinned bit for bit: sharing the kernel call between log f and f'/f
+    # must not move the branch
+    assert end.p == complex(2.0, 0.0)
+    assert end.logf == complex(
+        float.fromhex("0x1.103f2d54301d5p+1"), float.fromhex("0x1.921fb54442d1ap+2")
+    )
+    assert end.norm_value == complex(
+        float.fromhex("-0x1.72bccce85fab6p+1"), float.fromhex("-0x1.3f9e7e33c693ep-49")
+    )

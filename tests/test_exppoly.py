@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pnormcert import exppoly
 from pnormcert import (
     BoundaryProximityError,
     ExpPoly,
@@ -315,3 +316,24 @@ def test_window_inflates_when_edge_zero_escapes_the_level_zero_check():
     for z, e in zip(zs.zeros, expect):
         assert abs(z.location - e) <= 1e-9 * abs(e)
     assert zero_multiset_equal(f, f, WINDOW)
+
+
+def test_zero_multiset_equal_counts_each_window_once(monkeypatch):
+    calls = []
+    real = exppoly.count_zeros
+
+    def spy(f, rect, quad_tol=exppoly.DEFAULT_QUAD_TOL):
+        calls.append(f)
+        return real(f, rect, quad_tol)
+
+    monkeypatch.setattr(exppoly, "count_zeros", spy)
+    rect = Rectangle(-1.0, 1.0, 1.0, 10.0)
+    f = from_vector(RealVector((math.e, 1.0)))
+    g = from_vector(RealVector((2 * math.e, 2.0)))  # same zeros, shifted exponents
+    assert zero_multiset_equal(f, g, rect)
+    assert calls == [f, g]
+
+    calls.clear()  # unequal totals (2 against 4) answer before any isolation
+    h = from_vector(RealVector((math.e**2, 1.0)))
+    assert not zero_multiset_equal(f, h, rect)
+    assert calls == [f, h]
