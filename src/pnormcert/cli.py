@@ -116,10 +116,11 @@ def _as_path(value, where: str) -> str:
     return value
 
 
-def _option(key: str, default, check):
-    """A job option: its key under "options", its default, and the check that
-    turns its JSON value into the attribute (null passes where the default is None)."""
-    return field(default=default, metadata={"key": key, "check": check})
+def _option(key: str, default, check, commands=COMMANDS):
+    """A job option: its key under "options", its default, the check that
+    turns its JSON value into the attribute (null passes where the default is
+    None), and the commands that read it (any other command rejects it)."""
+    return field(default=default, metadata={"key": key, "check": check, "commands": commands})
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,26 @@ class JobSpec:
     vectors: tuple[RealVector, ...]
     interval: tuple[float, float]
     window: Rectangle
+    # every command reads grid_count: the others sample their --curves with it
     grid_count: int | None = _option("grid_count", None, _integer_at_least(2))
-    equiv_tol: float = _option("equiv_tol", DEFAULT_EQUIV_TOL, _as_positive)
-    merge_tol: float = _option("merge_tol", DEFAULT_MERGE_TOL, _as_non_negative)
-    quad_tol: float = _option("quad_tol", DEFAULT_QUAD_TOL, _as_positive)
-    base_ps: tuple[float, ...] = _option("base_p", (2.0,), _as_base_ps)
-    radius: float = _option("radius", 0.25, _as_finite_positive)
-    target_index: int | None = _option("target_index", None, _integer_at_least(0))
-    include_zero_evidence: bool = _option("include_zero_evidence", False, _as_bool)
+    equiv_tol: float = _option(
+        "equiv_tol", DEFAULT_EQUIV_TOL, _as_positive, ("equiv", "analyze")
+    )
+    merge_tol: float = _option(
+        "merge_tol", DEFAULT_MERGE_TOL, _as_non_negative, ("zeros", "monodromy", "analyze")
+    )
+    # analyze reads quad_tol only with include_zero_evidence
+    quad_tol: float = _option(
+        "quad_tol", DEFAULT_QUAD_TOL, _as_positive, ("zeros", "monodromy", "analyze")
+    )
+    base_ps: tuple[float, ...] = _option("base_p", (2.0,), _as_base_ps, ("monodromy",))
+    radius: float = _option("radius", 0.25, _as_finite_positive, ("monodromy",))
+    target_index: int | None = _option(
+        "target_index", None, _integer_at_least(0), ("monodromy",)
+    )
+    include_zero_evidence: bool = _option(
+        "include_zero_evidence", False, _as_bool, ("analyze",)
+    )
     output: str | None = _option("output", None, _as_path)
     curves: str | None = _option("curves", None, _as_path)
 
@@ -252,6 +265,8 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
     values = {}
     for key, opt in OPTIONS.items():
         if key in opts:
+            if cmd not in opt.metadata["commands"]:
+                raise InvalidInputError(f"options.{key}: not read by {cmd}")
             value = opts[key]
             if value is not None or opt.default is not None:
                 value = opt.metadata["check"](value, f"options.{key}")
@@ -329,7 +344,9 @@ def _echo_input(job: JobSpec) -> dict:
         "interval": [job.interval[0], _enc_float(job.interval[1])],
         "window": _enc_rect(job.window),
         "options": {
-            key: _enc_option(getattr(job, opt.name)) for key, opt in OPTIONS.items()
+            key: _enc_option(getattr(job, opt.name))
+            for key, opt in OPTIONS.items()
+            if job.command in opt.metadata["commands"]
         },
     }
 

@@ -14,6 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ClearanceError,
     ContinuationError,
@@ -95,21 +97,27 @@ class BranchState:
     norm_value: complex
 
 
-def pnorm_at(v: RealVector, p: float) -> float:
-    """The p-norm of v for real p > 0; p = +inf gives the max norm.
+def pnorms(v: RealVector, ps: float | tuple[float, ...] | np.ndarray) -> np.ndarray:
+    """The p-norms of v at every point of ``ps`` (each a real p > 0 or +inf).
 
-    Factors out the largest magnitude before powering, so every ratio is
-    <= 1 and no exponent overflows for any p; results are exact at exactly
-    representable points (||(3,4)||_2 = 5.0, ||(1,1)||_2 = 2**0.5).
+    Factors out the largest magnitude m once and returns m * (sum r**p)**(1/p)
+    over the non-zero ratios r = |c|/m <= 1, so no power overflows for any p
+    and p = +inf gives exactly m; exactly representable points come out exact
+    (||(3,4)||_2 = 5.0, ||(1,1)||_2 = 2**0.5).  Memory is len(ps) * len(v).
     """
-    p = float(p)
-    if math.isnan(p) or p <= 0:
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    if not np.all(ps > 0):  # also catches nan
         raise InvalidInputError("p must be positive (or +inf)")
-    if math.isinf(p):
-        return v.max_abs
     m = v.max_abs
-    s = math.fsum((abs(c) / m) ** p for c in v.coords if c != 0.0)
-    return m * s ** (1.0 / p)
+    ratios = np.abs(v.coords) / m
+    ratios = ratios[ratios != 0.0]
+    sums = np.add.reduce(np.power.outer(ratios, ps))
+    return m * sums ** (1.0 / ps)
+
+
+def pnorm_at(v: RealVector, p: float) -> float:
+    """The p-norm of v for real p > 0; p = +inf gives the max norm (``pnorms``)."""
+    return float(pnorms(v, float(p))[0])
 
 
 def pnorm_value(f: ExpPoly, p: float) -> float:

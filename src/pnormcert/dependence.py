@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import pnorm_at
+from .continuation import pnorms
 from .errors import InvalidInputError
 from .exppoly import (
     DEFAULT_MERGE_TOL,
@@ -25,8 +25,8 @@ from .exppoly import (
     RatioFit,
     Rectangle,
     ZeroSearchOptions,
+    _ratio_fits,
     from_vector,
-    ratio_factor,
     zero_multiset_equal,
 )
 from .vectors import (
@@ -169,10 +169,8 @@ def build_matrix(vs: list[RealVector], grid: SampleGrid) -> NormMatrix:
             "rank decisions may be fragile",
             stacklevel=2,
         )
-    rows = [[pnorm_at(v, p) for v in vs] for p in grid.points]
-    if grid.include_infinity:
-        rows.append([v.max_abs for v in vs])
-    entries = np.array(rows, dtype=float)
+    ps = grid.points + ((math.inf,) if grid.include_infinity else ())
+    entries = np.column_stack([pnorms(v, ps) for v in vs])
     scales = np.linalg.norm(entries, axis=0)
     return NormMatrix(entries, scales, grid)
 
@@ -215,7 +213,7 @@ def _null_basis(
     Each vector is normalized so its largest-magnitude entry is +1, which
     fixes scale and sign deterministically.
     """
-    _, _, vh = np.linalg.svd(matrix.scaled())
+    _, _, vh = np.linalg.svd(matrix.scaled(), full_matrices=False)
     out = []
     for w in vh[rank:]:
         alpha = w / matrix.column_scales
@@ -326,16 +324,11 @@ def _ratio_evidence(
     representative (residual ~ 0 expected) and representatives pairwise
     (residual visibly positive expected)."""
     samples = list(opts.ratio_samples) if opts.ratio_samples else None
-    checks = []
     reps = [cls[0] for cls in part.classes]
-    for cls in part.classes:
-        rep = cls[0]
-        for k in cls[1:]:
-            checks.append((k, rep, ratio_factor(polys[k], polys[rep], samples)))
-    for i, ra in enumerate(reps):
-        for rb in reps[i + 1 :]:
-            checks.append((ra, rb, ratio_factor(polys[ra], polys[rb], samples)))
-    return tuple(checks)
+    pairs = [(k, cls[0]) for cls in part.classes for k in cls[1:]]
+    pairs += [(ra, rb) for i, ra in enumerate(reps) for rb in reps[i + 1 :]]
+    fits = _ratio_fits(polys, pairs, samples)
+    return tuple((i, j, fit) for (i, j), fit in zip(pairs, fits))
 
 
 def _zero_evidence(

@@ -598,19 +598,36 @@ def ratio_factor(
     mismatch on the samples.  When f and g come from equivalent vectors
     with scale ratio c this returns a = 1, beta = ln c, residual ~ 0.
     """
+    return _ratio_fits([f, g], [(0, 1)], sample_ps)[0]
+
+
+def _ratio_fits(
+    polys: list[ExpPoly], pairs: list[tuple[int, int]], sample_ps: list[float] | None = None
+) -> list[RatioFit]:
+    """``ratio_factor(polys[i], polys[j], sample_ps)`` for every (i, j) in ``pairs``.
+
+    Each sum is evaluated once; the fits are array arithmetic over a
+    (pairs x samples) block, each row reduced on its own (no matmul), so a
+    pair's fit does not depend on the other pairs in the batch.
+    """
+    if not pairs:
+        return []
     ps = np.array(_DEFAULT_RATIO_SAMPLES if sample_ps is None else sample_ps, dtype=float)
     if len(set(ps.tolist())) < 2:
         raise InvalidInputError("need at least two distinct sample points")
-    a = f.degree / g.degree
-    log_f = _log(f, ps)[0]
-    diffs = log_f - _log(g, ps)[0] - math.log(a)
+    logs = np.array([_log(f, ps)[0] for f in polys])
+    fs, gs = [i for i, _ in pairs], [j for _, j in pairs]
+    a = [polys[i].degree / polys[j].degree for i, j in pairs]
+    log_f = logs[fs]
+    diffs = log_f - logs[gs] - np.array([math.log(x) for x in a])[:, None]
     centered = ps - ps.mean()
-    beta = float(centered @ (diffs - diffs.mean()) / (centered @ centered))
-    w = diffs - beta * ps  # log of f / (a exp(beta p) g)
+    slope = np.add.reduce(centered * (diffs - diffs.mean(axis=1)[:, None]), axis=1)
+    beta = slope / (centered @ centered)
+    w = diffs - beta[:, None] * ps  # log of f / (a exp(beta p) g)
     # |f - a exp(beta p) g| / max(1, |f|) = |1 - exp(-w)| * min(1, |f|)
     mismatch = np.abs(1.0 - np.exp(np.minimum(-w, 700.0)))
     mismatch[-w > 700] = math.inf
     damp = np.exp(np.minimum(log_f, 0.0))
     # fmax skips the NaN of inf * 0 where |f| underflows
-    residual = float(np.fmax.reduce(mismatch * damp, initial=0.0))
-    return RatioFit(a, beta, residual)
+    residual = np.fmax.reduce(mismatch * damp, axis=1, initial=0.0)
+    return [RatioFit(x, float(b), float(r)) for x, b, r in zip(a, beta, residual)]

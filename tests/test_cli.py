@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,23 @@ NON_DEFAULT = {
 
 def job_text(**fields) -> str:
     return json.dumps(fields)
+
+
+def reads(key: str) -> tuple[str, ...]:
+    """The commands that read the job option ``key``."""
+    return OPTIONS[key].metadata["commands"]
+
+
+# A small job of each command that runs cleanly with every option it reads
+# set to its NON_DEFAULT value: e^p + 1 has two zeros, i*pi and 3i*pi, in
+# the window, so target_index 1 exists.
+RUNNABLE = {
+    "zeros": dict(vectors=[[math.e, 1]], window={"im": [1, 10]}),
+    "monodromy": dict(vectors=[[math.e, 1]], window={"im": [1, 10]}),
+    "norms": dict(vectors=[[1, 0], [0, 1]], interval=[1, "inf"]),
+    "equiv": dict(vectors=[[1, 0], [0, 1]]),
+    "analyze": dict(vectors=[[1, 0], [0, 1]], interval=[1, "inf"]),
+}
 
 
 def test_parse_fills_defaults():
@@ -101,7 +119,7 @@ def test_parse_command_and_schema_checks():
 def test_parse_accepts_numbers_as_strings():
     job = parse_jobspec(
         job_text(
-            command="norms",
+            command="monodromy",
             vectors=[["3", "4.0"]],
             interval=["1", "inf"],
             options={"radius": "0.5"},
@@ -122,19 +140,32 @@ def test_parse_interval_validation():
 
 
 def test_parse_option_validation():
-    base = dict(command="norms", vectors=[[1]])
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(**base, options={"grid_count": 1}))
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(**base, options={"equiv_tol": 0}))
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(**base, options={"base_p": []}))
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(**base, options={"base_p": "inf"}))
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(**base, options={"target_index": -1}))
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(**base, options={"include_zero_evidence": "yes"}))
+    for key, value in (
+        ("grid_count", 1),
+        ("equiv_tol", 0),
+        ("base_p", []),
+        ("base_p", "inf"),
+        ("target_index", -1),
+        ("include_zero_evidence", "yes"),
+    ):
+        # a command that reads the key, so the value's rule is what rejects it
+        base = dict(command=reads(key)[-1], vectors=[[1]])
+        with pytest.raises(InvalidInputError) as err:
+            parse_jobspec(job_text(**base, options={key: value}))
+        assert f"options.{key}" in str(err.value)
+        assert "not read" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [(key, cmd) for key in sorted(OPTIONS) for cmd in cli.COMMANDS if cmd not in reads(key)],
+)
+def test_parse_rejects_options_the_command_does_not_read(key, command):
+    with pytest.raises(InvalidInputError) as err:
+        parse_jobspec(
+            job_text(command=command, vectors=[[1]], options={key: NON_DEFAULT[key]})
+        )
+    assert str(err.value) == f"options.{key}: not read by {command}"
 
 
 def test_run_analyze_exit_and_rank():
@@ -275,21 +306,19 @@ def test_input_echo_round_trips():
     assert again == job
 
 
-@pytest.mark.parametrize("key", sorted(OPTIONS))
-def test_input_echo_round_trips_each_option(key):
+@pytest.mark.parametrize(
+    "key, command", [(key, cmd) for key in sorted(OPTIONS) for cmd in reads(key)]
+)
+def test_input_echo_round_trips_each_option(key, command):
     opt = OPTIONS[key]
     job = parse_jobspec(
-        job_text(
-            command="analyze",
-            vectors=[[1, 0], [0, 1]],
-            interval=[1, "inf"],
-            options={key: NON_DEFAULT[key]},
-        )
+        job_text(command=command, **RUNNABLE[command], options={key: NON_DEFAULT[key]})
     )
     assert getattr(job, opt.name) != opt.default
     cert, _ = run(job)
     assert cert.input["options"][key] == NON_DEFAULT[key]
-    assert sorted(cert.input["options"]) == sorted(OPTIONS)
+    # the echo holds exactly the options the command reads
+    assert sorted(cert.input["options"]) == sorted(k for k in OPTIONS if command in reads(k))
     assert parse_jobspec(json.dumps(cert.input)) == job
 
 
@@ -325,11 +354,15 @@ def test_readme_options_table_matches_the_code():
     for line in README.read_text(encoding="utf-8").splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) == 4:
-            rows[cells[0].strip("`")] = json.loads(cells[1].strip("`"))
+            # "Read by" is "all (...)" or the backquoted commands
+            named = [w for w in re.findall(r"`([^`]+)`", cells[2]) if w in cli.COMMANDS]
+            commands = cli.COMMANDS if cells[2].startswith("all") else tuple(named)
+            rows[cells[0].strip("`")] = (json.loads(cells[1].strip("`")), commands)
     assert sorted(rows) == sorted(OPTIONS)
-    base = dict(command="norms", vectors=[[1]])
-    default_job = parse_jobspec(job_text(**base))
-    for key, default in rows.items():
+    for key, (default, commands) in rows.items():
+        assert sorted(commands) == sorted(reads(key)), key
+        base = dict(command=commands[0], vectors=[[1]])
+        default_job = parse_jobspec(job_text(**base))
         assert parse_jobspec(job_text(**base, options={key: default})) == default_job, key
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from pnormcert import (
     numeric_rank,
     pnorm_at,
 )
+from pnormcert import dependence, exppoly
 from pnormcert.dependence import CONSISTENT
+from pnormcert.exppoly import from_vector, ratio_factor
 
 FAMILIES = {
     "independent-pair": [(1.0, 0.0), (1.0, 1.0)],
@@ -241,6 +244,52 @@ def test_ratio_evidence_blocks():
     assert pairs[(1, 0)].residual <= 1e-10
     rep_pairs = [k for k in pairs if set(k) == {0, 2}]
     assert rep_pairs and pairs[rep_pairs[0]].residual >= 1e-3
+
+
+def _family_with_copies() -> list[RealVector]:
+    """Twelve inequivalent vectors, most with copies made by the equivalence moves."""
+    rng = random.Random(20)
+    vs = []
+    for k in range(12):
+        base = [rng.uniform(0.1, 5.0) for _ in range(2 + k % 4)]
+        vs.append(RealVector(tuple(base)))
+        for _ in range(k % 3):
+            copy = [rng.choice((-1.0, 1.0)) * 2.5 * x for x in base] + [0.0] * rng.randint(0, 2)
+            rng.shuffle(copy)
+            vs.append(RealVector(tuple(copy)))
+    return vs
+
+
+def test_ratio_evidence_equals_the_one_pair_fit_bit_for_bit():
+    vs = _family_with_copies()
+    polys = [from_vector(v) for v in vs]
+    for opts in (AnalyzeOptions(), AnalyzeOptions(ratio_samples=(1.0, 1.5, 2.5, 4.0))):
+        part = dependence.partition(vs, opts.equiv_tol)
+        assert len(part.classes) == 12 and len(part.classes) < len(vs)
+        checks = dependence._ratio_evidence(polys, part, opts)
+        assert len(checks) == len(vs) - 12 + 12 * 11 // 2
+        samples = list(opts.ratio_samples) if opts.ratio_samples else None
+        for i, j, fit in checks:
+            one = ratio_factor(polys[i], polys[j], samples)
+            assert [x.hex() for x in (fit.a, fit.beta, fit.residual)] == [
+                x.hex() for x in (one.a, one.beta, one.residual)
+            ], (i, j)
+
+
+def test_ratio_evidence_evaluates_each_sum_once(monkeypatch):
+    vs = _family_with_copies()
+    polys = [from_vector(v) for v in vs]
+    part = dependence.partition(vs)
+    seen = []
+    real = exppoly._log
+
+    def spy(f, ps):
+        seen.append(f)
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_log", spy)
+    dependence._ratio_evidence(polys, part, AnalyzeOptions())
+    assert sorted(map(id, seen)) == sorted(map(id, polys))
 
 
 def test_zero_evidence_opt_in():
