@@ -306,20 +306,22 @@ def test_input_echo_round_trips():
     assert again == job
 
 
-@pytest.mark.parametrize(
-    "key, command", [(key, cmd) for key in sorted(OPTIONS) for cmd in reads(key)]
-)
-def test_input_echo_round_trips_each_option(key, command):
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_input_echo_round_trips_each_option(key):
     opt = OPTIONS[key]
-    job = parse_jobspec(
-        job_text(command=command, **RUNNABLE[command], options={key: NON_DEFAULT[key]})
-    )
-    assert getattr(job, opt.name) != opt.default
-    cert, _ = run(job)
-    assert cert.input["options"][key] == NON_DEFAULT[key]
-    # the echo holds exactly the options the command reads
-    assert sorted(cert.input["options"]) == sorted(k for k in OPTIONS if command in reads(k))
-    assert parse_jobspec(json.dumps(cert.input)) == job
+    assert reads(key)
+    for command in reads(key):
+        job = parse_jobspec(
+            job_text(command=command, **RUNNABLE[command], options={key: NON_DEFAULT[key]})
+        )
+        assert getattr(job, opt.name) != opt.default
+        cert, _ = run(job)
+        assert cert.input["options"][key] == NON_DEFAULT[key], command
+        # the echo holds exactly the options the command reads
+        assert sorted(cert.input["options"]) == sorted(
+            k for k in OPTIONS if command in reads(k)
+        ), command
+        assert parse_jobspec(json.dumps(cert.input)) == job, command
 
 
 def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
