@@ -34,7 +34,6 @@ from .exppoly import (
     RatioFit,
     Rectangle,
     Zero,
-    ZeroSearchOptions,
     ZeroSet,
     count_zeros,
     evaluate,

@@ -36,7 +36,6 @@ from .exppoly import (
     DEFAULT_QUAD_TOL,
     DEFAULT_WINDOW,
     Rectangle,
-    ZeroSearchOptions,
     ZeroSet,
     find_zeros,
     from_vector,
@@ -151,10 +150,6 @@ class JobSpec:
     )
     output: str | None = _option("output", None, _as_path)
     curves: str | None = _option("curves", None, _as_path)
-
-    @property
-    def zero_search(self) -> ZeroSearchOptions:
-        return ZeroSearchOptions(quad_tol=self.quad_tol)
 
 
 # The job options by their key under "options", in JobSpec order.
@@ -358,7 +353,7 @@ def _echo_input(job: JobSpec) -> dict:
 
 def _run_zeros(job: JobSpec, threads: int) -> dict:
     def one(v: RealVector) -> ZeroSet:
-        return find_zeros(from_vector(v, job.merge_tol), job.window, job.zero_search)
+        return find_zeros(from_vector(v, job.merge_tol), job.window, quad_tol=job.quad_tol)
 
     results = _ordered_map(one, job.vectors, threads)
     return {
@@ -381,7 +376,7 @@ def _run_monodromy(job: JobSpec, threads: int) -> dict:
     out = []
     for k, v in enumerate(job.vectors):
         f = from_vector(v, job.merge_tol)
-        zs = find_zeros(f, job.window, job.zero_search)
+        zs = find_zeros(f, job.window, quad_tol=job.quad_tol)
         if job.target_index is not None:
             if job.target_index >= len(zs.zeros):
                 raise InvalidInputError(

@@ -24,7 +24,6 @@ from .exppoly import (
     ExpPoly,
     RatioFit,
     Rectangle,
-    ZeroSearchOptions,
     _ratio_fits,
     from_vector,
     zero_multiset_equal,
@@ -171,7 +170,10 @@ def build_matrix(vs: list[RealVector], grid: SampleGrid) -> NormMatrix:
         )
     ps = grid.points + ((math.inf,) if grid.include_infinity else ())
     entries = np.column_stack([pnorms(v, ps) for v in vs])
-    scales = np.linalg.norm(entries, axis=0)
+    # scale each column by a power of two near its largest entry before
+    # squaring: exact, and the length cannot overflow or underflow
+    _, exps = np.frexp(entries.max(axis=0))
+    scales = np.ldexp(np.linalg.norm(np.ldexp(entries, -exps), axis=0), exps)
     return NormMatrix(entries, scales, grid)
 
 
@@ -336,10 +338,11 @@ def _zero_evidence(
 ) -> tuple[tuple[int, int, bool], ...]:
     """Zero-multiset comparisons for class representatives, pairwise."""
     reps = [cls[0] for cls in part.classes]
-    search = ZeroSearchOptions(quad_tol=opts.quad_tol)
     checks = []
     for i, ra in enumerate(reps):
         for rb in reps[i + 1 :]:
-            equal = zero_multiset_equal(polys[ra], polys[rb], opts.zero_window, opts=search)
+            equal = zero_multiset_equal(
+                polys[ra], polys[rb], opts.zero_window, quad_tol=opts.quad_tol
+            )
             checks.append((ra, rb, equal))
     return tuple(checks)

@@ -34,7 +34,15 @@ _STEP_CHANGE_TOL = 1e-4
 # Relative |f| on a contour below which the contour is deemed inadmissible.
 _BOUNDARY_REL_MIN = 1e-8
 _INFLATION_FACTOR = 1.0 + 2.0**-5
+# An outer window inflates at most this many times before its count must hold.
+_MAX_INFLATIONS = 8
 _MAX_LEVELS = 8
+# Boxes narrower than this that still count several zeros are one cluster.
+_CLUSTER_DIAMETER = 1e-6
+_MAX_DEPTH = 64
+# Newton accepts a zero once |f| <= this fraction of the local term scale.
+_NEWTON_REL_TARGET = 1e-12
+_MAX_NEWTON_ITERS = 60
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -140,8 +148,9 @@ DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
 class Zero:
     """One isolated zero (or unresolved cluster) with its multiplicity.
 
-    ``refined`` is False when Newton polishing did not converge and the
-    location is the contour centroid only (always the case for clusters).
+    ``refined`` is False when Newton polishing did not converge inside the
+    box that counted the zero and the location is that box's contour
+    centroid only (always the case for clusters).
     """
 
     location: complex
@@ -165,16 +174,6 @@ class RatioFit:
     a: float
     beta: float
     residual: float
-
-
-@dataclass(frozen=True)
-class ZeroSearchOptions:
-    quad_tol: float = DEFAULT_QUAD_TOL
-    cluster_diameter: float = 1e-6
-    newton_rel_target: float = 1e-12
-    max_newton_iters: int = 60
-    max_inflations: int = 8
-    max_depth: int = 64
 
 
 def from_vector(v: RealVector, merge_tol: float = DEFAULT_MERGE_TOL) -> ExpPoly:
@@ -372,28 +371,16 @@ def _count_adaptive(
     )
 
 
-def _moment_centroid(f: ExpPoly, rect: Rectangle, count: int) -> complex | None:
-    """Multiplicity-weighted zero centroid over ``rect``, or None if unstable."""
-    prev: complex | None = None
-    for level in range(_MAX_LEVELS):
-        _, w1 = _contour_sums(f, rect, level, check_boundary=False)
-        c = w1 / count
-        if prev is not None and abs(c - prev) <= 1e-9 * max(1.0, abs(c)):
-            return c
-        prev = c
-    return None
-
-
 def _cluster_locate(
-    f: ExpPoly, rect: Rectangle, count: int, opts: ZeroSearchOptions
+    f: ExpPoly, rect: Rectangle, count: int, moment: complex, quad_tol: float
 ) -> complex:
-    """Centroid of the zero cluster filling ``rect``.
+    """Centroid of the zero cluster filling ``rect``, whose count gave ``moment``.
 
     The moment integral over a box of the cluster's own (tiny) scale drowns
     in cancellation noise, so widen to an enclosing square, shrinking from a
     comfortable size until the zero count over it matches: that box holds
     exactly this cluster and its contour is far enough out for a clean
-    centroid.
+    centroid.  Without such a box the centroid is ``rect``'s own moment.
     """
     cx = 0.5 * (rect.re_min + rect.re_max)
     cy = 0.5 * (rect.im_min + rect.im_max)
@@ -402,30 +389,27 @@ def _cluster_locate(
     while h >= min_half:
         box = Rectangle(cx - h, cx + h, cy - h, cy + h)
         try:
-            n, _ = _count_adaptive(f, box, opts.quad_tol, check_boundary=False)
+            n, w1 = _count_adaptive(f, box, quad_tol, check_boundary=False)
         except QuadratureError:
             n = -1
         if n == count:
-            c = _moment_centroid(f, box, count)
-            if c is not None:
-                return c
+            return w1 / count
         h /= 2.0
-    c = _moment_centroid(f, rect, count)
-    return c if c is not None else complex(cx, cy)
+    return moment / count
 
 
-def _newton_polish(
-    f: ExpPoly, z0: complex, rect: Rectangle, opts: ZeroSearchOptions
-) -> tuple[complex, bool]:
-    """Refine a simple-zero estimate; fall back to the contour value on failure."""
+def _newton_polish(f: ExpPoly, z0: complex, rect: Rectangle) -> tuple[complex, bool]:
+    """Refine a simple-zero estimate inside ``rect``; else keep the contour value."""
     z = z0
     reach = 2.0 * max(rect.width, rect.height)
-    for _ in range(opts.max_newton_iters):
+    converged = False
+    for _ in range(_MAX_NEWTON_ITERS):
         _, s_val, ds_val, bound = _parts(f, z)
         s = complex(s_val[0])
         ds = complex(ds_val[0])
-        if abs(s) <= opts.newton_rel_target * float(bound[0]):
-            return z, True
+        if abs(s) <= _NEWTON_REL_TARGET * float(bound[0]):
+            converged = True
+            break
         if ds == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
             break
         step = s / ds
@@ -435,7 +419,8 @@ def _newton_polish(
         z = z_new
         if abs(step) <= 1e-17 * max(1.0, abs(z)):
             break
-    if relative_magnitude(f, z) <= opts.newton_rel_target:
+    # a point outside the box that counted the zero is some other zero
+    if rect.contains(z) and (converged or relative_magnitude(f, z) <= _NEWTON_REL_TARGET):
         return z, True
     return z0, False
 
@@ -460,11 +445,22 @@ def _ranked_split_lines(
 
 
 def _isolate(
-    f: ExpPoly, rect: Rectangle, count: int, opts: ZeroSearchOptions, depth: int
+    f: ExpPoly,
+    rect: Rectangle,
+    count: int,
+    moment: complex | None,
+    quad_tol: float,
+    depth: int,
 ) -> list[Zero]:
+    """The ``count`` zeros in ``rect``; ``moment`` is the first moment its count gave.
+
+    Each child box takes count and moment from one integration, so no box is
+    integrated twice.  Only the outer window, counted through ``count_zeros``,
+    comes without a moment (None); a leaf window integrates once more for it.
+    """
     if count == 0:
         return []
-    if count > 1 and rect.diameter > opts.cluster_diameter and depth < opts.max_depth:
+    if count > 1 and rect.diameter > _CLUSTER_DIAMETER and depth < _MAX_DEPTH:
         xs = _ranked_split_lines(
             f, rect.re_min, rect.re_max, rect.im_min, rect.im_max, True
         )
@@ -474,75 +470,71 @@ def _isolate(
         for x, y in zip(xs[:3], ys[:3]):
             try:
                 quads = rect.split(x, y)
-                counts = [
-                    _count_adaptive(f, q, opts.quad_tol, check_boundary=False)[0]
-                    for q in quads
+                counted = [
+                    _count_adaptive(f, q, quad_tol, check_boundary=False) for q in quads
                 ]
             except QuadratureError:
                 continue
+            counts = [n for n, _ in counted]
             if sum(counts) != count:
                 raise QuadratureError(
                     f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                 )
             found: list[Zero] = []
-            for q, c in zip(quads, counts):
-                found.extend(_isolate(f, q, c, opts, depth + 1))
+            for q, (n, w1) in zip(quads, counted):
+                found.extend(_isolate(f, q, n, w1, quad_tol, depth + 1))
             return found
         # No subdivision stabilized: the zeros are too tightly packed for
         # contour work at this scale.  Report the group as one cluster; for
         # a true multiple zero the relocated centroid is exact.
+    if moment is None:
+        _, moment = _count_adaptive(f, rect, quad_tol, check_boundary=False)
     if count == 1:
-        center = _moment_centroid(f, rect, 1)
-        if center is None:
-            center = complex(
-                0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max)
-            )
-        z, refined = _newton_polish(f, center, rect, opts)
+        z, refined = _newton_polish(f, moment, rect)
         return [Zero(z, 1, refined)]
-    return [Zero(_cluster_locate(f, rect, count, opts), count, False)]
+    return [Zero(_cluster_locate(f, rect, count, moment, quad_tol), count, False)]
 
 
-def find_zeros(
-    f: ExpPoly, rect: Rectangle, opts: ZeroSearchOptions | None = None
-) -> ZeroSet:
+def find_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL) -> ZeroSet:
     """Locate all zeros of f inside ``rect`` with multiplicities.
 
-    The window inflates by small factors (up to ``opts.max_inflations``
-    times) when its boundary starts out too close to a zero or its count
-    does not stabilize; the window actually used is recorded on the
-    result.  Simple zeros are Newton polished to |f(z)| <= 1e-12 of the
-    local term scale; clusters that resist subdivision down to diameter
-    1e-6 are reported as one zero with summed multiplicity and
-    ``refined=False``.
+    ``quad_tol`` is the distance from an integer within which every winding
+    count (the window's and each box's) is accepted, as in ``count_zeros``.
+    The window inflates by small factors (up to ``_MAX_INFLATIONS`` times)
+    when its boundary starts out too close to a zero or its count does not
+    stabilize; the window actually used is recorded on the result.  Simple
+    zeros are Newton polished, from their box's first moment, to
+    |f(z)| <= 1e-12 of the local term scale inside the box that counted
+    them; clusters that resist subdivision down to diameter 1e-6 are
+    reported as one zero with summed multiplicity and ``refined=False``.
     """
-    opts = opts or ZeroSearchOptions()
-    window, (total,) = _counted_window((f,), rect, opts)
-    return _zero_set(f, window, total, opts)
+    window, (total,) = _counted_window((f,), rect, quad_tol)
+    return _zero_set(f, window, total, quad_tol)
 
 
-def _zero_set(f: ExpPoly, window: Rectangle, total: int, opts: ZeroSearchOptions) -> ZeroSet:
+def _zero_set(f: ExpPoly, window: Rectangle, total: int, quad_tol: float) -> ZeroSet:
     """Isolate the ``total`` zeros already counted over ``window``."""
-    zeros = _isolate(f, window, total, opts, 0) if total else []
+    zeros = _isolate(f, window, total, None, quad_tol, 0)
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     zeros.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
     return ZeroSet(tuple(zeros), window, total)
 
 
 def _counted_window(
-    polys: tuple[ExpPoly, ...], rect: Rectangle, opts: ZeroSearchOptions
+    polys: tuple[ExpPoly, ...], rect: Rectangle, quad_tol: float
 ) -> tuple[Rectangle, list[int]]:
     """``rect`` or its first inflation over which every sum counts cleanly.
 
     An unstable count inflates too: a zero on the edge can slip between the
-    level-0 check nodes.  The last of max_inflations + 1 tries raises.
+    level-0 check nodes.  The last of _MAX_INFLATIONS + 1 tries raises.
     """
     window = rect
-    for _ in range(opts.max_inflations):
+    for _ in range(_MAX_INFLATIONS):
         try:
-            return window, [count_zeros(f, window, opts.quad_tol) for f in polys]
+            return window, [count_zeros(f, window, quad_tol) for f in polys]
         except (BoundaryProximityError, QuadratureError):
             window = window.inflate(_INFLATION_FACTOR)
-    return window, [count_zeros(f, window, opts.quad_tol) for f in polys]
+    return window, [count_zeros(f, window, quad_tol) for f in polys]
 
 
 def zero_multiset_equal(
@@ -550,21 +542,21 @@ def zero_multiset_equal(
     g: ExpPoly,
     rect: Rectangle,
     match_tol: float = 1e-6,
-    opts: ZeroSearchOptions | None = None,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> bool:
     """Whether f and g have the same zero multiset inside ``rect``.
 
     Both sums are counted once over one shared window (inflated jointly
     until both counts are clean); unequal counts answer False.  Otherwise
-    both zero sets are isolated there and matched greedily nearest-first;
-    a match requires equal multiplicities and distance <= ``match_tol``.
+    both zero sets are isolated there, with ``quad_tol`` as in
+    ``find_zeros``, and matched greedily nearest-first; a match requires
+    equal multiplicities and distance <= ``match_tol``.
     """
-    opts = opts or ZeroSearchOptions()
-    window, (total_f, total_g) = _counted_window((f, g), rect, opts)
+    window, (total_f, total_g) = _counted_window((f, g), rect, quad_tol)
     if total_f != total_g:
         return False
-    zf = _zero_set(f, window, total_f, opts)
-    zg = _zero_set(g, window, total_g, opts)
+    zf = _zero_set(f, window, total_f, quad_tol)
+    zg = _zero_set(g, window, total_g, quad_tol)
     remaining = list(zg.zeros)
     for zero in zf.zeros:
         best = None

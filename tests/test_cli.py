@@ -328,9 +328,9 @@ def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
     seen = []
     real = dependence.zero_multiset_equal
 
-    def spy(f, g, rect, match_tol=1e-6, opts=None):
-        seen.append(opts.quad_tol)
-        return real(f, g, rect, match_tol, opts)
+    def spy(f, g, rect, match_tol=1e-6, quad_tol=None):
+        seen.append(quad_tol)
+        return real(f, g, rect, match_tol, quad_tol)
 
     monkeypatch.setattr(dependence, "zero_multiset_equal", spy)
     job = parse_jobspec(

@@ -223,10 +223,10 @@ def test_null_basis_residual_on_fresh_grid():
         assert worst <= 1e-8
 
 
-def test_scale_equivariance():
+@pytest.mark.parametrize("c", [3.0, 1e160])
+def test_scale_equivariance(c):
     vs = vectors("scaled-duplicates")
     base = analyze(vs, 1, 4)
-    c = 3.0
     scaled_vs = [vs[0], RealVector(tuple(c * x for x in vs[1].coords)), vs[2]]
     scaled = analyze(scaled_vs, 1, 4)
     assert scaled.numeric_rank == base.numeric_rank

@@ -337,3 +337,62 @@ def test_zero_multiset_equal_counts_each_window_once(monkeypatch):
     h = from_vector(RealVector((math.e**2, 1.0)))
     assert not zero_multiset_equal(f, h, rect)
     assert calls == [f, h]
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        pytest.param(
+            (
+                -1.6345606321223392,
+                0.15492149539579433,
+                0.7035303220399862,
+                1.8873301820424153,
+                0.6930508139120903,
+                0.6649270814416212,
+            ),
+            id="six-terms-13-zeros",
+        ),
+        pytest.param(
+            (1.5271153361313976, -1.5271153361313976, -0.13120647606785793, -4.344961754894462),
+            id="tied-pair",
+        ),
+        pytest.param(
+            (
+                1.9111132034680927,
+                0.14069299447216116,
+                4.659112099367416,
+                -0.143127721922098,
+                -0.27750468735676553,
+                -2.634694695691499,
+            ),
+            id="six-terms-wide",
+        ),
+    ],
+)
+def test_each_counted_zero_is_reported_once_inside_the_window(coords):
+    # Newton started from a box centre can converge to a neighbouring box's
+    # zero; that zero would then be reported twice and this box's one lost
+    f = from_vector(RealVector(coords))
+    zs = find_zeros(f, exppoly.DEFAULT_WINDOW)
+    assert sum(z.multiplicity for z in zs.zeros) == zs.total
+    for i, a in enumerate(zs.zeros):
+        assert zs.window.contains(a.location)
+        if a.refined:
+            assert exppoly.relative_magnitude(f, a.location) <= 1e-12
+        for b in zs.zeros[i + 1 :]:
+            assert abs(a.location - b.location) > 1e-6
+
+
+def test_find_zeros_integrates_no_box_twice(monkeypatch):
+    seen = []
+    real = exppoly._contour_sums
+
+    def spy(f, rect, level, check_boundary):
+        seen.append((rect, level))
+        return real(f, rect, level, check_boundary)
+
+    monkeypatch.setattr(exppoly, "_contour_sums", spy)
+    zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
+    assert zs.total == 6
+    assert len(seen) == len(set(seen))
