@@ -47,7 +47,6 @@ from .exppoly import (
 from .continuation import (
     BranchState,
     Path,
-    StepOptions,
     build_loop_path,
     continue_log,
     continue_pnorm,

@@ -266,6 +266,11 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
             if value is not None or opt.default is not None:
                 value = opt.metadata["check"](value, f"options.{key}")
             values[opt.name] = value
+    grid_count = values.get("grid_count")
+    if cmd == "analyze" and grid_count is not None and grid_count <= len(vectors):
+        raise InvalidInputError(
+            f"options.grid_count: analyze needs more samples than the {len(vectors)} vectors"
+        )
     return JobSpec(cmd, tuple(vectors), interval, window, **values)
 
 

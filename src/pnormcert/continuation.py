@@ -32,6 +32,20 @@ from .exppoly import (
 )
 from .vectors import RealVector
 
+# Step control: a step is accepted when the principal argument of f moves by
+# less than _MAX_ARG_CHANGE; the predicted size aims for _TARGET_ARG_CHANGE
+# via |f'/f|.  Rejection halves the step, _GROWTH_STREAK consecutive accepts
+# double it, never beyond _INITIAL_STEP.
+_INITIAL_STEP = 0.25
+_MIN_STEP = 1e-12
+_MAX_ARG_CHANGE = math.pi / 2
+_TARGET_ARG_CHANGE = math.pi / 4
+_GROWTH_STREAK = 4
+# Kernel calls one path may take; a path of length L needs at least 4L.
+_MAX_STEPS = 100_000
+_MONODROMY_REL_TOL = 1e-6
+_MAX_ARC_DEGREES = 5.0
+
 
 @dataclass(frozen=True)
 class Path:
@@ -57,31 +71,6 @@ class Path:
     @property
     def end(self) -> complex:
         return self.points[-1]
-
-
-@dataclass(frozen=True)
-class StepOptions:
-    """Controller for argument-based step size along a path.
-
-    A step is accepted when the principal argument of f moves by less than
-    ``max_arg_change``; the predictive size aims for ``target_arg_change``
-    via |f'/f|.  Rejection halves the step, ``growth_streak`` consecutive
-    accepts double it, never beyond ``initial_step``.
-    """
-
-    initial_step: float = 0.25
-    min_step: float = 1e-12
-    max_arg_change: float = math.pi / 2
-    target_arg_change: float = math.pi / 4
-    growth_streak: int = 4
-
-    def __post_init__(self) -> None:
-        if not (0 < self.min_step <= self.initial_step):
-            raise InvalidInputError("need 0 < min_step <= initial_step")
-        if not (0 < self.target_arg_change <= self.max_arg_change <= math.pi):
-            raise InvalidInputError("need 0 < target_arg_change <= max_arg_change <= pi")
-        if self.growth_streak < 1:
-            raise InvalidInputError("growth_streak must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ def pnorm_value(f: ExpPoly, p: float) -> float:
     return math.exp(evaluate_log(f, p).real / p)
 
 
-def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> BranchState:
+def continue_log(f: ExpPoly, path: Path) -> BranchState:
     """Track one branch of log f along ``path``.
 
     Starts from the principal log at the first point (real there whenever
@@ -134,8 +123,9 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
     is exact; only the argument accumulates, unwrapped step by step, so
     exp(logf) always reproduces f(p) to machine accuracy.  One kernel call
     per point (start and every trial) gives log f and the f'/f of the next step.
+    A path that needs more than ``_MAX_STEPS`` of those calls raises
+    ContinuationError at the point it reached.
     """
-    opts = opts or StepOptions()
     p = path.points[0]
     try:
         principal, deriv = log_with_derivative(f, p)
@@ -144,8 +134,9 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
     re_log = principal.real
     im_log = principal.imag
     prev_arg = principal.imag
-    h = opts.initial_step
+    h = _INITIAL_STEP
     streak = 0
+    calls = 1
     for z0, z1 in zip(path.points, path.points[1:]):
         seg = z1 - z0
         length = abs(seg)
@@ -155,7 +146,7 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
         t = 0.0
         while t < length:
             mag = abs(deriv)
-            h_pred = opts.target_arg_change / mag if mag > 0 else math.inf
+            h_pred = _TARGET_ARG_CHANGE / mag if mag > 0 else math.inf
             while True:
                 allowed = min(h, h_pred)
                 if allowed >= length - t:
@@ -163,6 +154,12 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
                 else:
                     trial_t = t + allowed
                     p_trial = z0 + direction * trial_t
+                if calls >= _MAX_STEPS:
+                    raise ContinuationError(
+                        f"step budget of {_MAX_STEPS} kernel calls spent before the path end",
+                        point=p,
+                    )
+                calls += 1
                 try:
                     trial, trial_deriv = log_with_derivative(f, p_trial)
                 except SingularEvaluationError as err:
@@ -170,11 +167,11 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
                         "path runs into a zero of f", point=p_trial
                     ) from err
                 darg = math.remainder(trial.imag - prev_arg, math.tau)
-                if abs(darg) < opts.max_arg_change:
+                if abs(darg) < _MAX_ARG_CHANGE:
                     break
                 h = allowed / 2.0
                 streak = 0
-                if h < opts.min_step:
+                if h < _MIN_STEP:
                     raise ContinuationError(
                         "step size underflow (argument of f varies too fast)",
                         point=p_trial,
@@ -186,21 +183,21 @@ def continue_log(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> Bra
             p = p_trial
             t = trial_t
             streak += 1
-            if streak >= opts.growth_streak:
-                h = min(2.0 * h, opts.initial_step)
+            if streak >= _GROWTH_STREAK:
+                h = min(2.0 * h, _INITIAL_STEP)
                 streak = 0
     logf = complex(re_log, im_log)
     return BranchState(p, logf, cmath.exp(logf / p))
 
 
-def continue_pnorm(f: ExpPoly, path: Path, opts: StepOptions | None = None) -> complex:
+def continue_pnorm(f: ExpPoly, path: Path) -> complex:
     """The continued branch of the p-norm at the path end: exp(logf(end)/end)."""
     for a, b in zip(path.points, path.points[1:]):
         # the floor absorbs rounding in the projection, so a segment whose
         # exact crossing is lost to fp noise is still rejected
         if _segment_distance(0j, a, b) <= 1e-15 * max(abs(a), abs(b)):
             raise InvalidInputError("path passes through p = 0")
-    return continue_log(f, path, opts).norm_value
+    return continue_log(f, path).norm_value
 
 
 def build_loop_path(
@@ -209,16 +206,16 @@ def build_loop_path(
     radius: float,
     turns: int = 1,
     orientation: int = 1,
-    max_arc_degrees: float = 5.0,
 ) -> Path:
     """Keyhole loop from base_p on the real axis around ``center`` and back.
 
     Vertical leg up from base_p to the height of the circle point nearest
     the real axis, horizontal leg to that point, ``turns`` full circles of
-    ``radius`` (counterclockwise for orientation +1), then the legs
-    retraced.  The legs never come closer than ``radius`` to the center,
-    for any base point; with base_p below the center the horizontal leg
-    vanishes and the loop degenerates to a lollipop.
+    ``radius`` (counterclockwise for orientation +1, a vertex every 5
+    degrees at most), then the legs retraced.  The legs never come closer
+    than ``radius`` to the center, for any base point; with base_p below
+    the center the horizontal leg vanishes and the loop degenerates to a
+    lollipop.
     """
     center = complex(center)
     base_p = float(base_p)
@@ -230,14 +227,12 @@ def build_loop_path(
         raise InvalidInputError("turns must be a positive integer")
     if orientation not in (1, -1):
         raise InvalidInputError("orientation must be +1 or -1")
-    if not (0 < max_arc_degrees <= 90):
-        raise InvalidInputError("max_arc_degrees must be in (0, 90]")
     if abs(center.imag) <= radius:
         raise InvalidInputError("loop would touch the real axis")
     sign = 1.0 if center.imag > 0 else -1.0
     entry_height = center.imag - sign * radius
     theta0 = -sign * math.pi / 2
-    n_arc = math.ceil(360.0 * turns / max_arc_degrees)
+    n_arc = math.ceil(360.0 * turns / _MAX_ARC_DEGREES)
     arc = tuple(
         center + radius * cmath.exp(1j * (theta0 + orientation * math.tau * turns * k / n_arc))
         for k in range(n_arc + 1)
@@ -254,15 +249,13 @@ def loop_monodromy(
     loop_radius: float,
     *,
     other_zeros: tuple[complex, ...] = (),
-    opts: StepOptions | None = None,
-    rel_tol: float = 1e-6,
 ) -> tuple[complex, complex]:
     """Measure the factor the norm branch gains around one zero of f.
 
     Continues log f around the keyhole loop based at base_p and returns
     (measured, predicted) where measured = exp((logf_end - logf_start) /
     base_p) and predicted = exp(2 pi i m / base_p) for an m-fold zero.
-    The two must agree to ``rel_tol`` relative or MonodromyMismatchError
+    The two must agree to 1e-6 relative or MonodromyMismatchError
     is raised; agreement is the end-to-end check on the branch tracking.
 
     Any known non-target zeros may be passed in ``other_zeros``; the loop
@@ -276,15 +269,11 @@ def loop_monodromy(
     if m < 1:
         raise InvalidInputError("zero multiplicity must be a positive integer")
     base_p = float(base_p)
-    if not (math.isfinite(base_p) and base_p > 0):
-        raise InvalidInputError("base point must be a positive real")
-    if abs(z.imag) <= loop_radius:
-        raise InvalidInputError("loop would touch the real axis")
+    path = build_loop_path(z, base_p, loop_radius)  # validates base_p and radius
     if abs(complex(base_p, 0.0) - z) <= loop_radius:
         raise InvalidInputError("base point sits under the loop")
     if relative_magnitude(f, z) > 1e-6:
         raise InvalidInputError(f"{z!r} is not a zero of f")
-    path = build_loop_path(z, base_p, loop_radius)
     clearance = loop_radius / 2.0
     for oz in other_zeros:
         oz = complex(oz)
@@ -298,10 +287,10 @@ def loop_monodromy(
                     f"path passes within {clearance!r} of the zero at {oz!r}"
                 )
     start_log = evaluate_log(f, complex(base_p, 0.0))
-    end = continue_log(f, path, opts)
+    end = continue_log(f, path)
     measured = cmath.exp((end.logf - start_log) / base_p)
     predicted = cmath.exp(2j * math.pi * m / base_p)
-    if abs(measured - predicted) > rel_tol * abs(predicted):
+    if abs(measured - predicted) > _MONODROMY_REL_TOL * abs(predicted):
         raise MonodromyMismatchError(
             f"loop around {z!r} (m={m}, base_p={base_p}) measured {measured!r}, "
             f"predicted {predicted!r}"

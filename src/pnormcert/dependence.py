@@ -25,8 +25,8 @@ from .exppoly import (
     RatioFit,
     Rectangle,
     _ratio_fits,
+    _zero_multisets_equal,
     from_vector,
-    zero_multiset_equal,
 )
 from .vectors import (
     DEFAULT_EQUIV_TOL,
@@ -36,9 +36,11 @@ from .vectors import (
     trivial_null_basis,
 )
 
-DEFAULT_GAP_THRESHOLD = 1e6
-DEFAULT_SIGMA_FLOOR = 1e-10
-DEFAULT_ANGLE_TOL = 1e-6
+# numeric_rank's spectral-gap threshold and relative sigma floor, and the
+# principal angle (radians) within which the null space must match.
+_GAP_THRESHOLD = 1e6
+_SIGMA_FLOOR = 1e-10
+_ANGLE_TOL = 1e-6
 # Finite samples stop this far above a, whatever b is (b = inf adds the
 # exact max-norm row).  The cap is a sampling choice, not a flatness bound:
 # ||(1, 0.999)||_40 = 1.017 while the max norm is 1.
@@ -107,10 +109,6 @@ class AnalyzeOptions:
     equiv_tol: float = DEFAULT_EQUIV_TOL
     merge_tol: float = DEFAULT_MERGE_TOL
     grid_count: int | None = None
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
-    angle_tol: float = DEFAULT_ANGLE_TOL
-    ratio_samples: tuple[float, ...] | None = None
     include_zero_evidence: bool = False
     zero_window: Rectangle = DEFAULT_WINDOW
     quad_tol: float = DEFAULT_QUAD_TOL
@@ -159,7 +157,11 @@ def make_grid(a: float, b: float, count: int) -> SampleGrid:
 
 
 def build_matrix(vs: list[RealVector], grid: SampleGrid) -> NormMatrix:
-    """Tabulate ||v_k||_p over the grid; infinity row exact, last."""
+    """Tabulate ||v_k||_p over the grid; infinity row exact, last.
+
+    A column whose Euclidean length overflows float64 raises
+    InvalidInputError naming ``vectors[k]``.
+    """
     if not vs:
         raise InvalidInputError("need at least one vector")
     if grid.count < 2 * len(vs):
@@ -169,26 +171,28 @@ def build_matrix(vs: list[RealVector], grid: SampleGrid) -> NormMatrix:
             stacklevel=2,
         )
     ps = grid.points + ((math.inf,) if grid.include_infinity else ())
-    entries = np.column_stack([pnorms(v, ps) for v in vs])
-    # scale each column by a power of two near its largest entry before
-    # squaring: exact, and the length cannot overflow or underflow
-    _, exps = np.frexp(entries.max(axis=0))
-    scales = np.ldexp(np.linalg.norm(np.ldexp(entries, -exps), axis=0), exps)
+    with np.errstate(over="ignore"):  # an overflowing column raises below
+        entries = np.column_stack([pnorms(v, ps) for v in vs])
+        # scale each column by a power of two near its largest entry before
+        # squaring: exact, and only a length above the float64 range overflows
+        _, exps = np.frexp(entries.max(axis=0))
+        scales = np.ldexp(np.linalg.norm(np.ldexp(entries, -exps), axis=0), exps)
+    overflow = np.flatnonzero(~np.isfinite(scales))
+    if overflow.size:
+        raise InvalidInputError(
+            f"vectors[{overflow[0]}]: norm curve too large for float64 on this grid"
+        )
     return NormMatrix(entries, scales, grid)
 
 
-def numeric_rank(
-    matrix: NormMatrix,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-) -> tuple[int | None, tuple[float, ...], float]:
+def numeric_rank(matrix: NormMatrix) -> tuple[int | None, tuple[float, ...], float]:
     """(rank, singular values, rank gap) of the column-scaled matrix.
 
     rank is the largest r whose spectral gap sigma_r/sigma_{r+1} reaches
-    ``gap_threshold`` while sigma_r stays above ``sigma_floor`` relative
-    to sigma_1 (with sigma_{n+1} taken as 0, so a clean full-rank matrix
-    reports an infinite gap).  rank None means no admissible gap exists:
-    the matrix is too ill-conditioned to classify.
+    1e6 while sigma_r stays at or above 1e-10 relative to sigma_1 (with
+    sigma_{n+1} taken as 0, so a clean full-rank matrix reports an infinite
+    gap).  rank None means no admissible gap exists: the matrix is too
+    ill-conditioned to classify.
     """
     rows, cols = matrix.entries.shape
     if rows <= cols:
@@ -202,7 +206,7 @@ def numeric_rank(
     for r in range(1, cols + 1):
         tail = sigmas[r] if r < cols else 0.0
         gap = math.inf if tail == 0.0 else sigmas[r - 1] / tail
-        if gap >= gap_threshold and sigmas[r - 1] / sigmas[0] >= sigma_floor:
+        if gap >= _GAP_THRESHOLD and sigmas[r - 1] / sigmas[0] >= _SIGMA_FLOOR:
             rank, rank_gap = r, gap
     return rank, sigmas, rank_gap
 
@@ -258,9 +262,7 @@ def analyze(
     part = partition(vs, opts.equiv_tol)
     grid = make_grid(a, b, opts.grid_count or max(16, 4 * n))
     matrix = build_matrix(vs, grid)
-    rank, sigmas, rank_gap = numeric_rank(
-        matrix, opts.gap_threshold, opts.sigma_floor
-    )
+    rank, sigmas, rank_gap = numeric_rank(matrix)
     notes = [
         "equivalence uses relative tolerance "
         f"{opts.equiv_tol:g} on canonical weights; near-boundary inputs "
@@ -291,7 +293,7 @@ def analyze(
             )
         else:
             angle = _principal_angle(null, trivial)
-            if angle <= opts.angle_tol:
+            if angle <= _ANGLE_TOL:
                 classification = CONSISTENT
             else:
                 classification = UNEXPECTED
@@ -300,7 +302,7 @@ def analyze(
                     f"(principal angle {angle:.3e} rad)"
                 )
     polys = [from_vector(v, opts.merge_tol) for v in vs]
-    ratio_checks = _ratio_evidence(polys, part, opts)
+    ratio_checks = _ratio_evidence(polys, part)
     zero_checks = (
         _zero_evidence(polys, part, opts) if opts.include_zero_evidence else ()
     )
@@ -320,16 +322,15 @@ def analyze(
 
 
 def _ratio_evidence(
-    polys: list[ExpPoly], part: EquivalencePartition, opts: AnalyzeOptions
+    polys: list[ExpPoly], part: EquivalencePartition
 ) -> tuple[tuple[int, int, RatioFit], ...]:
     """Ratio fits backing the partition: members against their class
     representative (residual ~ 0 expected) and representatives pairwise
     (residual visibly positive expected)."""
-    samples = list(opts.ratio_samples) if opts.ratio_samples else None
     reps = [cls[0] for cls in part.classes]
     pairs = [(k, cls[0]) for cls in part.classes for k in cls[1:]]
     pairs += [(ra, rb) for i, ra in enumerate(reps) for rb in reps[i + 1 :]]
-    fits = _ratio_fits(polys, pairs, samples)
+    fits = _ratio_fits(polys, pairs)
     return tuple((i, j, fit) for (i, j), fit in zip(pairs, fits))
 
 
@@ -338,11 +339,6 @@ def _zero_evidence(
 ) -> tuple[tuple[int, int, bool], ...]:
     """Zero-multiset comparisons for class representatives, pairwise."""
     reps = [cls[0] for cls in part.classes]
-    checks = []
-    for i, ra in enumerate(reps):
-        for rb in reps[i + 1 :]:
-            equal = zero_multiset_equal(
-                polys[ra], polys[rb], opts.zero_window, quad_tol=opts.quad_tol
-            )
-            checks.append((ra, rb, equal))
-    return tuple(checks)
+    equal = _zero_multisets_equal([polys[r] for r in reps], opts.zero_window, opts.quad_tol)
+    pairs = [(ra, rb) for i, ra in enumerate(reps) for rb in reps[i + 1 :]]
+    return tuple((ra, rb, flag) for (ra, rb), flag in zip(pairs, equal))

@@ -10,15 +10,8 @@ class SingularEvaluationError(ArithmeticError):
 
 
 class BoundaryProximityError(RuntimeError):
-    """A contour passes too close to a zero of the target function.
-
-    Carries ``suggested_inflation``: callers that own the window may retry
-    with the rectangle inflated by that factor about its center.
-    """
-
-    def __init__(self, message: str, suggested_inflation: float = 1.0 + 2.0**-5):
-        super().__init__(message)
-        self.suggested_inflation = suggested_inflation
+    """A contour passes too close to a zero; a caller that owns the window may
+    inflate it about its center and retry."""
 
 
 class QuadratureError(RuntimeError):

@@ -43,6 +43,8 @@ _MAX_DEPTH = 64
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
+# Two zeros match when their multiplicities agree and they lie this close.
+_MATCH_TOL = 1e-6
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -316,8 +318,7 @@ def _contour_sums(
         if rel_min < _BOUNDARY_REL_MIN:
             raise BoundaryProximityError(
                 f"contour of {rect} passes within relative magnitude "
-                f"{rel_min:.2e} of a zero; inflate the window",
-                suggested_inflation=_INFLATION_FACTOR,
+                f"{rel_min:.2e} of a zero; inflate the window"
             )
     integrand = ds_val / s_val
     two_pi_i = 2j * math.pi
@@ -333,7 +334,9 @@ def count_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL)
     sits within ``quad_tol`` of an integer and moves by < 1e-4 when the
     panel count doubles.  Raises BoundaryProximityError when the boundary
     runs too close to a zero (callers may inflate and retry) and
-    QuadratureError when no stable integer emerges.
+    QuadratureError when no stable integer emerges, or when the integer is
+    one f cannot have: a rectangle of height h holds at most
+    h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     """
     count, _ = _count_adaptive(f, rect, quad_tol, check_boundary=True)
     return count
@@ -343,6 +346,8 @@ def _count_adaptive(
     f: ExpPoly, rect: Rectangle, quad_tol: float, check_boundary: bool
 ) -> tuple[int, complex]:
     prev: complex | None = None
+    spread = f.exponents[-1] - f.exponents[0]
+    max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms)
     for level in range(_MAX_LEVELS):
         w0, w1 = _contour_sums(f, rect, level, check_boundary and level == 0)
         if not (math.isfinite(w0.real) and math.isfinite(w0.imag)):
@@ -350,6 +355,11 @@ def _count_adaptive(
             continue
         if prev is not None and abs(w0 - prev) < _STEP_CHANGE_TOL:
             n = round(w0.real)
+            if abs(n) >= max_count:
+                raise QuadratureError(
+                    f"winding over {rect} stabilized at {w0.real:.4g}, but f has "
+                    f"fewer than {max_count:.4g} zeros there"
+                )
             if n >= 0 and abs(w0 - n) < quad_tol:
                 return n, w1
             # A winding stable at a half-integer means a zero sits on the
@@ -358,8 +368,7 @@ def _count_adaptive(
                 if check_boundary:
                     raise BoundaryProximityError(
                         f"winding over {rect} stabilized at {w0.real:.4f}: "
-                        "a zero lies on the contour",
-                        suggested_inflation=_INFLATION_FACTOR,
+                        "a zero lies on the contour"
                     )
                 raise QuadratureError(
                     f"split contour of {rect} runs through a zero"
@@ -538,27 +547,43 @@ def _counted_window(
 
 
 def zero_multiset_equal(
-    f: ExpPoly,
-    g: ExpPoly,
-    rect: Rectangle,
-    match_tol: float = 1e-6,
-    quad_tol: float = DEFAULT_QUAD_TOL,
+    f: ExpPoly, g: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> bool:
     """Whether f and g have the same zero multiset inside ``rect``.
 
-    Both sums are counted once over one shared window (inflated jointly
-    until both counts are clean); unequal counts answer False.  Otherwise
-    both zero sets are isolated there, with ``quad_tol`` as in
-    ``find_zeros``, and matched greedily nearest-first; a match requires
-    equal multiplicities and distance <= ``match_tol``.
+    Unequal counts over the shared window answer False; otherwise both zero
+    sets are isolated, with ``quad_tol`` as in ``find_zeros``, and matched
+    greedily nearest-first, a match requiring equal multiplicities and a
+    distance of at most 1e-6 (``_zero_multisets_equal`` of the two sums).
     """
-    window, (total_f, total_g) = _counted_window((f, g), rect, quad_tol)
-    if total_f != total_g:
-        return False
-    zf = _zero_set(f, window, total_f, quad_tol)
-    zg = _zero_set(g, window, total_g, quad_tol)
-    remaining = list(zg.zeros)
-    for zero in zf.zeros:
+    return _zero_multisets_equal([f, g], rect, quad_tol)[0]
+
+
+def _zero_multisets_equal(
+    polys: list[ExpPoly], rect: Rectangle, quad_tol: float
+) -> list[bool]:
+    """``zero_multiset_equal(polys[i], polys[j], ...)`` for every i < j, in order.
+
+    Every sum is counted once over one shared window (inflated jointly until
+    every count is clean), and only the sums whose total another sum shares
+    are isolated, each once.
+    """
+    window, totals = _counted_window(tuple(polys), rect, quad_tol)
+    zero_sets = [
+        _zero_set(f, window, n, quad_tol).zeros if totals.count(n) > 1 else None
+        for f, n in zip(polys, totals)
+    ]
+    return [
+        totals[i] == totals[j] and _zeros_match(zero_sets[i], zero_sets[j])
+        for i in range(len(polys))
+        for j in range(i + 1, len(polys))
+    ]
+
+
+def _zeros_match(zf: tuple[Zero, ...], zg: tuple[Zero, ...]) -> bool:
+    """Greedy nearest-first matching of two zero lists of equal total."""
+    remaining = list(zg)
+    for zero in zf:
         best = None
         best_dist = math.inf
         for j, cand in enumerate(remaining):
@@ -567,7 +592,7 @@ def zero_multiset_equal(
             d = abs(cand.location - zero.location)
             if d < best_dist:
                 best, best_dist = j, d
-        if best is None or best_dist > match_tol:
+        if best is None or best_dist > _MATCH_TOL:
             return False
         remaining.pop(best)
     return not remaining

@@ -42,14 +42,9 @@ class RealVector:
     def max_abs(self) -> float:
         return max(abs(c) for c in self.coords)
 
-    def nonzero_magnitudes(self, zero_tol: float = 0.0) -> list[float]:
-        """Magnitudes of the coordinates that survive zero-dropping.
-
-        ``zero_tol`` is relative to the largest magnitude; 0 drops exact
-        zeros only.
-        """
-        cutoff = zero_tol * self.max_abs
-        return [abs(c) for c in self.coords if abs(c) > cutoff]
+    def nonzero_magnitudes(self) -> list[float]:
+        """Magnitudes of the non-zero coordinates, in coordinate order."""
+        return [abs(c) for c in self.coords if c != 0.0]
 
 
 @dataclass(frozen=True)
@@ -80,18 +75,14 @@ class EquivalencePartition:
     tol: float
 
 
-def canonicalize(v: RealVector, merge_tol: float = 0.0) -> CanonicalForm:
+def canonicalize(v: RealVector) -> CanonicalForm:
     """Reduce ``v`` modulo zero-padding, permutation, negation, and scaling.
 
-    ``merge_tol`` is the relative threshold below which a coordinate is
-    treated as vanishing; weights of equal magnitude are kept as repeated
+    Exact zeros are dropped; weights of equal magnitude are kept as repeated
     entries, never merged.
     """
-    if merge_tol < 0:
-        raise InvalidInputError("merge_tol must be non-negative")
     scale = v.max_abs
-    mags = v.nonzero_magnitudes(merge_tol)
-    weights = tuple(sorted((m / scale for m in mags), reverse=True))
+    weights = tuple(sorted((m / scale for m in v.nonzero_magnitudes()), reverse=True))
     return CanonicalForm(weights, scale)
 
 

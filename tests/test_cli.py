@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pnormcert import InvalidInputError, Rectangle, SampleGrid, cli, dependence
+from pnormcert import InvalidInputError, Rectangle, SampleGrid, cli, dependence, exppoly
 from pnormcert.cli import (
     DEFAULT_WINDOW,
     OPTIONS,
@@ -154,6 +154,11 @@ def test_parse_option_validation():
             parse_jobspec(job_text(**base, options={key: value}))
         assert f"options.{key}" in str(err.value)
         assert "not read" not in str(err.value)
+    # analyze needs more samples than vectors
+    with pytest.raises(InvalidInputError, match=r"^options\.grid_count: "):
+        parse_jobspec(
+            job_text(command="analyze", vectors=[[1], [1, 2], [1, 3]], options={"grid_count": 3})
+        )
 
 
 @pytest.mark.parametrize(
@@ -326,13 +331,13 @@ def test_input_echo_round_trips_each_option(key):
 
 def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
     seen = []
-    real = dependence.zero_multiset_equal
+    real = exppoly.count_zeros
 
-    def spy(f, g, rect, match_tol=1e-6, quad_tol=None):
+    def spy(f, rect, quad_tol=None):
         seen.append(quad_tol)
-        return real(f, g, rect, match_tol, quad_tol)
+        return real(f, rect, quad_tol)
 
-    monkeypatch.setattr(dependence, "zero_multiset_equal", spy)
+    monkeypatch.setattr(exppoly, "count_zeros", spy)
     job = parse_jobspec(
         job_text(
             command="analyze",
@@ -342,7 +347,7 @@ def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
         )
     )
     cert, _ = run(job)
-    assert seen == [0.01]
+    assert seen == [0.01, 0.01]
     assert cert.payload["zero_checks"] == [{"i": 0, "j": 1, "equal": False}]
 
 
@@ -475,3 +480,24 @@ def test_main_error_paths(tmp_path, capsys):
     good.write_text(job_text(command="zeros", vectors=[[1, 2]]))
     assert main(["zeros", "--input", str(good), "--threads", "0"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["norms", "analyze"])
+def test_main_rejects_a_norm_column_that_overflows(tmp_path, capsys, command):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command=command, vectors=[[1, 3], [1e308, 1e-308]]))
+    assert main([command, "--input", str(job_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: vectors[1]: ") and not captured.out
+
+
+def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):
+    # e^{p ln 2} + 1 has fewer than 7.6 zeros in any box of height 45.5,
+    # whatever its width; this window's quadrature is too coarse to see that
+    job_file = tmp_path / "job.json"
+    job_file.write_text(
+        job_text(command="zeros", vectors=[[1, 2]], window={"re": [-1e50, 1e50]})
+    )
+    assert main(["zeros", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert "zeros there" in captured.err and not captured.out

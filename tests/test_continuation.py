@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pnormcert import exppoly
+from pnormcert import continuation, exppoly
 from pnormcert import (
     ClearanceError,
     ContinuationError,
@@ -14,7 +14,6 @@ from pnormcert import (
     Path,
     RealVector,
     Rectangle,
-    StepOptions,
     build_loop_path,
     continue_log,
     continue_pnorm,
@@ -53,17 +52,6 @@ def test_path_validation():
         Path((1 + 0j, complex(math.nan, 0)))
     p = Path((2 + 0j, 2 + 0j, 3 + 0j))  # duplicates allowed
     assert p.start == 2 and p.end == 3
-
-
-def test_step_options_validation():
-    with pytest.raises(InvalidInputError):
-        StepOptions(initial_step=0.0)
-    with pytest.raises(InvalidInputError):
-        StepOptions(min_step=1.0, initial_step=0.5)
-    with pytest.raises(InvalidInputError):
-        StepOptions(max_arg_change=4.0)
-    with pytest.raises(InvalidInputError):
-        StepOptions(growth_streak=0)
 
 
 def test_pnorm_known_values():
@@ -341,3 +329,21 @@ def test_continue_log_evaluates_each_point_once(monkeypatch):
     assert end.norm_value == complex(
         float.fromhex("-0x1.72bccce85fab6p+1"), float.fromhex("-0x1.3f9e7e33c693ep-49")
     )
+
+
+def test_continue_log_stops_at_its_step_budget(monkeypatch):
+    # steps never exceed 0.25, so this path needs 4000 kernel calls at least
+    calls = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        calls.append(ps)
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    monkeypatch.setattr(continuation, "_MAX_STEPS", 1000)
+    f = from_vector(RealVector((math.e, 1.0)))
+    with pytest.raises(ContinuationError, match="step budget") as err:
+        continue_log(f, Path((1 + 0j, 1 + 1000j)))
+    assert len(calls) == 1000
+    assert err.value.point == calls[-1]  # the last point reached, where it stopped

@@ -263,14 +263,18 @@ def _family_with_copies() -> list[RealVector]:
 def test_ratio_evidence_equals_the_one_pair_fit_bit_for_bit():
     vs = _family_with_copies()
     polys = [from_vector(v) for v in vs]
-    for opts in (AnalyzeOptions(), AnalyzeOptions(ratio_samples=(1.0, 1.5, 2.5, 4.0))):
-        part = dependence.partition(vs, opts.equiv_tol)
-        assert len(part.classes) == 12 and len(part.classes) < len(vs)
-        checks = dependence._ratio_evidence(polys, part, opts)
-        assert len(checks) == len(vs) - 12 + 12 * 11 // 2
-        samples = list(opts.ratio_samples) if opts.ratio_samples else None
-        for i, j, fit in checks:
-            one = ratio_factor(polys[i], polys[j], samples)
+    part = dependence.partition(vs)
+    assert len(part.classes) == 12 and len(part.classes) < len(vs)
+    checks = dependence._ratio_evidence(polys, part)
+    assert len(checks) == len(vs) - 12 + 12 * 11 // 2
+    pairs = [(i, j) for i, j, _ in checks]
+    samples = [1.0, 1.5, 2.5, 4.0]
+    for fits, sample_ps in (
+        ([fit for _, _, fit in checks], None),
+        (exppoly._ratio_fits(polys, pairs, samples), samples),
+    ):
+        for (i, j), fit in zip(pairs, fits):
+            one = ratio_factor(polys[i], polys[j], sample_ps)
             assert [x.hex() for x in (fit.a, fit.beta, fit.residual)] == [
                 x.hex() for x in (one.a, one.beta, one.residual)
             ], (i, j)
@@ -288,7 +292,7 @@ def test_ratio_evidence_evaluates_each_sum_once(monkeypatch):
         return real(f, ps)
 
     monkeypatch.setattr(exppoly, "_log", spy)
-    dependence._ratio_evidence(polys, part, AnalyzeOptions())
+    dependence._ratio_evidence(polys, part)
     assert sorted(map(id, seen)) == sorted(map(id, polys))
 
 
@@ -302,6 +306,28 @@ def test_zero_evidence_opt_in():
     same = [RealVector((math.e, 1.0)), RealVector((2 * math.e, 2.0))]
     report = analyze(same, 1, 4, AnalyzeOptions(include_zero_evidence=True))
     assert report.zero_checks == ()  # one class, no representative pairs
+
+
+def test_zero_evidence_counts_each_class_once(monkeypatch):
+    counted = []
+    real = exppoly.count_zeros
+
+    def spy(f, rect, quad_tol=exppoly.DEFAULT_QUAD_TOL):
+        counted.append(f)
+        return real(f, rect, quad_tol)
+
+    monkeypatch.setattr(exppoly, "count_zeros", spy)
+    # (e, 1) and (e, 1, e, 1) are inequivalent, but e^p + 1 and 2e^p + 2
+    # share their zeros; e^{2p} + 1 has twice as many
+    vs = [
+        RealVector((math.e, 1.0)),
+        RealVector((math.e**2, 1.0)),
+        RealVector((math.e, 1.0, math.e, 1.0)),
+    ]
+    report = analyze(vs, 1, 4, AnalyzeOptions(include_zero_evidence=True))
+    assert len(report.partition.classes) == 3
+    assert report.zero_checks == ((0, 1, False), (0, 2, True), (1, 2, False))
+    assert len(counted) == 3
 
 
 def test_tolerance_boundary_stays_coherent():

@@ -9,6 +9,7 @@ from pnormcert import (
     BoundaryProximityError,
     ExpPoly,
     InvalidInputError,
+    QuadratureError,
     RealVector,
     Rectangle,
     SingularEvaluationError,
@@ -316,6 +317,14 @@ def test_window_inflates_when_edge_zero_escapes_the_level_zero_check():
     for z, e in zip(zs.zeros, expect):
         assert abs(z.location - e) <= 1e-9 * abs(e)
     assert zero_multiset_equal(f, f, WINDOW)
+
+
+def test_count_beyond_the_zero_bound_is_refused():
+    # quadrature over this width is noise and settled near 4.2e32 zeros; a
+    # box of height h holds fewer than h ln2 / 2pi + 2 zeros of 2^p + 1
+    f = from_vector(RealVector((1.0, 2.0)))
+    with pytest.raises(QuadratureError, match="zeros there"):
+        find_zeros(f, Rectangle(-1e50, 1e50, 0.5, 40.0))
 
 
 def test_zero_multiset_equal_counts_each_window_once(monkeypatch):
