@@ -492,8 +492,7 @@ def test_main_rejects_a_norm_column_that_overflows(tmp_path, capsys, command):
 
 
 def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):
-    # e^{p ln 2} + 1 has fewer than 7.6 zeros in any box of height 45.5,
-    # whatever its width; this window's quadrature is too coarse to see that
+    # the window of test_count_beyond_the_zero_bound_is_refused, as a job
     job_file = tmp_path / "job.json"
     job_file.write_text(
         job_text(command="zeros", vectors=[[1, 2]], window={"re": [-1e50, 1e50]})

@@ -320,8 +320,9 @@ def test_window_inflates_when_edge_zero_escapes_the_level_zero_check():
 
 
 def test_count_beyond_the_zero_bound_is_refused():
-    # quadrature over this width is noise and settled near 4.2e32 zeros; a
-    # box of height h holds fewer than h ln2 / 2pi + 2 zeros of 2^p + 1
+    # a box of height h holds at most h ln2 / 2pi + 1 zeros of 2^p + 1,
+    # whatever its width; over this width the quadrature is noise and
+    # settles far above that
     f = from_vector(RealVector((1.0, 2.0)))
     with pytest.raises(QuadratureError, match="zeros there"):
         find_zeros(f, Rectangle(-1e50, 1e50, 0.5, 40.0))
