@@ -25,6 +25,7 @@ from .dependence import (
     SampleGrid,
     analyze,
     build_matrix,
+    default_grid_count,
     make_grid,
 )
 from .errors import (
@@ -44,8 +45,10 @@ from .vectors import DEFAULT_EQUIV_TOL, EquivalencePartition, RealVector, equiva
 
 SCHEMA_VERSION = 1
 COMMANDS = ("zeros", "norms", "monodromy", "equiv", "analyze")
+# The commands that certify a sampled norm table: only they read the
+# interval and grid_count, and only they write --curves.
+TABLE_COMMANDS = ("norms", "analyze")
 DEFAULT_INTERVAL = (1.0, 4.0)
-DEFAULT_GRID_COUNT = 16
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -109,16 +112,39 @@ def _as_bool(value, where: str) -> bool:
     return value
 
 
-def _as_path(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise InvalidInputError(f"{where}: expected a string path")
-    return value
+def _as_interval(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidInputError(f"{where}: expected [a, b]")
+    a = _as_float(value[0], f"{where}[0]")
+    b = _as_float(value[1], f"{where}[1]")
+    if math.isinf(a) or not 1.0 <= a < b:
+        raise InvalidInputError(f"{where}: need 1 <= a < b, got [{a}, {b}]")
+    return (a, b)
 
 
-def _option(key: str, default, check, commands=COMMANDS):
-    """A job option: its key under "options", its default, the check that
-    turns its JSON value into the attribute (null passes where the default is
-    None), and the commands that read it (any other command rejects it)."""
+def _as_window(value, where: str) -> Rectangle:
+    """A window object; an axis it leaves out keeps the default bounds."""
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{where}: expected an object")
+    _check_keys(value, {"re", "im"}, where)
+    w = DEFAULT_WINDOW
+    bounds = {"re": (w.re_min, w.re_max), "im": (w.im_min, w.im_max)}
+    for axis, pair in value.items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InvalidInputError(f"{where}.{axis}: expected [lo, hi]")
+        lo = _as_float(pair[0], f"{where}.{axis}[0]")
+        hi = _as_float(pair[1], f"{where}.{axis}[1]")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidInputError(f"{where}.{axis}: need finite lo < hi")
+        bounds[axis] = (lo, hi)
+    return Rectangle(*bounds["re"], *bounds["im"])
+
+
+def _field(key: str, default, check, commands):
+    """A settable job field: its key (under "options" unless it is interval or
+    window), its default, the check that turns its JSON value into the
+    attribute (null passes where the default is None), and the commands that
+    read it (any other command rejects it)."""
     return field(default=default, metadata={"key": key, "check": check, "commands": commands})
 
 
@@ -126,34 +152,38 @@ def _option(key: str, default, check, commands=COMMANDS):
 class JobSpec:
     command: str
     vectors: tuple[RealVector, ...]
-    interval: tuple[float, float]
-    window: Rectangle
-    # every command reads grid_count: the others sample their --curves with it
-    grid_count: int | None = _option("grid_count", None, _integer_at_least(2))
-    equiv_tol: float = _option(
+    interval: tuple[float, float] = _field(
+        "interval", DEFAULT_INTERVAL, _as_interval, TABLE_COMMANDS
+    )
+    # analyze reads the window only with include_zero_evidence
+    window: Rectangle = _field(
+        "window", DEFAULT_WINDOW, _as_window, ("zeros", "monodromy", "analyze")
+    )
+    grid_count: int | None = _field("grid_count", None, _integer_at_least(2), TABLE_COMMANDS)
+    equiv_tol: float = _field(
         "equiv_tol", DEFAULT_EQUIV_TOL, _as_positive, ("equiv", "analyze")
     )
-    merge_tol: float = _option(
+    merge_tol: float = _field(
         "merge_tol", DEFAULT_MERGE_TOL, _as_non_negative, ("zeros", "monodromy", "analyze")
     )
     # analyze reads quad_tol only with include_zero_evidence
-    quad_tol: float = _option(
+    quad_tol: float = _field(
         "quad_tol", DEFAULT_QUAD_TOL, _as_positive, ("zeros", "monodromy", "analyze")
     )
-    base_ps: tuple[float, ...] = _option("base_p", (2.0,), _as_base_ps, ("monodromy",))
-    radius: float = _option("radius", 0.25, _as_finite_positive, ("monodromy",))
-    target_index: int | None = _option(
+    base_ps: tuple[float, ...] = _field("base_p", (2.0,), _as_base_ps, ("monodromy",))
+    radius: float = _field("radius", 0.25, _as_finite_positive, ("monodromy",))
+    target_index: int | None = _field(
         "target_index", None, _integer_at_least(0), ("monodromy",)
     )
-    include_zero_evidence: bool = _option(
+    include_zero_evidence: bool = _field(
         "include_zero_evidence", False, _as_bool, ("analyze",)
     )
-    output: str | None = _option("output", None, _as_path)
-    curves: str | None = _option("curves", None, _as_path)
 
 
-# The job options by their key under "options", in JobSpec order.
-OPTIONS = {f.metadata["key"]: f for f in fields(JobSpec) if f.metadata}
+# The settable job fields by their key, in JobSpec order, and those of them
+# that sit under "options".
+FIELDS = {f.metadata["key"]: f for f in fields(JobSpec) if f.metadata}
+OPTIONS = {key: f for key, f in FIELDS.items() if key not in ("interval", "window")}
 
 
 @dataclass(frozen=True)
@@ -223,55 +253,26 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
         except InvalidInputError as err:
             raise InvalidInputError(f"vectors[{k}]: {err}") from None
 
-    interval = DEFAULT_INTERVAL
-    if "interval" in raw:
-        iv = raw["interval"]
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise InvalidInputError("interval: expected [a, b]")
-        a = _as_float(iv[0], "interval[0]")
-        b = _as_float(iv[1], "interval[1]")
-        if math.isinf(a) or not 1.0 <= a < b:
-            raise InvalidInputError(f"interval: need 1 <= a < b, got [{a}, {b}]")
-        interval = (a, b)
-
-    window = DEFAULT_WINDOW
-    if "window" in raw:
-        w = raw["window"]
-        if not isinstance(w, dict):
-            raise InvalidInputError("window: expected an object")
-        _check_keys(w, {"re", "im"}, "window")
-        bounds = {"re": (window.re_min, window.re_max), "im": (window.im_min, window.im_max)}
-        for axis in ("re", "im"):
-            if axis in w:
-                pair = w[axis]
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise InvalidInputError(f"window.{axis}: expected [lo, hi]")
-                lo = _as_float(pair[0], f"window.{axis}[0]")
-                hi = _as_float(pair[1], f"window.{axis}[1]")
-                if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                    raise InvalidInputError(f"window.{axis}: need finite lo < hi")
-                bounds[axis] = (lo, hi)
-        window = Rectangle(bounds["re"][0], bounds["re"][1], bounds["im"][0], bounds["im"][1])
-
     opts = raw.get("options", {})
     if not isinstance(opts, dict):
         raise InvalidInputError("options: expected an object")
     _check_keys(opts, OPTIONS, "options")
     values = {}
-    for key, opt in OPTIONS.items():
-        if key in opts:
-            if cmd not in opt.metadata["commands"]:
-                raise InvalidInputError(f"options.{key}: not read by {cmd}")
-            value = opts[key]
-            if value is not None or opt.default is not None:
-                value = opt.metadata["check"](value, f"options.{key}")
-            values[opt.name] = value
+    for key, f in FIELDS.items():
+        section, where = (opts, f"options.{key}") if key in OPTIONS else (raw, key)
+        if key in section:
+            if cmd not in f.metadata["commands"]:
+                raise InvalidInputError(f"{where}: not read by {cmd}")
+            value = section[key]
+            if value is not None or f.default is not None:
+                value = f.metadata["check"](value, where)
+            values[f.name] = value
     grid_count = values.get("grid_count")
     if cmd == "analyze" and grid_count is not None and grid_count <= len(vectors):
         raise InvalidInputError(
             f"options.grid_count: analyze needs more samples than the {len(vectors)} vectors"
         )
-    return JobSpec(cmd, tuple(vectors), interval, window, **values)
+    return JobSpec(cmd, tuple(vectors), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +333,27 @@ def _enc_partition(part: EquivalencePartition) -> dict:
     return {"classes": [list(c) for c in part.classes], "scales": [list(s) for s in part.scales]}
 
 
-def _enc_option(value):
-    return list(value) if isinstance(value, tuple) else value
+def _enc_field(value):
+    if isinstance(value, Rectangle):
+        return _enc_rect(value)
+    if isinstance(value, tuple):
+        return [_enc_float(x) for x in value]
+    return _enc_float(value) if isinstance(value, float) else value
 
 
 def _echo_input(job: JobSpec) -> dict:
-    return {
+    """The job as a job file that sets every field its command reads."""
+    echo = {
         "schema": SCHEMA_VERSION,
         "command": job.command,
         "vectors": [list(v.coords) for v in job.vectors],
-        "interval": [job.interval[0], _enc_float(job.interval[1])],
-        "window": _enc_rect(job.window),
-        "options": {
-            key: _enc_option(getattr(job, opt.name))
-            for key, opt in OPTIONS.items()
-            if job.command in opt.metadata["commands"]
-        },
+        "options": {},
     }
+    for key, f in FIELDS.items():
+        if job.command in f.metadata["commands"]:
+            section = echo["options"] if key in OPTIONS else echo
+            section[key] = _enc_field(getattr(job, f.name))
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +374,9 @@ def _run_zeros(job: JobSpec, threads: int) -> dict:
     }
 
 
-def _norms_grid(job: JobSpec) -> SampleGrid:
-    return make_grid(job.interval[0], job.interval[1], job.grid_count or DEFAULT_GRID_COUNT)
-
-
 def _run_norms(job: JobSpec) -> dict:
-    return _enc_matrix(build_matrix(list(job.vectors), _norms_grid(job)))
+    count = job.grid_count or default_grid_count(len(job.vectors))
+    return _enc_matrix(build_matrix(list(job.vectors), make_grid(*job.interval, count)))
 
 
 def _run_monodromy(job: JobSpec, threads: int) -> dict:
@@ -543,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", required=True, help="job JSON file")
     parser.add_argument("--output", help="certificate path (default: stdout)")
-    parser.add_argument("--curves", help="also write sampled norm curves as CSV")
+    parser.add_argument("--curves", help="also write the norm table as CSV (norms, analyze)")
     parser.add_argument("--threads", type=int, default=1, help="worker threads")
     args = parser.parse_args(argv)
     try:
@@ -556,18 +558,16 @@ def main(argv: list[str] | None = None) -> int:
         job = parse_jobspec(text, args.command)
         if args.threads < 1:
             raise InvalidInputError("--threads must be at least 1")
+        if args.curves and job.command not in TABLE_COMMANDS:
+            raise InvalidInputError(f"--curves: {job.command} certifies no norm table")
         cert, exit_code = run(job, args.threads)
-        out_path = args.output or job.output
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(cert.to_json())
         else:
             sys.stdout.write(cert.to_json())
-        curves_path = args.curves or job.curves
-        if curves_path and "norms" in cert.payload:
-            _write_curves(curves_path, cert.payload)  # the matrix norms/analyze certified
-        elif curves_path:
-            emit_curves(list(job.vectors), _norms_grid(job), curves_path)
+        if args.curves:
+            _write_curves(args.curves, cert.payload)
         return exit_code
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -129,6 +129,12 @@ class DependenceReport:
     notes: tuple[str, ...]
 
 
+def default_grid_count(n: int) -> int:
+    """Samples for ``n`` curves when no count is given: 4n, at least 16,
+    which keeps twice the 2n margin that ``build_matrix`` warns below."""
+    return max(16, 4 * n)
+
+
 def make_grid(a: float, b: float, count: int) -> SampleGrid:
     """Chebyshev points with exact endpoints on [a, min(b, a+39)].
 
@@ -260,7 +266,7 @@ def analyze(
         raise InvalidInputError("need at least one vector")
     n = len(vs)
     part = partition(vs, opts.equiv_tol)
-    grid = make_grid(a, b, opts.grid_count or max(16, 4 * n))
+    grid = make_grid(a, b, opts.grid_count or default_grid_count(n))
     matrix = build_matrix(vs, grid)
     rank, sigmas, rank_gap = numeric_rank(matrix)
     notes = [

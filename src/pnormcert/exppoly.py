@@ -323,7 +323,9 @@ def _contour_sums(
     integrand = ds_val / s_val
     two_pi_i = 2j * math.pi
     w0 = complex((wts * integrand).sum() / two_pi_i)
-    w1 = complex((wts * pts * integrand).sum() / two_pi_i)
+    # far from the origin the moment can overflow; _count_adaptive refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1 = complex((wts * pts * integrand).sum() / two_pi_i)
     return w0, w1
 
 
@@ -361,6 +363,8 @@ def _count_adaptive(
                     f"fewer than {max_count:.4g} zeros there"
                 )
             if n >= 0 and abs(w0 - n) < quad_tol:
+                if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
+                    raise QuadratureError(f"first moment over {rect} overflows float64")
                 return n, w1
             # A winding stable at a half-integer means a zero sits on the
             # contour itself; on an outer window that calls for inflation.

@@ -9,6 +9,7 @@ s+1 members forces s independent dependencies among the sampled curves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -33,6 +34,8 @@ class RealVector:
             raise InvalidInputError("vector coordinates must be finite")
         if all(c == 0.0 for c in coords):
             raise InvalidInputError("all-zero vector has no norm curve")
+        if max(abs(c) for c in coords) < sys.float_info.min:
+            raise InvalidInputError("largest coordinate is below the normal float64 range")
         object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
@@ -93,13 +96,17 @@ def equivalent(
 
     The flag is true iff the canonical weights agree elementwise within
     relative ``tol``; the ratio then satisfies ||u||_p = ratio * ||v||_p
-    for every p.
+    for every p.  A ratio outside the normal float64 range raises
+    OverflowError rather than come back as inf, 0 or a subnormal.
     """
     cu = canonicalize(u)
     cv = canonicalize(v)
     if not _weights_match(cu.weights, cv.weights, tol):
         return False, None
-    return True, cu.scale / cv.scale
+    ratio = cu.scale / cv.scale
+    if not sys.float_info.min <= ratio <= sys.float_info.max:
+        raise OverflowError(f"scale ratio {cu.scale!r} / {cv.scale!r} leaves the float64 range")
+    return True, ratio
 
 
 def _weights_match(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> bool:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pnormcert import InvalidInputError, Rectangle, SampleGrid, cli, dependence, exppoly
 from pnormcert.cli import (
     DEFAULT_WINDOW,
+    FIELDS,
     OPTIONS,
     emit_curves,
     main,
@@ -18,8 +20,10 @@ from pnormcert.vectors import RealVector
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# One value per job option, each different from the option's default.
+# One value per settable job field, each different from the field's default.
 NON_DEFAULT = {
+    "interval": [2, 5],
+    "window": {"re": [-1, 1], "im": [1, 5]},
     "grid_count": 12,
     "equiv_tol": 1e-7,
     "merge_tol": 1e-10,
@@ -28,8 +32,6 @@ NON_DEFAULT = {
     "radius": 0.5,
     "target_index": 1,
     "include_zero_evidence": True,
-    "output": "cert.json",
-    "curves": "curves.csv",
 }
 
 
@@ -38,8 +40,16 @@ def job_text(**fields) -> str:
 
 
 def reads(key: str) -> tuple[str, ...]:
-    """The commands that read the job option ``key``."""
-    return OPTIONS[key].metadata["commands"]
+    """The commands that read the job field ``key``."""
+    return FIELDS[key].metadata["commands"]
+
+
+def with_setting(doc: dict, key: str, value) -> dict:
+    """``doc`` with the field ``key`` set to ``value``: top-level, or under
+    "options" beside the options ``doc`` sets."""
+    if key not in OPTIONS:
+        return {**doc, key: value}
+    return {**doc, "options": {**doc.get("options", {}), key: value}}
 
 
 # A small job of each command that runs cleanly with every option it reads
@@ -96,9 +106,11 @@ def test_parse_rejects_unknown_fields_by_section():
     with pytest.raises(InvalidInputError) as err:
         parse_jobspec(job_text(command="zeros", vectors=[[1]], options={"grid": 3}))
     assert "options" in str(err.value) and "grid" in str(err.value)
-    with pytest.raises(InvalidInputError) as err:  # read by nothing, so not an option
-        parse_jobspec(job_text(command="zeros", vectors=[[1]], options={"match_tol": 1e-6}))
-    assert "options" in str(err.value) and "match_tol" in str(err.value)
+    # read by nothing, or paths that only the command line sets: not options
+    for key in ("match_tol", "output", "curves"):
+        with pytest.raises(InvalidInputError) as err:
+            parse_jobspec(job_text(command="norms", vectors=[[1]], options={key: "x"}))
+        assert str(err.value) == f"options: unknown field(s) {key}"
 
 
 def test_parse_command_and_schema_checks():
@@ -121,13 +133,15 @@ def test_parse_accepts_numbers_as_strings():
         job_text(
             command="monodromy",
             vectors=[["3", "4.0"]],
-            interval=["1", "inf"],
+            window={"im": ["1", "1e1"]},
             options={"radius": "0.5"},
         )
     )
     assert job.vectors[0].coords == (3.0, 4.0)
-    assert job.interval == (1.0, math.inf)
+    assert job.window == Rectangle(-1.0, 1.0, 1.0, 10.0)
     assert job.radius == 0.5
+    job = parse_jobspec(job_text(command="norms", vectors=[[1]], interval=["1", "inf"]))
+    assert job.interval == (1.0, math.inf)
 
 
 def test_parse_interval_validation():
@@ -163,14 +177,15 @@ def test_parse_option_validation():
 
 @pytest.mark.parametrize(
     "key, command",
-    [(key, cmd) for key in sorted(OPTIONS) for cmd in cli.COMMANDS if cmd not in reads(key)],
+    [(key, cmd) for key in sorted(FIELDS) for cmd in cli.COMMANDS if cmd not in reads(key)],
 )
 def test_parse_rejects_options_the_command_does_not_read(key, command):
     with pytest.raises(InvalidInputError) as err:
         parse_jobspec(
-            job_text(command=command, vectors=[[1]], options={key: NON_DEFAULT[key]})
+            job_text(**with_setting(dict(command=command, vectors=[[1]]), key, NON_DEFAULT[key]))
         )
-    assert str(err.value) == f"options.{key}: not read by {command}"
+    where = f"options.{key}" if key in OPTIONS else key
+    assert str(err.value) == f"{where}: not read by {command}"
 
 
 def test_run_analyze_exit_and_rank():
@@ -223,6 +238,19 @@ def test_run_norms_payload():
     col = [row[0] for row in cert.payload["norms"]]
     assert col[0] == pytest.approx(2.0, rel=1e-15)
     assert col[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_norms_samples_four_points_per_vector_by_default():
+    # the grid rule of analyze: max(16, 4n), so 10 vectors take 40 samples,
+    # twice the 2n below which build_matrix warns
+    vectors = [[1, k] for k in range(1, 11)]
+    job = parse_jobspec(job_text(command="norms", vectors=vectors))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        cert, code = run(job)
+    assert code == 0
+    assert len(cert.payload["grid"]["points"]) == 40
+    assert len(cert.payload["norms"]) == 40
 
 
 def test_run_monodromy_payload():
@@ -311,22 +339,84 @@ def test_input_echo_round_trips():
     assert again == job
 
 
-@pytest.mark.parametrize("key", sorted(OPTIONS))
+@pytest.mark.parametrize("key", sorted(FIELDS))
 def test_input_echo_round_trips_each_option(key):
-    opt = OPTIONS[key]
+    opt = FIELDS[key]
     assert reads(key)
     for command in reads(key):
-        job = parse_jobspec(
-            job_text(command=command, **RUNNABLE[command], options={key: NON_DEFAULT[key]})
-        )
+        doc = with_setting(RUNNABLE[command], key, NON_DEFAULT[key])
+        job = parse_jobspec(job_text(command=command, **doc))
         assert getattr(job, opt.name) != opt.default
         cert, _ = run(job)
-        assert cert.input["options"][key] == NON_DEFAULT[key], command
-        # the echo holds exactly the options the command reads
+        echoed = cert.input["options"] if key in OPTIONS else cert.input
+        assert echoed[key] == NON_DEFAULT[key], command
+        # the echo holds exactly the fields the command reads
         assert sorted(cert.input["options"]) == sorted(
             k for k in OPTIONS if command in reads(k)
         ), command
+        read_top = [k for k in ("interval", "window") if command in reads(k)]
+        assert sorted(cert.input) == sorted(
+            ["schema", "command", "vectors", "options", *read_top]
+        ), command
         assert parse_jobspec(json.dumps(cert.input)) == job, command
+
+
+# For each (field, command) pair a job can set: a job of that command, and a
+# value of the field, that changes the job's exit code or payload.
+_E3 = [math.e**3, 1]  # e^(3p) + 1: zeros at odd multiples of i pi/3
+_NEAR_TIE = [math.e, 1, 1 + 1e-11]  # two exponents 1e-11 apart
+# quad_tol 1e-300 accepts only windings that land on an integer exactly:
+# the search over Im [1, 20] changes, and analyze's count fails (exit 3)
+_SEARCH = dict(vectors=[[math.e, 1]], window={"im": [1, 20]})
+WITNESSES = {
+    ("interval", "norms"): (dict(vectors=[[1, 2]]), [2, 5]),
+    ("interval", "analyze"): (dict(vectors=[[1, 0], [0, 1]]), [2, 5]),
+    ("window", "zeros"): (RUNNABLE["zeros"], {"im": [1, 5]}),
+    ("window", "monodromy"): (RUNNABLE["monodromy"], {"im": [1, 5]}),
+    # both sums have one zero, i pi, in Im [2, 4]
+    ("window", "analyze"): (
+        dict(vectors=[[math.e, 1], _E3], options={"include_zero_evidence": True}),
+        {"im": [2, 4]},
+    ),
+    ("grid_count", "norms"): (dict(vectors=[[1, 2]]), 12),
+    ("grid_count", "analyze"): (dict(vectors=[[1, 0], [0, 1]]), 12),
+    ("equiv_tol", "equiv"): (dict(vectors=[[1, 2], [1, 2 + 1e-8]]), 1e-7),
+    ("equiv_tol", "analyze"): (dict(vectors=[[1, 2], [1, 2 + 1e-8]]), 1e-7),
+    ("merge_tol", "zeros"): (dict(vectors=[_NEAR_TIE], window={"im": [1, 10]}), 1e-10),
+    ("merge_tol", "monodromy"): (dict(vectors=[_NEAR_TIE], window={"im": [1, 5]}), 1e-10),
+    ("merge_tol", "analyze"): (dict(vectors=[_NEAR_TIE, [1, 2]]), 1e-10),
+    ("quad_tol", "zeros"): (_SEARCH, 1e-300),
+    ("quad_tol", "monodromy"): (_SEARCH, 1e-300),
+    ("quad_tol", "analyze"): (
+        dict(_SEARCH, vectors=[[1, 2, 3], [math.e, 1]], options={"include_zero_evidence": True}),
+        1e-300,
+    ),
+    ("base_p", "monodromy"): (RUNNABLE["monodromy"], [2.5, 3.0]),
+    ("radius", "monodromy"): (RUNNABLE["monodromy"], 0.5),
+    ("target_index", "monodromy"): (RUNNABLE["monodromy"], 1),
+    ("include_zero_evidence", "analyze"): (dict(vectors=[[math.e, 1], _E3]), True),
+}
+
+
+@pytest.mark.parametrize(
+    "key, command", [(key, cmd) for key in FIELDS for cmd in reads(key)]
+)
+def test_every_readable_field_takes_effect(tmp_path, capsys, key, command):
+    doc, value = WITNESSES[key, command]
+
+    def outcome(doc):
+        job_file = tmp_path / "job.json"
+        cert_file = tmp_path / "cert.json"
+        cert_file.unlink(missing_ok=True)
+        job_file.write_text(job_text(command=command, **doc))
+        code = main([command, "--input", str(job_file), "--output", str(cert_file)])
+        payload = json.loads(cert_file.read_text())["payload"] if cert_file.exists() else None
+        return code, payload
+
+    before = outcome(doc)
+    after = outcome(with_setting(doc, key, value))
+    assert before[0] != 1 and after[0] != 1, capsys.readouterr().err
+    assert before != after
 
 
 def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
@@ -351,9 +441,12 @@ def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
     assert cert.payload["zero_checks"] == [{"i": 0, "j": 1, "equal": False}]
 
 
-def test_job_schema_has_ten_options():
-    assert len(OPTIONS) == 10
-    assert sorted(OPTIONS) == sorted(NON_DEFAULT)
+def test_job_schema_has_eight_options():
+    assert len(OPTIONS) == 8
+    assert sorted(FIELDS) == sorted(NON_DEFAULT)
+    assert sorted(FIELDS) == sorted(["interval", "window", *OPTIONS])
+    # (field, command) pairs a job file can set
+    assert sum(len(reads(key)) for key in FIELDS) == 19
 
 
 def test_readme_options_table_matches_the_code():
@@ -361,16 +454,15 @@ def test_readme_options_table_matches_the_code():
     for line in README.read_text(encoding="utf-8").splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) == 4:
-            # "Read by" is "all (...)" or the backquoted commands
+            # "Read by" names the commands in backquotes
             named = [w for w in re.findall(r"`([^`]+)`", cells[2]) if w in cli.COMMANDS]
-            commands = cli.COMMANDS if cells[2].startswith("all") else tuple(named)
-            rows[cells[0].strip("`")] = (json.loads(cells[1].strip("`")), commands)
-    assert sorted(rows) == sorted(OPTIONS)
+            rows[cells[0].strip("`")] = (json.loads(cells[1].strip("`")), tuple(named))
+    assert sorted(rows) == sorted(FIELDS)
     for key, (default, commands) in rows.items():
         assert sorted(commands) == sorted(reads(key)), key
         base = dict(command=commands[0], vectors=[[1]])
         default_job = parse_jobspec(job_text(**base))
-        assert parse_jobspec(job_text(**base, options={key: default})) == default_job, key
+        assert parse_jobspec(job_text(**with_setting(base, key, default))) == default_job, key
 
 
 def test_emit_curves_known_rows(tmp_path):
@@ -465,6 +557,22 @@ def test_main_curves_use_the_certified_grid(tmp_path, monkeypatch):
     assert curve_file.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["zeros", "monodromy", "equiv"])
+def test_main_refuses_curves_without_a_norm_table(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    job_file = tmp_path / "job.json"
+    curve_file = tmp_path / "curves.csv"
+    job_file.write_text(job_text(command=command, **RUNNABLE[command]))
+    argv = [command, "--input", str(job_file), "--curves", str(curve_file)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --curves: {command} certifies no norm table\n"
+    assert not captured.out and not curve_file.exists()
+
+
 def test_main_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["zeros", "--input", str(missing)]) == 1
@@ -489,6 +597,24 @@ def test_main_rejects_a_norm_column_that_overflows(tmp_path, capsys, command):
     assert main([command, "--input", str(job_file)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: vectors[1]: ") and not captured.out
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        # weights ~1e158 times points ~1e160 overflow the moment; the count
+        # then settles far above the bound
+        ({"re": [-1e160, 1e160]}, "zeros there"),
+        # a thin strip on the real axis counts 0 cleanly, but its moment overflows
+        ({"re": [-1e300, 1e299], "im": [0, 1e-9]}, "first moment"),
+    ],
+)
+def test_main_exits_3_on_a_window_far_from_the_origin(tmp_path, capsys, window, message):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command="zeros", vectors=[[1, 2]], window=window))
+    assert main(["zeros", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):

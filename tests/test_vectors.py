@@ -23,6 +23,11 @@ def test_rejects_degenerate_vectors():
         RealVector((1.0, math.nan))
     with pytest.raises(InvalidInputError):
         RealVector((math.inf,))
+    # a largest coordinate below the normal range: its norm column's scale
+    # would turn null vectors into inf
+    with pytest.raises(InvalidInputError, match="normal float64 range"):
+        RealVector((5e-324, -1e-310))
+    assert RealVector((1.0, 5e-324)).max_abs == 1.0
 
 
 def test_canonicalize_known_forms():
@@ -85,6 +90,11 @@ def test_equivalent_known_pairs():
 
     flag, ratio = equivalent(RealVector((2.0,)), RealVector((1.0,)))
     assert flag and ratio == 2.0
+
+    # 1e600 and 1e-600 are no float64 ratios
+    for u, v in ((1e300, 1e-300), (1e-300, 1e300)):
+        with pytest.raises(OverflowError):
+            equivalent(RealVector((u,)), RealVector((v,)))
 
 
 def test_equivalent_is_reflexive_and_symmetric():
