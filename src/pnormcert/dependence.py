@@ -236,13 +236,26 @@ def _null_basis(
 
 
 def _principal_angle(
-    basis_a: tuple[tuple[float, ...], ...], basis_b: tuple[tuple[float, ...], ...]
+    basis_a: tuple[tuple[float, ...], ...],
+    basis_b: tuple[tuple[float, ...], ...],
+    scales: np.ndarray,
 ) -> float:
-    """Largest principal angle (radians) between the spans of two bases."""
+    """Largest principal angle (radians) between the spans of two bases.
+
+    Both are compared times ``scales``, the column scales: in the scaled
+    coordinates the rank analysis ran in, a column with a small scale cannot
+    swamp the others.  Each vector is first divided by its largest entry,
+    so the product cannot overflow.
+    """
     if not basis_a and not basis_b:
         return 0.0
-    qa, _ = np.linalg.qr(np.array(basis_a, dtype=float).T)
-    qb, _ = np.linalg.qr(np.array(basis_b, dtype=float).T)
+
+    def scaled(basis: tuple[tuple[float, ...], ...]) -> np.ndarray:
+        arr = np.array(basis, dtype=float)
+        return (arr / np.abs(arr).max(axis=1, keepdims=True) * scales).T
+
+    qa, _ = np.linalg.qr(scaled(basis_a))
+    qb, _ = np.linalg.qr(scaled(basis_b))
     s = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
@@ -298,7 +311,7 @@ def analyze(
                 "classes: a non-trivial dependence among the sampled curves"
             )
         else:
-            angle = _principal_angle(null, trivial)
+            angle = _principal_angle(null, trivial, matrix.column_scales)
             if angle <= _ANGLE_TOL:
                 classification = CONSISTENT
             else:

@@ -15,7 +15,7 @@ class BoundaryProximityError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Contour quadrature failed to stabilize on an integer winding number."""
+    """Contour quadrature failed to converge on an integer winding number."""
 
 
 class ContinuationError(RuntimeError):

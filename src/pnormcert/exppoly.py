@@ -29,23 +29,74 @@ from .vectors import RealVector
 
 DEFAULT_MERGE_TOL = 1e-12
 DEFAULT_QUAD_TOL = 1e-3
-# Level-to-level change below which the winding integral counts as stable.
-_STEP_CHANGE_TOL = 1e-4
+# Summed error estimate (in winding units) below which a winding is converged.
+_WINDING_ERROR_TOL = 1e-4
 # Relative |f| on a contour below which the contour is deemed inadmissible.
 _BOUNDARY_REL_MIN = 1e-8
 _INFLATION_FACTOR = 1.0 + 2.0**-5
 # An outer window inflates at most this many times before its count must hold.
 _MAX_INFLATIONS = 8
-_MAX_LEVELS = 8
+# One count evaluates at most this many times its base panels, summed over rounds.
+_PANEL_BUDGET = 128
+# A base panel is bisected at most this many times.
+_MAX_BISECTIONS = 16
 # Boxes narrower than this that still count several zeros are one cluster.
 _CLUSTER_DIAMETER = 1e-6
+# A box whose splits all fail is one cluster only up to this diameter.
+_MAX_CLUSTER_DIAMETER = 1e-4
 _MAX_DEPTH = 64
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
 # Two zeros match when their multiplicities agree and they lie this close.
 _MATCH_TOL = 1e-6
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _mirrored(half: tuple[float, ...], sign: float = 1.0) -> np.ndarray:
+    """A symmetric rule's 15 values from the left half and the center (last)."""
+    h = np.array(half)
+    return np.concatenate((sign * h[:-1], h[-1:], h[-2::-1]))
+
+
+# 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule on its
+# odd-indexed nodes (QUADPACK qk15); |K - G| estimates the error of K.
+_KRONROD_NODES = _mirrored(
+    (
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.0,
+    ),
+    sign=-1.0,
+)
+_KRONROD_WEIGHTS = _mirrored(
+    (
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
+    )
+)
+_GAUSS_WEIGHTS = _mirrored(
+    (
+        0.0,
+        0.129484966168869693270611432679082,
+        0.0,
+        0.279705391489276667901467771423780,
+        0.0,
+        0.381830050505118944950369775488975,
+        0.0,
+        0.417959183673469387755102040816327,
+    )
+)
 
 
 def _read_only(values: list) -> np.ndarray:
@@ -280,63 +331,98 @@ def relative_magnitude(f: ExpPoly, p: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _edge_quadrature(z0: complex, z1: complex, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for integrating along the segment z0 -> z1."""
-    dz = z1 - z0
-    centers = (np.arange(panels) + 0.5) / panels
-    offsets = _GAUSS_NODES / (2.0 * panels)
-    t = (centers[:, None] + offsets[None, :]).ravel()
-    pts = z0 + t * dz
-    wts = np.tile(_GAUSS_WEIGHTS / (2.0 * panels), panels) * dz
-    return pts, wts
-
-
 def _base_panels(length: float) -> int:
     return max(4, min(160, math.ceil(1.25 * length)))
 
 
-def _contour_points(rect: Rectangle, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _contour_panels(rect: Rectangle) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, half-steps) of the base panels, counterclockwise around ``rect``."""
     corners = rect.corners
-    pts_parts = []
-    wts_parts = []
+    centers = []
+    halves = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        panels = _base_panels(abs(b - a)) * 2**level
-        pts, wts = _edge_quadrature(a, b, panels)
-        pts_parts.append(pts)
-        wts_parts.append(wts)
-    return np.concatenate(pts_parts), np.concatenate(wts_parts)
+        panels = _base_panels(abs(b - a))
+        half = (b - a) / (2 * panels)
+        centers.append(a + (2 * np.arange(panels) + 1) * half)
+        halves.append(np.full(panels, half))
+    return np.concatenate(centers), np.concatenate(halves)
 
 
 def _contour_sums(
-    f: ExpPoly, rect: Rectangle, level: int, check_boundary: bool
-) -> tuple[complex, complex]:
-    """(1/2πi) ∮ f'/f dp and (1/2πi) ∮ p f'/f dp over the rectangle boundary."""
-    pts, wts = _contour_points(rect, level)
-    _, s_val, ds_val, bound = _parts(f, pts)
-    if check_boundary:
-        rel_min = float(np.min(np.abs(s_val) / bound))
-        if rel_min < _BOUNDARY_REL_MIN:
-            raise BoundaryProximityError(
-                f"contour of {rect} passes within relative magnitude "
-                f"{rel_min:.2e} of a zero; inflate the window"
-            )
-    integrand = ds_val / s_val
-    two_pi_i = 2j * math.pi
-    w0 = complex((wts * integrand).sum() / two_pi_i)
-    # far from the origin the moment can overflow; _count_adaptive refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        w1 = complex((wts * pts * integrand).sum() / two_pi_i)
-    return w0, w1
+    f: ExpPoly, rect: Rectangle, check_boundary: bool
+) -> tuple[complex, complex, float]:
+    """(1/2πi) ∮ f'/f dp, (1/2πi) ∮ p f'/f dp and the error estimate of the first.
+
+    Locally adaptive Gauss-Kronrod: every panel gets the 15-point Kronrod
+    rule, and |K - G| against the embedded 7-point Gauss rule is its error
+    estimate.  A round evaluates every pending panel in one kernel call.
+    Once the estimates sum below _WINDING_ERROR_TOL the integrals are done;
+    otherwise each panel over its length's share of that tolerance is
+    bisected and the others are kept.  The sums return unconverged (error
+    estimate at least _WINDING_ERROR_TOL) as soon as a panel's estimate
+    (then inf) or moment is not finite, when the next round would pass
+    _PANEL_BUDGET times the base panels in all, or once a panel has been
+    bisected _MAX_BISECTIONS times.  ``check_boundary`` applies the
+    relative-|f| test to the first round's nodes.
+    """
+    centers, halves = _contour_panels(rect)
+    budget = _PANEL_BUDGET * len(centers)
+    used = 0
+    tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
+    w0 = w1 = 0j
+    err = 0.0
+    bisections = 0
+    while True:
+        used += len(centers)
+        pts = centers[:, None] + halves[:, None] * _KRONROD_NODES
+        _, s_val, ds_val, bound = _parts(f, pts.ravel())
+        if check_boundary and bisections == 0:
+            rel_min = float(np.min(np.abs(s_val) / bound))
+            if rel_min < _BOUNDARY_REL_MIN:
+                raise BoundaryProximityError(
+                    f"contour of {rect} passes within relative magnitude "
+                    f"{rel_min:.2e} of a zero; inflate the window"
+                )
+        integrand = (ds_val / s_val).reshape(pts.shape)
+        k0 = halves * (integrand * _KRONROD_WEIGHTS).sum(axis=1)
+        e0 = np.abs(halves * (integrand * (_KRONROD_WEIGHTS - _GAUSS_WEIGHTS)).sum(axis=1))
+        # a panel's share of the tolerance is its share of the perimeter
+        pending = e0 > tol * np.abs(halves) / (rect.width + rect.height)
+        # far from the origin the moment can overflow; _count_adaptive refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = halves * (pts * integrand * _KRONROD_WEIGHTS).sum(axis=1)
+            total_err = err + float(e0.sum())
+            if not math.isfinite(total_err):
+                return complex(math.nan), complex(math.nan), math.inf
+            if (
+                total_err < tol
+                or not np.isfinite(k1).all()
+                or bisections == _MAX_BISECTIONS
+                or used + 2 * int(pending.sum()) > budget
+            ):
+                two_pi_i = 2j * math.pi
+                w0 += complex(k0.sum())
+                w1 += complex(k1.sum())
+                return w0 / two_pi_i, w1 / two_pi_i, total_err / (2.0 * math.pi)
+            done = ~pending
+            w0 += complex(k0[done].sum())
+            w1 += complex(k1[done].sum())
+            err += float(e0[done].sum())
+        halves = 0.5 * halves[pending]
+        centers = np.concatenate((centers[pending] - halves, centers[pending] + halves))
+        halves = np.concatenate((halves, halves))
+        bisections += 1
 
 
 def count_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL) -> int:
     """Number of zeros of f inside ``rect``, counted with multiplicity.
 
-    Adaptive composite quadrature of f'/f per edge; accepted once the value
-    sits within ``quad_tol`` of an integer and moves by < 1e-4 when the
-    panel count doubles.  Raises BoundaryProximityError when the boundary
-    runs too close to a zero (callers may inflate and retry) and
-    QuadratureError when no stable integer emerges, or when the integer is
+    Locally adaptive Gauss-Kronrod quadrature of f'/f (see
+    ``_contour_sums``); accepted once the summed error estimate is below
+    1e-4 and the value sits within ``quad_tol`` of a non-negative integer.
+    Raises BoundaryProximityError when the boundary runs too close to a
+    zero (callers may inflate and retry) and QuadratureError when no
+    converged integer emerges within the work cap, or when the integer is
     one f cannot have: a rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     """
@@ -347,40 +433,32 @@ def count_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL)
 def _count_adaptive(
     f: ExpPoly, rect: Rectangle, quad_tol: float, check_boundary: bool
 ) -> tuple[int, complex]:
-    prev: complex | None = None
     spread = f.exponents[-1] - f.exponents[0]
     max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms)
-    for level in range(_MAX_LEVELS):
-        w0, w1 = _contour_sums(f, rect, level, check_boundary and level == 0)
-        if not (math.isfinite(w0.real) and math.isfinite(w0.imag)):
-            prev = None
-            continue
-        if prev is not None and abs(w0 - prev) < _STEP_CHANGE_TOL:
-            n = round(w0.real)
-            if abs(n) >= max_count:
-                raise QuadratureError(
-                    f"winding over {rect} stabilized at {w0.real:.4g}, but f has "
-                    f"fewer than {max_count:.4g} zeros there"
+    w0, w1, err = _contour_sums(f, rect, check_boundary)
+    if math.isfinite(err):
+        n = round(w0.real)
+        if abs(n) >= max_count:
+            raise QuadratureError(
+                f"winding over {rect} came to {w0.real:.4g}, but f has "
+                f"fewer than {max_count:.4g} zeros there"
+            )
+        if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
+            raise QuadratureError(f"first moment over {rect} overflows float64")
+        if err < _WINDING_ERROR_TOL and n >= 0 and abs(w0 - n) < quad_tol:
+            return n, w1
+        # A winding near a half-integer means a zero sits on the contour
+        # itself; on an outer window that calls for inflation.
+        if abs(w0 - (math.floor(w0.real) + 0.5)) < quad_tol:
+            if check_boundary:
+                raise BoundaryProximityError(
+                    f"winding over {rect} came to {w0.real:.4f}: "
+                    "a zero lies on the contour"
                 )
-            if n >= 0 and abs(w0 - n) < quad_tol:
-                if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
-                    raise QuadratureError(f"first moment over {rect} overflows float64")
-                return n, w1
-            # A winding stable at a half-integer means a zero sits on the
-            # contour itself; on an outer window that calls for inflation.
-            if abs(w0 - (math.floor(w0.real) + 0.5)) < quad_tol:
-                if check_boundary:
-                    raise BoundaryProximityError(
-                        f"winding over {rect} stabilized at {w0.real:.4f}: "
-                        "a zero lies on the contour"
-                    )
-                raise QuadratureError(
-                    f"split contour of {rect} runs through a zero"
-                )
-        prev = w0
+            raise QuadratureError(f"split contour of {rect} runs through a zero")
     raise QuadratureError(
-        f"winding integral over {rect} did not stabilize on an integer "
-        f"(last value {prev})"
+        f"winding integral over {rect} did not converge on an integer "
+        f"(value {w0}, error estimate {err:.2e})"
     )
 
 
@@ -497,9 +575,14 @@ def _isolate(
             for q, (n, w1) in zip(quads, counted):
                 found.extend(_isolate(f, q, n, w1, quad_tol, depth + 1))
             return found
-        # No subdivision stabilized: the zeros are too tightly packed for
-        # contour work at this scale.  Report the group as one cluster; for
-        # a true multiple zero the relocated centroid is exact.
+        # No subdivision counted: the zeros are too tightly packed for
+        # contour work at this scale.  A small box is one cluster (for a
+        # true multiple zero the relocated centroid is exact); a larger one
+        # is a failed search, not a multiple zero.
+        if rect.diameter > _MAX_CLUSTER_DIAMETER:
+            raise QuadratureError(
+                f"no subdivision of {rect} counts its {count} zeros"
+            )
     if moment is None:
         _, moment = _count_adaptive(f, rect, quad_tol, check_boundary=False)
     if count == 1:
@@ -515,11 +598,13 @@ def find_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL) 
     count (the window's and each box's) is accepted, as in ``count_zeros``.
     The window inflates by small factors (up to ``_MAX_INFLATIONS`` times)
     when its boundary starts out too close to a zero or its count does not
-    stabilize; the window actually used is recorded on the result.  Simple
+    converge; the window actually used is recorded on the result.  Simple
     zeros are Newton polished, from their box's first moment, to
     |f(z)| <= 1e-12 of the local term scale inside the box that counted
-    them; clusters that resist subdivision down to diameter 1e-6 are
-    reported as one zero with summed multiplicity and ``refined=False``.
+    them.  A box of diameter at most 1e-6 that counts several zeros, or one
+    of at most 1e-4 that no split can count, is reported as one zero with
+    summed multiplicity and ``refined=False``; a wider box that no split
+    can count raises QuadratureError.
     """
     window, (total,) = _counted_window((f,), rect, quad_tol)
     return _zero_set(f, window, total, quad_tol)
@@ -538,8 +623,9 @@ def _counted_window(
 ) -> tuple[Rectangle, list[int]]:
     """``rect`` or its first inflation over which every sum counts cleanly.
 
-    An unstable count inflates too: a zero on the edge can slip between the
-    level-0 check nodes.  The last of _MAX_INFLATIONS + 1 tries raises.
+    A count that does not converge inflates too: a zero on the edge can
+    slip between the first round's check nodes.  The last of
+    _MAX_INFLATIONS + 1 tries raises.
     """
     window = rect
     for _ in range(_MAX_INFLATIONS):

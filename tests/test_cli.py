@@ -626,3 +626,20 @@ def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):
     assert main(["zeros", "--input", str(job_file)]) == 3
     captured = capsys.readouterr()
     assert "zeros there" in captured.err and not captured.out
+
+
+def test_monodromy_at_a_vanishing_quad_tol_does_not_blame_the_input(tmp_path, capsys):
+    # a failed zero search once reported a cluster there, and the loop
+    # around it exited 1 with "... is not a zero of f"
+    job_file = tmp_path / "job.json"
+    job_file.write_text(
+        job_text(
+            command="monodromy",
+            vectors=[[1, 2, 3], [math.e, 1]],
+            window={"im": [1, 20]},
+            options={"quad_tol": 1e-300},
+        )
+    )
+    assert main(["monodromy", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert "not a zero" not in captured.err and not captured.out

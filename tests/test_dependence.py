@@ -223,6 +223,17 @@ def test_null_basis_residual_on_fresh_grid():
         assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("big", [8e20, -8.19e220])
+def test_null_space_of_a_family_spanning_many_magnitudes_is_compared_scaled(big):
+    # one class of three one-coordinate vectors; unscaled, the column of [1]
+    # swamps both null vectors, which come out near (0, 0, 1) together
+    report = analyze([RealVector((big,)), RealVector((big,)), RealVector((-1.0,))])
+    assert report.classification == CONSISTENT
+    assert report.numeric_rank == 1
+    assert len(report.null_basis) == 2
+    assert report.principal_angle <= 1e-6
+
+
 @pytest.mark.parametrize("c", [3.0, 1e160])
 def test_scale_equivariance(c):
     vs = vectors("scaled-duplicates")

@@ -398,11 +398,38 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     seen = []
     real = exppoly._contour_sums
 
-    def spy(f, rect, level, check_boundary):
-        seen.append((rect, level))
-        return real(f, rect, level, check_boundary)
+    def spy(f, rect, check_boundary):
+        seen.append(rect)
+        return real(f, rect, check_boundary)
 
     monkeypatch.setattr(exppoly, "_contour_sums", spy)
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
     assert zs.total == 6
     assert len(seen) == len(set(seen))
+
+
+def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster():
+    # quad_tol 1e-300 accepts only windings that land on an integer exactly;
+    # the three simple zeros pi i, 3 pi i, 5 pi i once came out as one
+    # unrefined zero of multiplicity 3
+    f = from_vector(RealVector((math.e, 1.0)))
+    try:
+        zs = find_zeros(f, Rectangle(-1, 1, 1, 20), quad_tol=1e-300)
+    except QuadratureError:
+        return
+    assert [z.multiplicity for z in zs.zeros] == [1, 1, 1]
+
+
+def test_a_wide_box_whose_splits_all_fail_is_not_a_cluster(monkeypatch):
+    # only the outer window counts; every split count fails
+    real = exppoly._count_adaptive
+
+    def split_counts_fail(f, rect, quad_tol, check_boundary):
+        if not check_boundary:
+            raise QuadratureError("split count refused")
+        return real(f, rect, quad_tol, check_boundary)
+
+    monkeypatch.setattr(exppoly, "_count_adaptive", split_counts_fail)
+    f = from_vector(RealVector((math.e, 1.0)))
+    with pytest.raises(QuadratureError, match="no subdivision"):
+        find_zeros(f, Rectangle(-1, 1, 1, 20))

@@ -1,0 +1,173 @@
+"""The locally adaptive Gauss-Kronrod rule behind every zero count.
+
+The rule's constants are checked against exact monomial integrals, its
+counts against the closed-form zeros of two-term sums, and its work
+against fixed kernel-point budgets (a deterministic count, no clock).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pnormcert import (
+    ExpPoly,
+    QuadratureError,
+    RealVector,
+    Rectangle,
+    count_zeros,
+    exppoly,
+    find_zeros,
+    from_vector,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def test_gauss_kronrod_constants_integrate_monomials_exactly():
+    nodes = exppoly._KRONROD_NODES
+    for degree in range(23):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        powers = nodes**degree
+        assert abs(powers @ exppoly._KRONROD_WEIGHTS - exact) <= 1e-14, degree
+        if degree <= 13:
+            assert abs(powers @ exppoly._GAUSS_WEIGHTS - exact) <= 1e-14, degree
+    # the Gauss weights sit on the 7-point Gauss-Legendre nodes
+    gauss = nodes[exppoly._GAUSS_WEIGHTS != 0]
+    assert np.allclose(gauss, np.polynomial.legendre.leggauss(7)[0], rtol=0, atol=1e-15)
+
+
+def _distance_to_boundary(z: complex, rect: Rectangle) -> float:
+    dx = max(rect.re_min - z.real, 0.0, z.real - rect.re_max)
+    dy = max(rect.im_min - z.imag, 0.0, z.imag - rect.im_max)
+    if dx or dy:
+        return math.hypot(dx, dy)
+    return min(
+        z.real - rect.re_min, rect.re_max - z.real, z.imag - rect.im_min, rect.im_max - z.imag
+    )
+
+
+@st.composite
+def two_term_counts(draw):
+    """c1 e^(b1 p) + c2 e^(b2 p), a rectangle, and its zeros there in closed form.
+
+    The zeros are (ln(c1 / c2) + (2k + 1) pi i) / (b2 - b1); no zero lies
+    within 1e-3 of the rectangle's boundary.
+    """
+    b1 = draw(st.floats(-3.0, 3.0))
+    step = draw(st.floats(0.2, 3.0))
+    c1, c2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    re = math.log(c1 / c2) / step  # every zero lies on this vertical line
+    width = draw(st.floats(0.1, 3.0))
+    re_min = re - width * draw(st.floats(-0.25, 1.0))
+    im_min = draw(st.floats(-10.0, 30.0))
+    im_max = im_min + draw(st.floats(0.1, 40.0))
+    rect = Rectangle(re_min, re_min + width, im_min, im_max)
+    ks = range(
+        math.floor(im_min * step / (2 * math.pi)) - 1,
+        math.ceil(im_max * step / (2 * math.pi)) + 1,
+    )
+    zeros = [complex(re, (2 * k + 1) * math.pi / step) for k in ks]
+    assume(all(_distance_to_boundary(z, rect) > 1e-3 for z in zeros))
+    return ExpPoly(((b1, c1), (b1 + step, c2))), rect, sum(rect.contains(z) for z in zeros)
+
+
+@PROPERTY
+@given(two_term_counts())
+def test_count_matches_the_closed_form_of_two_term_sums(case):
+    f, rect, expected = case
+    assert count_zeros(f, rect) == expected
+
+
+# Kernel points find_zeros used on each search before the adaptive rule,
+# when every count doubled the panels of all four edges per level.
+UNIFORM_POINTS = {
+    "six-terms-13-zeros": 149631,
+    "tied-pair": 666245,
+    "six-terms-wide": 312055,
+    "edge-1e-3-from-a-zero": 114570,
+}
+SEARCHES = {
+    # the vectors of test_each_counted_zero_is_reported_once_inside_the_window
+    "six-terms-13-zeros": (
+        (
+            -1.6345606321223392,
+            0.15492149539579433,
+            0.7035303220399862,
+            1.8873301820424153,
+            0.6930508139120903,
+            0.6649270814416212,
+        ),
+        exppoly.DEFAULT_WINDOW,
+    ),
+    "tied-pair": (
+        (1.5271153361313976, -1.5271153361313976, -0.13120647606785793, -4.344961754894462),
+        exppoly.DEFAULT_WINDOW,
+    ),
+    "six-terms-wide": (
+        (
+            1.9111132034680927,
+            0.14069299447216116,
+            4.659112099367416,
+            -0.143127721922098,
+            -0.27750468735676553,
+            -2.634694695691499,
+        ),
+        exppoly.DEFAULT_WINDOW,
+    ),
+    # e^p + 1 vanishes at i pi, 1e-3 below the bottom edge
+    "edge-1e-3-from-a-zero": ((math.e, 1.0), Rectangle(-1.0, 1.0, math.pi + 1e-3, 20.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_zero_search_uses_under_half_the_uniform_kernel_points(monkeypatch, name):
+    points = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        out = real(f, ps)
+        points.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    coords, window = SEARCHES[name]
+    zs = find_zeros(from_vector(RealVector(coords)), window)
+    assert sum(z.multiplicity for z in zs.zeros) == zs.total
+    assert sum(points) < UNIFORM_POINTS[name] / 2
+
+
+def test_a_zero_1e_3_from_an_edge_is_counted_without_inflation():
+    # the uniform rule inflated this window; the adaptive one resolves the
+    # near-pole of f'/f by bisecting only the panels next to it
+    coords, window = SEARCHES["edge-1e-3-from-a-zero"]
+    zs = find_zeros(from_vector(RealVector(coords)), window)
+    assert zs.window == window
+    expect = [complex(0.0, 3 * math.pi), complex(0.0, 5 * math.pi)]
+    assert len(zs.zeros) == 2
+    for z, e in zip(zs.zeros, expect):
+        assert z.multiplicity == 1 and z.refined
+        assert abs(z.location - e) <= 1e-9 * abs(e)
+
+
+def test_a_count_that_cannot_converge_costs_no_more_than_the_uniform_rule(monkeypatch):
+    # over Re [-1e50, 1e50] every panel's estimate is float64 noise, so every
+    # panel is bisected each round until the work cap stops the count; the
+    # uniform rule spent 8 levels of 8-point panels on the 420 base panels,
+    # doubled per level
+    limit = 8 * 420 * (2**8 - 1)
+    points = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        points.append(np.size(ps))
+        assert sum(points) <= limit  # stop a runaway before it allocates
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    f = from_vector(RealVector((1.0, 2.0)))
+    with pytest.raises(QuadratureError):
+        count_zeros(f, Rectangle(-1e50, 1e50, 0.5, 40.0))
+    assert points[0] == 15 * 420
