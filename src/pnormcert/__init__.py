@@ -55,7 +55,6 @@ from .continuation import (
     pnorm_value,
 )
 from .dependence import (
-    AnalyzeOptions,
     DependenceReport,
     NormMatrix,
     SampleGrid,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .continuation import loop_monodromy
 from .dependence import (
-    AnalyzeOptions,
     NormMatrix,
     SampleGrid,
     analyze,
@@ -33,8 +32,6 @@ from .errors import (
     MonodromyMismatchError,
 )
 from .exppoly import (
-    DEFAULT_MERGE_TOL,
-    DEFAULT_QUAD_TOL,
     DEFAULT_WINDOW,
     Rectangle,
     ZeroSet,
@@ -80,13 +77,6 @@ def _as_finite_positive(value, where: str) -> float:
     x = _as_positive(value, where)
     if math.isinf(x):
         raise InvalidInputError(f"{where}: must be finite")
-    return x
-
-
-def _as_non_negative(value, where: str) -> float:
-    x = _as_float(value, where)
-    if x < 0:
-        raise InvalidInputError(f"{where}: must be non-negative")
     return x
 
 
@@ -162,13 +152,6 @@ class JobSpec:
     grid_count: int | None = _field("grid_count", None, _integer_at_least(2), TABLE_COMMANDS)
     equiv_tol: float = _field(
         "equiv_tol", DEFAULT_EQUIV_TOL, _as_positive, ("equiv", "analyze")
-    )
-    merge_tol: float = _field(
-        "merge_tol", DEFAULT_MERGE_TOL, _as_non_negative, ("zeros", "monodromy", "analyze")
-    )
-    # analyze reads quad_tol only with include_zero_evidence
-    quad_tol: float = _field(
-        "quad_tol", DEFAULT_QUAD_TOL, _as_positive, ("zeros", "monodromy", "analyze")
     )
     base_ps: tuple[float, ...] = _field("base_p", (2.0,), _as_base_ps, ("monodromy",))
     radius: float = _field("radius", 0.25, _as_finite_positive, ("monodromy",))
@@ -363,7 +346,7 @@ def _echo_input(job: JobSpec) -> dict:
 
 def _run_zeros(job: JobSpec, threads: int) -> dict:
     def one(v: RealVector) -> ZeroSet:
-        return find_zeros(from_vector(v, job.merge_tol), job.window, quad_tol=job.quad_tol)
+        return find_zeros(from_vector(v), job.window)
 
     results = _ordered_map(one, job.vectors, threads)
     return {
@@ -382,8 +365,8 @@ def _run_norms(job: JobSpec) -> dict:
 def _run_monodromy(job: JobSpec, threads: int) -> dict:
     out = []
     for k, v in enumerate(job.vectors):
-        f = from_vector(v, job.merge_tol)
-        zs = find_zeros(f, job.window, quad_tol=job.quad_tol)
+        f = from_vector(v)
+        zs = find_zeros(f, job.window)
         if job.target_index is not None:
             if job.target_index >= len(zs.zeros):
                 raise InvalidInputError(
@@ -438,15 +421,13 @@ def _run_equiv(job: JobSpec) -> dict:
 
 
 def _run_analyze(job: JobSpec) -> tuple[dict, int]:
-    opts = AnalyzeOptions(
+    report = analyze(
+        list(job.vectors),
+        *job.interval,
         equiv_tol=job.equiv_tol,
-        merge_tol=job.merge_tol,
         grid_count=job.grid_count,
-        include_zero_evidence=job.include_zero_evidence,
-        zero_window=job.window,
-        quad_tol=job.quad_tol,
+        zero_window=job.window if job.include_zero_evidence else None,
     )
-    report = analyze(list(job.vectors), job.interval[0], job.interval[1], opts)
     payload = {
         "classification": report.classification,
         "numeric_rank": report.numeric_rank,

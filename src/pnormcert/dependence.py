@@ -18,9 +18,6 @@ import numpy as np
 from .continuation import pnorms
 from .errors import InvalidInputError
 from .exppoly import (
-    DEFAULT_MERGE_TOL,
-    DEFAULT_QUAD_TOL,
-    DEFAULT_WINDOW,
     ExpPoly,
     RatioFit,
     Rectangle,
@@ -102,16 +99,6 @@ class NormMatrix:
 
     def scaled(self) -> np.ndarray:
         return self.entries / self.column_scales
-
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    equiv_tol: float = DEFAULT_EQUIV_TOL
-    merge_tol: float = DEFAULT_MERGE_TOL
-    grid_count: int | None = None
-    include_zero_evidence: bool = False
-    zero_window: Rectangle = DEFAULT_WINDOW
-    quad_tol: float = DEFAULT_QUAD_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,27 +251,32 @@ def analyze(
     vs: list[RealVector],
     a: float = 1.0,
     b: float = 4.0,
-    opts: AnalyzeOptions | None = None,
+    *,
+    equiv_tol: float = DEFAULT_EQUIV_TOL,
+    grid_count: int | None = None,
+    zero_window: Rectangle | None = None,
 ) -> DependenceReport:
     """Full certification run for one family of vectors on [a, b].
 
-    Partitions the family into equivalence classes, samples the norm
-    matrix, and compares the numeric rank and null space against the
-    partition's prediction: rank = number of classes and null space =
-    span of the trivial dependencies.  Any disagreement is surfaced in
-    the classification, never patched over.
+    Partitions the family into equivalence classes (relative tolerance
+    ``equiv_tol``), samples the norm matrix on ``grid_count`` points
+    (default ``default_grid_count``), and compares the numeric rank and
+    null space against the partition's prediction: rank = number of
+    classes and null space = span of the trivial dependencies.  Any
+    disagreement is surfaced in the classification, never patched over.
+    A ``zero_window`` adds zero evidence: the class representatives' zero
+    multisets compared pairwise inside it.
     """
-    opts = opts or AnalyzeOptions()
     if not vs:
         raise InvalidInputError("need at least one vector")
     n = len(vs)
-    part = partition(vs, opts.equiv_tol)
-    grid = make_grid(a, b, opts.grid_count or default_grid_count(n))
+    part = partition(vs, equiv_tol)
+    grid = make_grid(a, b, grid_count or default_grid_count(n))
     matrix = build_matrix(vs, grid)
     rank, sigmas, rank_gap = numeric_rank(matrix)
     notes = [
         "equivalence uses relative tolerance "
-        f"{opts.equiv_tol:g} on canonical weights; near-boundary inputs "
+        f"{equiv_tol:g} on canonical weights; near-boundary inputs "
         "may flip classification"
     ]
     trivial = tuple(trivial_null_basis(part))
@@ -320,11 +312,9 @@ def analyze(
                     f"null space misaligned with trivial dependencies "
                     f"(principal angle {angle:.3e} rad)"
                 )
-    polys = [from_vector(v, opts.merge_tol) for v in vs]
+    polys = [from_vector(v) for v in vs]
     ratio_checks = _ratio_evidence(polys, part)
-    zero_checks = (
-        _zero_evidence(polys, part, opts) if opts.include_zero_evidence else ()
-    )
+    zero_checks = () if zero_window is None else _zero_evidence(polys, part, zero_window)
     return DependenceReport(
         matrix=matrix,
         partition=part,
@@ -354,10 +344,10 @@ def _ratio_evidence(
 
 
 def _zero_evidence(
-    polys: list[ExpPoly], part: EquivalencePartition, opts: AnalyzeOptions
+    polys: list[ExpPoly], part: EquivalencePartition, window: Rectangle
 ) -> tuple[tuple[int, int, bool], ...]:
-    """Zero-multiset comparisons for class representatives, pairwise."""
+    """Zero-multiset comparisons inside ``window`` for class representatives, pairwise."""
     reps = [cls[0] for cls in part.classes]
-    equal = _zero_multisets_equal([polys[r] for r in reps], opts.zero_window, opts.quad_tol)
+    equal = _zero_multisets_equal([polys[r] for r in reps], window)
     pairs = [(ra, rb) for i, ra in enumerate(reps) for rb in reps[i + 1 :]]
     return tuple((ra, rb, flag) for (ra, rb), flag in zip(pairs, equal))

@@ -27,8 +27,10 @@ from .errors import (
 )
 from .vectors import RealVector
 
-DEFAULT_MERGE_TOL = 1e-12
-DEFAULT_QUAD_TOL = 1e-3
+# Exponents within this (absolute) distance are one term of from_vector.
+_MERGE_TOL = 1e-12
+# A converged winding is accepted within this distance of an integer.
+_QUAD_TOL = 1e-3
 # Summed error estimate (in winding units) below which a winding is converged.
 _WINDING_ERROR_TOL = 1e-4
 # Relative |f| on a contour below which the contour is deemed inadmissible.
@@ -229,21 +231,19 @@ class RatioFit:
     residual: float
 
 
-def from_vector(v: RealVector, merge_tol: float = DEFAULT_MERGE_TOL) -> ExpPoly:
+def from_vector(v: RealVector) -> ExpPoly:
     """Exponential sum of the norm curve of ``v``: exponents ln|v_j|, zeros dropped.
 
-    Exponents within ``merge_tol`` (absolute) of each other collapse into one
-    term with summed multiplicity, so repeated coordinate magnitudes become
+    Exponents within 1e-12 (absolute) of each other collapse into one term
+    with summed multiplicity, so repeated coordinate magnitudes become
     integer coefficients.
     """
-    if merge_tol < 0:
-        raise InvalidInputError("merge_tol must be non-negative")
     betas = sorted(math.log(m) for m in v.nonzero_magnitudes())
     terms: list[tuple[float, int]] = []
     group_start = betas[0]
     count = 0
     for b in betas:
-        if count and b - group_start > merge_tol:
+        if count and b - group_start > _MERGE_TOL:
             terms.append((group_start, count))
             group_start = b
             count = 0
@@ -414,42 +414,41 @@ def _contour_sums(
         bisections += 1
 
 
-def count_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL) -> int:
+def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     """Number of zeros of f inside ``rect``, counted with multiplicity.
 
     Locally adaptive Gauss-Kronrod quadrature of f'/f (see
     ``_contour_sums``); accepted once the summed error estimate is below
-    1e-4 and the value sits within ``quad_tol`` of a non-negative integer.
+    1e-4 and the value sits within 1e-3 of a non-negative integer.
     Raises BoundaryProximityError when the boundary runs too close to a
     zero (callers may inflate and retry) and QuadratureError when no
     converged integer emerges within the work cap, or when the integer is
     one f cannot have: a rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     """
-    count, _ = _count_adaptive(f, rect, quad_tol, check_boundary=True)
+    count, _ = _count_adaptive(f, rect, check_boundary=True)
     return count
 
 
-def _count_adaptive(
-    f: ExpPoly, rect: Rectangle, quad_tol: float, check_boundary: bool
-) -> tuple[int, complex]:
+def _count_adaptive(f: ExpPoly, rect: Rectangle, check_boundary: bool) -> tuple[int, complex]:
     spread = f.exponents[-1] - f.exponents[0]
     max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms)
     w0, w1, err = _contour_sums(f, rect, check_boundary)
     if math.isfinite(err):
+        # an overflowing moment leaves the winding noise, so it is refused first
+        if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
+            raise QuadratureError(f"first moment over {rect} overflows float64")
         n = round(w0.real)
         if abs(n) >= max_count:
             raise QuadratureError(
                 f"winding over {rect} came to {w0.real:.4g}, but f has "
                 f"fewer than {max_count:.4g} zeros there"
             )
-        if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
-            raise QuadratureError(f"first moment over {rect} overflows float64")
-        if err < _WINDING_ERROR_TOL and n >= 0 and abs(w0 - n) < quad_tol:
+        if err < _WINDING_ERROR_TOL and n >= 0 and abs(w0 - n) < _QUAD_TOL:
             return n, w1
         # A winding near a half-integer means a zero sits on the contour
         # itself; on an outer window that calls for inflation.
-        if abs(w0 - (math.floor(w0.real) + 0.5)) < quad_tol:
+        if abs(w0 - (math.floor(w0.real) + 0.5)) < _QUAD_TOL:
             if check_boundary:
                 raise BoundaryProximityError(
                     f"winding over {rect} came to {w0.real:.4f}: "
@@ -462,9 +461,7 @@ def _count_adaptive(
     )
 
 
-def _cluster_locate(
-    f: ExpPoly, rect: Rectangle, count: int, moment: complex, quad_tol: float
-) -> complex:
+def _cluster_locate(f: ExpPoly, rect: Rectangle, count: int, moment: complex) -> complex:
     """Centroid of the zero cluster filling ``rect``, whose count gave ``moment``.
 
     The moment integral over a box of the cluster's own (tiny) scale drowns
@@ -480,7 +477,7 @@ def _cluster_locate(
     while h >= min_half:
         box = Rectangle(cx - h, cx + h, cy - h, cy + h)
         try:
-            n, w1 = _count_adaptive(f, box, quad_tol, check_boundary=False)
+            n, w1 = _count_adaptive(f, box, check_boundary=False)
         except QuadratureError:
             n = -1
         if n == count:
@@ -536,12 +533,7 @@ def _ranked_split_lines(
 
 
 def _isolate(
-    f: ExpPoly,
-    rect: Rectangle,
-    count: int,
-    moment: complex | None,
-    quad_tol: float,
-    depth: int,
+    f: ExpPoly, rect: Rectangle, count: int, moment: complex | None, depth: int
 ) -> list[Zero]:
     """The ``count`` zeros in ``rect``; ``moment`` is the first moment its count gave.
 
@@ -561,9 +553,7 @@ def _isolate(
         for x, y in zip(xs[:3], ys[:3]):
             try:
                 quads = rect.split(x, y)
-                counted = [
-                    _count_adaptive(f, q, quad_tol, check_boundary=False) for q in quads
-                ]
+                counted = [_count_adaptive(f, q, check_boundary=False) for q in quads]
             except QuadratureError:
                 continue
             counts = [n for n, _ in counted]
@@ -573,7 +563,7 @@ def _isolate(
                 )
             found: list[Zero] = []
             for q, (n, w1) in zip(quads, counted):
-                found.extend(_isolate(f, q, n, w1, quad_tol, depth + 1))
+                found.extend(_isolate(f, q, n, w1, depth + 1))
             return found
         # No subdivision counted: the zeros are too tightly packed for
         # contour work at this scale.  A small box is one cluster (for a
@@ -584,43 +574,40 @@ def _isolate(
                 f"no subdivision of {rect} counts its {count} zeros"
             )
     if moment is None:
-        _, moment = _count_adaptive(f, rect, quad_tol, check_boundary=False)
+        _, moment = _count_adaptive(f, rect, check_boundary=False)
     if count == 1:
         z, refined = _newton_polish(f, moment, rect)
         return [Zero(z, 1, refined)]
-    return [Zero(_cluster_locate(f, rect, count, moment, quad_tol), count, False)]
+    return [Zero(_cluster_locate(f, rect, count, moment), count, False)]
 
 
-def find_zeros(f: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL) -> ZeroSet:
+def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     """Locate all zeros of f inside ``rect`` with multiplicities.
 
-    ``quad_tol`` is the distance from an integer within which every winding
-    count (the window's and each box's) is accepted, as in ``count_zeros``.
-    The window inflates by small factors (up to ``_MAX_INFLATIONS`` times)
-    when its boundary starts out too close to a zero or its count does not
-    converge; the window actually used is recorded on the result.  Simple
-    zeros are Newton polished, from their box's first moment, to
-    |f(z)| <= 1e-12 of the local term scale inside the box that counted
-    them.  A box of diameter at most 1e-6 that counts several zeros, or one
-    of at most 1e-4 that no split can count, is reported as one zero with
-    summed multiplicity and ``refined=False``; a wider box that no split
-    can count raises QuadratureError.
+    Every winding count (the window's and each box's) is accepted as in
+    ``count_zeros``.  The window inflates by small factors (up to
+    ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
+    zero or its count does not converge; the window actually used is
+    recorded on the result.  Simple zeros are Newton polished, from their
+    box's first moment, to |f(z)| <= 1e-12 of the local term scale inside
+    the box that counted them.  A box of diameter at most 1e-6 that counts
+    several zeros, or one of at most 1e-4 that no split can count, is
+    reported as one zero with summed multiplicity and ``refined=False``; a
+    wider box that no split can count raises QuadratureError.
     """
-    window, (total,) = _counted_window((f,), rect, quad_tol)
-    return _zero_set(f, window, total, quad_tol)
+    window, (total,) = _counted_window((f,), rect)
+    return _zero_set(f, window, total)
 
 
-def _zero_set(f: ExpPoly, window: Rectangle, total: int, quad_tol: float) -> ZeroSet:
+def _zero_set(f: ExpPoly, window: Rectangle, total: int) -> ZeroSet:
     """Isolate the ``total`` zeros already counted over ``window``."""
-    zeros = _isolate(f, window, total, None, quad_tol, 0)
+    zeros = _isolate(f, window, total, None, 0)
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     zeros.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
     return ZeroSet(tuple(zeros), window, total)
 
 
-def _counted_window(
-    polys: tuple[ExpPoly, ...], rect: Rectangle, quad_tol: float
-) -> tuple[Rectangle, list[int]]:
+def _counted_window(polys: tuple[ExpPoly, ...], rect: Rectangle) -> tuple[Rectangle, list[int]]:
     """``rect`` or its first inflation over which every sum counts cleanly.
 
     A count that does not converge inflates too: a zero on the edge can
@@ -630,37 +617,33 @@ def _counted_window(
     window = rect
     for _ in range(_MAX_INFLATIONS):
         try:
-            return window, [count_zeros(f, window, quad_tol) for f in polys]
+            return window, [count_zeros(f, window) for f in polys]
         except (BoundaryProximityError, QuadratureError):
             window = window.inflate(_INFLATION_FACTOR)
-    return window, [count_zeros(f, window, quad_tol) for f in polys]
+    return window, [count_zeros(f, window) for f in polys]
 
 
-def zero_multiset_equal(
-    f: ExpPoly, g: ExpPoly, rect: Rectangle, quad_tol: float = DEFAULT_QUAD_TOL
-) -> bool:
+def zero_multiset_equal(f: ExpPoly, g: ExpPoly, rect: Rectangle) -> bool:
     """Whether f and g have the same zero multiset inside ``rect``.
 
     Unequal counts over the shared window answer False; otherwise both zero
-    sets are isolated, with ``quad_tol`` as in ``find_zeros``, and matched
-    greedily nearest-first, a match requiring equal multiplicities and a
-    distance of at most 1e-6 (``_zero_multisets_equal`` of the two sums).
+    sets are isolated, as in ``find_zeros``, and matched greedily
+    nearest-first, a match requiring equal multiplicities and a distance of
+    at most 1e-6 (``_zero_multisets_equal`` of the two sums).
     """
-    return _zero_multisets_equal([f, g], rect, quad_tol)[0]
+    return _zero_multisets_equal([f, g], rect)[0]
 
 
-def _zero_multisets_equal(
-    polys: list[ExpPoly], rect: Rectangle, quad_tol: float
-) -> list[bool]:
+def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
     """``zero_multiset_equal(polys[i], polys[j], ...)`` for every i < j, in order.
 
     Every sum is counted once over one shared window (inflated jointly until
     every count is clean), and only the sums whose total another sum shares
     are isolated, each once.
     """
-    window, totals = _counted_window(tuple(polys), rect, quad_tol)
+    window, totals = _counted_window(tuple(polys), rect)
     zero_sets = [
-        _zero_set(f, window, n, quad_tol).zeros if totals.count(n) > 1 else None
+        _zero_set(f, window, n).zeros if totals.count(n) > 1 else None
         for f, n in zip(polys, totals)
     ]
     return [

@@ -26,8 +26,6 @@ NON_DEFAULT = {
     "window": {"re": [-1, 1], "im": [1, 5]},
     "grid_count": 12,
     "equiv_tol": 1e-7,
-    "merge_tol": 1e-10,
-    "quad_tol": 1e-4,
     "base_p": [2.5, 3.0],
     "radius": 0.5,
     "target_index": 1,
@@ -106,8 +104,9 @@ def test_parse_rejects_unknown_fields_by_section():
     with pytest.raises(InvalidInputError) as err:
         parse_jobspec(job_text(command="zeros", vectors=[[1]], options={"grid": 3}))
     assert "options" in str(err.value) and "grid" in str(err.value)
-    # read by nothing, or paths that only the command line sets: not options
-    for key in ("match_tol", "output", "curves"):
+    # read by nothing, fixed constants, or paths that only the command line
+    # sets: not options
+    for key in ("match_tol", "quad_tol", "merge_tol", "output", "curves"):
         with pytest.raises(InvalidInputError) as err:
             parse_jobspec(job_text(command="norms", vectors=[[1]], options={key: "x"}))
         assert str(err.value) == f"options: unknown field(s) {key}"
@@ -364,10 +363,6 @@ def test_input_echo_round_trips_each_option(key):
 # For each (field, command) pair a job can set: a job of that command, and a
 # value of the field, that changes the job's exit code or payload.
 _E3 = [math.e**3, 1]  # e^(3p) + 1: zeros at odd multiples of i pi/3
-_NEAR_TIE = [math.e, 1, 1 + 1e-11]  # two exponents 1e-11 apart
-# quad_tol 1e-300 accepts only windings that land on an integer exactly:
-# the search over Im [1, 20] changes, and analyze's count fails (exit 3)
-_SEARCH = dict(vectors=[[math.e, 1]], window={"im": [1, 20]})
 WITNESSES = {
     ("interval", "norms"): (dict(vectors=[[1, 2]]), [2, 5]),
     ("interval", "analyze"): (dict(vectors=[[1, 0], [0, 1]]), [2, 5]),
@@ -382,15 +377,6 @@ WITNESSES = {
     ("grid_count", "analyze"): (dict(vectors=[[1, 0], [0, 1]]), 12),
     ("equiv_tol", "equiv"): (dict(vectors=[[1, 2], [1, 2 + 1e-8]]), 1e-7),
     ("equiv_tol", "analyze"): (dict(vectors=[[1, 2], [1, 2 + 1e-8]]), 1e-7),
-    ("merge_tol", "zeros"): (dict(vectors=[_NEAR_TIE], window={"im": [1, 10]}), 1e-10),
-    ("merge_tol", "monodromy"): (dict(vectors=[_NEAR_TIE], window={"im": [1, 5]}), 1e-10),
-    ("merge_tol", "analyze"): (dict(vectors=[_NEAR_TIE, [1, 2]]), 1e-10),
-    ("quad_tol", "zeros"): (_SEARCH, 1e-300),
-    ("quad_tol", "monodromy"): (_SEARCH, 1e-300),
-    ("quad_tol", "analyze"): (
-        dict(_SEARCH, vectors=[[1, 2, 3], [math.e, 1]], options={"include_zero_evidence": True}),
-        1e-300,
-    ),
     ("base_p", "monodromy"): (RUNNABLE["monodromy"], [2.5, 3.0]),
     ("radius", "monodromy"): (RUNNABLE["monodromy"], 0.5),
     ("target_index", "monodromy"): (RUNNABLE["monodromy"], 1),
@@ -419,34 +405,12 @@ def test_every_readable_field_takes_effect(tmp_path, capsys, key, command):
     assert before != after
 
 
-def test_analyze_zero_evidence_uses_the_job_quad_tol(monkeypatch):
-    seen = []
-    real = exppoly.count_zeros
-
-    def spy(f, rect, quad_tol=None):
-        seen.append(quad_tol)
-        return real(f, rect, quad_tol)
-
-    monkeypatch.setattr(exppoly, "count_zeros", spy)
-    job = parse_jobspec(
-        job_text(
-            command="analyze",
-            vectors=[[math.e, 1], [math.e**2, 1]],
-            window={"im": [1, 10]},
-            options={"include_zero_evidence": True, "quad_tol": 0.01},
-        )
-    )
-    cert, _ = run(job)
-    assert seen == [0.01, 0.01]
-    assert cert.payload["zero_checks"] == [{"i": 0, "j": 1, "equal": False}]
-
-
-def test_job_schema_has_eight_options():
-    assert len(OPTIONS) == 8
+def test_job_schema_has_six_options():
+    assert len(OPTIONS) == 6
     assert sorted(FIELDS) == sorted(NON_DEFAULT)
     assert sorted(FIELDS) == sorted(["interval", "window", *OPTIONS])
     # (field, command) pairs a job file can set
-    assert sum(len(reads(key)) for key in FIELDS) == 19
+    assert sum(len(reads(key)) for key in FIELDS) == 13
 
 
 def test_readme_options_table_matches_the_code():
@@ -602,9 +566,9 @@ def test_main_rejects_a_norm_column_that_overflows(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "window, message",
     [
-        # weights ~1e158 times points ~1e160 overflow the moment; the count
-        # then settles far above the bound
-        ({"re": [-1e160, 1e160]}, "zeros there"),
+        # weights ~1e158 times points ~1e160 overflow the moment, which is
+        # refused before the noisy winding is held against the bound
+        ({"re": [-1e160, 1e160]}, "first moment"),
         # a thin strip on the real axis counts 0 cleanly, but its moment overflows
         ({"re": [-1e300, 1e299], "im": [0, 1e-9]}, "first moment"),
     ],
@@ -628,16 +592,19 @@ def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):
     assert "zeros there" in captured.err and not captured.out
 
 
-def test_monodromy_at_a_vanishing_quad_tol_does_not_blame_the_input(tmp_path, capsys):
-    # a failed zero search once reported a cluster there, and the loop
-    # around it exited 1 with "... is not a zero of f"
+def test_monodromy_at_a_vanishing_quad_tol_does_not_blame_the_input(
+    tmp_path, capsys, monkeypatch
+):
+    # a winding tolerance of 1e-300 accepts only windings that land on an
+    # integer exactly; a failed zero search once reported a cluster there,
+    # and the loop around it exited 1 with "... is not a zero of f"
+    monkeypatch.setattr(exppoly, "_QUAD_TOL", 1e-300)
     job_file = tmp_path / "job.json"
     job_file.write_text(
         job_text(
             command="monodromy",
             vectors=[[1, 2, 3], [math.e, 1]],
             window={"im": [1, 20]},
-            options={"quad_tol": 1e-300},
         )
     )
     assert main(["monodromy", "--input", str(job_file)]) == 3

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pnormcert import (
-    AnalyzeOptions,
     InvalidInputError,
     NormMatrix,
     RealVector,
@@ -199,7 +198,7 @@ def test_sampling_robustness():
     for name in ("permutation-plus-sum", "scaled-duplicates"):
         vs = vectors(name)
         base = analyze(vs, 1, 4)
-        fine = analyze(vs, 1, 4, AnalyzeOptions(grid_count=2 * base.matrix.grid.count))
+        fine = analyze(vs, 1, 4, grid_count=2 * base.matrix.grid.count)
         assert fine.classification == base.classification
         assert fine.numeric_rank == base.numeric_rank
         r = base.numeric_rank
@@ -311,11 +310,11 @@ def test_zero_evidence_opt_in():
     vs = [RealVector((math.e, 1.0)), RealVector((math.e**2, 1.0))]
     plain = analyze(vs, 1, 4)
     assert plain.zero_checks == ()
-    report = analyze(vs, 1, 4, AnalyzeOptions(include_zero_evidence=True))
+    report = analyze(vs, 1, 4, zero_window=exppoly.DEFAULT_WINDOW)
     assert report.zero_checks == ((0, 1, False),)
 
     same = [RealVector((math.e, 1.0)), RealVector((2 * math.e, 2.0))]
-    report = analyze(same, 1, 4, AnalyzeOptions(include_zero_evidence=True))
+    report = analyze(same, 1, 4, zero_window=exppoly.DEFAULT_WINDOW)
     assert report.zero_checks == ()  # one class, no representative pairs
 
 
@@ -323,9 +322,9 @@ def test_zero_evidence_counts_each_class_once(monkeypatch):
     counted = []
     real = exppoly.count_zeros
 
-    def spy(f, rect, quad_tol=exppoly.DEFAULT_QUAD_TOL):
+    def spy(f, rect):
         counted.append(f)
-        return real(f, rect, quad_tol)
+        return real(f, rect)
 
     monkeypatch.setattr(exppoly, "count_zeros", spy)
     # (e, 1) and (e, 1, e, 1) are inequivalent, but e^p + 1 and 2e^p + 2
@@ -335,7 +334,7 @@ def test_zero_evidence_counts_each_class_once(monkeypatch):
         RealVector((math.e**2, 1.0)),
         RealVector((math.e, 1.0, math.e, 1.0)),
     ]
-    report = analyze(vs, 1, 4, AnalyzeOptions(include_zero_evidence=True))
+    report = analyze(vs, 1, 4, zero_window=exppoly.DEFAULT_WINDOW)
     assert len(report.partition.classes) == 3
     assert report.zero_checks == ((0, 1, False), (0, 2, True), (1, 2, False))
     assert len(counted) == 3

@@ -66,10 +66,10 @@ def test_from_vector_known_cases():
 
 
 def test_from_vector_merges_within_tolerance():
-    v = RealVector((1.0, 1.0 + 1e-15, 2.0))
-    f = from_vector(v, merge_tol=1e-12)
+    # exponents within 1e-12 are one term; 1e-11 apart they stay two
+    f = from_vector(RealVector((1.0, 1.0 + 1e-15, 2.0)))
     assert [m for _, m in f.terms] == [2, 1]
-    g = from_vector(v, merge_tol=0.0)
+    g = from_vector(RealVector((1.0, 1.0 + 1e-11, 2.0)))
     assert [m for _, m in g.terms] == [1, 1, 1]
 
 
@@ -332,9 +332,9 @@ def test_zero_multiset_equal_counts_each_window_once(monkeypatch):
     calls = []
     real = exppoly.count_zeros
 
-    def spy(f, rect, quad_tol=exppoly.DEFAULT_QUAD_TOL):
+    def spy(f, rect):
         calls.append(f)
-        return real(f, rect, quad_tol)
+        return real(f, rect)
 
     monkeypatch.setattr(exppoly, "count_zeros", spy)
     rect = Rectangle(-1.0, 1.0, 1.0, 10.0)
@@ -408,13 +408,14 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
-def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster():
-    # quad_tol 1e-300 accepts only windings that land on an integer exactly;
-    # the three simple zeros pi i, 3 pi i, 5 pi i once came out as one
-    # unrefined zero of multiplicity 3
+def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
+    # a winding tolerance of 1e-300 accepts only windings that land on an
+    # integer exactly; the three simple zeros pi i, 3 pi i, 5 pi i once came
+    # out as one unrefined zero of multiplicity 3
+    monkeypatch.setattr(exppoly, "_QUAD_TOL", 1e-300)
     f = from_vector(RealVector((math.e, 1.0)))
     try:
-        zs = find_zeros(f, Rectangle(-1, 1, 1, 20), quad_tol=1e-300)
+        zs = find_zeros(f, Rectangle(-1, 1, 1, 20))
     except QuadratureError:
         return
     assert [z.multiplicity for z in zs.zeros] == [1, 1, 1]
@@ -424,10 +425,10 @@ def test_a_wide_box_whose_splits_all_fail_is_not_a_cluster(monkeypatch):
     # only the outer window counts; every split count fails
     real = exppoly._count_adaptive
 
-    def split_counts_fail(f, rect, quad_tol, check_boundary):
+    def split_counts_fail(f, rect, check_boundary):
         if not check_boundary:
             raise QuadratureError("split count refused")
-        return real(f, rect, quad_tol, check_boundary)
+        return real(f, rect, check_boundary)
 
     monkeypatch.setattr(exppoly, "_count_adaptive", split_counts_fail)
     f = from_vector(RealVector((math.e, 1.0)))

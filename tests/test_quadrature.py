@@ -171,3 +171,20 @@ def test_a_count_that_cannot_converge_costs_no_more_than_the_uniform_rule(monkey
     with pytest.raises(QuadratureError):
         count_zeros(f, Rectangle(-1e50, 1e50, 0.5, 40.0))
     assert points[0] == 15 * 420
+
+
+@pytest.mark.parametrize(
+    "winding, count", [(1.0005, 1), (0.9995, 1), (1.002, None), (0.998, None)]
+)
+def test_a_converged_winding_counts_within_1e_3_of_an_integer(monkeypatch, winding, count):
+    # with a zero error estimate only the distance to the nearest integer decides
+    monkeypatch.setattr(
+        exppoly, "_contour_sums", lambda f, rect, check_boundary: (complex(winding), 0j, 0.0)
+    )
+    f = from_vector(RealVector((math.e, 1.0)))
+    rect = Rectangle(-1.0, 1.0, 1.0, 20.0)
+    if count is None:
+        with pytest.raises(QuadratureError, match="did not converge"):
+            count_zeros(f, rect)
+    else:
+        assert count_zeros(f, rect) == count
