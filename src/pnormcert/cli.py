@@ -1,9 +1,9 @@
 """Batch front-end: JSON job in, JSON certificate out, CSV curves out.
 
-Certificates are deterministic: the payload section is byte-identical
-across runs and thread counts for the same job file.  Wall-clock timing
-lives outside the payload for exactly that reason.  Floats that JSON
-cannot carry (inf, nan) are encoded as strings.
+Every job runs on one thread, its items in input order.  Certificates are
+deterministic: the payload section is byte-identical across runs for the
+same job file.  Wall-clock timing lives outside the payload for exactly that
+reason.  Floats that JSON cannot carry (inf, nan) are encoded as strings.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .continuation import loop_monodromy
 from .dependence import (
+    DEFAULT_INTERVAL,
     NormMatrix,
     SampleGrid,
     analyze,
@@ -45,7 +45,6 @@ COMMANDS = ("zeros", "norms", "monodromy", "equiv", "analyze")
 # The commands that certify a sampled norm table: only they read the
 # interval and grid_count, and only they write --curves.
 TABLE_COMMANDS = ("norms", "analyze")
-DEFAULT_INTERVAL = (1.0, 4.0)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -145,7 +144,7 @@ class JobSpec:
     interval: tuple[float, float] = _field(
         "interval", DEFAULT_INTERVAL, _as_interval, TABLE_COMMANDS
     )
-    # analyze reads the window only with include_zero_evidence
+    # analyze reads the window only with include_zero_evidence (see _reads)
     window: Rectangle = _field(
         "window", DEFAULT_WINDOW, _as_window, ("zeros", "monodromy", "analyze")
     )
@@ -167,6 +166,14 @@ class JobSpec:
 # that sit under "options".
 FIELDS = {f.metadata["key"]: f for f in fields(JobSpec) if f.metadata}
 OPTIONS = {key: f for key, f in FIELDS.items() if key not in ("interval", "window")}
+
+
+def _reads(job: JobSpec, key: str) -> bool:
+    """Whether ``job`` reads the field ``key``: its command must be among the
+    field's commands, and analyze reads the window only with zero evidence."""
+    if key == "window" and job.command == "analyze":
+        return job.include_zero_evidence
+    return job.command in FIELDS[key].metadata["commands"]
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,12 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
         raise InvalidInputError(
             f"options.grid_count: analyze needs more samples than the {len(vectors)} vectors"
         )
-    return JobSpec(cmd, tuple(vectors), **values)
+    job = JobSpec(cmd, tuple(vectors), **values)
+    if "window" in values and not _reads(job, "window"):
+        raise InvalidInputError(
+            "window: analyze reads it only with options.include_zero_evidence true"
+        )
+    return job
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +345,7 @@ def _echo_input(job: JobSpec) -> dict:
         "options": {},
     }
     for key, f in FIELDS.items():
-        if job.command in f.metadata["commands"]:
+        if _reads(job, key):
             section = echo["options"] if key in OPTIONS else echo
             section[key] = _enc_field(getattr(job, f.name))
     return echo
@@ -344,15 +356,12 @@ def _echo_input(job: JobSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_zeros(job: JobSpec, threads: int) -> dict:
-    def one(v: RealVector) -> ZeroSet:
-        return find_zeros(from_vector(v), job.window)
-
-    results = _ordered_map(one, job.vectors, threads)
+def _run_zeros(job: JobSpec) -> dict:
     return {
         "requested_window": _enc_rect(job.window),
         "results": [
-            {"vector_index": k, **_enc_zeroset(zs)} for k, zs in enumerate(results)
+            {"vector_index": k, **_enc_zeroset(find_zeros(from_vector(v), job.window))}
+            for k, v in enumerate(job.vectors)
         ],
     }
 
@@ -362,7 +371,7 @@ def _run_norms(job: JobSpec) -> dict:
     return _enc_matrix(build_matrix(list(job.vectors), make_grid(*job.interval, count)))
 
 
-def _run_monodromy(job: JobSpec, threads: int) -> dict:
+def _run_monodromy(job: JobSpec) -> dict:
     out = []
     for k, v in enumerate(job.vectors):
         f = from_vector(v)
@@ -375,35 +384,28 @@ def _run_monodromy(job: JobSpec, threads: int) -> dict:
             targets = [zs.zeros[job.target_index]]
         else:
             targets = list(zs.zeros)
-        jobs = [(zero, bp) for zero in targets for bp in job.base_ps]
-
-        def one(args):
-            zero, bp = args
-            others = tuple(
-                z.location for z in zs.zeros if z.location != zero.location
-            )
-            measured, predicted = loop_monodromy(
-                f, zero, bp, job.radius, other_zeros=others
-            )
-            return zero, bp, measured, predicted
-
         loops = []
-        for zero, bp, measured, predicted in _ordered_map(one, jobs, threads):
+        for zero in targets:
             z = zero.location
-            loops.append(
-                {
-                    "zero": _enc_complex(z),
-                    "multiplicity": zero.multiplicity,
-                    "base_p": bp,
-                    "radius": job.radius,
-                    "measured": _enc_complex(measured),
-                    "predicted": _enc_complex(predicted),
-                    "rel_error": abs(measured - predicted) / abs(predicted),
-                    "zero_formula_factor": _enc_complex(
-                        cmath.exp(2j * math.pi * zero.multiplicity / z)
-                    ),
-                }
-            )
+            others = tuple(w.location for w in zs.zeros if w.location != z)
+            for bp in job.base_ps:
+                measured, predicted = loop_monodromy(
+                    f, zero, bp, job.radius, other_zeros=others
+                )
+                loops.append(
+                    {
+                        "zero": _enc_complex(z),
+                        "multiplicity": zero.multiplicity,
+                        "base_p": bp,
+                        "radius": job.radius,
+                        "measured": _enc_complex(measured),
+                        "predicted": _enc_complex(predicted),
+                        "rel_error": abs(measured - predicted) / abs(predicted),
+                        "zero_formula_factor": _enc_complex(
+                            cmath.exp(2j * math.pi * zero.multiplicity / z)
+                        ),
+                    }
+                )
         out.append(
             {"vector_index": k, "window": _enc_rect(zs.window), "loops": loops}
         )
@@ -426,7 +428,7 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
         *job.interval,
         equiv_tol=job.equiv_tol,
         grid_count=job.grid_count,
-        zero_window=job.window if job.include_zero_evidence else None,
+        zero_window=job.window if _reads(job, "window") else None,
     )
     payload = {
         "classification": report.classification,
@@ -454,29 +456,22 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
     return payload, exit_code
 
 
-def _ordered_map(fn, items, threads: int) -> list:
-    """Map preserving input order; thread count never changes the result."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run(job: JobSpec, threads: int = 1) -> tuple[Certificate, int]:
     """Execute a job; returns the certificate and the process exit code.
 
-    Domain errors (bad input, failed quadrature, monodromy mismatch)
-    propagate as exceptions; ``main`` maps them to exit codes.
+    The job runs on the calling thread; ``threads`` is accepted because
+    existing callers pass it, and changes nothing.  Domain errors (bad
+    input, failed quadrature, monodromy mismatch) propagate as exceptions;
+    ``main`` maps them to exit codes.
     """
     start = time.perf_counter()
     exit_code = EXIT_OK
     if job.command == "zeros":
-        payload = _run_zeros(job, threads)
+        payload = _run_zeros(job)
     elif job.command == "norms":
         payload = _run_norms(job)
     elif job.command == "monodromy":
-        payload = _run_monodromy(job, threads)
+        payload = _run_monodromy(job)
     elif job.command == "equiv":
         payload = _run_equiv(job)
     elif job.command == "analyze":
@@ -527,7 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--input", required=True, help="job JSON file")
     parser.add_argument("--output", help="certificate path (default: stdout)")
     parser.add_argument("--curves", help="also write the norm table as CSV (norms, analyze)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="at least 1; every job runs on one thread"
+    )
     args = parser.parse_args(argv)
     try:
         with open(args.input, encoding="utf-8") as fh:

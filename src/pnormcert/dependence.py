@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .vectors import (
     trivial_null_basis,
 )
 
+# The p-interval [a, b] sampled when none is given.
+DEFAULT_INTERVAL = (1.0, 4.0)
 # numeric_rank's spectral-gap threshold and relative sigma floor, and the
 # principal angle (radians) within which the null space must match.
 _GAP_THRESHOLD = 1e6
@@ -99,6 +102,14 @@ class NormMatrix:
 
     def scaled(self) -> np.ndarray:
         return self.entries / self.column_scales
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(singular values, right singular vectors as rows) of ``scaled()``,
+        shared by the rank and the null space.  They are taken from the
+        square R of its QR factorization, so no left vectors are formed."""
+        _, sig, vh = np.linalg.svd(np.linalg.qr(self.scaled(), mode="r"))
+        return sig, vh
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +201,7 @@ def numeric_rank(matrix: NormMatrix) -> tuple[int | None, tuple[float, ...], flo
     rows, cols = matrix.entries.shape
     if rows <= cols:
         raise InvalidInputError("rank analysis needs more samples than vectors")
-    sig = np.linalg.svd(matrix.scaled(), compute_uv=False)
-    sigmas = tuple(float(s) for s in sig)
+    sigmas = tuple(float(s) for s in matrix.svd[0])
     if sigmas[0] <= 0:
         return None, sigmas, math.nan
     rank: int | None = None
@@ -212,9 +222,8 @@ def _null_basis(
     Each vector is normalized so its largest-magnitude entry is +1, which
     fixes scale and sign deterministically.
     """
-    _, _, vh = np.linalg.svd(matrix.scaled(), full_matrices=False)
     out = []
-    for w in vh[rank:]:
+    for w in matrix.svd[1][rank:]:
         alpha = w / matrix.column_scales
         pivot = int(np.argmax(np.abs(alpha)))
         alpha = alpha / alpha[pivot]
@@ -223,34 +232,28 @@ def _null_basis(
 
 
 def _principal_angle(
-    basis_a: tuple[tuple[float, ...], ...],
-    basis_b: tuple[tuple[float, ...], ...],
-    scales: np.ndarray,
+    null: np.ndarray, trivial: tuple[tuple[float, ...], ...], scales: np.ndarray
 ) -> float:
-    """Largest principal angle (radians) between the spans of two bases.
+    """Largest principal angle (radians) between the spans of ``null`` and
+    of ``trivial``, which has as many vectors.
 
-    Both are compared times ``scales``, the column scales: in the scaled
-    coordinates the rank analysis ran in, a column with a small scale cannot
-    swamp the others.  Each vector is first divided by its largest entry,
-    so the product cannot overflow.
+    Both are compared in the scaled coordinates the rank analysis ran in,
+    where a column with a small scale cannot swamp the others.  ``null``
+    holds orthonormal rows there; each trivial vector is divided by its
+    largest entry before it is multiplied by ``scales``, so nothing overflows.
     """
-    if not basis_a and not basis_b:
+    if not trivial:
         return 0.0
-
-    def scaled(basis: tuple[tuple[float, ...], ...]) -> np.ndarray:
-        arr = np.array(basis, dtype=float)
-        return (arr / np.abs(arr).max(axis=1, keepdims=True) * scales).T
-
-    qa, _ = np.linalg.qr(scaled(basis_a))
-    qb, _ = np.linalg.qr(scaled(basis_b))
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    arr = np.array(trivial, dtype=float)
+    qb, _ = np.linalg.qr((arr / np.abs(arr).max(axis=1, keepdims=True) * scales).T)
+    s = np.linalg.svd(null @ qb, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
 def analyze(
     vs: list[RealVector],
-    a: float = 1.0,
-    b: float = 4.0,
+    a: float = DEFAULT_INTERVAL[0],
+    b: float = DEFAULT_INTERVAL[1],
     *,
     equiv_tol: float = DEFAULT_EQUIV_TOL,
     grid_count: int | None = None,
@@ -303,7 +306,7 @@ def analyze(
                 "classes: a non-trivial dependence among the sampled curves"
             )
         else:
-            angle = _principal_angle(null, trivial, matrix.column_scales)
+            angle = _principal_angle(matrix.svd[1][rank:], trivial, matrix.column_scales)
             if angle <= _ANGLE_TOL:
                 classification = CONSISTENT
             else:

@@ -313,11 +313,9 @@ def derivative_value(f: ExpPoly, p: complex) -> complex:
 
 
 def log_derivative(f: ExpPoly, p: complex) -> complex:
-    """f'(p)/f(p); the exp(M) factors cancel, so this never overflows."""
-    _, s_val, ds_val, _ = _parts(f, complex(p))
-    if s_val[0] == 0:
-        raise SingularEvaluationError(f"f vanishes at p={p!r}")
-    return complex(ds_val[0] / s_val[0])
+    """f'(p)/f(p); the exp(M) factors cancel, so this never overflows.
+    Singular where evaluate_log is."""
+    return log_with_derivative(f, p)[1]
 
 
 def relative_magnitude(f: ExpPoly, p: complex) -> float:

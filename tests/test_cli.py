@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -52,13 +56,18 @@ def with_setting(doc: dict, key: str, value) -> dict:
 
 # A small job of each command that runs cleanly with every option it reads
 # set to its NON_DEFAULT value: e^p + 1 has two zeros, i*pi and 3i*pi, in
-# the window, so target_index 1 exists.
+# the window, so target_index 1 exists.  The analyze job has zero evidence
+# on, so it reads the window too.
 RUNNABLE = {
     "zeros": dict(vectors=[[math.e, 1]], window={"im": [1, 10]}),
     "monodromy": dict(vectors=[[math.e, 1]], window={"im": [1, 10]}),
     "norms": dict(vectors=[[1, 0], [0, 1]], interval=[1, "inf"]),
     "equiv": dict(vectors=[[1, 0], [0, 1]]),
-    "analyze": dict(vectors=[[1, 0], [0, 1]], interval=[1, "inf"]),
+    "analyze": dict(
+        vectors=[[1, 0], [0, 1]],
+        interval=[1, "inf"],
+        options={"include_zero_evidence": True},
+    ),
 }
 
 
@@ -324,6 +333,45 @@ def test_payload_deterministic_across_runs_and_threads():
     assert zeros_payload(1) == zeros_payload(4)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(command="zeros", vectors=[[math.e, 1], [math.e**2, 1], [1, 2]]),
+        dict(
+            command="monodromy",
+            vectors=[[math.e, 1]],
+            window={"im": [1, 10]},
+            options={"base_p": [2, 2.7], "radius": 0.5},
+        ),
+    ],
+    ids=["zeros", "monodromy"],
+)
+def test_run_starts_no_thread(monkeypatch, doc):
+    started = []
+    real = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    run(parse_jobspec(job_text(**doc)), 4)
+    assert started == []
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, pnormcert.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
+
+
 def test_input_echo_round_trips():
     job = parse_jobspec(
         job_text(
@@ -334,8 +382,19 @@ def test_input_echo_round_trips():
         )
     )
     cert, _ = run(job)
+    assert "window" not in cert.input  # read only with zero evidence
     again = parse_jobspec(json.dumps(cert.input))
     assert again == job
+
+
+@pytest.mark.parametrize("options", [{}, {"include_zero_evidence": False}])
+def test_analyze_refuses_a_window_without_zero_evidence(tmp_path, capsys, options):
+    job_file = tmp_path / "job.json"
+    doc = dict(vectors=[[1, 0], [0, 1], [1, 2]], window={"im": [2, 3]}, options=options)
+    job_file.write_text(job_text(command="analyze", **doc))
+    assert main(["analyze", "--input", str(job_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: window: analyze reads it only with options.include_zero_evidence true\n"
 
 
 @pytest.mark.parametrize("key", sorted(FIELDS))

@@ -306,6 +306,22 @@ def test_ratio_evidence_evaluates_each_sum_once(monkeypatch):
     assert sorted(map(id, seen)) == sorted(map(id, polys))
 
 
+def test_analyze_decomposes_the_norm_matrix_once(monkeypatch):
+    shapes = []
+    for name in ("svd", "qr"):
+
+        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    # two classes of two: rank 2 with a 2-dimensional null space to compare
+    vs = [RealVector(t) for t in [(1.0, 2.0), (2.0, 4.0), (5.0, 1.0), (1.0, 5.0)]]
+    report = analyze(vs, 1, 4)
+    assert report.classification == CONSISTENT and report.numeric_rank == 2
+    assert shapes.count(report.matrix.entries.shape) == 1, shapes
+
+
 def test_zero_evidence_opt_in():
     vs = [RealVector((math.e, 1.0)), RealVector((math.e**2, 1.0))]
     plain = analyze(vs, 1, 4)

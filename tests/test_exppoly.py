@@ -93,6 +93,18 @@ def test_evaluate_log_known_values():
         evaluate_log(g, complex(0.0, math.pi))
 
 
+@pytest.mark.parametrize(
+    "log_fn", [exppoly.evaluate_log, exppoly.log_derivative, exppoly.log_with_derivative]
+)
+def test_log_and_its_derivative_share_one_singular_rule(log_fn):
+    # the Newton-polished zero near i pi of e^p + 1, where f is not exactly 0
+    f = from_vector(RealVector((math.e, 1.0)))
+    (zero,) = find_zeros(f, Rectangle(-1, 1, 1, 5)).zeros
+    assert zero.refined and abs(zero.location - complex(0.0, math.pi)) < 1e-12
+    with pytest.raises(SingularEvaluationError):
+        log_fn(f, zero.location)
+
+
 def test_derivative_known_values():
     assert derivative_value(ExpPoly(((0.0, 2),)), 1.7 + 2j) == 0.0
     assert derivative_value(ExpPoly(((0.0, 1), (1.0, 1))), 0.0) == 1.0
