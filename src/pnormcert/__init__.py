@@ -38,7 +38,6 @@ from .exppoly import (
     count_zeros,
     evaluate,
     evaluate_log,
-    derivative_value,
     find_zeros,
     from_vector,
     ratio_factor,

@@ -38,12 +38,12 @@ from .exppoly import (
     find_zeros,
     from_vector,
 )
-from .vectors import DEFAULT_EQUIV_TOL, EquivalencePartition, RealVector, equivalent, partition
+from .vectors import EquivalencePartition, RealVector, equivalent, partition
 
 SCHEMA_VERSION = 1
 COMMANDS = ("zeros", "norms", "monodromy", "equiv", "analyze")
 # The commands that certify a sampled norm table: only they read the
-# interval and grid_count, and only they write --curves.
+# interval, and only they write --curves.
 TABLE_COMMANDS = ("norms", "analyze")
 
 EXIT_OK = 0
@@ -65,27 +65,19 @@ def _as_float(value, where: str) -> float:
     return x
 
 
-def _as_positive(value, where: str) -> float:
+def _as_finite_positive(value, where: str) -> float:
     x = _as_float(value, where)
     if not x > 0:
         raise InvalidInputError(f"{where}: must be positive, got {x}")
-    return x
-
-
-def _as_finite_positive(value, where: str) -> float:
-    x = _as_positive(value, where)
     if math.isinf(x):
         raise InvalidInputError(f"{where}: must be finite")
     return x
 
 
-def _integer_at_least(minimum: int):
-    def check(value, where: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise InvalidInputError(f"{where}: expected an integer >= {minimum}")
-        return value
-
-    return check
+def _as_index(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidInputError(f"{where}: expected an integer >= 0")
+    return value
 
 
 def _as_base_ps(value, where: str) -> tuple[float, ...]:
@@ -148,15 +140,9 @@ class JobSpec:
     window: Rectangle = _field(
         "window", DEFAULT_WINDOW, _as_window, ("zeros", "monodromy", "analyze")
     )
-    grid_count: int | None = _field("grid_count", None, _integer_at_least(2), TABLE_COMMANDS)
-    equiv_tol: float = _field(
-        "equiv_tol", DEFAULT_EQUIV_TOL, _as_positive, ("equiv", "analyze")
-    )
     base_ps: tuple[float, ...] = _field("base_p", (2.0,), _as_base_ps, ("monodromy",))
     radius: float = _field("radius", 0.25, _as_finite_positive, ("monodromy",))
-    target_index: int | None = _field(
-        "target_index", None, _integer_at_least(0), ("monodromy",)
-    )
+    target_index: int | None = _field("target_index", None, _as_index, ("monodromy",))
     include_zero_evidence: bool = _field(
         "include_zero_evidence", False, _as_bool, ("analyze",)
     )
@@ -216,7 +202,8 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
         "job",
     )
     schema = raw.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
+    # a JSON integer only: true and 1.0 compare equal to 1 in Python
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise InvalidInputError(f"schema: unsupported version {schema!r}")
     file_cmd = raw.get("command")
     if file_cmd is not None and file_cmd not in COMMANDS:
@@ -257,11 +244,6 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
             if value is not None or f.default is not None:
                 value = f.metadata["check"](value, where)
             values[f.name] = value
-    grid_count = values.get("grid_count")
-    if cmd == "analyze" and grid_count is not None and grid_count <= len(vectors):
-        raise InvalidInputError(
-            f"options.grid_count: analyze needs more samples than the {len(vectors)} vectors"
-        )
     job = JobSpec(cmd, tuple(vectors), **values)
     if "window" in values and not _reads(job, "window"):
         raise InvalidInputError(
@@ -367,8 +349,8 @@ def _run_zeros(job: JobSpec) -> dict:
 
 
 def _run_norms(job: JobSpec) -> dict:
-    count = job.grid_count or default_grid_count(len(job.vectors))
-    return _enc_matrix(build_matrix(list(job.vectors), make_grid(*job.interval, count)))
+    grid = make_grid(*job.interval, default_grid_count(len(job.vectors)))
+    return _enc_matrix(build_matrix(list(job.vectors), grid))
 
 
 def _run_monodromy(job: JobSpec) -> dict:
@@ -413,11 +395,11 @@ def _run_monodromy(job: JobSpec) -> dict:
 
 
 def _run_equiv(job: JobSpec) -> dict:
-    part = partition(list(job.vectors), job.equiv_tol)
+    part = partition(list(job.vectors))
     pairs = []
     for i in range(len(job.vectors)):
         for j in range(i + 1, len(job.vectors)):
-            flag, ratio = equivalent(job.vectors[i], job.vectors[j], job.equiv_tol)
+            flag, ratio = equivalent(job.vectors[i], job.vectors[j])
             pairs.append({"i": i, "j": j, "equivalent": flag, "ratio": ratio})
     return {"partition": _enc_partition(part), "pairs": pairs}
 
@@ -426,8 +408,6 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
     report = analyze(
         list(job.vectors),
         *job.interval,
-        equiv_tol=job.equiv_tol,
-        grid_count=job.grid_count,
         zero_window=job.window if _reads(job, "window") else None,
     )
     payload = {

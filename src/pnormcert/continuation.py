@@ -205,17 +205,16 @@ def build_loop_path(
     base_p: float,
     radius: float,
     turns: int = 1,
-    orientation: int = 1,
 ) -> Path:
     """Keyhole loop from base_p on the real axis around ``center`` and back.
 
     Vertical leg up from base_p to the height of the circle point nearest
-    the real axis, horizontal leg to that point, ``turns`` full circles of
-    ``radius`` (counterclockwise for orientation +1, a vertex every 5
-    degrees at most), then the legs retraced.  The legs never come closer
-    than ``radius`` to the center, for any base point; with base_p below
-    the center the horizontal leg vanishes and the loop degenerates to a
-    lollipop.
+    the real axis, horizontal leg to that point, ``turns`` full
+    counterclockwise circles of ``radius`` (a vertex every 5 degrees at
+    most), then the legs retraced.  The legs never come closer than
+    ``radius`` to the center, for any base point; with base_p below the
+    center the horizontal leg vanishes and the loop degenerates to a
+    lollipop.  ``Path(points[::-1])`` is the clockwise loop.
     """
     center = complex(center)
     base_p = float(base_p)
@@ -225,8 +224,6 @@ def build_loop_path(
         raise InvalidInputError("loop radius must be positive")
     if turns < 1:
         raise InvalidInputError("turns must be a positive integer")
-    if orientation not in (1, -1):
-        raise InvalidInputError("orientation must be +1 or -1")
     if abs(center.imag) <= radius:
         raise InvalidInputError("loop would touch the real axis")
     sign = 1.0 if center.imag > 0 else -1.0
@@ -234,7 +231,7 @@ def build_loop_path(
     theta0 = -sign * math.pi / 2
     n_arc = math.ceil(360.0 * turns / _MAX_ARC_DEGREES)
     arc = tuple(
-        center + radius * cmath.exp(1j * (theta0 + orientation * math.tau * turns * k / n_arc))
+        center + radius * cmath.exp(1j * (theta0 + math.tau * turns * k / n_arc))
         for k in range(n_arc + 1)
     )
     a = complex(base_p, 0.0)

@@ -27,7 +27,7 @@ from .exppoly import (
     from_vector,
 )
 from .vectors import (
-    DEFAULT_EQUIV_TOL,
+    _EQUIV_TOL,
     EquivalencePartition,
     RealVector,
     partition,
@@ -128,8 +128,8 @@ class DependenceReport:
 
 
 def default_grid_count(n: int) -> int:
-    """Samples for ``n`` curves when no count is given: 4n, at least 16,
-    which keeps twice the 2n margin that ``build_matrix`` warns below."""
+    """Samples for ``n`` curves: 4n, at least 16, which keeps twice the 2n
+    margin that ``build_matrix`` warns below."""
     return max(16, 4 * n)
 
 
@@ -255,31 +255,28 @@ def analyze(
     a: float = DEFAULT_INTERVAL[0],
     b: float = DEFAULT_INTERVAL[1],
     *,
-    equiv_tol: float = DEFAULT_EQUIV_TOL,
-    grid_count: int | None = None,
     zero_window: Rectangle | None = None,
 ) -> DependenceReport:
     """Full certification run for one family of vectors on [a, b].
 
     Partitions the family into equivalence classes (relative tolerance
-    ``equiv_tol``), samples the norm matrix on ``grid_count`` points
-    (default ``default_grid_count``), and compares the numeric rank and
-    null space against the partition's prediction: rank = number of
-    classes and null space = span of the trivial dependencies.  Any
-    disagreement is surfaced in the classification, never patched over.
-    A ``zero_window`` adds zero evidence: the class representatives' zero
-    multisets compared pairwise inside it.
+    1e-9), samples the norm matrix on ``default_grid_count`` points, and
+    compares the numeric rank and null space against the partition's
+    prediction: rank = number of classes and null space = span of the
+    trivial dependencies.  Any disagreement is surfaced in the
+    classification, never patched over.  A ``zero_window`` adds zero
+    evidence: the class representatives' zero multisets compared pairwise
+    inside it.
     """
     if not vs:
         raise InvalidInputError("need at least one vector")
-    n = len(vs)
-    part = partition(vs, equiv_tol)
-    grid = make_grid(a, b, grid_count or default_grid_count(n))
+    part = partition(vs)
+    grid = make_grid(a, b, default_grid_count(len(vs)))
     matrix = build_matrix(vs, grid)
     rank, sigmas, rank_gap = numeric_rank(matrix)
     notes = [
         "equivalence uses relative tolerance "
-        f"{equiv_tol:g} on canonical weights; near-boundary inputs "
+        f"{_EQUIV_TOL:g} on canonical weights; near-boundary inputs "
         "may flip classification"
     ]
     trivial = tuple(trivial_null_basis(part))

@@ -306,12 +306,6 @@ def log_with_derivative(f: ExpPoly, p: complex) -> tuple[complex, complex]:
     return complex(logs[0]), complex(ds_val[0] / s_val[0])
 
 
-def derivative_value(f: ExpPoly, p: complex) -> complex:
-    """f'(p) = sum of multiplicity * exponent * exp(exponent * p)."""
-    m_val, _, ds_val, _ = _parts(f, complex(p))
-    return complex(np.exp(m_val[0]) * ds_val[0])
-
-
 def log_derivative(f: ExpPoly, p: complex) -> complex:
     """f'(p)/f(p); the exp(M) factors cancel, so this never overflows.
     Singular where evaluate_log is."""

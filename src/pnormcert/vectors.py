@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
-DEFAULT_EQUIV_TOL = 1e-9
+# Relative tolerance within which two canonical weights count as equal.
+_EQUIV_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class EquivalencePartition:
     classes: tuple[tuple[int, ...], ...]
     scales: tuple[tuple[float, ...], ...]
     n: int
-    tol: float
 
 
 def canonicalize(v: RealVector) -> CanonicalForm:
@@ -89,19 +89,17 @@ def canonicalize(v: RealVector) -> CanonicalForm:
     return CanonicalForm(weights, scale)
 
 
-def equivalent(
-    u: RealVector, v: RealVector, tol: float = DEFAULT_EQUIV_TOL
-) -> tuple[bool, float | None]:
+def equivalent(u: RealVector, v: RealVector) -> tuple[bool, float | None]:
     """Decide equivalence; on success also return scale(u)/scale(v).
 
     The flag is true iff the canonical weights agree elementwise within
-    relative ``tol``; the ratio then satisfies ||u||_p = ratio * ||v||_p
+    relative 1e-9; the ratio then satisfies ||u||_p = ratio * ||v||_p
     for every p.  A ratio outside the normal float64 range raises
     OverflowError rather than come back as inf, 0 or a subnormal.
     """
     cu = canonicalize(u)
     cv = canonicalize(v)
-    if not _weights_match(cu.weights, cv.weights, tol):
+    if not _weights_match(cu.weights, cv.weights):
         return False, None
     ratio = cu.scale / cv.scale
     if not sys.float_info.min <= ratio <= sys.float_info.max:
@@ -109,20 +107,17 @@ def equivalent(
     return True, ratio
 
 
-def _weights_match(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> bool:
+def _weights_match(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     if len(a) != len(b):
         return False
-    return all(abs(x - y) <= tol * max(x, y) for x, y in zip(a, b))
+    return all(abs(x - y) <= _EQUIV_TOL * max(x, y) for x, y in zip(a, b))
 
 
-def partition(
-    vs: list[RealVector], tol: float = DEFAULT_EQUIV_TOL
-) -> EquivalencePartition:
+def partition(vs: list[RealVector]) -> EquivalencePartition:
     """Group vectors into equivalence classes, ordered by smallest member.
 
     Membership is decided against the class representative (its first
-    member), which makes the grouping deterministic; at tolerance 0 this
-    coincides with the transitive closure of pairwise equivalence.
+    member), which makes the grouping deterministic.
     """
     if not vs:
         raise InvalidInputError("need at least one vector")
@@ -132,7 +127,7 @@ def partition(
     for i, form in enumerate(forms):
         for c, members in enumerate(classes):
             rep = forms[members[0]]
-            if _weights_match(form.weights, rep.weights, tol):
+            if _weights_match(form.weights, rep.weights):
                 members.append(i)
                 scales[c].append(form.scale)
                 break
@@ -143,7 +138,6 @@ def partition(
         tuple(tuple(c) for c in classes),
         tuple(tuple(s) for s in scales),
         len(vs),
-        tol,
     )
 
 

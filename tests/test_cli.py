@@ -28,8 +28,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 NON_DEFAULT = {
     "interval": [2, 5],
     "window": {"re": [-1, 1], "im": [1, 5]},
-    "grid_count": 12,
-    "equiv_tol": 1e-7,
     "base_p": [2.5, 3.0],
     "radius": 0.5,
     "target_index": 1,
@@ -77,8 +75,6 @@ def test_parse_fills_defaults():
     assert [v.coords for v in job.vectors] == [(1, 0), (0, 1), (1, 1)]
     assert job.interval == (1.0, 4.0)
     assert job.window == DEFAULT_WINDOW
-    assert job.grid_count is None
-    assert job.equiv_tol == 1e-9
     assert job.base_ps == (2.0,)
 
 
@@ -115,15 +111,25 @@ def test_parse_rejects_unknown_fields_by_section():
     assert "options" in str(err.value) and "grid" in str(err.value)
     # read by nothing, fixed constants, or paths that only the command line
     # sets: not options
-    for key in ("match_tol", "quad_tol", "merge_tol", "output", "curves"):
+    for key in (
+        "match_tol",
+        "quad_tol",
+        "merge_tol",
+        "equiv_tol",
+        "grid_count",
+        "output",
+        "curves",
+    ):
         with pytest.raises(InvalidInputError) as err:
             parse_jobspec(job_text(command="norms", vectors=[[1]], options={key: "x"}))
         assert str(err.value) == f"options: unknown field(s) {key}"
 
 
 def test_parse_command_and_schema_checks():
-    with pytest.raises(InvalidInputError):
-        parse_jobspec(job_text(schema=2, command="zeros", vectors=[[1]]))
+    # only the JSON integer 1, not a number or boolean equal to it
+    for schema in (2, True, 1.0):
+        with pytest.raises(InvalidInputError, match=r"^schema: "):
+            parse_jobspec(job_text(schema=schema, command="zeros", vectors=[[1]]))
     with pytest.raises(InvalidInputError):
         parse_jobspec(job_text(command="fly", vectors=[[1]]))
     with pytest.raises(InvalidInputError):
@@ -163,8 +169,7 @@ def test_parse_interval_validation():
 
 def test_parse_option_validation():
     for key, value in (
-        ("grid_count", 1),
-        ("equiv_tol", 0),
+        ("radius", 0),
         ("base_p", []),
         ("base_p", "inf"),
         ("target_index", -1),
@@ -176,11 +181,6 @@ def test_parse_option_validation():
             parse_jobspec(job_text(**base, options={key: value}))
         assert f"options.{key}" in str(err.value)
         assert "not read" not in str(err.value)
-    # analyze needs more samples than vectors
-    with pytest.raises(InvalidInputError, match=r"^options\.grid_count: "):
-        parse_jobspec(
-            job_text(command="analyze", vectors=[[1], [1, 2], [1, 3]], options={"grid_count": 3})
-        )
 
 
 @pytest.mark.parametrize(
@@ -232,20 +232,14 @@ def test_run_equiv_payload():
 
 
 def test_run_norms_payload():
-    job = parse_jobspec(
-        job_text(
-            command="norms",
-            vectors=[[1, 1]],
-            interval=[1, 2],
-            options={"grid_count": 2},
-        )
-    )
+    job = parse_jobspec(job_text(command="norms", vectors=[[1, 1]], interval=[1, 2]))
     cert, code = run(job)
     assert code == 0
-    assert cert.payload["grid"]["points"] == [1.0, 2.0]
+    points = cert.payload["grid"]["points"]
+    assert len(points) == 16 and points[0] == 1.0 and points[-1] == 2.0
     col = [row[0] for row in cert.payload["norms"]]
     assert col[0] == pytest.approx(2.0, rel=1e-15)
-    assert col[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert col[-1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_norms_samples_four_points_per_vector_by_default():
@@ -378,7 +372,7 @@ def test_input_echo_round_trips():
             command="analyze",
             vectors=[[1, 0], [0, 1]],
             interval=[1, "inf"],
-            options={"grid_count": 12, "include_zero_evidence": False},
+            options={"include_zero_evidence": False},
         )
     )
     cert, _ = run(job)
@@ -432,10 +426,6 @@ WITNESSES = {
         dict(vectors=[[math.e, 1], _E3], options={"include_zero_evidence": True}),
         {"im": [2, 4]},
     ),
-    ("grid_count", "norms"): (dict(vectors=[[1, 2]]), 12),
-    ("grid_count", "analyze"): (dict(vectors=[[1, 0], [0, 1]]), 12),
-    ("equiv_tol", "equiv"): (dict(vectors=[[1, 2], [1, 2 + 1e-8]]), 1e-7),
-    ("equiv_tol", "analyze"): (dict(vectors=[[1, 2], [1, 2 + 1e-8]]), 1e-7),
     ("base_p", "monodromy"): (RUNNABLE["monodromy"], [2.5, 3.0]),
     ("radius", "monodromy"): (RUNNABLE["monodromy"], 0.5),
     ("target_index", "monodromy"): (RUNNABLE["monodromy"], 1),
@@ -464,12 +454,12 @@ def test_every_readable_field_takes_effect(tmp_path, capsys, key, command):
     assert before != after
 
 
-def test_job_schema_has_six_options():
-    assert len(OPTIONS) == 6
+def test_job_schema_has_four_options():
+    assert len(OPTIONS) == 4
     assert sorted(FIELDS) == sorted(NON_DEFAULT)
     assert sorted(FIELDS) == sorted(["interval", "window", *OPTIONS])
     # (field, command) pairs a job file can set
-    assert sum(len(reads(key)) for key in FIELDS) == 13
+    assert sum(len(reads(key)) for key in FIELDS) == 9
 
 
 def test_readme_options_table_matches_the_code():

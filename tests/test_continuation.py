@@ -212,8 +212,6 @@ def test_build_loop_path_validation():
     with pytest.raises(InvalidInputError):
         build_loop_path(z, -2.0, 1.0)
     with pytest.raises(InvalidInputError):
-        build_loop_path(z, 2.0, 1.0, orientation=0)
-    with pytest.raises(InvalidInputError):
         build_loop_path(z, 2.0, 1.0, turns=0)
 
 
@@ -223,7 +221,7 @@ def test_reversed_loop_measures_inverse_factor():
     base = 2.0
     start_log = evaluate_log(f, complex(base, 0.0))
     fwd = build_loop_path(z, base, 1.0)
-    rev = build_loop_path(z, base, 1.0, orientation=-1)
+    rev = Path(fwd.points[::-1])  # the clockwise loop
     mf = cmath.exp((continue_log(f, fwd).logf - start_log) / base)
     mr = cmath.exp((continue_log(f, rev).logf - start_log) / base)
     assert abs(mf * mr - 1.0) <= 1e-8

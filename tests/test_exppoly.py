@@ -14,7 +14,6 @@ from pnormcert import (
     Rectangle,
     SingularEvaluationError,
     count_zeros,
-    derivative_value,
     evaluate,
     evaluate_log,
     find_zeros,
@@ -103,22 +102,6 @@ def test_log_and_its_derivative_share_one_singular_rule(log_fn):
     assert zero.refined and abs(zero.location - complex(0.0, math.pi)) < 1e-12
     with pytest.raises(SingularEvaluationError):
         log_fn(f, zero.location)
-
-
-def test_derivative_known_values():
-    assert derivative_value(ExpPoly(((0.0, 2),)), 1.7 + 2j) == 0.0
-    assert derivative_value(ExpPoly(((0.0, 1), (1.0, 1))), 0.0) == 1.0
-    assert derivative_value(ExpPoly(((0.0, 1), (1.0, 2))), 0.0) == 2.0
-
-
-def test_derivative_matches_difference_quotient():
-    rng = np.random.default_rng(11)
-    f = ExpPoly(((-0.7, 2), (0.1, 1), (1.3, 3)))
-    for _ in range(20):
-        p = complex(rng.uniform(-2, 2), rng.uniform(-5, 5))
-        h = 1e-6
-        fd = (evaluate(f, p + h) - evaluate(f, p - h)) / (2 * h)
-        assert abs(fd - derivative_value(f, p)) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_count_zeros_known_windows():
@@ -418,6 +401,24 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
     assert zs.total == 6
     assert len(seen) == len(set(seen))
+
+
+def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
+    # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
+    # window's midline: a split there fails and costs kernel calls, which
+    # the ranking of candidate lines by min |f| avoids (27 calls with the
+    # ranking, 53 when the midpoint is tried first)
+    calls = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        calls.append(1)
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
+    assert len(calls) <= 32
 
 
 def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):

@@ -196,5 +196,5 @@ def test_partition_transitive_at_generous_tolerance():
     u = RealVector((1.0, 2.0))
     v = RealVector((2.0, 4.0000000001))
     w = RealVector((4.0, 8.0000000004))
-    part = partition([u, v, w], tol=1e-9)
+    part = partition([u, v, w])
     assert len(part.classes) == 1
