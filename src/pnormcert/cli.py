@@ -9,7 +9,6 @@ reason.  Floats that JSON cannot carry (inf, nan) are encoded as strings.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -19,7 +18,10 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .continuation import loop_monodromy
 from .dependence import (
+    CONSISTENT,
     DEFAULT_INTERVAL,
+    ILL_CONDITIONED,
+    UNEXPECTED,
     NormMatrix,
     SampleGrid,
     analyze,
@@ -27,10 +29,7 @@ from .dependence import (
     default_grid_count,
     make_grid,
 )
-from .errors import (
-    InvalidInputError,
-    MonodromyMismatchError,
-)
+from .errors import InvalidInputError, MonodromyMismatchError
 from .exppoly import (
     DEFAULT_WINDOW,
     Rectangle,
@@ -41,7 +40,6 @@ from .exppoly import (
 from .vectors import EquivalencePartition, RealVector, equivalent, partition
 
 SCHEMA_VERSION = 1
-COMMANDS = ("zeros", "norms", "monodromy", "equiv", "analyze")
 # The commands that certify a sampled norm table: only they read the
 # interval, and only they write --curves.
 TABLE_COMMANDS = ("norms", "analyze")
@@ -50,6 +48,19 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNEXPECTED = 2
 EXIT_ILL_CONDITIONED = 3
+# Exit codes by analyze classification, and by error class: an error takes
+# the code of the first class in its MRO here (MonodromyMismatchError exits 2).
+_EXIT_CODES = {
+    CONSISTENT: EXIT_OK,
+    UNEXPECTED: EXIT_UNEXPECTED,
+    ILL_CONDITIONED: EXIT_ILL_CONDITIONED,
+}
+_ERROR_EXITS = {
+    InvalidInputError: EXIT_INPUT,
+    MonodromyMismatchError: EXIT_UNEXPECTED,
+    ArithmeticError: EXIT_ILL_CONDITIONED,
+    RuntimeError: EXIT_ILL_CONDITIONED,
+}
 
 
 def _as_float(value, where: str) -> float:
@@ -301,8 +312,8 @@ def _enc_grid(grid: SampleGrid) -> dict:
 def _enc_matrix(matrix: NormMatrix) -> dict:
     return {
         "grid": _enc_grid(matrix.grid),
-        "norms": [[float(x) for x in row] for row in matrix.entries],
-        "column_scales": [float(s) for s in matrix.column_scales],
+        "norms": matrix.entries.tolist(),
+        "column_scales": matrix.column_scales.tolist(),
     }
 
 
@@ -383,9 +394,6 @@ def _run_monodromy(job: JobSpec) -> dict:
                         "measured": _enc_complex(measured),
                         "predicted": _enc_complex(predicted),
                         "rel_error": abs(measured - predicted) / abs(predicted),
-                        "zero_formula_factor": _enc_complex(
-                            cmath.exp(2j * math.pi * zero.multiplicity / z)
-                        ),
                     }
                 )
         out.append(
@@ -404,13 +412,13 @@ def _run_equiv(job: JobSpec) -> dict:
     return {"partition": _enc_partition(part), "pairs": pairs}
 
 
-def _run_analyze(job: JobSpec) -> tuple[dict, int]:
+def _run_analyze(job: JobSpec) -> dict:
     report = analyze(
         list(job.vectors),
         *job.interval,
         zero_window=job.window if _reads(job, "window") else None,
     )
-    payload = {
+    return {
         "classification": report.classification,
         "numeric_rank": report.numeric_rank,
         "rank_gap": _enc_float(report.rank_gap),
@@ -428,12 +436,17 @@ def _run_analyze(job: JobSpec) -> tuple[dict, int]:
         "notes": list(report.notes),
         **_enc_matrix(report.matrix),
     }
-    exit_code = {
-        "consistent-with-theorem": EXIT_OK,
-        "unexpected-dependence": EXIT_UNEXPECTED,
-        "ill-conditioned": EXIT_ILL_CONDITIONED,
-    }[report.classification]
-    return payload, exit_code
+
+
+# Each command's payload builder, in the order the CLI lists the commands.
+_RUNNERS = {
+    "zeros": _run_zeros,
+    "norms": _run_norms,
+    "monodromy": _run_monodromy,
+    "equiv": _run_equiv,
+    "analyze": _run_analyze,
+}
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(job: JobSpec, threads: int = 1) -> tuple[Certificate, int]:
@@ -445,29 +458,14 @@ def run(job: JobSpec, threads: int = 1) -> tuple[Certificate, int]:
     ``main`` maps them to exit codes.
     """
     start = time.perf_counter()
-    exit_code = EXIT_OK
-    if job.command == "zeros":
-        payload = _run_zeros(job)
-    elif job.command == "norms":
-        payload = _run_norms(job)
-    elif job.command == "monodromy":
-        payload = _run_monodromy(job)
-    elif job.command == "equiv":
-        payload = _run_equiv(job)
-    elif job.command == "analyze":
-        payload, exit_code = _run_analyze(job)
-    else:
+    if job.command not in _RUNNERS:
         raise InvalidInputError(f"unknown command {job.command!r}")
+    payload = _RUNNERS[job.command](job)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     cert = Certificate(
-        version=__version__,
-        schema=SCHEMA_VERSION,
-        command=job.command,
-        input=_echo_input(job),
-        payload=payload,
-        timing_ms=elapsed_ms,
+        __version__, SCHEMA_VERSION, job.command, _echo_input(job), payload, elapsed_ms
     )
-    return cert, exit_code
+    return cert, _EXIT_CODES.get(payload.get("classification"), EXIT_OK)
 
 
 def emit_curves(vs: list[RealVector], grid: SampleGrid, path: str) -> None:
@@ -527,15 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.curves:
             _write_curves(args.curves, cert.payload)
         return exit_code
-    except InvalidInputError as err:
+    except tuple(_ERROR_EXITS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except MonodromyMismatchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except (ArithmeticError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ILL_CONDITIONED
+        return next(_ERROR_EXITS[k] for k in type(err).__mro__ if k in _ERROR_EXITS)
 
 
 if __name__ == "__main__":

@@ -268,8 +268,6 @@ def analyze(
     evidence: the class representatives' zero multisets compared pairwise
     inside it.
     """
-    if not vs:
-        raise InvalidInputError("need at least one vector")
     part = partition(vs)
     grid = make_grid(a, b, default_grid_count(len(vs)))
     matrix = build_matrix(vs, grid)

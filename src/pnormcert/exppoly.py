@@ -505,23 +505,25 @@ def _newton_polish(f: ExpPoly, z0: complex, rect: Rectangle) -> tuple[complex, b
     return z0, False
 
 
-def _ranked_split_lines(
-    f: ExpPoly, lo: float, hi: float, cross_lo: float, cross_hi: float, vertical: bool
-) -> list[float]:
-    """Candidate split coordinates in (lo, hi), best zero clearance first.
+def _split_points(f: ExpPoly, rect: Rectangle) -> list[tuple[float, float]]:
+    """The three split points (x, y) to try in ``rect``, best clearance first.
 
-    Samples |f| (relative to the term scale) along each candidate
-    full-length line and ranks by the minimum: lines running near a zero
-    sort last.  No hard cutoff; the quadrature convergence test is the
-    final arbiter.
+    One kernel call samples |f| (relative to the term scale) at 65 points on
+    each of 9 candidate full-length lines per axis.  Each axis ranks its
+    lines by their minimum, so lines near a zero sort last, and the k-th
+    point joins the k-th best line of each axis.  No hard cutoff; the
+    quadrature convergence test is the final arbiter.
     """
     fractions = np.array((0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7))
-    coords = lo + fractions * (hi - lo)
-    cross = np.linspace(cross_lo, cross_hi, 65)
-    lines = coords[:, None] + 1j * cross if vertical else cross + 1j * coords[:, None]
-    _, s_val, _, bound = _parts(f, lines.ravel())
-    rel = (np.abs(s_val) / bound).reshape(lines.shape).min(axis=1)
-    return [coord for _, coord in sorted(zip(rel.tolist(), coords.tolist()), reverse=True)]
+    xs = rect.re_min + fractions * rect.width
+    ys = rect.im_min + fractions * rect.height
+    vertical = xs[:, None] + 1j * np.linspace(rect.im_min, rect.im_max, 65)
+    horizontal = np.linspace(rect.re_min, rect.re_max, 65) + 1j * ys[:, None]
+    _, s_val, _, bound = _parts(f, np.concatenate((vertical, horizontal)).ravel())
+    rel = (np.abs(s_val) / bound).reshape(2, 9, 65).min(axis=2).tolist()
+    # (clearance, coordinate) of each axis's three best lines
+    x_best, y_best = (sorted(zip(r, c.tolist()), reverse=True)[:3] for r, c in zip(rel, (xs, ys)))
+    return [(x, y) for (_, x), (_, y) in zip(x_best, y_best)]
 
 
 def _isolate(
@@ -536,13 +538,7 @@ def _isolate(
     if count == 0:
         return []
     if count > 1 and rect.diameter > _CLUSTER_DIAMETER and depth < _MAX_DEPTH:
-        xs = _ranked_split_lines(
-            f, rect.re_min, rect.re_max, rect.im_min, rect.im_max, True
-        )
-        ys = _ranked_split_lines(
-            f, rect.im_min, rect.im_max, rect.re_min, rect.re_max, False
-        )
-        for x, y in zip(xs[:3], ys[:3]):
+        for x, y in _split_points(f, rect):
             try:
                 quads = rect.split(x, y)
                 counted = [_count_adaptive(f, q, check_boundary=False) for q in quads]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from pnormcert import InvalidInputError, Rectangle, SampleGrid, cli, dependence, exppoly
+from pnormcert import (
+    ClearanceError,
+    InvalidInputError,
+    MonodromyMismatchError,
+    QuadratureError,
+    Rectangle,
+    SampleGrid,
+    SingularEvaluationError,
+    cli,
+    dependence,
+    exppoly,
+)
 from pnormcert.cli import (
     DEFAULT_WINDOW,
     FIELDS,
@@ -270,7 +282,7 @@ def test_run_monodromy_payload():
     assert len(result["loops"]) == 4  # two zeros x two base points
     for loop in result["loops"]:
         assert loop["rel_error"] <= 1e-6
-        assert set(loop["zero_formula_factor"]) == {"re", "im"}
+        assert "zero_formula_factor" not in loop
         assert loop["radius"] == 0.5
 
 
@@ -285,6 +297,11 @@ def test_run_monodromy_target_index_bounds():
     )
     with pytest.raises(InvalidInputError):
         run(job)
+
+
+def test_run_refuses_an_unknown_command():
+    with pytest.raises(InvalidInputError, match="unknown command 'fly'"):
+        run(cli.JobSpec("fly", (RealVector((1.0,)),)))
 
 
 def test_certificate_json_shape():
@@ -601,6 +618,64 @@ def test_main_error_paths(tmp_path, capsys):
     good.write_text(job_text(command="zeros", vectors=[[1, 2]]))
     assert main(["zeros", "--input", str(good), "--threads", "0"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def _classified(classification):
+    """A stand-in for cli.analyze whose report carries ``classification``."""
+    real = dependence.analyze
+
+    def fake(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), classification=classification)
+
+    return fake
+
+
+def _raising(error):
+    def fake(*args, **kwargs):
+        raise error("planted failure")
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "command, vectors, attr, stand_in, code",
+    [
+        ("analyze", [[1, 0], [0, 1]], None, None, 0),
+        ("analyze", [[1, 0], [0, 1]], "analyze", _classified(dependence.UNEXPECTED), 2),
+        ("analyze", [[1, 0], [0, 1]], "analyze", _classified(dependence.ILL_CONDITIONED), 3),
+        ("monodromy", [[math.e, 1]], "loop_monodromy", _raising(MonodromyMismatchError), 2),
+        ("monodromy", [[math.e, 1]], "loop_monodromy", _raising(ClearanceError), 1),
+        ("zeros", [[math.e, 1]], "find_zeros", _raising(QuadratureError), 3),
+        ("zeros", [[math.e, 1]], "find_zeros", _raising(SingularEvaluationError), 3),
+        # the ratio of the two scales leaves the float64 range
+        ("equiv", [[1e300], [1e-300]], None, None, 3),
+        ("equiv", [[0, 0]], None, None, 1),
+    ],
+    ids=[
+        "consistent",
+        "unexpected-dependence",
+        "ill-conditioned",
+        "monodromy-mismatch",
+        "clearance",
+        "quadrature",
+        "singular-evaluation",
+        "scale-overflow",
+        "invalid-input",
+    ],
+)
+def test_main_exit_codes(tmp_path, capsys, monkeypatch, command, vectors, attr, stand_in, code):
+    if attr is not None:
+        monkeypatch.setattr(cli, attr, stand_in)
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command=command, vectors=vectors))
+    assert main([command, "--input", str(job_file)]) == code
+    captured = capsys.readouterr()
+    if command == "analyze":
+        # a classification: the certificate is written, nothing to stderr
+        doc = json.loads(captured.out)
+        assert not captured.err and doc["command"] == command
+    else:
+        assert captured.err.startswith("error: ") and not captured.out
 
 
 @pytest.mark.parametrize("command", ["norms", "analyze"])

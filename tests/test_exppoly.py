@@ -406,7 +406,7 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
 def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
     # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
     # window's midline: a split there fails and costs kernel calls, which
-    # the ranking of candidate lines by min |f| avoids (27 calls with the
+    # the ranking of candidate lines by min |f| avoids (24 calls with the
     # ranking, 53 when the midpoint is tried first)
     calls = []
     real = exppoly._parts
@@ -419,6 +419,41 @@ def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
     assert len(calls) <= 32
+
+
+@pytest.mark.parametrize(
+    "coords, rect",
+    [((1.0, 2.0), exppoly.DEFAULT_WINDOW), ((1.0, 2.0, 3.0), Rectangle(-2.0, 1.0, 1.0, 9.0))],
+)
+def test_split_points_rank_both_axes_in_one_kernel_call(monkeypatch, coords, rect):
+    f = from_vector(RealVector(coords))
+    calls = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        calls.append(np.size(ps))
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    points = exppoly._split_points(f, rect)
+    assert calls == [2 * 9 * 65]
+    monkeypatch.undo()
+
+    # each axis ranked by the minimum relative |f| over 65 points of each
+    # candidate line, largest first, as relative_magnitude measures it
+    fractions = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
+
+    def ranked(lo, hi, cross_lo, cross_hi, point):
+        coords = [lo + t * (hi - lo) for t in fractions]
+        cross = np.linspace(cross_lo, cross_hi, 65)
+        clearance = [
+            min(exppoly.relative_magnitude(f, point(c, s)) for s in cross) for c in coords
+        ]
+        return [c for _, c in sorted(zip(clearance, coords), reverse=True)][:3]
+
+    xs = ranked(rect.re_min, rect.re_max, rect.im_min, rect.im_max, complex)
+    ys = ranked(rect.im_min, rect.im_max, rect.re_min, rect.re_max, lambda c, s: complex(s, c))
+    assert points == list(zip(xs, ys))
 
 
 def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
