@@ -9,8 +9,10 @@ reason.  Floats that JSON cannot carry (inf, nan) are encoded as strings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -474,10 +476,10 @@ def emit_curves(vs: list[RealVector], grid: SampleGrid, path: str) -> None:
     Values carry 17 significant digits (lossless for doubles); the
     infinity sample, if any, appears as a final row with p = inf.
     """
-    _write_curves(path, _enc_matrix(build_matrix(list(vs), grid)))
+    _write_files([(path, _curves_csv(_enc_matrix(build_matrix(list(vs), grid))))])
 
 
-def _write_curves(path: str, matrix: dict) -> None:
+def _curves_csv(matrix: dict) -> str:
     """The CSV of ``emit_curves`` from an encoded matrix (``_enc_matrix``)."""
     grid, rows = matrix["grid"], matrix["norms"]
     labels = ["%.17g" % p for p in grid["points"]]
@@ -486,8 +488,23 @@ def _write_curves(path: str, matrix: dict) -> None:
     lines = ["p," + ",".join(f"norm_{k + 1}" for k in range(len(rows[0])))]
     for label, row in zip(labels, rows):
         lines.append(label + "," + ",".join("%.17g" % x for x in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_files(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text) in order.  If one write fails, remove every
+    file this call opened and raise InvalidInputError naming the path."""
+    opened = []
+    for path, text in files:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+        except OSError as err:
+            for done in opened:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise InvalidInputError(f"cannot write {path}: {err}") from err
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -517,13 +534,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.curves and job.command not in TABLE_COMMANDS:
             raise InvalidInputError(f"--curves: {job.command} certifies no norm table")
         cert, exit_code = run(job, args.threads)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(cert.to_json())
-        else:
-            sys.stdout.write(cert.to_json())
+        text = cert.to_json()
+        files = [(args.output, text)] if args.output else []
         if args.curves:
-            _write_curves(args.curves, cert.payload)
+            files.append((args.curves, _curves_csv(cert.payload)))
+        _write_files(files)  # all artifacts or none
+        if not args.output:
+            sys.stdout.write(text)
         return exit_code
     except tuple(_ERROR_EXITS) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 The norm curve of a vector extends off the real axis as exp(log f(p)/p)
 with f the vector's exponential sum; the extension is multivalued around
-zeros of f.  This module marches a continuous branch of log f along
-polyline paths with argument-based step control, builds the keyhole loop
-that encircles one zero while starting and ending on the positive real
-axis, and reads off the loop's multiplicative monodromy factor.
+zeros of f.  This module continues a branch of log f along polyline paths
+in refinement rounds: every round evaluates all of its new path nodes in
+one kernel call and cuts each gap whose argument step is too large.  It
+also builds the keyhole loop that encircles one zero while starting and
+ending on the positive real axis, and reads off the loop's multiplicative
+monodromy factor.
 """
 
 from __future__ import annotations
@@ -26,23 +28,26 @@ from .errors import (
 from .exppoly import (
     ExpPoly,
     Zero,
+    _log,
     evaluate_log,
-    log_with_derivative,
     relative_magnitude,
 )
 from .vectors import RealVector
 
-# Step control: a step is accepted when the principal argument of f moves by
-# less than _MAX_ARG_CHANGE; the predicted size aims for _TARGET_ARG_CHANGE
-# via |f'/f|.  Rejection halves the step, _GROWTH_STREAK consecutive accepts
-# double it, never beyond _INITIAL_STEP.
+# Step control: the gap between two consecutive path nodes is accepted when
+# the principal argument of f moves by less than _MAX_ARG_CHANGE across it
+# and |f'/f| at its start predicts a move of at most _TARGET_ARG_CHANGE.
+# Round 1 cuts no gap longer than _INITIAL_STEP, and a rejected gap is cut
+# into enough pieces for the prediction (at least two) unless it is already
+# shorter than _MIN_STEP.
 _INITIAL_STEP = 0.25
 _MIN_STEP = 1e-12
 _MAX_ARG_CHANGE = math.pi / 2
 _TARGET_ARG_CHANGE = math.pi / 4
-_GROWTH_STREAK = 4
-# Kernel calls one path may take; a path of length L needs at least 4L.
+# Points one path may evaluate; a path of length L needs at least 4L.
 _MAX_STEPS = 100_000
+# Points one kernel call may take, so its memory stays at terms x this.
+_MAX_CALL_POINTS = 4096
 _MONODROMY_REL_TOL = 1e-6
 _MAX_ARC_DEGREES = 5.0
 
@@ -118,85 +123,109 @@ def continue_log(f: ExpPoly, path: Path) -> BranchState:
     """Track one branch of log f along ``path``.
 
     Starts from the principal log at the first point (real there whenever
-    the path starts on the real axis, since f > 0 on reals).  At every
-    accepted point the real part is re-read from the principal log, which
-    is exact; only the argument accumulates, unwrapped step by step, so
-    exp(logf) always reproduces f(p) to machine accuracy.  One kernel call
-    per point (start and every trial) gives log f and the f'/f of the next step.
-    A path that needs more than ``_MAX_STEPS`` of those calls raises
-    ContinuationError at the point it reached.
+    the path starts on the real axis, since f > 0 on reals).  Works in
+    rounds: round 1 evaluates every vertex and every segment cut into
+    pieces no longer than _INITIAL_STEP, and each later round evaluates the
+    pieces of the gaps the previous one rejected; a round takes one kernel
+    call per _MAX_CALL_POINTS points, which gives log f and f'/f together.
+    The real part of the result is the end point's principal log, which is
+    exact; the imaginary part is the start's argument plus the sum of the
+    accepted argument steps, so exp(logf) reproduces f(p) to machine
+    accuracy.  A round that would take the path past ``_MAX_STEPS``
+    evaluated points raises ContinuationError before it evaluates any,
+    at the end of the longest accepted prefix.
     """
-    p = path.points[0]
-    try:
-        principal, deriv = log_with_derivative(f, p)
-    except SingularEvaluationError as err:
-        raise ContinuationError("path starts at a zero of f", point=p) from err
-    re_log = principal.real
-    im_log = principal.imag
-    prev_arg = principal.imag
-    h = _INITIAL_STEP
-    streak = 0
-    calls = 1
-    for z0, z1 in zip(path.points, path.points[1:]):
-        seg = z1 - z0
-        length = abs(seg)
-        if length == 0.0:
-            continue
-        direction = seg / length
-        t = 0.0
-        while t < length:
-            mag = abs(deriv)
-            h_pred = _TARGET_ARG_CHANGE / mag if mag > 0 else math.inf
-            while True:
-                allowed = min(h, h_pred)
-                if allowed >= length - t:
-                    trial_t, p_trial = length, z1
-                else:
-                    trial_t = t + allowed
-                    p_trial = z0 + direction * trial_t
-                if calls >= _MAX_STEPS:
-                    raise ContinuationError(
-                        f"step budget of {_MAX_STEPS} kernel calls spent before the path end",
-                        point=p,
-                    )
-                calls += 1
-                try:
-                    trial, trial_deriv = log_with_derivative(f, p_trial)
-                except SingularEvaluationError as err:
-                    raise ContinuationError(
-                        "path runs into a zero of f", point=p_trial
-                    ) from err
-                darg = math.remainder(trial.imag - prev_arg, math.tau)
-                if abs(darg) < _MAX_ARG_CHANGE:
-                    break
-                h = allowed / 2.0
-                streak = 0
-                if h < _MIN_STEP:
-                    raise ContinuationError(
-                        "step size underflow (argument of f varies too fast)",
-                        point=p_trial,
-                    )
-            im_log += darg
-            re_log = trial.real
-            prev_arg = trial.imag
-            deriv = trial_deriv
-            p = p_trial
-            t = trial_t
-            streak += 1
-            if streak >= _GROWTH_STREAK:
-                h = min(2.0 * h, _INITIAL_STEP)
-                streak = 0
-    logf = complex(re_log, im_log)
-    return BranchState(p, logf, cmath.exp(logf / p))
+    return _track(f, path)[0]
+
+
+def _track(f: ExpPoly, path: Path) -> tuple[BranchState, np.ndarray]:
+    """``continue_log`` and the path nodes it accepted, in order."""
+    nodes = np.array(path.points)
+    nodes = nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+    gaps = np.abs(np.diff(nodes))
+    pieces = np.ceil(gaps / _INITIAL_STEP)
+    _check_budget(0, 1.0 + pieces.sum(), nodes[0])
+    nodes, gaps, _, _ = _subdivide(nodes, gaps, pieces)
+    logs, derivs = _evaluate(f, nodes, path.start)
+    used = nodes.size
+    while True:
+        darg = np.diff(logs.imag)
+        darg -= math.tau * np.round(darg / math.tau)
+        predicted = gaps * np.abs(derivs[:-1])
+        rejected = ~((np.abs(darg) < _MAX_ARG_CHANGE) & (predicted <= _TARGET_ARG_CHANGE))
+        if not rejected.any():
+            break
+        short = rejected & (gaps < _MIN_STEP)
+        if short.any():
+            raise ContinuationError(
+                "step size underflow (argument of f varies too fast)",
+                point=complex(nodes[np.argmax(short) + 1]),
+            )
+        # fmax turns the NaN of a non-finite f'/f into a bisection
+        pieces = np.where(rejected, np.fmax(2.0, np.ceil(predicted / _TARGET_ARG_CHANGE)), 1.0)
+        _check_budget(used, (pieces - 1.0).sum(), nodes[np.argmax(rejected)])
+        nodes, gaps, old, new = _subdivide(nodes, gaps, pieces)
+        grown = np.empty((2, nodes.size), dtype=complex)
+        grown[:, old] = logs, derivs
+        grown[:, new] = _evaluate(f, nodes[new], path.start)
+        logs, derivs = grown
+        used += new.size
+    p = complex(nodes[-1])
+    logf = complex(logs[-1].real, logs[0].imag + math.fsum(darg))
+    return BranchState(p, logf, cmath.exp(logf / p)), nodes
+
+
+def _check_budget(used: int, more: float, point: complex) -> None:
+    """Refuse a round of ``more`` points past ``used`` that would exceed _MAX_STEPS."""
+    if used + more > _MAX_STEPS:
+        raise ContinuationError(
+            f"step budget of {_MAX_STEPS} evaluated points spent before the path end",
+            point=complex(point),
+        )
+
+
+def _subdivide(
+    nodes: np.ndarray, gaps: np.ndarray, pieces: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut gap k of the polyline ``nodes`` (length gaps[k]) into pieces[k]
+    equal gaps.  Returns the new nodes, their gap lengths, and the indices
+    of the old nodes (which keep their exact values) and of those inserted."""
+    counts = pieces.astype(np.intp)
+    old = np.concatenate(([0], np.cumsum(counts)))
+    inner = counts - 1
+    owner = np.repeat(np.arange(counts.size), inner)
+    step = np.arange(owner.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    new = old[owner] + step
+    out = np.empty(old[-1] + 1, dtype=complex)
+    out[old] = nodes
+    a = nodes[owner]
+    out[new] = a + (nodes[owner + 1] - a) * (step / counts[owner])
+    return out, np.repeat(gaps / counts, counts), old, new
+
+
+def _evaluate(f: ExpPoly, nodes: np.ndarray, start: complex) -> np.ndarray:
+    """(principal log f, f'/f) at ``nodes`` as two rows, _MAX_CALL_POINTS
+    points per kernel call.  The first singular node raises ContinuationError."""
+    out = np.empty((2, nodes.size), dtype=complex)
+    for lo in range(0, nodes.size, _MAX_CALL_POINTS):
+        chunk = slice(lo, lo + _MAX_CALL_POINTS)
+        try:
+            out[0, chunk], s_val, ds_val = _log(f, nodes[chunk])
+        except SingularEvaluationError as err:
+            where = "starts at" if err.point == start else "runs into"
+            raise ContinuationError(f"path {where} a zero of f", point=err.point) from err
+        out[1, chunk] = ds_val / s_val
+    return out
 
 
 def continue_pnorm(f: ExpPoly, path: Path) -> complex:
     """The continued branch of the p-norm at the path end: exp(logf(end)/end)."""
-    for a, b in zip(path.points, path.points[1:]):
-        # the floor absorbs rounding in the projection, so a segment whose
-        # exact crossing is lost to fp noise is still rejected
-        if _segment_distance(0j, a, b) <= 1e-15 * max(abs(a), abs(b)):
-            raise InvalidInputError("path passes through p = 0")
+    pts = np.array(path.points)
+    # the floor absorbs rounding in the projection, so a segment whose
+    # exact crossing is lost to fp noise is still rejected
+    floor = 1e-15 * np.maximum(np.abs(pts[:-1]), np.abs(pts[1:]))
+    if (_segment_distances(0j, pts) <= floor).any():
+        raise InvalidInputError("path passes through p = 0")
     return continue_log(f, path).norm_value
 
 
@@ -272,17 +301,15 @@ def loop_monodromy(
     if relative_magnitude(f, z) > 1e-6:
         raise InvalidInputError(f"{z!r} is not a zero of f")
     clearance = loop_radius / 2.0
+    pts = np.array(path.points)
     for oz in other_zeros:
         oz = complex(oz)
         if abs(oz - z) <= loop_radius:
             raise ClearanceError(
                 f"zero at {oz!r} lies inside the loop around {z!r}; shrink the radius"
             )
-        for a, b in zip(path.points, path.points[1:]):
-            if _segment_distance(oz, a, b) < clearance:
-                raise ClearanceError(
-                    f"path passes within {clearance!r} of the zero at {oz!r}"
-                )
+        if (_segment_distances(oz, pts) < clearance).any():
+            raise ClearanceError(f"path passes within {clearance!r} of the zero at {oz!r}")
     start_log = evaluate_log(f, complex(base_p, 0.0))
     end = continue_log(f, path)
     measured = cmath.exp((end.logf - start_log) / base_p)
@@ -295,12 +322,14 @@ def loop_monodromy(
     return measured, predicted
 
 
-def _segment_distance(z: complex, a: complex, b: complex) -> float:
-    """Distance from point z to the segment [a, b]."""
-    ab = b - a
+def _segment_distances(z: complex, pts: np.ndarray) -> np.ndarray:
+    """Distance from point z to each segment [pts[k], pts[k + 1]] of a polyline."""
+    a = pts[:-1]
+    ab = np.diff(pts)
+    za = z - a
     den = ab.real * ab.real + ab.imag * ab.imag
-    if den == 0.0:
-        return abs(z - a)
-    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / den
-    t = max(0.0, min(1.0, t))
-    return abs(z - (a + t * ab))
+    dot = za.real * ab.real + za.imag * ab.imag
+    # a repeated point is a segment of length 0: its distance is |z - a|
+    t = np.divide(dot, den, out=np.zeros(den.size), where=den != 0.0)
+    d = z - (a + np.clip(t, 0.0, 1.0) * ab)
+    return np.hypot(d.real, d.imag)  # abs(complex) rounds as hypot does

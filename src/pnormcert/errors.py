@@ -8,6 +8,10 @@ class InvalidInputError(ValueError):
 class SingularEvaluationError(ArithmeticError):
     """Log evaluation requested at (or numerically indistinguishable from) a zero."""
 
+    def __init__(self, message: str, point: complex | None = None):
+        super().__init__(message)
+        self.point = point
+
 
 class BoundaryProximityError(RuntimeError):
     """A contour passes too close to a zero; a caller that owns the window may

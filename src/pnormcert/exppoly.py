@@ -275,12 +275,13 @@ def _parts(
 def _log(
     f: ExpPoly, ps: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M + log(S), S, S') at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree."""
+    """(M + log(S), S, S') at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree,
+    naming the first such point."""
     m_val, s_val, ds_val, _ = _parts(f, ps)
     singular = np.abs(s_val) <= 1e-12 * f.degree
     if singular.any():
         p = np.asarray(ps).reshape(-1)[singular][0].item()
-        raise SingularEvaluationError(f"f is numerically zero at p={p!r}")
+        raise SingularEvaluationError(f"f is numerically zero at p={p!r}", point=p)
     return m_val + np.log(s_val), s_val, ds_val
 
 

@@ -620,6 +620,53 @@ def test_main_error_paths(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_main_reports_an_unwritable_output(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command="equiv", **RUNNABLE["equiv"]))
+    target = tmp_path / "missing-dir" / "x.cert"
+    assert main(["equiv", "--input", str(job_file), "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
+def test_main_leaves_no_certificate_when_the_curves_fail(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command="norms", **RUNNABLE["norms"]))
+    cert_file = tmp_path / "n.cert"
+    curves = tmp_path / "missing-dir" / "c.csv"
+    argv = ["norms", "--input", str(job_file), "--curves", str(curves)]
+    assert main(argv + ["--output", str(cert_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {curves}: ")
+    assert not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+    # without --output the certificate is not printed either
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {curves}: ")
+    assert not captured.out
+
+
+def test_monodromy_job_takes_few_kernel_calls(monkeypatch):
+    # two zeros, two base points: four loops, each continued in refinement
+    # rounds of one kernel call, not one call per step (601 calls in all
+    # when every step took its own)
+    calls = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        calls.append(ps)
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    doc = {**RUNNABLE["monodromy"], "options": {"base_p": [2, 3.5]}}
+    cert, code = run(parse_jobspec(job_text(command="monodromy", **doc)))
+    assert code == 0 and len(cert.payload["results"][0]["loops"]) == 4
+    assert len(calls) <= 40
+
+
 def _classified(classification):
     """A stand-in for cli.analyze whose report carries ``classification``."""
     real = dependence.analyze

@@ -277,6 +277,37 @@ def test_loop_monodromy_clearance_errors():
     assert abs(measured - predicted) <= 1e-6
 
 
+def test_loop_monodromy_clearance_names_the_first_offending_zero():
+    f = from_vector(RealVector((math.e**2, 1.0)))
+    z = complex(0.0, 1.5 * math.pi)
+    near = complex(0.0, 2.5 * math.pi)  # 0.34 from the circle of radius 2.8
+    inside = z + 1.0
+    with pytest.raises(ClearanceError, match=r"^path passes within 1\.4 of the zero at 7\.8"):
+        loop_monodromy(f, (z, 1), 2.0, 2.8, other_zeros=(near, inside))
+    with pytest.raises(ClearanceError, match=r"^zero at \(1\+4\.71"):
+        loop_monodromy(f, (z, 1), 2.0, 2.8, other_zeros=(inside, near))
+
+
+def test_segment_distances_match_the_scalar_rule():
+    def scalar(z, a, b):
+        ab = b - a
+        den = ab.real * ab.real + ab.imag * ab.imag
+        if den == 0.0:
+            return abs(z - a)
+        t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / den
+        return abs(z - (a + max(0.0, min(1.0, t)) * ab))
+
+    rng = np.random.default_rng(7)
+    loop = np.array(build_loop_path(3j, 2.0, 0.1).points)
+    for _ in range(200):
+        pts = rng.normal(size=6) + 1j * rng.normal(size=6)
+        pts[3] = pts[2]  # a segment of length 0
+        for path in (pts, loop):
+            z = complex(rng.normal(), rng.normal())
+            ref = [scalar(z, a, b) for a, b in zip(path.tolist(), path[1:].tolist())]
+            assert continuation._segment_distances(z, path).tolist() == ref
+
+
 def test_loop_monodromy_uses_discovered_zeros():
     f = from_vector(RealVector((math.e, 1.0)))
     zs = find_zeros(f, Rectangle(-1, 1, 1, 10))
@@ -304,44 +335,93 @@ def test_random_paths_keep_branch_invariant():
         assert abs(cmath.exp(end.logf) - val) <= 1e-10 * abs(val)
 
 
-def test_continue_log_evaluates_each_point_once(monkeypatch):
-    points = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        points.append(complex(ps))
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
-    f = from_vector(RealVector((math.e, 1.0)))
-    end = continue_log(f, build_loop_path(1j * math.pi, 2.0, 0.25))
-    # the start point and the 114 trial points of this loop, one kernel call each
-    assert len(points) == 115
-    assert points[0] == points[-1] == complex(2.0, 0.0)
-    # pinned bit for bit: sharing the kernel call between log f and f'/f
-    # must not move the branch
-    assert end.p == complex(2.0, 0.0)
-    assert end.logf == complex(
-        float.fromhex("0x1.103f2d54301d5p+1"), float.fromhex("0x1.921fb54442d1ap+2")
-    )
-    assert end.norm_value == complex(
-        float.fromhex("-0x1.72bccce85fab6p+1"), float.fromhex("-0x1.3f9e7e33c693ep-49")
-    )
-
-
-def test_continue_log_stops_at_its_step_budget(monkeypatch):
-    # steps never exceed 0.25, so this path needs 4000 kernel calls at least
+def _spy_parts(monkeypatch) -> list[np.ndarray]:
+    """The points of every kernel call from now on, one array per call."""
     calls = []
     real = exppoly._parts
 
     def spy(f, ps):
-        calls.append(ps)
+        calls.append(np.asarray(ps).reshape(-1).copy())
         return real(f, ps)
 
     monkeypatch.setattr(exppoly, "_parts", spy)
+    return calls
+
+
+def _as_pairs(points) -> list[tuple[float, float]]:
+    return sorted((z.real, z.imag) for z in np.asarray(points).tolist())
+
+
+def test_continue_log_evaluates_each_point_once(monkeypatch):
+    f = from_vector(RealVector((math.e, 1.0)))
+    loop = build_loop_path(1j * math.pi, 2.0, 0.25)
+    _, nodes = continuation._track(f, loop)
+    calls = _spy_parts(monkeypatch)
+    end = continue_log(f, loop)
+    # one kernel call per refinement round (113 points, then 3), not one per step
+    assert len(calls) <= 4
+    assert max(c.size for c in calls) <= continuation._MAX_CALL_POINTS
+    # no node twice: the calls together hold the accepted nodes exactly
+    # (the loop retraces its legs, so positions repeat as often as nodes do)
+    assert _as_pairs(np.concatenate(calls)) == _as_pairs(nodes)
+    assert calls[0][0] == nodes[0] == nodes[-1] == complex(2.0, 0.0)
+    # summing the accepted argument steps in rounds moves the branch by at
+    # most a few ulp from the value the step-by-step march gave
+    assert end.p == complex(2.0, 0.0)
+    pinned = complex(
+        float.fromhex("0x1.103f2d54301d5p+1"), float.fromhex("0x1.921fb54442d1ap+2")
+    )
+    assert abs(end.logf.real - pinned.real) <= 4 * math.ulp(pinned.real)
+    assert abs(end.logf.imag - pinned.imag) <= 4 * math.ulp(pinned.imag)
+
+
+def test_continue_log_stops_at_its_step_budget(monkeypatch):
     monkeypatch.setattr(continuation, "_MAX_STEPS", 1000)
     f = from_vector(RealVector((math.e, 1.0)))
+    calls = _spy_parts(monkeypatch)
+    # round 1 cuts this path into pieces of 0.25: 4001 points, refused
+    # before any is evaluated, at the path start
     with pytest.raises(ContinuationError, match="step budget") as err:
         continue_log(f, Path((1 + 0j, 1 + 1000j)))
-    assert len(calls) == 1000
-    assert err.value.point == calls[-1]  # the last point reached, where it stopped
+    assert calls == []
+    assert err.value.point == 1 + 0j
+
+    # this loop takes 113 points in round 1 and 3 more in round 2
+    loop = build_loop_path(1j * math.pi, 2.0, 0.25)
+    monkeypatch.undo()
+    _, nodes = continuation._track(f, loop)
+    monkeypatch.setattr(continuation, "_MAX_STEPS", 114)
+    calls = _spy_parts(monkeypatch)
+    with pytest.raises(ContinuationError, match="step budget") as err:
+        continue_log(f, loop)
+    (round1,) = calls
+    assert round1.size == 113
+    # refused at the end of the longest accepted prefix: the start of the
+    # first round-1 gap that the full run cut
+    first_cut = np.argmax(round1 != nodes[: round1.size])
+    assert first_cut > 1
+    assert err.value.point == round1[first_cut - 1]
+
+
+def test_continue_log_caps_the_points_per_kernel_call(monkeypatch):
+    # round 1 of this loop holds about 8,100 points: two kernel calls
+    f = from_vector(RealVector((math.e, 1.0)))
+    base = 1000.0
+    loop = build_loop_path(1j * math.pi, base, 0.5)
+    _, nodes = continuation._track(f, loop)
+    calls = _spy_parts(monkeypatch)
+    end = continue_log(f, loop)
+    assert nodes.size > continuation._MAX_CALL_POINTS
+    assert max(c.size for c in calls) == continuation._MAX_CALL_POINTS
+    assert sum(c.size for c in calls) == nodes.size
+    measured = cmath.exp((end.logf - evaluate_log(f, base)) / base)
+    assert abs(measured - cmath.exp(TAU * 1j / base)) <= 1e-6
+
+
+def test_continue_log_refuses_a_loop_from_a_huge_base_at_once(monkeypatch):
+    f = from_vector(RealVector((math.e, 1.0)))
+    calls = _spy_parts(monkeypatch)
+    with pytest.raises(ContinuationError, match="step budget") as err:
+        continue_log(f, build_loop_path(1j * math.pi, 1e300, 0.25))
+    assert calls == []
+    assert err.value.point == 1e300
