@@ -3,8 +3,8 @@
 The norm curve of a vector extends off the real axis as exp(log f(p)/p)
 with f the vector's exponential sum; the extension is multivalued around
 zeros of f.  This module continues a branch of log f along polyline paths
-in refinement rounds: every round evaluates all of its new path nodes in
-one kernel call and cuts each gap whose argument step is too large.  It
+in refinement rounds: every round evaluates all of its new path nodes
+together and cuts each gap whose argument step is too large.  It
 also builds the keyhole loop that encircles one zero while starting and
 ending on the positive real axis, and reads off the loop's multiplicative
 monodromy factor.
@@ -46,8 +46,6 @@ _MAX_ARG_CHANGE = math.pi / 2
 _TARGET_ARG_CHANGE = math.pi / 4
 # Points one path may evaluate; a path of length L needs at least 4L.
 _MAX_STEPS = 100_000
-# Points one kernel call may take, so its memory stays at terms x this.
-_MAX_CALL_POINTS = 4096
 _MONODROMY_REL_TOL = 1e-6
 _MAX_ARC_DEGREES = 5.0
 
@@ -127,9 +125,9 @@ def continue_log(f: ExpPoly, path: Path) -> BranchState:
     rounds: round 1 evaluates every vertex and every segment cut into
     pieces no longer than _INITIAL_STEP, and each later round evaluates the
     pieces of the gaps the previous one rejected; a round takes one kernel
-    call per _MAX_CALL_POINTS points, which gives log f and f'/f together.
-    The real part of the result is the end point's principal log, which is
-    exact; the imaginary part is the start's argument plus the sum of the
+    call per ``exppoly._MAX_CALL_POINTS`` points, which gives log f and f'/f
+    together.  The real part of the result is the end point's principal
+    log, which is exact; the imaginary part is the start's argument plus the sum of the
     accepted argument steps, so exp(logf) reproduces f(p) to machine
     accuracy.  A round that would take the path past ``_MAX_STEPS``
     evaluated points raises ContinuationError before it evaluates any,
@@ -204,18 +202,14 @@ def _subdivide(
 
 
 def _evaluate(f: ExpPoly, nodes: np.ndarray, start: complex) -> np.ndarray:
-    """(principal log f, f'/f) at ``nodes`` as two rows, _MAX_CALL_POINTS
-    points per kernel call.  The first singular node raises ContinuationError."""
-    out = np.empty((2, nodes.size), dtype=complex)
-    for lo in range(0, nodes.size, _MAX_CALL_POINTS):
-        chunk = slice(lo, lo + _MAX_CALL_POINTS)
-        try:
-            out[0, chunk], s_val, ds_val = _log(f, nodes[chunk])
-        except SingularEvaluationError as err:
-            where = "starts at" if err.point == start else "runs into"
-            raise ContinuationError(f"path {where} a zero of f", point=err.point) from err
-        out[1, chunk] = ds_val / s_val
-    return out
+    """(principal log f, f'/f) at ``nodes`` as two rows.  The first singular
+    node raises ContinuationError."""
+    try:
+        logs, s_val, ds_val = _log(f, nodes)
+    except SingularEvaluationError as err:
+        where = "starts at" if err.point == start else "runs into"
+        raise ContinuationError(f"path {where} a zero of f", point=err.point) from err
+    return np.array((logs, ds_val / s_val))
 
 
 def continue_pnorm(f: ExpPoly, path: Path) -> complex:

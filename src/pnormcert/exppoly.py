@@ -50,6 +50,8 @@ _MAX_DEPTH = 64
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
+# Points one kernel call may take, so its memory stays at terms x this.
+_MAX_CALL_POINTS = 4096
 # Two zeros match when their multiplicities agree and they lie this close.
 _MATCH_TOL = 1e-6
 
@@ -272,12 +274,26 @@ def _parts(
     return m_val, s_val, ds_val, bound
 
 
+def _chunked_parts(
+    f: ExpPoly, ps: complex | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_parts`` at ``ps``, one kernel call per _MAX_CALL_POINTS points; the
+    kernel is elementwise, so the chunks change no value."""
+    ps = np.asarray(ps).reshape(-1)
+    if ps.size <= _MAX_CALL_POINTS:
+        return _parts(f, ps)
+    chunks = [
+        _parts(f, ps[lo : lo + _MAX_CALL_POINTS]) for lo in range(0, ps.size, _MAX_CALL_POINTS)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
 def _log(
     f: ExpPoly, ps: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M + log(S), S, S') at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree,
     naming the first such point."""
-    m_val, s_val, ds_val, _ = _parts(f, ps)
+    m_val, s_val, ds_val, _ = _chunked_parts(f, ps)
     singular = np.abs(s_val) <= 1e-12 * f.degree
     if singular.any():
         p = np.asarray(ps).reshape(-1)[singular][0].item()
@@ -301,16 +317,11 @@ def evaluate_log(f: ExpPoly, p: complex) -> complex:
     return complex(_log(f, complex(p))[0][0])
 
 
-def log_with_derivative(f: ExpPoly, p: complex) -> tuple[complex, complex]:
-    """(evaluate_log(f, p), f'(p)/f(p)) from one kernel call; singular as evaluate_log."""
-    logs, s_val, ds_val = _log(f, complex(p))
-    return complex(logs[0]), complex(ds_val[0] / s_val[0])
-
-
 def log_derivative(f: ExpPoly, p: complex) -> complex:
     """f'(p)/f(p); the exp(M) factors cancel, so this never overflows.
     Singular where evaluate_log is."""
-    return log_with_derivative(f, p)[1]
+    _, s_val, ds_val = _log(f, complex(p))
+    return complex(ds_val[0] / s_val[0])
 
 
 def relative_magnitude(f: ExpPoly, p: complex) -> float:
@@ -324,86 +335,123 @@ def relative_magnitude(f: ExpPoly, p: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _base_panels(length: float) -> int:
-    return max(4, min(160, math.ceil(1.25 * length)))
+def _contour_panels(
+    rects: list[Rectangle],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, half-steps, owning box) of the base panels of every box, and
+    each box's base panel count.
 
-
-def _contour_panels(rect: Rectangle) -> tuple[np.ndarray, np.ndarray]:
-    """(centers, half-steps) of the base panels, counterclockwise around ``rect``."""
-    corners = rect.corners
-    centers = []
-    halves = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        panels = _base_panels(abs(b - a))
-        half = (b - a) / (2 * panels)
-        centers.append(a + (2 * np.arange(panels) + 1) * half)
-        halves.append(np.full(panels, half))
-    return np.concatenate(centers), np.concatenate(halves)
+    The panels run counterclockwise around each box, box after box.  An edge
+    of length L gets max(4, min(160, ceil(1.25 L))) equal panels.
+    """
+    # the edges' lengths; their counterclockwise steps are these times 1, 1j, -1, -1j
+    lengths = np.array([(r.width, r.height, r.width, r.height) for r in rects])
+    panels = np.ceil(1.25 * lengths).clip(4, 160).astype(np.intp)
+    counts = panels.ravel()
+    halves = np.repeat((lengths / (2 * panels) * (1, 1j, -1, -1j)).ravel(), counts)
+    starts = np.repeat(np.array([r.corners for r in rects]).ravel(), counts)
+    index = np.arange(halves.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    base = panels.sum(axis=1)
+    return starts + (2 * index + 1) * halves, halves, np.repeat(np.arange(len(rects)), base), base
 
 
 def _contour_sums(
-    f: ExpPoly, rect: Rectangle, check_boundary: bool
-) -> tuple[complex, complex, float]:
-    """(1/2πi) ∮ f'/f dp, (1/2πi) ∮ p f'/f dp and the error estimate of the first.
+    f: ExpPoly, rects: list[Rectangle], check_boundary: bool
+) -> list[tuple[complex, complex, float]]:
+    """Per box of ``rects``: (1/2πi) ∮ f'/f dp, (1/2πi) ∮ p f'/f dp and the
+    error estimate of the first.
 
     Locally adaptive Gauss-Kronrod: every panel gets the 15-point Kronrod
     rule, and |K - G| against the embedded 7-point Gauss rule is its error
-    estimate.  A round evaluates every pending panel in one kernel call.
-    Once the estimates sum below _WINDING_ERROR_TOL the integrals are done;
-    otherwise each panel over its length's share of that tolerance is
-    bisected and the others are kept.  The sums return unconverged (error
-    estimate at least _WINDING_ERROR_TOL) as soon as a panel's estimate
-    (then inf) or moment is not finite, when the next round would pass
-    _PANEL_BUDGET times the base panels in all, or once a panel has been
-    bisected _MAX_BISECTIONS times.  ``check_boundary`` applies the
-    relative-|f| test to the first round's nodes.
+    estimate.  A round evaluates every pending panel of every box together,
+    one kernel call per _MAX_CALL_POINTS points.  Each box is judged on its
+    own: once its estimates sum below _WINDING_ERROR_TOL its integrals are
+    done; otherwise each of its panels over its length's share of that
+    tolerance is bisected and the others are kept.  A box's sums return
+    unconverged (error estimate at least _WINDING_ERROR_TOL) as soon as a
+    panel's estimate (then inf) or moment is not finite, when its next round
+    would pass _PANEL_BUDGET times its base panels in all, once a panel has
+    been bisected _MAX_BISECTIONS times, or when none of its panels is over
+    its share.  A box's panels keep their order and its sums are reduced on
+    their own, so its result does not depend on the other boxes in
+    ``rects``.  ``check_boundary`` applies the relative-|f| test to the
+    first round's nodes, raising for the first box that fails it.
     """
-    centers, halves = _contour_panels(rect)
-    budget = _PANEL_BUDGET * len(centers)
-    used = 0
+    boxes = len(rects)
+    centers, halves, owner, base = _contour_panels(rects)
+    budget = _PANEL_BUDGET * base
+    span = np.array([r.width + r.height for r in rects])
     tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
-    w0 = w1 = 0j
-    err = 0.0
+    # per box: Re and Im of the k0 and k1 sums and the error sum over its
+    # done panels, and its panels used
+    acc = np.zeros((6, boxes))
+    offsets = 2 * boxes * np.arange(7)[:, None]
+    active = np.ones(boxes, dtype=bool)
+    sums: list = [None] * boxes
+    two_pi_i = 2j * math.pi
     bisections = 0
     while True:
-        used += len(centers)
         pts = centers[:, None] + halves[:, None] * _KRONROD_NODES
-        _, s_val, ds_val, bound = _parts(f, pts.ravel())
+        _, s_val, ds_val, bound = _chunked_parts(f, pts.ravel())
         if check_boundary and bisections == 0:
-            rel_min = float(np.min(np.abs(s_val) / bound))
-            if rel_min < _BOUNDARY_REL_MIN:
-                raise BoundaryProximityError(
-                    f"contour of {rect} passes within relative magnitude "
-                    f"{rel_min:.2e} of a zero; inflate the window"
-                )
+            rel = (np.abs(s_val) / bound).reshape(pts.shape).min(axis=1)
+            for i in dict.fromkeys(owner[rel < _BOUNDARY_REL_MIN].tolist()):
+                rel_min = np.min(rel[owner == i])  # a nan node makes it nan: no refusal
+                if rel_min < _BOUNDARY_REL_MIN:
+                    raise BoundaryProximityError(
+                        f"contour of {rects[i]} passes within relative magnitude "
+                        f"{rel_min:.2e} of a zero; inflate the window"
+                    )
         integrand = (ds_val / s_val).reshape(pts.shape)
         k0 = halves * (integrand * _KRONROD_WEIGHTS).sum(axis=1)
         e0 = np.abs(halves * (integrand * (_KRONROD_WEIGHTS - _GAUSS_WEIGHTS)).sum(axis=1))
-        # a panel's share of the tolerance is its share of the perimeter
-        pending = e0 > tol * np.abs(halves) / (rect.width + rect.height)
+        # a panel's share of the tolerance is its share of its box's perimeter
+        pending = e0 > tol * np.abs(halves) / span[owner]
         # far from the origin the moment can overflow; _count_adaptive refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = halves * (pts * integrand * _KRONROD_WEIGHTS).sum(axis=1)
-            total_err = err + float(e0.sum())
-            if not math.isfinite(total_err):
-                return complex(math.nan), complex(math.nan), math.inf
-            if (
-                total_err < tol
-                or not np.isfinite(k1).all()
-                or bisections == _MAX_BISECTIONS
-                or used + 2 * int(pending.sum()) > budget
-            ):
-                two_pi_i = 2j * math.pi
-                w0 += complex(k0.sum())
-                w1 += complex(k1.sum())
-                return w0 / two_pi_i, w1 / two_pi_i, total_err / (2.0 * math.pi)
-            done = ~pending
-            w0 += complex(k0[done].sum())
-            w1 += complex(k1[done].sum())
-            err += float(e0[done].sum())
-        halves = 0.5 * halves[pending]
-        centers = np.concatenate((centers[pending] - halves, centers[pending] + halves))
+            # Each channel summed per box over its done and its pending
+            # panels, in one np.bincount.  bincount adds in array order, so
+            # a box's sums do not depend on the other boxes of the batch.
+            channels = np.array(
+                (k0.real, k0.imag, k1.real, k1.imag, e0, np.ones(e0.size), ~np.isfinite(k1))
+            )
+            per_box = np.bincount(
+                (2 * owner + pending + offsets).ravel(), channels.ravel(), 14 * boxes
+            )
+            done, held = per_box.reshape(7, boxes, 2).transpose(2, 0, 1)
+            acc += done[:6]
+            acc[5] += held[5]
+            total_err = acc[4] + held[4]
+            going = (
+                (tol <= total_err)
+                & (total_err < math.inf)
+                & (done[6] + held[6] == 0)
+                & (held[5] > 0)
+                & (acc[5] + 2 * held[5] <= budget)
+            )
+        finished = active & ~going if bisections < _MAX_BISECTIONS else active.copy()
+        # a finished box takes its pending panels too
+        k_sums = (acc[:4] + held[:4]).T.tolist()
+        errs = total_err.tolist()
+        for i in np.flatnonzero(finished).tolist():
+            if math.isfinite(errs[i]):
+                k0r, k0i, k1r, k1i = k_sums[i]
+                sums[i] = (
+                    complex(k0r, k0i) / two_pi_i,
+                    complex(k1r, k1i) / two_pi_i,
+                    errs[i] / (2.0 * math.pi),
+                )
+            else:
+                sums[i] = (complex(math.nan), complex(math.nan), math.inf)
+        active &= ~finished
+        if not active.any():
+            return sums
+        keep = pending & active[owner]
+        halves = 0.5 * halves[keep]
+        centers = np.concatenate((centers[keep] - halves, centers[keep] + halves))
         halves = np.concatenate((halves, halves))
+        owner = np.concatenate((owner[keep], owner[keep]))
         bisections += 1
 
 
@@ -419,21 +467,41 @@ def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     one f cannot have: a rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     """
-    count, _ = _count_adaptive(f, rect, check_boundary=True)
-    return count
+    (counted,) = _count_adaptive(f, [rect], check_boundary=True)
+    if isinstance(counted, Exception):
+        raise counted
+    return counted[0]
 
 
-def _count_adaptive(f: ExpPoly, rect: Rectangle, check_boundary: bool) -> tuple[int, complex]:
+def _count_adaptive(
+    f: ExpPoly, rects: list[Rectangle], check_boundary: bool
+) -> list[tuple[int, complex] | QuadratureError | BoundaryProximityError]:
+    """Per box of ``rects``: (count, first moment), or the error that refuses it.
+
+    All boxes are integrated in one ``_contour_sums`` batch and each is
+    judged on its own, by the rules of ``count_zeros``.
+    """
+    return [
+        _judge_winding(f, rect, sums, check_boundary)
+        for rect, sums in zip(rects, _contour_sums(f, rects, check_boundary))
+    ]
+
+
+def _judge_winding(
+    f: ExpPoly, rect: Rectangle, sums: tuple[complex, complex, float], check_boundary: bool
+) -> tuple[int, complex] | QuadratureError | BoundaryProximityError:
+    """The count and first moment that the contour ``sums`` of one box give,
+    or the error that refuses them."""
+    w0, w1, err = sums
     spread = f.exponents[-1] - f.exponents[0]
     max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms)
-    w0, w1, err = _contour_sums(f, rect, check_boundary)
     if math.isfinite(err):
         # an overflowing moment leaves the winding noise, so it is refused first
         if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
-            raise QuadratureError(f"first moment over {rect} overflows float64")
+            return QuadratureError(f"first moment over {rect} overflows float64")
         n = round(w0.real)
         if abs(n) >= max_count:
-            raise QuadratureError(
+            return QuadratureError(
                 f"winding over {rect} came to {w0.real:.4g}, but f has "
                 f"fewer than {max_count:.4g} zeros there"
             )
@@ -443,12 +511,12 @@ def _count_adaptive(f: ExpPoly, rect: Rectangle, check_boundary: bool) -> tuple[
         # itself; on an outer window that calls for inflation.
         if abs(w0 - (math.floor(w0.real) + 0.5)) < _QUAD_TOL:
             if check_boundary:
-                raise BoundaryProximityError(
+                return BoundaryProximityError(
                     f"winding over {rect} came to {w0.real:.4f}: "
                     "a zero lies on the contour"
                 )
-            raise QuadratureError(f"split contour of {rect} runs through a zero")
-    raise QuadratureError(
+            return QuadratureError(f"split contour of {rect} runs through a zero")
+    return QuadratureError(
         f"winding integral over {rect} did not converge on an integer "
         f"(value {w0}, error estimate {err:.2e})"
     )
@@ -469,12 +537,9 @@ def _cluster_locate(f: ExpPoly, rect: Rectangle, count: int, moment: complex) ->
     h = max(0.06, 1.5 * min_half)
     while h >= min_half:
         box = Rectangle(cx - h, cx + h, cy - h, cy + h)
-        try:
-            n, w1 = _count_adaptive(f, box, check_boundary=False)
-        except QuadratureError:
-            n = -1
-        if n == count:
-            return w1 / count
+        (counted,) = _count_adaptive(f, [box], check_boundary=False)
+        if not isinstance(counted, Exception) and counted[0] == count:
+            return counted[1] / count
         h /= 2.0
     return moment / count
 
@@ -506,68 +571,108 @@ def _newton_polish(f: ExpPoly, z0: complex, rect: Rectangle) -> tuple[complex, b
     return z0, False
 
 
-def _split_points(f: ExpPoly, rect: Rectangle) -> list[tuple[float, float]]:
-    """The three split points (x, y) to try in ``rect``, best clearance first.
+def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, float]]]:
+    """The three split points (x, y) to try in each box, best clearance first.
 
-    One kernel call samples |f| (relative to the term scale) at 65 points on
-    each of 9 candidate full-length lines per axis.  Each axis ranks its
-    lines by their minimum, so lines near a zero sort last, and the k-th
-    point joins the k-th best line of each axis.  No hard cutoff; the
-    quadrature convergence test is the final arbiter.
+    One evaluation (a kernel call per _MAX_CALL_POINTS points) samples |f|,
+    relative to the term scale, at 65 points on each of 9 candidate
+    full-length lines per axis of every box.  Each axis ranks its lines by
+    their minimum, so lines near a zero sort last, and the k-th point joins
+    the k-th best line of each axis.  No hard cutoff; the quadrature
+    convergence test is the final arbiter.
     """
     fractions = np.array((0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7))
-    xs = rect.re_min + fractions * rect.width
-    ys = rect.im_min + fractions * rect.height
-    vertical = xs[:, None] + 1j * np.linspace(rect.im_min, rect.im_max, 65)
-    horizontal = np.linspace(rect.re_min, rect.re_max, 65) + 1j * ys[:, None]
-    _, s_val, _, bound = _parts(f, np.concatenate((vertical, horizontal)).ravel())
-    rel = (np.abs(s_val) / bound).reshape(2, 9, 65).min(axis=2).tolist()
-    # (clearance, coordinate) of each axis's three best lines
-    x_best, y_best = (sorted(zip(r, c.tolist()), reverse=True)[:3] for r, c in zip(rel, (xs, ys)))
-    return [(x, y) for (_, x), (_, y) in zip(x_best, y_best)]
+    lo = np.array([(r.re_min, r.im_min) for r in rects])
+    hi = np.array([(r.re_max, r.im_max) for r in rects])
+    size = np.array([(r.width, r.height) for r in rects])
+    # per box: the candidate x's and y's, and the 65 y's and x's along them
+    coords = lo[:, :, None] + fractions * size[:, :, None]
+    cross = np.linspace(lo[:, ::-1], hi[:, ::-1], 65, axis=-1)
+    vertical = coords[:, 0, :, None] + 1j * cross[:, None, 0]
+    horizontal = cross[:, None, 1] + 1j * coords[:, 1, :, None]
+    _, s_val, _, bound = _chunked_parts(f, np.stack((vertical, horizontal), axis=1).ravel())
+    rel = (np.abs(s_val) / bound).reshape(len(rects), 2, 9, 65).min(axis=3).tolist()
+    points = []
+    for box_rel, box_coords in zip(rel, coords.tolist()):
+        # (clearance, coordinate) of each axis's three best lines
+        x_best, y_best = (sorted(zip(r, c), reverse=True)[:3] for r, c in zip(box_rel, box_coords))
+        points.append([(x, y) for (_, x), (_, y) in zip(x_best, y_best)])
+    return points
 
 
-def _isolate(
-    f: ExpPoly, rect: Rectangle, count: int, moment: complex | None, depth: int
-) -> list[Zero]:
-    """The ``count`` zeros in ``rect``; ``moment`` is the first moment its count gave.
+def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
+    """The ``total`` zeros in ``window``, isolated level by level.
 
-    Each child box takes count and moment from one integration, so no box is
-    integrated twice.  Only the outer window, counted through ``count_zeros``,
-    comes without a moment (None); a leaf window integrates once more for it.
+    A level is every box of one subdivision depth.  Each box with several
+    zeros, wider than _CLUSTER_DIAMETER and less than _MAX_DEPTH deep, is
+    split: ``_split_points`` ranks the lines of all of them in one
+    evaluation, and attempt k counts the quadrants at the k-th point of
+    every box not yet split in one ``_count_adaptive`` batch.  Quadrants
+    that all count must sum to their box's count; they join the next level
+    with their counts and moments, so no box is integrated twice.  A box
+    that no attempt splits is one cluster up to diameter
+    _MAX_CLUSTER_DIAMETER, and fails the search beyond it (the first such
+    box of the level raises).  Leaves are polished once every level is
+    done.  Only the outer window, counted through ``count_zeros``, comes
+    without a moment; as a leaf it integrates once more for it.
     """
-    if count == 0:
-        return []
-    if count > 1 and rect.diameter > _CLUSTER_DIAMETER and depth < _MAX_DEPTH:
-        for x, y in _split_points(f, rect):
-            try:
-                quads = rect.split(x, y)
-                counted = [_count_adaptive(f, q, check_boundary=False) for q in quads]
-            except QuadratureError:
+    level: list[tuple[Rectangle, int, complex | None]] = [(window, total, None)]
+    leaves = []
+    for depth in range(_MAX_DEPTH + 1):
+        split = []
+        for box in level:
+            rect, count, _ = box
+            if count > 1 and rect.diameter > _CLUSTER_DIAMETER and depth < _MAX_DEPTH:
+                split.append(box)
+            elif count:
+                leaves.append(box)
+        if not split:
+            break
+        children: list = [None] * len(split)
+        points = _split_points(f, [rect for rect, _, _ in split])
+        for attempt in range(3):
+            todo = [i for i, kids in enumerate(children) if kids is None]
+            if not todo:
+                break
+            quads = [split[i][0].split(*points[i][attempt]) for i in todo]
+            counted = _count_adaptive(f, [q for qs in quads for q in qs], check_boundary=False)
+            for j, (i, qs) in enumerate(zip(todo, quads)):
+                results = counted[4 * j : 4 * j + 4]
+                if any(isinstance(r, Exception) for r in results):
+                    continue
+                counts = [n for n, _ in results]
+                rect, count, _ = split[i]
+                if sum(counts) != count:
+                    raise QuadratureError(
+                        f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
+                    )
+                children[i] = [(q, n, w1) for q, (n, w1) in zip(qs, results)]
+        level = []
+        for box, kids in zip(split, children):
+            if kids is not None:
+                level.extend(kids)
                 continue
-            counts = [n for n, _ in counted]
-            if sum(counts) != count:
-                raise QuadratureError(
-                    f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
-                )
-            found: list[Zero] = []
-            for q, (n, w1) in zip(quads, counted):
-                found.extend(_isolate(f, q, n, w1, depth + 1))
-            return found
-        # No subdivision counted: the zeros are too tightly packed for
-        # contour work at this scale.  A small box is one cluster (for a
-        # true multiple zero the relocated centroid is exact); a larger one
-        # is a failed search, not a multiple zero.
-        if rect.diameter > _MAX_CLUSTER_DIAMETER:
-            raise QuadratureError(
-                f"no subdivision of {rect} counts its {count} zeros"
-            )
-    if moment is None:
-        _, moment = _count_adaptive(f, rect, check_boundary=False)
-    if count == 1:
-        z, refined = _newton_polish(f, moment, rect)
-        return [Zero(z, 1, refined)]
-    return [Zero(_cluster_locate(f, rect, count, moment), count, False)]
+            # No subdivision counted: the zeros are too tightly packed for
+            # contour work at this scale.  A small box is one cluster (for a
+            # true multiple zero the relocated centroid is exact); a larger
+            # one is a failed search, not a multiple zero.
+            rect, count, _ = box
+            if rect.diameter > _MAX_CLUSTER_DIAMETER:
+                raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
+            leaves.append(box)
+    zeros = []
+    for rect, count, moment in leaves:
+        if moment is None:
+            (counted,) = _count_adaptive(f, [rect], check_boundary=False)
+            if isinstance(counted, Exception):
+                raise counted
+            moment = counted[1]
+        if count == 1:
+            z, refined = _newton_polish(f, moment, rect)
+            zeros.append(Zero(z, 1, refined))
+        else:
+            zeros.append(Zero(_cluster_locate(f, rect, count, moment), count, False))
+    return zeros
 
 
 def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
@@ -577,8 +682,10 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     ``count_zeros``.  The window inflates by small factors (up to
     ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
     zero or its count does not converge; the window actually used is
-    recorded on the result.  Simple zeros are Newton polished, from their
-    box's first moment, to |f(z)| <= 1e-12 of the local term scale inside
+    recorded on the result.  Isolation works level by level (``_isolate``):
+    all boxes of a level share each quadrature round, so a search makes a
+    kernel call per round of a level, not per box.  Simple zeros are Newton
+    polished, from their box's first moment, to |f(z)| <= 1e-12 of the local term scale inside
     the box that counted them.  A box of diameter at most 1e-6 that counts
     several zeros, or one of at most 1e-4 that no split can count, is
     reported as one zero with summed multiplicity and ``refined=False``; a
@@ -590,7 +697,7 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
 
 def _zero_set(f: ExpPoly, window: Rectangle, total: int) -> ZeroSet:
     """Isolate the ``total`` zeros already counted over ``window``."""
-    zeros = _isolate(f, window, total, None, 0)
+    zeros = _isolate(f, window, total)
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     zeros.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
     return ZeroSet(tuple(zeros), window, total)

@@ -360,7 +360,7 @@ def test_continue_log_evaluates_each_point_once(monkeypatch):
     end = continue_log(f, loop)
     # one kernel call per refinement round (113 points, then 3), not one per step
     assert len(calls) <= 4
-    assert max(c.size for c in calls) <= continuation._MAX_CALL_POINTS
+    assert max(c.size for c in calls) <= exppoly._MAX_CALL_POINTS
     # no node twice: the calls together hold the accepted nodes exactly
     # (the loop retraces its legs, so positions repeat as often as nodes do)
     assert _as_pairs(np.concatenate(calls)) == _as_pairs(nodes)
@@ -411,8 +411,8 @@ def test_continue_log_caps_the_points_per_kernel_call(monkeypatch):
     _, nodes = continuation._track(f, loop)
     calls = _spy_parts(monkeypatch)
     end = continue_log(f, loop)
-    assert nodes.size > continuation._MAX_CALL_POINTS
-    assert max(c.size for c in calls) == continuation._MAX_CALL_POINTS
+    assert nodes.size > exppoly._MAX_CALL_POINTS
+    assert max(c.size for c in calls) == exppoly._MAX_CALL_POINTS
     assert sum(c.size for c in calls) == nodes.size
     measured = cmath.exp((end.logf - evaluate_log(f, base)) / base)
     assert abs(measured - cmath.exp(TAU * 1j / base)) <= 1e-6

@@ -92,9 +92,7 @@ def test_evaluate_log_known_values():
         evaluate_log(g, complex(0.0, math.pi))
 
 
-@pytest.mark.parametrize(
-    "log_fn", [exppoly.evaluate_log, exppoly.log_derivative, exppoly.log_with_derivative]
-)
+@pytest.mark.parametrize("log_fn", [exppoly.evaluate_log, exppoly.log_derivative])
 def test_log_and_its_derivative_share_one_singular_rule(log_fn):
     # the Newton-polished zero near i pi of e^p + 1, where f is not exactly 0
     f = from_vector(RealVector((math.e, 1.0)))
@@ -393,9 +391,9 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     seen = []
     real = exppoly._contour_sums
 
-    def spy(f, rect, check_boundary):
-        seen.append(rect)
-        return real(f, rect, check_boundary)
+    def spy(f, rects, check_boundary):
+        seen.extend(rects)
+        return real(f, rects, check_boundary)
 
     monkeypatch.setattr(exppoly, "_contour_sums", spy)
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
@@ -406,8 +404,9 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
 def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
     # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
     # window's midline: a split there fails and costs kernel calls, which
-    # the ranking of candidate lines by min |f| avoids (24 calls with the
-    # ranking, 53 when the midpoint is tried first)
+    # the ranking of candidate lines by min |f| avoids (13 calls with the
+    # ranking and one call per round of a level; 24 with a call per box,
+    # 53 when the midpoint was tried first)
     calls = []
     real = exppoly._parts
 
@@ -419,6 +418,22 @@ def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
     assert len(calls) <= 32
+
+
+def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(monkeypatch):
+    # e^p + 1 has 6 zeros here; every box of a level shares each quadrature
+    # round and the split-line sampling (21 calls; 41 with one per box)
+    calls = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        calls.append(1)
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    zs = find_zeros(from_vector(RealVector((math.e, 1.0))), WINDOW)
+    assert zs.total == 6 and all(z.refined for z in zs.zeros)
+    assert len(calls) <= 26
 
 
 @pytest.mark.parametrize(
@@ -435,7 +450,7 @@ def test_split_points_rank_both_axes_in_one_kernel_call(monkeypatch, coords, rec
         return real(f, ps)
 
     monkeypatch.setattr(exppoly, "_parts", spy)
-    points = exppoly._split_points(f, rect)
+    (points,) = exppoly._split_points(f, [rect])
     assert calls == [2 * 9 * 65]
     monkeypatch.undo()
 
@@ -473,10 +488,10 @@ def test_a_wide_box_whose_splits_all_fail_is_not_a_cluster(monkeypatch):
     # only the outer window counts; every split count fails
     real = exppoly._count_adaptive
 
-    def split_counts_fail(f, rect, check_boundary):
+    def split_counts_fail(f, rects, check_boundary):
         if not check_boundary:
-            raise QuadratureError("split count refused")
-        return real(f, rect, check_boundary)
+            return [QuadratureError("split count refused") for _ in rects]
+        return real(f, rects, check_boundary)
 
     monkeypatch.setattr(exppoly, "_count_adaptive", split_counts_fail)
     f = from_vector(RealVector((math.e, 1.0)))

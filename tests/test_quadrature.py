@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pnormcert import (
+    BoundaryProximityError,
     ExpPoly,
     QuadratureError,
     RealVector,
@@ -170,7 +171,80 @@ def test_a_count_that_cannot_converge_costs_no_more_than_the_uniform_rule(monkey
     f = from_vector(RealVector((1.0, 2.0)))
     with pytest.raises(QuadratureError):
         count_zeros(f, Rectangle(-1e50, 1e50, 0.5, 40.0))
-    assert points[0] == 15 * 420
+    # the first round is the 420 base panels, in calls of at most the cap
+    cap = exppoly._MAX_CALL_POINTS
+    assert points[:2] == [cap, 15 * 420 - cap]
+
+
+def test_no_kernel_call_of_a_many_zero_search_passes_the_cap(monkeypatch):
+    # 35 zeros: the wide levels of this search hold more panels per round
+    # than one call may take
+    sizes = []
+    real = exppoly._parts
+
+    def spy(f, ps):
+        sizes.append(np.size(ps))
+        return real(f, ps)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    zs = find_zeros(from_vector(RealVector((1.0, 2.0, 3.0))), Rectangle(-1.0, 1.0, 0.5, 200.0))
+    assert zs.total == 35 and sum(z.multiplicity for z in zs.zeros) == 35
+    assert max(sizes) == exppoly._MAX_CALL_POINTS
+
+
+@st.composite
+def sums_and_batches(draw):
+    """A 2-4 term sum and a batch of boxes to count together.
+
+    Up to four plain boxes; some batches also hold a box whose count cannot
+    converge (Re +-1e50) and one whose bottom edge runs through a zero.
+    """
+    betas = np.cumsum(
+        [draw(st.floats(-2.0, 2.0))]
+        + draw(st.lists(st.floats(0.3, 2.0), min_size=1, max_size=3))
+    ).tolist()
+    f = ExpPoly(tuple((b, draw(st.integers(1, 4))) for b in betas))
+    box = st.builds(
+        lambda x, w, y, h: Rectangle(x, x + w, y, y + h),
+        st.floats(-2.0, 2.0),
+        st.floats(0.05, 3.0),
+        st.floats(-5.0, 30.0),
+        st.floats(0.05, 20.0),
+    )
+    rects = draw(st.lists(box, min_size=1, max_size=4))
+    if draw(st.integers(0, 4)) == 3:
+        rects.insert(draw(st.integers(0, len(rects))), Rectangle(-1e50, 1e50, 0.5, 1.5))
+    if draw(st.booleans()):
+        zeros = find_zeros(f, Rectangle(-2.0, 2.0, 0.5, 12.0)).zeros
+        if zeros:
+            z = zeros[0].location
+            edge = Rectangle(z.real - 0.5, z.real + 0.5, z.imag, z.imag + 1.0)
+            rects.insert(draw(st.integers(0, len(rects))), edge)
+    return f, rects
+
+
+def _bits(sums: tuple[complex, complex, float]) -> tuple[str, ...]:
+    w0, w1, err = sums
+    return (w0.real.hex(), w0.imag.hex(), w1.real.hex(), w1.imag.hex(), err.hex())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(sums_and_batches())
+def test_a_box_counts_the_same_in_any_batch(case):
+    f, rects = case
+    batch = exppoly._contour_sums(f, rects, check_boundary=False)
+    for rect, sums in zip(rects, batch):
+        (alone,) = exppoly._contour_sums(f, [rect], check_boundary=False)
+        assert _bits(sums) == _bits(alone)
+    for rect, counted in zip(rects, exppoly._count_adaptive(f, rects, check_boundary=False)):
+        try:
+            expected = count_zeros(f, rect)
+        except BoundaryProximityError:
+            # only the outer count tests the contour's clearance
+            continue
+        except QuadratureError:
+            expected = None
+        assert (None if isinstance(counted, Exception) else counted[0]) == expected
 
 
 @pytest.mark.parametrize(
@@ -179,7 +253,9 @@ def test_a_count_that_cannot_converge_costs_no_more_than_the_uniform_rule(monkey
 def test_a_converged_winding_counts_within_1e_3_of_an_integer(monkeypatch, winding, count):
     # with a zero error estimate only the distance to the nearest integer decides
     monkeypatch.setattr(
-        exppoly, "_contour_sums", lambda f, rect, check_boundary: (complex(winding), 0j, 0.0)
+        exppoly,
+        "_contour_sums",
+        lambda f, rects, check_boundary: [(complex(winding), 0j, 0.0) for _ in rects],
     )
     f = from_vector(RealVector((math.e, 1.0)))
     rect = Rectangle(-1.0, 1.0, 1.0, 20.0)
