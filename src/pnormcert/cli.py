@@ -262,6 +262,11 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
         raise InvalidInputError(
             "window: analyze reads it only with options.include_zero_evidence true"
         )
+    if _reads(job, "interval"):
+        try:
+            make_grid(*job.interval, default_grid_count(len(vectors)))
+        except InvalidInputError as err:
+            raise InvalidInputError(f"interval: {err}") from None
     return job
 
 
@@ -531,8 +536,11 @@ def main(argv: list[str] | None = None) -> int:
         job = parse_jobspec(text, args.command)
         if args.threads < 1:
             raise InvalidInputError("--threads must be at least 1")
-        if args.curves and job.command not in TABLE_COMMANDS:
-            raise InvalidInputError(f"--curves: {job.command} certifies no norm table")
+        if args.curves:
+            if job.command not in TABLE_COMMANDS:
+                raise InvalidInputError(f"--curves: {job.command} certifies no norm table")
+            if args.output and os.path.realpath(args.curves) == os.path.realpath(args.output):
+                raise InvalidInputError("--curves: same file as --output")
         cert, exit_code = run(job, args.threads)
         text = cert.to_json()
         files = [(args.output, text)] if args.output else []

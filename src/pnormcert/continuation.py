@@ -86,7 +86,11 @@ class BranchState:
 
     p: complex
     logf: complex
-    norm_value: complex
+
+    @property
+    def norm_value(self) -> complex:
+        # computed on read: it overflows for p near 0, where loops read only logf
+        return cmath.exp(self.logf / self.p)
 
 
 def pnorms(v: RealVector, ps: float | tuple[float, ...] | np.ndarray) -> np.ndarray:
@@ -170,7 +174,7 @@ def _track(f: ExpPoly, path: Path) -> tuple[BranchState, np.ndarray]:
         used += new.size
     p = complex(nodes[-1])
     logf = complex(logs[-1].real, logs[0].imag + math.fsum(darg))
-    return BranchState(p, logf, cmath.exp(logf / p)), nodes
+    return BranchState(p, logf), nodes
 
 
 def _check_budget(used: int, more: float, point: complex) -> None:

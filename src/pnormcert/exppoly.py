@@ -46,7 +46,6 @@ _MAX_BISECTIONS = 16
 _CLUSTER_DIAMETER = 1e-6
 # A box whose splits all fail is one cluster only up to this diameter.
 _MAX_CLUSTER_DIAMETER = 1e-4
-_MAX_DEPTH = 64
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
@@ -374,8 +373,9 @@ def _contour_sums(
     been bisected _MAX_BISECTIONS times, or when none of its panels is over
     its share.  A box's panels keep their order and its sums are reduced on
     their own, so its result does not depend on the other boxes in
-    ``rects``.  ``check_boundary`` applies the relative-|f| test to the
-    first round's nodes, raising for the first box that fails it.
+    ``rects``.  ``check_boundary`` is for a batch of one box (the outer
+    count of ``count_zeros``): it applies the relative-|f| test to the
+    first round's nodes and raises naming ``rects[0]``.
     """
     boxes = len(rects)
     centers, halves, owner, base = _contour_panels(rects)
@@ -394,20 +394,18 @@ def _contour_sums(
         pts = centers[:, None] + halves[:, None] * _KRONROD_NODES
         _, s_val, ds_val, bound = _chunked_parts(f, pts.ravel())
         if check_boundary and bisections == 0:
-            rel = (np.abs(s_val) / bound).reshape(pts.shape).min(axis=1)
-            for i in dict.fromkeys(owner[rel < _BOUNDARY_REL_MIN].tolist()):
-                rel_min = np.min(rel[owner == i])  # a nan node makes it nan: no refusal
-                if rel_min < _BOUNDARY_REL_MIN:
-                    raise BoundaryProximityError(
-                        f"contour of {rects[i]} passes within relative magnitude "
-                        f"{rel_min:.2e} of a zero; inflate the window"
-                    )
+            rel_min = np.min(np.abs(s_val) / bound)  # a nan node makes it nan: no refusal
+            if rel_min < _BOUNDARY_REL_MIN:
+                raise BoundaryProximityError(
+                    f"contour of {rects[0]} passes within relative magnitude "
+                    f"{rel_min:.2e} of a zero; inflate the window"
+                )
         integrand = (ds_val / s_val).reshape(pts.shape)
         k0 = halves * (integrand * _KRONROD_WEIGHTS).sum(axis=1)
         e0 = np.abs(halves * (integrand * (_KRONROD_WEIGHTS - _GAUSS_WEIGHTS)).sum(axis=1))
         # a panel's share of the tolerance is its share of its box's perimeter
         pending = e0 > tol * np.abs(halves) / span[owner]
-        # far from the origin the moment can overflow; _count_adaptive refuses it
+        # far from the origin the moment can overflow; _judge_winding refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = halves * (pts * integrand * _KRONROD_WEIGHTS).sum(axis=1)
             # Each channel summed per box over its done and its pending
@@ -467,28 +465,28 @@ def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     one f cannot have: a rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     """
-    (counted,) = _count_adaptive(f, [rect], check_boundary=True)
+    counted = _judge_winding(f, rect, _contour_sums(f, [rect], True)[0])
     if isinstance(counted, Exception):
         raise counted
     return counted[0]
 
 
 def _count_adaptive(
-    f: ExpPoly, rects: list[Rectangle], check_boundary: bool
+    f: ExpPoly, rects: list[Rectangle]
 ) -> list[tuple[int, complex] | QuadratureError | BoundaryProximityError]:
     """Per box of ``rects``: (count, first moment), or the error that refuses it.
 
-    All boxes are integrated in one ``_contour_sums`` batch and each is
-    judged on its own, by the rules of ``count_zeros``.
+    All boxes are integrated in one ``_contour_sums`` batch, without the
+    boundary test, and each is judged on its own by ``_judge_winding``.
     """
     return [
-        _judge_winding(f, rect, sums, check_boundary)
-        for rect, sums in zip(rects, _contour_sums(f, rects, check_boundary))
+        _judge_winding(f, rect, sums)
+        for rect, sums in zip(rects, _contour_sums(f, rects, False))
     ]
 
 
 def _judge_winding(
-    f: ExpPoly, rect: Rectangle, sums: tuple[complex, complex, float], check_boundary: bool
+    f: ExpPoly, rect: Rectangle, sums: tuple[complex, complex, float]
 ) -> tuple[int, complex] | QuadratureError | BoundaryProximityError:
     """The count and first moment that the contour ``sums`` of one box give,
     or the error that refuses them."""
@@ -510,12 +508,9 @@ def _judge_winding(
         # A winding near a half-integer means a zero sits on the contour
         # itself; on an outer window that calls for inflation.
         if abs(w0 - (math.floor(w0.real) + 0.5)) < _QUAD_TOL:
-            if check_boundary:
-                return BoundaryProximityError(
-                    f"winding over {rect} came to {w0.real:.4f}: "
-                    "a zero lies on the contour"
-                )
-            return QuadratureError(f"split contour of {rect} runs through a zero")
+            return BoundaryProximityError(
+                f"winding over {rect} came to {w0.real:.4f}: a zero lies on the contour"
+            )
     return QuadratureError(
         f"winding integral over {rect} did not converge on an integer "
         f"(value {w0}, error estimate {err:.2e})"
@@ -537,7 +532,7 @@ def _cluster_locate(f: ExpPoly, rect: Rectangle, count: int, moment: complex) ->
     h = max(0.06, 1.5 * min_half)
     while h >= min_half:
         box = Rectangle(cx - h, cx + h, cy - h, cy + h)
-        (counted,) = _count_adaptive(f, [box], check_boundary=False)
+        (counted,) = _count_adaptive(f, [box])
         if not isinstance(counted, Exception) and counted[0] == count:
             return counted[1] / count
         h /= 2.0
@@ -601,69 +596,64 @@ def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, 
 
 
 def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
-    """The ``total`` zeros in ``window``, isolated level by level.
+    """The ``total`` zeros in ``window``, in ``ZeroSet`` order, isolated in count rounds.
 
-    A level is every box of one subdivision depth.  Each box with several
-    zeros, wider than _CLUSTER_DIAMETER and less than _MAX_DEPTH deep, is
-    split: ``_split_points`` ranks the lines of all of them in one
-    evaluation, and attempt k counts the quadrants at the k-th point of
-    every box not yet split in one ``_count_adaptive`` batch.  Quadrants
-    that all count must sum to their box's count; they join the next level
-    with their counts and moments, so no box is integrated twice.  A box
-    that no attempt splits is one cluster up to diameter
-    _MAX_CLUSTER_DIAMETER, and fails the search beyond it (the first such
-    box of the level raises).  Leaves are polished once every level is
-    done.  Only the outer window, counted through ``count_zeros``, comes
-    without a moment; as a leaf it integrates once more for it.
+    A box with several zeros that is wider than _CLUSTER_DIAMETER splits.
+    Each round counts in one ``_count_adaptive`` batch the quadrants of
+    every box being split: a box new to the round at the best of its three
+    ``_split_points`` (ranked for all new boxes in one evaluation), a box
+    whose last try failed at its next point.  Quadrants that all count must
+    sum to their box's count and are the next round's new boxes, with their
+    counts and moments, so no box is integrated twice.  Split fractions lie
+    in 0.3-0.7, so the cluster diameters end every search without a depth
+    cap: a box that no try splits is one cluster up to diameter
+    _MAX_CLUSTER_DIAMETER and fails the search beyond it.  Leaves are
+    polished after the last round.  Only the outer window, counted through
+    ``count_zeros``, comes without a moment; as a leaf it integrates once
+    more for it.
     """
-    level: list[tuple[Rectangle, int, complex | None]] = [(window, total, None)]
     leaves = []
-    for depth in range(_MAX_DEPTH + 1):
+    new: list[tuple[Rectangle, int, complex | None]] = [(window, total, None)]
+    retry = []
+    while True:
         split = []
-        for box in level:
+        for box in new:
             rect, count, _ = box
-            if count > 1 and rect.diameter > _CLUSTER_DIAMETER and depth < _MAX_DEPTH:
+            if count > 1 and rect.diameter > _CLUSTER_DIAMETER:
                 split.append(box)
             elif count:
                 leaves.append(box)
-        if not split:
+        ranked = _split_points(f, [rect for rect, _, _ in split]) if split else []
+        # (box, its split points, the index of the one to try)
+        tries = [(box, points, 0) for box, points in zip(split, ranked)] + retry
+        if not tries:
             break
-        children: list = [None] * len(split)
-        points = _split_points(f, [rect for rect, _, _ in split])
-        for attempt in range(3):
-            todo = [i for i, kids in enumerate(children) if kids is None]
-            if not todo:
-                break
-            quads = [split[i][0].split(*points[i][attempt]) for i in todo]
-            counted = _count_adaptive(f, [q for qs in quads for q in qs], check_boundary=False)
-            for j, (i, qs) in enumerate(zip(todo, quads)):
-                results = counted[4 * j : 4 * j + 4]
-                if any(isinstance(r, Exception) for r in results):
-                    continue
+        quads = [box[0].split(*points[k]) for box, points, k in tries]
+        counted = _count_adaptive(f, [q for qs in quads for q in qs])
+        new, retry = [], []
+        for j, (box, points, k) in enumerate(tries):
+            rect, count, _ = box
+            results = counted[4 * j : 4 * j + 4]
+            if not any(isinstance(r, Exception) for r in results):
                 counts = [n for n, _ in results]
-                rect, count, _ = split[i]
                 if sum(counts) != count:
                     raise QuadratureError(
                         f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                     )
-                children[i] = [(q, n, w1) for q, (n, w1) in zip(qs, results)]
-        level = []
-        for box, kids in zip(split, children):
-            if kids is not None:
-                level.extend(kids)
-                continue
-            # No subdivision counted: the zeros are too tightly packed for
-            # contour work at this scale.  A small box is one cluster (for a
-            # true multiple zero the relocated centroid is exact); a larger
-            # one is a failed search, not a multiple zero.
-            rect, count, _ = box
-            if rect.diameter > _MAX_CLUSTER_DIAMETER:
+                new += [(q, n, w1) for q, (n, w1) in zip(quads[j], results)]
+            elif k + 1 < len(points):
+                retry.append((box, points, k + 1))
+            # No try counted: the zeros are too tightly packed for contour work
+            # at this scale.  A small box is one cluster (exact for a multiple
+            # zero); a larger one is a failed search, not a multiple zero.
+            elif rect.diameter > _MAX_CLUSTER_DIAMETER:
                 raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
-            leaves.append(box)
+            else:
+                leaves.append(box)
     zeros = []
     for rect, count, moment in leaves:
         if moment is None:
-            (counted,) = _count_adaptive(f, [rect], check_boundary=False)
+            (counted,) = _count_adaptive(f, [rect])
             if isinstance(counted, Exception):
                 raise counted
             moment = counted[1]
@@ -672,7 +662,8 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
             zeros.append(Zero(z, 1, refined))
         else:
             zeros.append(Zero(_cluster_locate(f, rect, count, moment), count, False))
-    return zeros
+    # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
+    return sorted(zeros, key=lambda z: (round(z.location.real, 9), z.location.imag))
 
 
 def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
@@ -682,25 +673,18 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     ``count_zeros``.  The window inflates by small factors (up to
     ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
     zero or its count does not converge; the window actually used is
-    recorded on the result.  Isolation works level by level (``_isolate``):
-    all boxes of a level share each quadrature round, so a search makes a
-    kernel call per round of a level, not per box.  Simple zeros are Newton
-    polished, from their box's first moment, to |f(z)| <= 1e-12 of the local term scale inside
+    recorded on the result.  Isolation works in count rounds (``_isolate``):
+    every box being split in a round shares each quadrature round of its
+    batch, so a search makes a kernel call per quadrature round of a count
+    round, not per box.  Simple zeros are Newton polished, from their box's
+    first moment, to |f(z)| <= 1e-12 of the local term scale inside
     the box that counted them.  A box of diameter at most 1e-6 that counts
     several zeros, or one of at most 1e-4 that no split can count, is
     reported as one zero with summed multiplicity and ``refined=False``; a
     wider box that no split can count raises QuadratureError.
     """
     window, (total,) = _counted_window((f,), rect)
-    return _zero_set(f, window, total)
-
-
-def _zero_set(f: ExpPoly, window: Rectangle, total: int) -> ZeroSet:
-    """Isolate the ``total`` zeros already counted over ``window``."""
-    zeros = _isolate(f, window, total)
-    # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
-    zeros.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
-    return ZeroSet(tuple(zeros), window, total)
+    return ZeroSet(tuple(_isolate(f, window, total)), window, total)
 
 
 def _counted_window(polys: tuple[ExpPoly, ...], rect: Rectangle) -> tuple[Rectangle, list[int]]:
@@ -739,7 +723,7 @@ def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
     """
     window, totals = _counted_window(tuple(polys), rect)
     zero_sets = [
-        _zero_set(f, window, n).zeros if totals.count(n) > 1 else None
+        _isolate(f, window, n) if totals.count(n) > 1 else None
         for f, n in zip(polys, totals)
     ]
     return [
@@ -749,7 +733,7 @@ def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
     ]
 
 
-def _zeros_match(zf: tuple[Zero, ...], zg: tuple[Zero, ...]) -> bool:
+def _zeros_match(zf: list[Zero], zg: list[Zero]) -> bool:
     """Greedy nearest-first matching of two zero lists of equal total."""
     remaining = list(zg)
     for zero in zf:

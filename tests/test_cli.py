@@ -179,6 +179,22 @@ def test_parse_interval_validation():
         parse_jobspec(job_text(command="norms", vectors=[[1]], interval=[1]))
 
 
+@pytest.mark.parametrize(
+    "command, interval",
+    [
+        ("norms", [1e300, "inf"]),
+        ("analyze", [1, 1.0000000000000002]),
+        ("analyze", [1.7976931348623157e308, "inf"]),
+    ],
+)
+def test_main_names_an_interval_the_grid_cannot_sample(tmp_path, capsys, command, interval):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command=command, vectors=[[1, 2]], interval=interval))
+    assert main([command, "--input", str(job_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: interval: ") and not captured.out
+
+
 def test_parse_option_validation():
     for key, value in (
         ("radius", 0),
@@ -603,6 +619,21 @@ def test_main_refuses_curves_without_a_norm_table(tmp_path, capsys, monkeypatch,
     assert not captured.out and not curve_file.exists()
 
 
+def test_main_refuses_curves_onto_the_certificate(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    Path("n.json").write_text(job_text(command="norms", **RUNNABLE["norms"]))
+    argv = ["norms", "--input", "n.json", "--output", "same.out"]
+    assert main(argv + ["--curves", str(tmp_path / "same.out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --curves: same file as --output\n"
+    assert not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["n.json"]
+
+
 def test_main_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["zeros", "--input", str(missing)]) == 1
@@ -781,3 +812,14 @@ def test_monodromy_at_a_vanishing_quad_tol_does_not_blame_the_input(
     assert main(["monodromy", "--input", str(job_file)]) == 3
     captured = capsys.readouterr()
     assert "not a zero" not in captured.err and not captured.out
+
+
+def test_monodromy_at_a_tiny_base_p_reads_no_norm_value(tmp_path, capsys):
+    # exp(logf / p) overflows for p near 0; a loop reads only log f, so the
+    # continued norm value must not be computed for it
+    job_file = tmp_path / "job.json"
+    doc = {"vectors": [[1, 2]], "options": {"base_p": [1e-6, 1e-9], "target_index": 0}}
+    job_file.write_text(job_text(command="monodromy", **doc))
+    assert main(["monodromy", "--input", str(job_file)]) == 0
+    loops = json.loads(capsys.readouterr().out)["payload"]["results"][0]["loops"]
+    assert [loop["rel_error"] for loop in loops] == [0.0, 0.0]

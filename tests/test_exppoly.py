@@ -405,8 +405,8 @@ def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
     # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
     # window's midline: a split there fails and costs kernel calls, which
     # the ranking of candidate lines by min |f| avoids (13 calls with the
-    # ranking and one call per round of a level; 24 with a call per box,
-    # 53 when the midpoint was tried first)
+    # ranking and one call per quadrature round of a count round; 24 with a
+    # call per box, 53 when the midpoint was tried first)
     calls = []
     real = exppoly._parts
 
@@ -421,8 +421,9 @@ def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
 
 
 def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(monkeypatch):
-    # e^p + 1 has 6 zeros here; every box of a level shares each quadrature
-    # round and the split-line sampling (21 calls; 41 with one per box)
+    # e^p + 1 has 6 zeros here; every box split in a count round shares each
+    # quadrature round, and every new box the split-line sampling (21 calls;
+    # 41 with one per box)
     calls = []
     real = exppoly._parts
 
@@ -486,14 +487,40 @@ def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
 
 def test_a_wide_box_whose_splits_all_fail_is_not_a_cluster(monkeypatch):
     # only the outer window counts; every split count fails
-    real = exppoly._count_adaptive
-
-    def split_counts_fail(f, rects, check_boundary):
-        if not check_boundary:
-            return [QuadratureError("split count refused") for _ in rects]
-        return real(f, rects, check_boundary)
-
-    monkeypatch.setattr(exppoly, "_count_adaptive", split_counts_fail)
+    monkeypatch.setattr(
+        exppoly,
+        "_count_adaptive",
+        lambda f, rects: [QuadratureError("split count refused") for _ in rects],
+    )
     f = from_vector(RealVector((math.e, 1.0)))
     with pytest.raises(QuadratureError, match="no subdivision"):
         find_zeros(f, Rectangle(-1, 1, 1, 20))
+
+
+def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
+    # e^p + 1 has its six zeros here on Re p = 0; boxes below Im 10 try that
+    # line first, so their first split runs through a zero and is refused,
+    # while the boxes above split at their best point at once
+    f = from_vector(RealVector((math.e, 1.0)))
+    real_points, real_count = exppoly._split_points, exppoly._count_adaptive
+    refused = []
+
+    def midline_first(f, rects):
+        ranked = real_points(f, rects)
+        for rect, points in zip(rects, ranked):
+            if rect.im_min < 10 and rect.re_min < 0 < rect.re_max:
+                points[0] = (0.0, points[0][1])
+        return ranked
+
+    def spy(f, rects):
+        counted = real_count(f, rects)
+        refused.extend(r for r, c in zip(rects, counted) if isinstance(c, Exception))
+        return counted
+
+    monkeypatch.setattr(exppoly, "_split_points", midline_first)
+    monkeypatch.setattr(exppoly, "_count_adaptive", spy)
+    zs = find_zeros(f, WINDOW)
+    assert refused and all(0.0 in (r.re_min, r.re_max) for r in refused)
+    assert zs.total == 6 and all(z.multiplicity == 1 and z.refined for z in zs.zeros)
+    for k, z in enumerate(zs.zeros):
+        assert abs(z.location - 1j * math.pi * (2 * k + 1)) <= 1e-12 * abs(z.location)

@@ -236,7 +236,7 @@ def test_a_box_counts_the_same_in_any_batch(case):
     for rect, sums in zip(rects, batch):
         (alone,) = exppoly._contour_sums(f, [rect], check_boundary=False)
         assert _bits(sums) == _bits(alone)
-    for rect, counted in zip(rects, exppoly._count_adaptive(f, rects, check_boundary=False)):
+    for rect, counted in zip(rects, exppoly._count_adaptive(f, rects)):
         try:
             expected = count_zeros(f, rect)
         except BoundaryProximityError:
