@@ -42,10 +42,8 @@ _MAX_INFLATIONS = 8
 _PANEL_BUDGET = 128
 # A base panel is bisected at most this many times.
 _MAX_BISECTIONS = 16
-# Boxes narrower than this that still count several zeros are one cluster.
+# A box no wider than this is not split: its zeros must be one multiple zero.
 _CLUSTER_DIAMETER = 1e-6
-# A box whose splits all fail is one cluster only up to this diameter.
-_MAX_CLUSTER_DIAMETER = 1e-4
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
@@ -202,11 +200,12 @@ DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
 
 @dataclass(frozen=True)
 class Zero:
-    """One isolated zero (or unresolved cluster) with its multiplicity.
+    """One isolated zero with its multiplicity.
 
-    ``refined`` is False when Newton polishing did not converge inside the
-    box that counted the zero and the location is that box's contour
-    centroid only (always the case for clusters).
+    ``refined`` is True when Newton on f^(multiplicity - 1) ended inside the
+    box that counted the zero, with |f| <= 1e-12 of the local term scale.
+    Only a simple zero can be unrefined; its location is then that box's
+    contour centroid.
     """
 
     location: complex
@@ -254,19 +253,22 @@ def from_vector(v: RealVector) -> ExpPoly:
 
 
 def _parts(
-    f: ExpPoly, ps: complex | np.ndarray
+    f: ExpPoly, ps: complex | np.ndarray, order: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(M, S, S', bound) at the points ``ps`` (a scalar is one point).
+    """(M, S, S', bound) of the derivative f^(order) at the points ``ps`` (a
+    scalar is one point).
 
-    f = exp(M) * S and f' = exp(M) * S'.  M is the largest real part over
-    terms of exponent * p, so no summand of S exceeds its coefficient and
-    nothing overflows while |M| < ~709.  bound = sum_j c_j |exp(beta_j p - M)|.
+    f^(order) = exp(M) * S and f^(order+1) = exp(M) * S'.  M is the largest
+    real part over terms of exponent * p, so no summand of S exceeds its
+    coefficient c_j * beta_j^order and nothing overflows while |M| < ~709.
+    bound = sum_j |c_j * beta_j^order * exp(beta_j p - M)|.
     """
     ps = np.asarray(ps).reshape(-1)
     betas = f.exponents
     re = ps.real
     m_val = np.maximum(betas[0] * re, betas[-1] * re)
-    weighted = f.multiplicities[:, None] * np.exp(np.multiply.outer(betas, ps) - m_val)
+    coeffs = f.multiplicities * betas**order if order else f.multiplicities
+    weighted = coeffs[:, None] * np.exp(np.multiply.outer(betas, ps) - m_val)
     s_val = np.add.reduce(weighted)
     ds_val = np.add.reduce(betas[:, None] * weighted)
     bound = np.add.reduce(np.abs(weighted))
@@ -492,16 +494,17 @@ def _judge_winding(
     or the error that refuses them."""
     w0, w1, err = sums
     spread = f.exponents[-1] - f.exponents[0]
-    max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms)
+    max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms) - 1
     if math.isfinite(err):
         # an overflowing moment leaves the winding noise, so it is refused first
         if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
             return QuadratureError(f"first moment over {rect} overflows float64")
         n = round(w0.real)
-        if abs(n) >= max_count:
+        # the slack keeps a count that meets the bound from failing on rounding
+        if abs(n) > max_count * (1.0 + 1e-9):
             return QuadratureError(
                 f"winding over {rect} came to {w0.real:.4g}, but f has "
-                f"fewer than {max_count:.4g} zeros there"
+                f"at most {max_count:.4g} zeros there"
             )
         if err < _WINDING_ERROR_TOL and n >= 0 and abs(w0 - n) < _QUAD_TOL:
             return n, w1
@@ -517,35 +520,22 @@ def _judge_winding(
     )
 
 
-def _cluster_locate(f: ExpPoly, rect: Rectangle, count: int, moment: complex) -> complex:
-    """Centroid of the zero cluster filling ``rect``, whose count gave ``moment``.
+def _newton_polish(
+    f: ExpPoly, z0: complex, rect: Rectangle, order: int = 0
+) -> tuple[complex, bool]:
+    """Refine the estimate ``z0`` of a zero of multiplicity order + 1 inside
+    ``rect`` by Newton on f^(order), where that zero is simple; else keep ``z0``.
 
-    The moment integral over a box of the cluster's own (tiny) scale drowns
-    in cancellation noise, so widen to an enclosing square, shrinking from a
-    comfortable size until the zero count over it matches: that box holds
-    exactly this cluster and its contour is far enough out for a clean
-    centroid.  Without such a box the centroid is ``rect``'s own moment.
+    A point is accepted only inside ``rect`` (outside it is some other zero)
+    with |f| <= 1e-12 of the local term scale.  For order >= 1 Newton must
+    also have converged on f^(order): near a multiple zero |f| is that small
+    in a wide disc, and a zero of f^(order) alone may be no zero of f.
     """
-    cx = 0.5 * (rect.re_min + rect.re_max)
-    cy = 0.5 * (rect.im_min + rect.im_max)
-    min_half = 0.5 * max(rect.width, rect.height)
-    h = max(0.06, 1.5 * min_half)
-    while h >= min_half:
-        box = Rectangle(cx - h, cx + h, cy - h, cy + h)
-        (counted,) = _count_adaptive(f, [box])
-        if not isinstance(counted, Exception) and counted[0] == count:
-            return counted[1] / count
-        h /= 2.0
-    return moment / count
-
-
-def _newton_polish(f: ExpPoly, z0: complex, rect: Rectangle) -> tuple[complex, bool]:
-    """Refine a simple-zero estimate inside ``rect``; else keep the contour value."""
     z = z0
     reach = 2.0 * max(rect.width, rect.height)
     converged = False
     for _ in range(_MAX_NEWTON_ITERS):
-        _, s_val, ds_val, bound = _parts(f, z)
+        _, s_val, ds_val, bound = _parts(f, z, order)
         s = complex(s_val[0])
         ds = complex(ds_val[0])
         if abs(s) <= _NEWTON_REL_TARGET * float(bound[0]):
@@ -560,10 +550,13 @@ def _newton_polish(f: ExpPoly, z0: complex, rect: Rectangle) -> tuple[complex, b
         z = z_new
         if abs(step) <= 1e-17 * max(1.0, abs(z)):
             break
-    # a point outside the box that counted the zero is some other zero
-    if rect.contains(z) and (converged or relative_magnitude(f, z) <= _NEWTON_REL_TARGET):
-        return z, True
-    return z0, False
+    if not rect.contains(z):
+        return z0, False
+    if order:
+        refined = converged and relative_magnitude(f, z) <= _NEWTON_REL_TARGET
+    else:
+        refined = converged or relative_magnitude(f, z) <= _NEWTON_REL_TARGET
+    return (z, True) if refined else (z0, False)
 
 
 def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, float]]]:
@@ -604,13 +597,18 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     ``_split_points`` (ranked for all new boxes in one evaluation), a box
     whose last try failed at its next point.  Quadrants that all count must
     sum to their box's count and are the next round's new boxes, with their
-    counts and moments, so no box is integrated twice.  Split fractions lie
-    in 0.3-0.7, so the cluster diameters end every search without a depth
-    cap: a box that no try splits is one cluster up to diameter
-    _MAX_CLUSTER_DIAMETER and fails the search beyond it.  Leaves are
-    polished after the last round.  Only the outer window, counted through
-    ``count_zeros``, comes without a moment; as a leaf it integrates once
-    more for it.
+    counts and moments, so no box is integrated twice.  A quadrant that
+    takes all of its box's zeros keeps the box's moment, which a wider
+    contour gave with less cancellation.  Split fractions lie in 0.3-0.7,
+    so _CLUSTER_DIAMETER ends every search without a depth cap.
+
+    The leaves are the boxes of one zero, the boxes no wider than
+    _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
+    round a leaf of m zeros is polished by ``_newton_polish`` of order
+    m - 1 from its moment / m; a leaf of several zeros that it does not
+    verify as one m-fold zero fails the search.  Only the outer window,
+    counted through ``count_zeros``, comes without a moment; as a leaf it
+    integrates once more for it.
     """
     leaves = []
     new: list[tuple[Rectangle, int, complex | None]] = [(window, total, None)]
@@ -632,7 +630,7 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
         counted = _count_adaptive(f, [q for qs in quads for q in qs])
         new, retry = [], []
         for j, (box, points, k) in enumerate(tries):
-            rect, count, _ = box
+            rect, count, moment = box
             results = counted[4 * j : 4 * j + 4]
             if not any(isinstance(r, Exception) for r in results):
                 counts = [n for n, _ in results]
@@ -640,28 +638,23 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
                     raise QuadratureError(
                         f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                     )
-                new += [(q, n, w1) for q, (n, w1) in zip(quads[j], results)]
+                new += [
+                    (q, n, moment if n == count and moment is not None else w1)
+                    for q, (n, w1) in zip(quads[j], results)
+                ]
             elif k + 1 < len(points):
                 retry.append((box, points, k + 1))
-            # No try counted: the zeros are too tightly packed for contour work
-            # at this scale.  A small box is one cluster (exact for a multiple
-            # zero); a larger one is a failed search, not a multiple zero.
-            elif rect.diameter > _MAX_CLUSTER_DIAMETER:
-                raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
             else:
                 leaves.append(box)
     zeros = []
     for rect, count, moment in leaves:
         if moment is None:
-            (counted,) = _count_adaptive(f, [rect])
-            if isinstance(counted, Exception):
-                raise counted
-            moment = counted[1]
-        if count == 1:
-            z, refined = _newton_polish(f, moment, rect)
-            zeros.append(Zero(z, 1, refined))
-        else:
-            zeros.append(Zero(_cluster_locate(f, rect, count, moment), count, False))
+            # count_zeros judged these same sums when it counted the window
+            moment = _contour_sums(f, [rect], False)[0][1]
+        z, refined = _newton_polish(f, moment / count, rect, count - 1)
+        if count > 1 and not refined:
+            raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
+        zeros.append(Zero(z, count, refined))
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     return sorted(zeros, key=lambda z: (round(z.location.real, 9), z.location.imag))
 
@@ -676,12 +669,13 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     recorded on the result.  Isolation works in count rounds (``_isolate``):
     every box being split in a round shares each quadrature round of its
     batch, so a search makes a kernel call per quadrature round of a count
-    round, not per box.  Simple zeros are Newton polished, from their box's
-    first moment, to |f(z)| <= 1e-12 of the local term scale inside
-    the box that counted them.  A box of diameter at most 1e-6 that counts
-    several zeros, or one of at most 1e-4 that no split can count, is
-    reported as one zero with summed multiplicity and ``refined=False``; a
-    wider box that no split can count raises QuadratureError.
+    round, not per box.  A box of one zero, a box of diameter at most 1e-6
+    and a box that no split can count are leaves.  A leaf of m zeros is
+    polished by Newton on f^(m-1) to a zero of f, |f(z)| <= 1e-12 of the
+    local term scale, inside the leaf.  A simple zero that does not polish
+    is reported at its box's first moment with ``refined=False``; a leaf of
+    several zeros that does not polish to one m-fold zero raises
+    QuadratureError.
     """
     window, (total,) = _counted_window((f,), rect)
     return ZeroSet(tuple(_isolate(f, window, total)), window, total)

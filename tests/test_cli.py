@@ -302,6 +302,19 @@ def test_run_monodromy_payload():
         assert loop["radius"] == 0.5
 
 
+def test_monodromy_loops_around_triple_zeros():
+    # (1 + 3^p)^3 has seven triple zeros in the default window; each loop
+    # must measure the factor exp(2 pi i 3 / base_p)
+    doc = {"vectors": [[1, 3, 3, 3, 9, 9, 9, 27]], "options": {"base_p": [2, 3.5]}}
+    cert, code = run(parse_jobspec(job_text(command="monodromy", **doc)))
+    assert code == 0
+    loops = cert.payload["results"][0]["loops"]
+    assert len(loops) == 14
+    for loop in loops:
+        assert loop["multiplicity"] == 3
+        assert loop["rel_error"] <= 1e-6
+
+
 def test_run_monodromy_target_index_bounds():
     job = parse_jobspec(
         job_text(
@@ -680,22 +693,14 @@ def test_main_leaves_no_certificate_when_the_curves_fail(tmp_path, capsys):
     assert not captured.out
 
 
-def test_monodromy_job_takes_few_kernel_calls(monkeypatch):
+def test_monodromy_job_takes_few_kernel_calls(kernel_calls):
     # two zeros, two base points: four loops, each continued in refinement
     # rounds of one kernel call, not one call per step (601 calls in all
     # when every step took its own)
-    calls = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        calls.append(ps)
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
     doc = {**RUNNABLE["monodromy"], "options": {"base_p": [2, 3.5]}}
     cert, code = run(parse_jobspec(job_text(command="monodromy", **doc)))
     assert code == 0 and len(cert.payload["results"][0]["loops"]) == 4
-    assert len(calls) <= 40
+    assert len(kernel_calls) <= 40
 
 
 def _classified(classification):

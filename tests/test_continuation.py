@@ -335,36 +335,23 @@ def test_random_paths_keep_branch_invariant():
         assert abs(cmath.exp(end.logf) - val) <= 1e-10 * abs(val)
 
 
-def _spy_parts(monkeypatch) -> list[np.ndarray]:
-    """The points of every kernel call from now on, one array per call."""
-    calls = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        calls.append(np.asarray(ps).reshape(-1).copy())
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
-    return calls
-
-
 def _as_pairs(points) -> list[tuple[float, float]]:
     return sorted((z.real, z.imag) for z in np.asarray(points).tolist())
 
 
-def test_continue_log_evaluates_each_point_once(monkeypatch):
+def test_continue_log_evaluates_each_point_once(kernel_calls):
     f = from_vector(RealVector((math.e, 1.0)))
     loop = build_loop_path(1j * math.pi, 2.0, 0.25)
     _, nodes = continuation._track(f, loop)
-    calls = _spy_parts(monkeypatch)
+    kernel_calls.clear()
     end = continue_log(f, loop)
     # one kernel call per refinement round (113 points, then 3), not one per step
-    assert len(calls) <= 4
-    assert max(c.size for c in calls) <= exppoly._MAX_CALL_POINTS
+    assert len(kernel_calls) <= 4
+    assert max(c.size for c in kernel_calls) <= exppoly._MAX_CALL_POINTS
     # no node twice: the calls together hold the accepted nodes exactly
     # (the loop retraces its legs, so positions repeat as often as nodes do)
-    assert _as_pairs(np.concatenate(calls)) == _as_pairs(nodes)
-    assert calls[0][0] == nodes[0] == nodes[-1] == complex(2.0, 0.0)
+    assert _as_pairs(np.concatenate(kernel_calls)) == _as_pairs(nodes)
+    assert kernel_calls[0][0] == nodes[0] == nodes[-1] == complex(2.0, 0.0)
     # summing the accepted argument steps in rounds moves the branch by at
     # most a few ulp from the value the step-by-step march gave
     assert end.p == complex(2.0, 0.0)
@@ -375,26 +362,24 @@ def test_continue_log_evaluates_each_point_once(monkeypatch):
     assert abs(end.logf.imag - pinned.imag) <= 4 * math.ulp(pinned.imag)
 
 
-def test_continue_log_stops_at_its_step_budget(monkeypatch):
+def test_continue_log_stops_at_its_step_budget(monkeypatch, kernel_calls):
     monkeypatch.setattr(continuation, "_MAX_STEPS", 1000)
     f = from_vector(RealVector((math.e, 1.0)))
-    calls = _spy_parts(monkeypatch)
     # round 1 cuts this path into pieces of 0.25: 4001 points, refused
     # before any is evaluated, at the path start
     with pytest.raises(ContinuationError, match="step budget") as err:
         continue_log(f, Path((1 + 0j, 1 + 1000j)))
-    assert calls == []
+    assert kernel_calls == []
     assert err.value.point == 1 + 0j
 
     # this loop takes 113 points in round 1 and 3 more in round 2
     loop = build_loop_path(1j * math.pi, 2.0, 0.25)
-    monkeypatch.undo()
     _, nodes = continuation._track(f, loop)
     monkeypatch.setattr(continuation, "_MAX_STEPS", 114)
-    calls = _spy_parts(monkeypatch)
+    kernel_calls.clear()
     with pytest.raises(ContinuationError, match="step budget") as err:
         continue_log(f, loop)
-    (round1,) = calls
+    (round1,) = kernel_calls
     assert round1.size == 113
     # refused at the end of the longest accepted prefix: the start of the
     # first round-1 gap that the full run cut
@@ -403,25 +388,24 @@ def test_continue_log_stops_at_its_step_budget(monkeypatch):
     assert err.value.point == round1[first_cut - 1]
 
 
-def test_continue_log_caps_the_points_per_kernel_call(monkeypatch):
+def test_continue_log_caps_the_points_per_kernel_call(kernel_calls):
     # round 1 of this loop holds about 8,100 points: two kernel calls
     f = from_vector(RealVector((math.e, 1.0)))
     base = 1000.0
     loop = build_loop_path(1j * math.pi, base, 0.5)
     _, nodes = continuation._track(f, loop)
-    calls = _spy_parts(monkeypatch)
+    kernel_calls.clear()
     end = continue_log(f, loop)
     assert nodes.size > exppoly._MAX_CALL_POINTS
-    assert max(c.size for c in calls) == exppoly._MAX_CALL_POINTS
-    assert sum(c.size for c in calls) == nodes.size
+    assert max(c.size for c in kernel_calls) == exppoly._MAX_CALL_POINTS
+    assert sum(c.size for c in kernel_calls) == nodes.size
     measured = cmath.exp((end.logf - evaluate_log(f, base)) / base)
     assert abs(measured - cmath.exp(TAU * 1j / base)) <= 1e-6
 
 
-def test_continue_log_refuses_a_loop_from_a_huge_base_at_once(monkeypatch):
+def test_continue_log_refuses_a_loop_from_a_huge_base_at_once(kernel_calls):
     f = from_vector(RealVector((math.e, 1.0)))
-    calls = _spy_parts(monkeypatch)
     with pytest.raises(ContinuationError, match="step budget") as err:
         continue_log(f, build_loop_path(1j * math.pi, 1e300, 0.25))
-    assert calls == []
+    assert kernel_calls == []
     assert err.value.point == 1e300

@@ -157,8 +157,50 @@ def test_find_zeros_reports_multiplicity():
     ln2 = math.log(2.0)
     expect = [complex(0, math.pi / ln2), complex(0, 3 * math.pi / ln2)]
     for z, e in zip(by_imag(zs.zeros), expect):
-        assert not z.refined
-        assert abs(z.location - e) <= 1e-9 * abs(e)
+        assert z.refined
+        assert abs(z.location - e) <= 1e-12 * abs(e)
+
+
+def binomial_vector(base: float, m: int) -> RealVector:
+    """A vector whose sum is (1 + base^p)^m: base^k repeated C(m, k) times."""
+    return RealVector(tuple(base**k for k in range(m + 1) for _ in range(math.comb(m, k))))
+
+
+@pytest.mark.parametrize(
+    "base, m, window, n",
+    [
+        # (1 + 3^p)^3 and (1 + 2^p)^4: m-fold zeros at (2k+1) pi i / ln base
+        (3.0, 3, WINDOW, 7),
+        (2.0, 4, Rectangle(-1, 1, 1, 15), 2),
+        # (1 + e^p)^2 in a window 2000 wide and 4.5 high: the double zero i pi
+        (math.e, 2, Rectangle(-1000, 1000, 0.5, 5), 1),
+    ],
+)
+def test_find_zeros_refines_multiple_zeros(base, m, window, n):
+    zs = find_zeros(from_vector(binomial_vector(base, m)), window)
+    assert zs.total == m * n
+    assert [z.multiplicity for z in zs.zeros] == [m] * n
+    expect = [complex(0, (2 * k + 1) * math.pi / math.log(base)) for k in range(n)]
+    for z, e in zip(by_imag(zs.zeros), expect):
+        assert z.refined
+        assert abs(z.location - e) <= 1e-11 * abs(e)
+
+
+def test_a_split_double_zero_is_two_simple_zeros(monkeypatch):
+    # 1 + 2^p + (2 (1 + 1e-6))^p + 4^p is (1 + 2^p)^2 but for one exponent
+    # 1e-6 off: its double zero near pi i / ln 2 splits into two simple
+    # zeros about 6e-3 apart; f' vanishes between them at |f| ~ 1e-6 relative
+    f = from_vector(RealVector((1.0, 2.0, 2.0 * (1 + 1e-6), 4.0)))
+    window = Rectangle(-1, 1, 1, 6)
+    zs = find_zeros(f, window)
+    assert [z.multiplicity for z in zs.zeros] == [1, 1]
+    assert all(z.refined for z in zs.zeros)
+    assert 5e-3 < abs(zs.zeros[0].location - zs.zeros[1].location) < 7e-3
+    # a leaf holding both is not verified as one double zero: Newton on f'
+    # converges between them, where |f| is far above 1e-12
+    monkeypatch.setattr(exppoly, "_CLUSTER_DIAMETER", 0.1)
+    with pytest.raises(QuadratureError, match="counts its 2 zeros"):
+        find_zeros(f, window)
 
 
 def test_window_inflation_when_zero_sits_on_boundary():
@@ -312,6 +354,38 @@ def test_window_inflates_when_edge_zero_escapes_the_level_zero_check():
     assert zero_multiset_equal(f, f, WINDOW)
 
 
+SIX_ZEROS_HIGH = 2 * math.pi * 5 / math.log(2.0)
+
+
+@pytest.mark.parametrize(
+    "coords, rect, winding, count",
+    [
+        # a box of height 4 holds at most 4 ln 2 / 2pi + 1 = 1.44 zeros of 1 + 2^p
+        ((1.0, 2.0), Rectangle(-1.0, 1.0, 1.0, 5.0), 1.0, 1),
+        ((1.0, 2.0), Rectangle(-1.0, 1.0, 1.0, 5.0), 2.0, None),
+        # and one of height 10 pi / ln 2 at most 6; that bound rounds to
+        # 5.999999999999999, and a count that meets it is no refusal
+        ((1.0, 2.0), Rectangle(-1.0, 1.0, 0.5, 0.5 + SIX_ZEROS_HIGH), 6.0, 6),
+        ((1.0, 2.0), Rectangle(-1.0, 1.0, 0.5, 0.5 + SIX_ZEROS_HIGH), 7.0, None),
+    ],
+)
+def test_a_converged_winding_counts_within_the_polya_bound(
+    monkeypatch, coords, rect, winding, count
+):
+    # with a zero error estimate only the bound decides
+    monkeypatch.setattr(
+        exppoly,
+        "_contour_sums",
+        lambda f, rects, check_boundary: [(complex(winding), 0j, 0.0) for _ in rects],
+    )
+    f = from_vector(RealVector(coords))
+    if count is None:
+        with pytest.raises(QuadratureError, match="zeros there"):
+            count_zeros(f, rect)
+    else:
+        assert count_zeros(f, rect) == count
+
+
 def test_count_beyond_the_zero_bound_is_refused():
     # a box of height h holds at most h ln2 / 2pi + 1 zeros of 2^p + 1,
     # whatever its width; over this width the quadrature is noise and
@@ -401,59 +475,34 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
-def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch):
+def test_split_ranking_keeps_midline_zeros_cheap(kernel_calls):
     # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
     # window's midline: a split there fails and costs kernel calls, which
     # the ranking of candidate lines by min |f| avoids (13 calls with the
     # ranking and one call per quadrature round of a count round; 24 with a
     # call per box, 53 when the midpoint was tried first)
-    calls = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        calls.append(1)
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
-    assert len(calls) <= 32
+    assert len(kernel_calls) <= 32
 
 
-def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(monkeypatch):
+def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
     # e^p + 1 has 6 zeros here; every box split in a count round shares each
     # quadrature round, and every new box the split-line sampling (21 calls;
     # 41 with one per box)
-    calls = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        calls.append(1)
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), WINDOW)
     assert zs.total == 6 and all(z.refined for z in zs.zeros)
-    assert len(calls) <= 26
+    assert len(kernel_calls) <= 26
 
 
 @pytest.mark.parametrize(
     "coords, rect",
     [((1.0, 2.0), exppoly.DEFAULT_WINDOW), ((1.0, 2.0, 3.0), Rectangle(-2.0, 1.0, 1.0, 9.0))],
 )
-def test_split_points_rank_both_axes_in_one_kernel_call(monkeypatch, coords, rect):
+def test_split_points_rank_both_axes_in_one_kernel_call(kernel_calls, coords, rect):
     f = from_vector(RealVector(coords))
-    calls = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        calls.append(np.size(ps))
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
     (points,) = exppoly._split_points(f, [rect])
-    assert calls == [2 * 9 * 65]
-    monkeypatch.undo()
+    assert [c.size for c in kernel_calls] == [2 * 9 * 65]
 
     # each axis ranked by the minimum relative |f| over 65 points of each
     # candidate line, largest first, as relative_magnitude measures it

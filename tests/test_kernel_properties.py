@@ -16,7 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pnormcert import ExpPoly, evaluate_log, ratio_factor
-from pnormcert.exppoly import _DEFAULT_RATIO_SAMPLES, log_derivative, relative_magnitude
+from pnormcert.exppoly import (
+    _DEFAULT_RATIO_SAMPLES,
+    _parts,
+    log_derivative,
+    relative_magnitude,
+)
 
 EPS = 2.0**-52
 DIGITS = 50
@@ -104,6 +109,31 @@ def test_relative_magnitude_matches_mpmath(case):
     with mpmath.workdps(DIGITS):
         _, _, rel, unit = _conditioning(f, p)
     assert abs(relative_magnitude(f, p) - rel) <= SLACK * unit
+
+
+@PROPERTY
+@given(sums_and_points(), st.integers(0, 3))
+def test_kernel_derivatives_match_mpmath(case, order):
+    # _parts(f, p, k) scales f^(k) and f^(k+1) by exp(-M); each is compared
+    # with its own term scale, as the rounding of its terms is
+    f, p = case
+    m_val, s_val, ds_val, bound = (x.item() for x in _parts(f, p, order))
+    unit = EPS * (1.0 + _beta_max(f) * abs(p)) * len(f.terms) * (1 + order)
+    with mpmath.workdps(DIGITS):
+        z = mpmath.mpc(p.real, p.imag)
+
+        def scaled(k):
+            terms = [
+                m * mpmath.mpf(b) ** k * mpmath.exp(mpmath.mpf(b) * z - m_val)
+                for b, m in f.terms
+            ]
+            return complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(t) for t in terms))
+
+        value, scale = scaled(order)
+        slope, slope_scale = scaled(order + 1)
+    assert abs(s_val - value) <= SLACK * unit * scale
+    assert abs(ds_val - slope) <= SLACK * unit * slope_scale
+    assert abs(bound - scale) <= SLACK * unit * scale
 
 
 def _reference_fit(f: ExpPoly, g: ExpPoly, ps: list[float]) -> tuple[float, float]:

@@ -124,20 +124,11 @@ SEARCHES = {
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
-def test_zero_search_uses_under_half_the_uniform_kernel_points(monkeypatch, name):
-    points = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        out = real(f, ps)
-        points.append(out[0].size)
-        return out
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
+def test_zero_search_uses_under_half_the_uniform_kernel_points(kernel_calls, name):
     coords, window = SEARCHES[name]
     zs = find_zeros(from_vector(RealVector(coords)), window)
     assert sum(z.multiplicity for z in zs.zeros) == zs.total
-    assert sum(points) < UNIFORM_POINTS[name] / 2
+    assert kernel_calls.points < UNIFORM_POINTS[name] / 2
 
 
 def test_a_zero_1e_3_from_an_edge_is_counted_without_inflation():
@@ -153,43 +144,26 @@ def test_a_zero_1e_3_from_an_edge_is_counted_without_inflation():
         assert abs(z.location - e) <= 1e-9 * abs(e)
 
 
-def test_a_count_that_cannot_converge_costs_no_more_than_the_uniform_rule(monkeypatch):
+def test_a_count_that_cannot_converge_costs_no_more_than_the_uniform_rule(kernel_calls):
     # over Re [-1e50, 1e50] every panel's estimate is float64 noise, so every
     # panel is bisected each round until the work cap stops the count; the
     # uniform rule spent 8 levels of 8-point panels on the 420 base panels,
     # doubled per level
-    limit = 8 * 420 * (2**8 - 1)
-    points = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        points.append(np.size(ps))
-        assert sum(points) <= limit  # stop a runaway before it allocates
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
+    kernel_calls.limit = 8 * 420 * (2**8 - 1)
     f = from_vector(RealVector((1.0, 2.0)))
     with pytest.raises(QuadratureError):
         count_zeros(f, Rectangle(-1e50, 1e50, 0.5, 40.0))
     # the first round is the 420 base panels, in calls of at most the cap
     cap = exppoly._MAX_CALL_POINTS
-    assert points[:2] == [cap, 15 * 420 - cap]
+    assert [c.size for c in kernel_calls[:2]] == [cap, 15 * 420 - cap]
 
 
-def test_no_kernel_call_of_a_many_zero_search_passes_the_cap(monkeypatch):
+def test_no_kernel_call_of_a_many_zero_search_passes_the_cap(kernel_calls):
     # 35 zeros: the wide levels of this search hold more panels per round
     # than one call may take
-    sizes = []
-    real = exppoly._parts
-
-    def spy(f, ps):
-        sizes.append(np.size(ps))
-        return real(f, ps)
-
-    monkeypatch.setattr(exppoly, "_parts", spy)
     zs = find_zeros(from_vector(RealVector((1.0, 2.0, 3.0))), Rectangle(-1.0, 1.0, 0.5, 200.0))
     assert zs.total == 35 and sum(z.multiplicity for z in zs.zeros) == 35
-    assert max(sizes) == exppoly._MAX_CALL_POINTS
+    assert max(c.size for c in kernel_calls) == exppoly._MAX_CALL_POINTS
 
 
 @st.composite
