@@ -203,7 +203,8 @@ class Zero:
     """One isolated zero with its multiplicity.
 
     ``refined`` is True when Newton on f^(multiplicity - 1) ended inside the
-    box that counted the zero, with |f| <= 1e-12 of the local term scale.
+    box that counted the zero, where f and each derivative up to that one
+    is <= 1e-12 of its own term scale.
     Only a simple zero can be unrefined; its location is then that box's
     contour centroid.
     """
@@ -527,9 +528,9 @@ def _newton_polish(
     ``rect`` by Newton on f^(order), where that zero is simple; else keep ``z0``.
 
     A point is accepted only inside ``rect`` (outside it is some other zero)
-    with |f| <= 1e-12 of the local term scale.  For order >= 1 Newton must
-    also have converged on f^(order): near a multiple zero |f| is that small
-    in a wide disc, and a zero of f^(order) alone may be no zero of f.
+    where f and each derivative up to f^(order) is within 1e-12 of its own
+    term scale: near a multiple zero |f| is that small in a wide disc, and a
+    zero of f^(order) alone may be no zero of f or of a lower derivative.
     """
     z = z0
     reach = 2.0 * max(rect.width, rect.height)
@@ -552,11 +553,12 @@ def _newton_polish(
             break
     if not rect.contains(z):
         return z0, False
-    if order:
-        refined = converged and relative_magnitude(f, z) <= _NEWTON_REL_TARGET
-    else:
-        refined = converged or relative_magnitude(f, z) <= _NEWTON_REL_TARGET
-    return (z, True) if refined else (z0, False)
+    # a converged Newton already met the test on f^(order) at z
+    for k in range(order if converged else order + 1):
+        _, s_val, _, bound = _parts(f, z, k)
+        if not abs(s_val[0]) / bound[0] <= _NEWTON_REL_TARGET:
+            return z0, False
+    return z, True
 
 
 def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, float]]]:
@@ -671,11 +673,11 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     batch, so a search makes a kernel call per quadrature round of a count
     round, not per box.  A box of one zero, a box of diameter at most 1e-6
     and a box that no split can count are leaves.  A leaf of m zeros is
-    polished by Newton on f^(m-1) to a zero of f, |f(z)| <= 1e-12 of the
-    local term scale, inside the leaf.  A simple zero that does not polish
-    is reported at its box's first moment with ``refined=False``; a leaf of
-    several zeros that does not polish to one m-fold zero raises
-    QuadratureError.
+    polished by Newton on f^(m-1) to a point inside the leaf where f,
+    f', ..., f^(m-1) are each <= 1e-12 of their own term scale.  A simple
+    zero that does not polish is reported at its box's first moment with
+    ``refined=False``; a leaf of several zeros that does not polish to one
+    m-fold zero raises QuadratureError.
     """
     window, (total,) = _counted_window((f,), rect)
     return ZeroSet(tuple(_isolate(f, window, total)), window, total)

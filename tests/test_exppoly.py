@@ -354,38 +354,6 @@ def test_window_inflates_when_edge_zero_escapes_the_level_zero_check():
     assert zero_multiset_equal(f, f, WINDOW)
 
 
-SIX_ZEROS_HIGH = 2 * math.pi * 5 / math.log(2.0)
-
-
-@pytest.mark.parametrize(
-    "coords, rect, winding, count",
-    [
-        # a box of height 4 holds at most 4 ln 2 / 2pi + 1 = 1.44 zeros of 1 + 2^p
-        ((1.0, 2.0), Rectangle(-1.0, 1.0, 1.0, 5.0), 1.0, 1),
-        ((1.0, 2.0), Rectangle(-1.0, 1.0, 1.0, 5.0), 2.0, None),
-        # and one of height 10 pi / ln 2 at most 6; that bound rounds to
-        # 5.999999999999999, and a count that meets it is no refusal
-        ((1.0, 2.0), Rectangle(-1.0, 1.0, 0.5, 0.5 + SIX_ZEROS_HIGH), 6.0, 6),
-        ((1.0, 2.0), Rectangle(-1.0, 1.0, 0.5, 0.5 + SIX_ZEROS_HIGH), 7.0, None),
-    ],
-)
-def test_a_converged_winding_counts_within_the_polya_bound(
-    monkeypatch, coords, rect, winding, count
-):
-    # with a zero error estimate only the bound decides
-    monkeypatch.setattr(
-        exppoly,
-        "_contour_sums",
-        lambda f, rects, check_boundary: [(complex(winding), 0j, 0.0) for _ in rects],
-    )
-    f = from_vector(RealVector(coords))
-    if count is None:
-        with pytest.raises(QuadratureError, match="zeros there"):
-            count_zeros(f, rect)
-    else:
-        assert count_zeros(f, rect) == count
-
-
 def test_count_beyond_the_zero_bound_is_refused():
     # a box of height h holds at most h ln2 / 2pi + 1 zeros of 2^p + 1,
     # whatever its width; over this width the quadrature is noise and
@@ -544,6 +512,23 @@ def test_a_wide_box_whose_splits_all_fail_is_not_a_cluster(monkeypatch):
     f = from_vector(RealVector((math.e, 1.0)))
     with pytest.raises(QuadratureError, match="no subdivision"):
         find_zeros(f, Rectangle(-1, 1, 1, 20))
+
+
+def test_simple_zeros_where_f_and_a_higher_derivative_vanish_are_not_a_multiple_zero(
+    monkeypatch,
+):
+    # f = 3 + 4 * 2^p + 4^p = (1 + 2^p)(3 + 2^p) has three simple zeros
+    # i pi (2k+1) / ln 2 here, and f'' = 4 ln^2 2 * 2^p (1 + 2^p) vanishes at
+    # each, so Newton on f'' from their centroid lands on a zero of f; f' is
+    # no zero there, so the window is no triple zero
+    monkeypatch.setattr(
+        exppoly,
+        "_count_adaptive",
+        lambda f, rects: [QuadratureError("split count refused") for _ in rects],
+    )
+    f = from_vector(RealVector((1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 4.0)))
+    with pytest.raises(QuadratureError, match="no subdivision .* counts its 3 zeros"):
+        find_zeros(f, Rectangle(-1, 1, 0.5, 25))
 
 
 def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):

@@ -221,20 +221,41 @@ def test_a_box_counts_the_same_in_any_batch(case):
         assert (None if isinstance(counted, Exception) else counted[0]) == expected
 
 
+E_PLUS_ONE = ((math.e, 1.0), Rectangle(-1.0, 1.0, 1.0, 20.0))
+# a box of height 4 holds at most 4 ln 2 / 2pi + 1 = 1.44 zeros of 1 + 2^p;
+# one of height 10 pi / ln 2 at most 6, a bound that rounds to
+# 5.999999999999999, and a count that meets it is no refusal
+TWO_PLUS_ONE_LOW = ((1.0, 2.0), Rectangle(-1.0, 1.0, 1.0, 5.0))
+TWO_PLUS_ONE_SIX = ((1.0, 2.0), Rectangle(-1.0, 1.0, 0.5, 0.5 + 10 * math.pi / math.log(2.0)))
+
+
 @pytest.mark.parametrize(
-    "winding, count", [(1.0005, 1), (0.9995, 1), (1.002, None), (0.998, None)]
+    "search, winding, count, refusal",
+    [
+        pytest.param(E_PLUS_ONE, 1.0005, 1, None, id="1.0005-1"),
+        pytest.param(E_PLUS_ONE, 0.9995, 1, None, id="0.9995-1"),
+        pytest.param(E_PLUS_ONE, 1.002, None, "did not converge", id="1.002-None"),
+        pytest.param(E_PLUS_ONE, 0.998, None, "did not converge", id="0.998-None"),
+        pytest.param(TWO_PLUS_ONE_LOW, 1.0, 1, None, id="polya-1"),
+        pytest.param(TWO_PLUS_ONE_LOW, 2.0, None, "zeros there", id="polya-2-refused"),
+        pytest.param(TWO_PLUS_ONE_SIX, 6.0, 6, None, id="polya-6"),
+        pytest.param(TWO_PLUS_ONE_SIX, 7.0, None, "zeros there", id="polya-7-refused"),
+    ],
 )
-def test_a_converged_winding_counts_within_1e_3_of_an_integer(monkeypatch, winding, count):
-    # with a zero error estimate only the distance to the nearest integer decides
+def test_a_converged_winding_counts_within_1e_3_of_an_integer(
+    monkeypatch, search, winding, count, refusal
+):
+    # with a zero error estimate only the distance to the nearest integer
+    # and the Polya bound on the zeros of f in the box decide
     monkeypatch.setattr(
         exppoly,
         "_contour_sums",
         lambda f, rects, check_boundary: [(complex(winding), 0j, 0.0) for _ in rects],
     )
-    f = from_vector(RealVector((math.e, 1.0)))
-    rect = Rectangle(-1.0, 1.0, 1.0, 20.0)
-    if count is None:
-        with pytest.raises(QuadratureError, match="did not converge"):
+    coords, rect = search
+    f = from_vector(RealVector(coords))
+    if refusal:
+        with pytest.raises(QuadratureError, match=refusal):
             count_zeros(f, rect)
     else:
         assert count_zeros(f, rect) == count
