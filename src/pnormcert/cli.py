@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .continuation import loop_monodromy
@@ -186,7 +187,53 @@ class Certificate:
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _to_json(doc) + "\n"
+
+
+def _to_json(value, indent: str = "") -> str:
+    """``value`` exactly as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, continuation lines indented by ``indent``.
+
+    The standard encoder runs a Python generator step per value once it
+    indents; here a list of floats is one C-level join of ``float.__repr__``,
+    the repr json itself writes.  Dict keys must be strings.  A non-finite
+    float raises ValueError and any other type TypeError, as json does.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # an item is not a float
+            body = None
+        if body is None or "n" in body:  # 'inf' or 'nan': no finite repr has an n
+            body = sep.join([_to_json(x, inner) for x in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [f"{_encode_str(k)}: {_to_json(v, inner)}" for k, v in sorted(value.items())]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_keys(obj: dict, allowed, where: str) -> None:
@@ -512,20 +559,23 @@ def _write_files(files: list[tuple[str, str]]) -> None:
             raise InvalidInputError(f"cannot write {path}: {err}") from err
 
 
+# Built once: building a parser costs several times what parsing does.
+_PARSER = argparse.ArgumentParser(
+    prog="pnormcert",
+    description="Certify linear (in)dependence of p-norm curves and "
+    "inspect the complex-analytic machinery behind it.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--input", required=True, help="job JSON file")
+_PARSER.add_argument("--output", help="certificate path (default: stdout)")
+_PARSER.add_argument("--curves", help="also write the norm table as CSV (norms, analyze)")
+_PARSER.add_argument(
+    "--threads", type=int, default=1, help="at least 1; every job runs on one thread"
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="pnormcert",
-        description="Certify linear (in)dependence of p-norm curves and "
-        "inspect the complex-analytic machinery behind it.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--input", required=True, help="job JSON file")
-    parser.add_argument("--output", help="certificate path (default: stdout)")
-    parser.add_argument("--curves", help="also write the norm table as CSV (norms, analyze)")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="at least 1; every job runs on one thread"
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()

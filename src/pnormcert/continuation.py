@@ -321,13 +321,18 @@ def loop_monodromy(
 
 
 def _segment_distances(z: complex, pts: np.ndarray) -> np.ndarray:
-    """Distance from point z to each segment [pts[k], pts[k + 1]] of a polyline."""
-    a = pts[:-1]
+    """Distance from point z to each segment [pts[k], pts[k + 1]] of a polyline.
+
+    z - pts[k] is projected onto the unit direction (ux, uy) of the segment,
+    so no length is squared and nothing overflows below the float64 range.
+    """
+    za = z - pts[:-1]
     ab = np.diff(pts)
-    za = z - a
-    den = ab.real * ab.real + ab.imag * ab.imag
-    dot = za.real * ab.real + za.imag * ab.imag
-    # a repeated point is a segment of length 0: its distance is |z - a|
-    t = np.divide(dot, den, out=np.zeros(den.size), where=den != 0.0)
-    d = z - (a + np.clip(t, 0.0, 1.0) * ab)
-    return np.hypot(d.real, d.imag)  # abs(complex) rounds as hypot does
+    length = np.hypot(ab.real, ab.imag)
+    # a repeated point is a segment of length 0: u = 0, so its distance is |z - a|
+    nonzero = length != 0.0
+    ux = np.divide(ab.real, length, out=np.zeros(length.size), where=nonzero)
+    uy = np.divide(ab.imag, length, out=np.zeros(length.size), where=nonzero)
+    along = np.clip(za.real * ux + za.imag * uy, 0.0, length)
+    # abs(complex) rounds as np.hypot does
+    return np.hypot(za.real - along * ux, za.imag - along * uy)

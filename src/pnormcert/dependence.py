@@ -31,7 +31,6 @@ from .vectors import (
     EquivalencePartition,
     RealVector,
     partition,
-    trivial_null_basis,
 )
 
 # The p-interval [a, b] sampled when none is given.
@@ -232,20 +231,28 @@ def _null_basis(
 
 
 def _principal_angle(
-    null: np.ndarray, trivial: tuple[tuple[float, ...], ...], scales: np.ndarray
+    null: np.ndarray, part: EquivalencePartition, scales: np.ndarray
 ) -> float:
-    """Largest principal angle (radians) between the spans of ``null`` and
-    of ``trivial``, which has as many vectors.
+    """Largest principal angle (radians) between the span of ``null`` and
+    that of the trivial dependencies of ``part``, which has as many vectors.
 
     Both are compared in the scaled coordinates the rank analysis ran in,
     where a column with a small scale cannot swamp the others.  ``null``
-    holds orthonormal rows there; each trivial vector is divided by its
-    largest entry before it is multiplied by ``scales``, so nothing overflows.
+    holds orthonormal rows there.  The trivial vector (l_i, -l_0) of
+    ``trivial_null_basis`` is built there directly, divided by l_0 l_i:
+    (s_{k_0} / l_0, -s_{k_i} / l_i).  Both entries are near the norm of the
+    class weight curve, so nothing over- or underflows.
     """
-    if not trivial:
+    rows = []
+    for members, lams in zip(part.classes, part.scales):
+        for k, lam in zip(members[1:], lams[1:]):
+            row = np.zeros(part.n)
+            row[members[0]] = scales[members[0]] / lams[0]
+            row[k] = -scales[k] / lam
+            rows.append(row)
+    if not rows:
         return 0.0
-    arr = np.array(trivial, dtype=float)
-    qb, _ = np.linalg.qr((arr / np.abs(arr).max(axis=1, keepdims=True) * scales).T)
+    qb, _ = np.linalg.qr(np.array(rows).T)
     s = np.linalg.svd(null @ qb, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
@@ -277,7 +284,6 @@ def analyze(
         f"{_EQUIV_TOL:g} on canonical weights; near-boundary inputs "
         "may flip classification"
     ]
-    trivial = tuple(trivial_null_basis(part))
     n_classes = len(part.classes)
     if rank is None:
         classification = ILL_CONDITIONED
@@ -301,7 +307,7 @@ def analyze(
                 "classes: a non-trivial dependence among the sampled curves"
             )
         else:
-            angle = _principal_angle(matrix.svd[1][rank:], trivial, matrix.column_scales)
+            angle = _principal_angle(matrix.svd[1][rank:], part, matrix.column_scales)
             if angle <= _ANGLE_TOL:
                 classification = CONSISTENT
             else:

@@ -828,3 +828,32 @@ def test_monodromy_at_a_tiny_base_p_reads_no_norm_value(tmp_path, capsys):
     assert main(["monodromy", "--input", str(job_file)]) == 0
     loops = json.loads(capsys.readouterr().out)["payload"]["results"][0]["loops"]
     assert [loop["rel_error"] for loop in loops] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[[1e200], [1e-200]], [[1e200], [1e-200], [1, 1]], [[1e160], [1e-160], [1, 1]]],
+)
+def test_analyze_a_class_whose_scale_ratio_leaves_float64(tmp_path, capsys, vectors):
+    # the trivial vector (1e-200, -1e200) once lost its first entry when it
+    # was divided by its largest before scaling, and the angle read ~pi/4
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command="analyze", vectors=vectors, interval=[1, 4]))
+    assert main(["analyze", "--input", str(job_file)]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["classification"] == "consistent-with-theorem"
+    assert payload["principal_angle"] <= 1e-6
+
+
+def test_monodromy_at_a_huge_base_p_warns_nothing(tmp_path, capsys):
+    # segments ~1e300 long once overflowed when squared in the clearance
+    # check, which then passed on nan distances with a RuntimeWarning
+    job_file = tmp_path / "job.json"
+    job_file.write_text(
+        job_text(command="monodromy", vectors=[[1, 2]], options={"base_p": 1e300})
+    )
+    # every warning is an error in this suite (pyproject filterwarnings)
+    assert main(["monodromy", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out

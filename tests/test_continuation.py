@@ -290,6 +290,15 @@ def test_loop_monodromy_clearance_names_the_first_offending_zero():
 
 def test_segment_distances_match_the_scalar_rule():
     def scalar(z, a, b):
+        ab, za = b - a, z - a
+        length = abs(ab)  # abs(complex) rounds as np.hypot does; math.hypot may not
+        if length == 0.0:
+            return abs(za)
+        ux, uy = ab.real / length, ab.imag / length
+        along = max(0.0, min(length, za.real * ux + za.imag * uy))
+        return abs(complex(za.real - along * ux, za.imag - along * uy))
+
+    def squared(z, a, b):  # the textbook rule, t = (z - a).(b - a) / |b - a|^2
         ab = b - a
         den = ab.real * ab.real + ab.imag * ab.imag
         if den == 0.0:
@@ -304,8 +313,21 @@ def test_segment_distances_match_the_scalar_rule():
         pts[3] = pts[2]  # a segment of length 0
         for path in (pts, loop):
             z = complex(rng.normal(), rng.normal())
-            ref = [scalar(z, a, b) for a, b in zip(path.tolist(), path[1:].tolist())]
-            assert continuation._segment_distances(z, path).tolist() == ref
+            segments = list(zip(path.tolist(), path[1:].tolist()))
+            got = continuation._segment_distances(z, path).tolist()
+            assert got == [scalar(z, a, b) for a, b in segments]
+            for d, (a, b) in zip(got, segments):
+                size = max(abs(z), abs(a), abs(b))
+                assert math.isclose(d, squared(z, a, b), rel_tol=1e-14, abs_tol=1e-15 * size)
+
+
+@pytest.mark.parametrize("big", [1e300, 1e308])
+def test_segment_distances_of_huge_segments_are_finite(big):
+    # squared, these lengths overflow; the distances must not turn nan
+    path = np.array([0j, big + 1j * big])
+    assert continuation._segment_distances(-big + 0j, path).tolist() == [big]
+    (inside,) = continuation._segment_distances(big + 0j, path).tolist()
+    assert math.isclose(inside, big / math.sqrt(2), rel_tol=1e-15)
 
 
 def test_loop_monodromy_uses_discovered_zeros():
