@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .continuation import loop_monodromy
@@ -186,54 +185,14 @@ class Certificate:
     timing_ms: float
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return _to_json(doc) + "\n"
-
-
-def _to_json(value, indent: str = "") -> str:
-    """``value`` exactly as ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` writes it, continuation lines indented by ``indent``.
-
-    The standard encoder runs a Python generator step per value once it
-    indents; here a list of floats is one C-level join of ``float.__repr__``,
-    the repr json itself writes.  Dict keys must be strings.  A non-finite
-    float raises ValueError and any other type TypeError, as json does.
-    """
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        try:
-            body = sep.join(map(float.__repr__, value))
-        except TypeError:  # an item is not a float
-            body = None
-        if body is None or "n" in body:  # 'inf' or 'nan': no finite repr has an n
-            body = sep.join([_to_json(x, inner) for x in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [f"{_encode_str(k)}: {_to_json(v, inner)}" for k, v in sorted(value.items())]
-        )
-        return "{\n" + inner + body + "\n" + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        # Each top-level key on a line of its own, so that a tool can drop the
+        # "timing_ms" line and compare the rest of two runs byte for byte
+        # (bench/oracle.py does).  Each value is compact, with sorted keys.
+        lines = [
+            f'  "{name}": ' + json.dumps(getattr(self, name), sort_keys=True, allow_nan=False)
+            for name in sorted(f.name for f in fields(self))
+        ]
+        return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _check_keys(obj: dict, allowed, where: str) -> None:

@@ -183,7 +183,7 @@ def test_find_zeros_refines_multiple_zeros(base, m, window, n):
     expect = [complex(0, (2 * k + 1) * math.pi / math.log(base)) for k in range(n)]
     for z, e in zip(by_imag(zs.zeros), expect):
         assert z.refined
-        assert abs(z.location - e) <= 1e-11 * abs(e)
+        assert abs(z.location - e) <= 1e-14 * abs(e)
 
 
 def test_a_split_double_zero_is_two_simple_zeros(monkeypatch):
