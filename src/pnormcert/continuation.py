@@ -277,8 +277,9 @@ def loop_monodromy(
     """Measure the factor the norm branch gains around one zero of f.
 
     Continues log f around the keyhole loop based at base_p and returns
-    (measured, predicted) where measured = exp((logf_end - logf_start) /
-    base_p) and predicted = exp(2 pi i m / base_p) for an m-fold zero.
+    (measured, predicted) where measured = exp(i Im(logf_end) / base_p),
+    the loop's change of log f over base_p (log f is real at the base
+    point), and predicted = exp(2 pi i m / base_p) for an m-fold zero.
     The two must agree to 1e-6 relative or MonodromyMismatchError
     is raised; agreement is the end-to-end check on the branch tracking.
 
@@ -308,9 +309,8 @@ def loop_monodromy(
             )
         if (_segment_distances(oz, pts) < clearance).any():
             raise ClearanceError(f"path passes within {clearance!r} of the zero at {oz!r}")
-    start_log = evaluate_log(f, complex(base_p, 0.0))
-    end = continue_log(f, path)
-    measured = cmath.exp((end.logf - start_log) / base_p)
+    # the loop starts and ends at base_p, where f > 0 and log f is real
+    measured = cmath.exp(1j * continue_log(f, path).logf.imag / base_p)
     predicted = cmath.exp(2j * math.pi * m / base_p)
     if abs(measured - predicted) > _MONODROMY_REL_TOL * abs(predicted):
         raise MonodromyMismatchError(

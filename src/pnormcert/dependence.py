@@ -300,12 +300,21 @@ def analyze(
                 "classes: equivalence and rank tolerances disagree"
             )
         elif rank < n_classes:
-            classification = UNEXPECTED
             angle = None
-            notes.append(
-                f"numeric rank {rank} below the {n_classes} equivalence "
-                "classes: a non-trivial dependence among the sampled curves"
-            )
+            ratio = sigmas[n_classes - 1] / sigmas[0]
+            if ratio < _SIGMA_FLOOR:
+                classification = ILL_CONDITIONED
+                notes.append(
+                    f"numeric rank {rank} below the {n_classes} equivalence "
+                    f"classes with sigma_{n_classes}/sigma_1 = {ratio:.2e} under "
+                    f"the floor {_SIGMA_FLOOR:g}: the samples cannot separate the classes"
+                )
+            else:
+                classification = UNEXPECTED
+                notes.append(
+                    f"numeric rank {rank} below the {n_classes} equivalence "
+                    "classes: a non-trivial dependence among the sampled curves"
+                )
         else:
             angle = _principal_angle(matrix.svd[1][rank:], part, matrix.column_scales)
             if angle <= _ANGLE_TOL:

@@ -369,16 +369,18 @@ def _contour_sums(
     one kernel call per _MAX_CALL_POINTS points.  Each box is judged on its
     own: once its estimates sum below _WINDING_ERROR_TOL its integrals are
     done; otherwise each of its panels over its length's share of that
-    tolerance is bisected and the others are kept.  A box's sums return
-    unconverged (error estimate at least _WINDING_ERROR_TOL) as soon as a
-    panel's estimate (then inf) or moment is not finite, when its next round
-    would pass _PANEL_BUDGET times its base panels in all, once a panel has
-    been bisected _MAX_BISECTIONS times, or when none of its panels is over
-    its share.  A box's panels keep their order and its sums are reduced on
-    their own, so its result does not depend on the other boxes in
-    ``rects``.  ``check_boundary`` is for a batch of one box (the outer
-    count of ``count_zeros``): it applies the relative-|f| test to the
-    first round's nodes and raises naming ``rects[0]``.
+    tolerance is bisected and the others are kept.  A box stops unconverged
+    (error estimate at least _WINDING_ERROR_TOL) as soon as a panel's
+    estimate (then inf) or moment is not finite, when its next round would
+    pass _PANEL_BUDGET times its base panels in all, once a panel has been
+    bisected _MAX_BISECTIONS times, or when none of its panels is over its
+    share, so the loop runs at most _MAX_BISECTIONS + 1 rounds.  Each box's
+    channels accumulate in one array, read out once after the last round.
+    A box's panels keep their order and its sums are reduced on their own,
+    so its result does not depend on the other boxes in ``rects``.
+    ``check_boundary`` is for a batch of one box (the outer count of
+    ``count_zeros``): it applies the relative-|f| test to the first round's
+    nodes and raises naming ``rects[0]``.
     """
     boxes = len(rects)
     centers, halves, owner, base = _contour_panels(rects)
@@ -386,14 +388,10 @@ def _contour_sums(
     span = np.array([r.width + r.height for r in rects])
     tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
     # per box: Re and Im of the k0 and k1 sums and the error sum over its
-    # done panels, and its panels used
+    # done panels (all its panels once it stops), and its panels used
     acc = np.zeros((6, boxes))
     offsets = 2 * boxes * np.arange(7)[:, None]
-    active = np.ones(boxes, dtype=bool)
-    sums: list = [None] * boxes
-    two_pi_i = 2j * math.pi
-    bisections = 0
-    while True:
+    for bisections in range(_MAX_BISECTIONS + 1):
         pts = centers[:, None] + halves[:, None] * _KRONROD_NODES
         _, s_val, ds_val, bound = _chunked_parts(f, pts.ravel())
         if check_boundary and bisections == 0:
@@ -430,30 +428,25 @@ def _contour_sums(
                 & (done[6] + held[6] == 0)
                 & (held[5] > 0)
                 & (acc[5] + 2 * held[5] <= budget)
+                & (bisections < _MAX_BISECTIONS)
             )
-        finished = active & ~going if bisections < _MAX_BISECTIONS else active.copy()
-        # a finished box takes its pending panels too
-        k_sums = (acc[:4] + held[:4]).T.tolist()
-        errs = total_err.tolist()
-        for i in np.flatnonzero(finished).tolist():
-            if math.isfinite(errs[i]):
-                k0r, k0i, k1r, k1i = k_sums[i]
-                sums[i] = (
-                    complex(k0r, k0i) / two_pi_i,
-                    complex(k1r, k1i) / two_pi_i,
-                    errs[i] / (2.0 * math.pi),
-                )
-            else:
-                sums[i] = (complex(math.nan), complex(math.nan), math.inf)
-        active &= ~finished
-        if not active.any():
-            return sums
-        keep = pending & active[owner]
+        # A box that stops takes its pending panels too.  Once stopped it has
+        # no panels, and adding +0.0 leaves acc (never -0.0) as it was.
+        acc[:5, ~going] += held[:5, ~going]
+        if not going.any():
+            break
+        keep = pending & going[owner]
         halves = 0.5 * halves[keep]
         centers = np.concatenate((centers[keep] - halves, centers[keep] + halves))
         halves = np.concatenate((halves, halves))
         owner = np.concatenate((owner[keep], owner[keep]))
-        bisections += 1
+    two_pi_i = 2j * math.pi
+    return [
+        (complex(k0r, k0i) / two_pi_i, complex(k1r, k1i) / two_pi_i, err / (2.0 * math.pi))
+        if math.isfinite(err)
+        else (complex(math.nan), complex(math.nan), math.inf)
+        for k0r, k0i, k1r, k1i, err, _ in acc.T.tolist()
+    ]
 
 
 def count_zeros(f: ExpPoly, rect: Rectangle) -> int:

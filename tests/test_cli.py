@@ -664,6 +664,39 @@ def test_main_error_paths(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (job_text(command="zeros", vectors=[["nan", 1]]), "vectors[0][0]: nan is not allowed"),
+        (
+            job_text(command="zeros", vectors=[[1, 2]], window={"re": [1, -1]}),
+            "window.re: need finite lo < hi",
+        ),
+        (
+            json.dumps([{"command": "zeros", "vectors": [[1, 2]]}]),
+            "job file must contain a JSON object",
+        ),
+        (job_text(command="zeros"), "vectors: required field is missing"),
+        (job_text(command="zeros", vectors=[]), "vectors: expected a non-empty list"),
+        (job_text(command="zeros", vectors=[[1, 2]], options=[]), "options: expected an object"),
+    ],
+    ids=[
+        "nan-coordinate",
+        "reversed-window",
+        "list-job",
+        "no-vectors",
+        "empty-vectors",
+        "list-options",
+    ],
+)
+def test_main_refuses_a_malformed_job_file(tmp_path, capsys, text, message):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(text)
+    assert main(["zeros", "--input", str(job_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+
+
 def test_main_reports_an_unwritable_output(tmp_path, capsys):
     job_file = tmp_path / "job.json"
     job_file.write_text(job_text(command="equiv", **RUNNABLE["equiv"]))

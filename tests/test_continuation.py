@@ -425,6 +425,21 @@ def test_continue_log_caps_the_points_per_kernel_call(kernel_calls):
     assert abs(measured - cmath.exp(TAU * 1j / base)) <= 1e-6
 
 
+def test_loop_monodromy_reads_the_base_log_from_its_continuation(kernel_calls):
+    # one call for relative_magnitude at the zero and the continuation's
+    # three (4,096 + 4,001 + 3 points); no call re-evaluates log f at base_p
+    f = from_vector(RealVector((math.e, 1.0)))
+    measured, predicted = loop_monodromy(f, (1j * math.pi, 1), 1000.0, 0.25)
+    assert [c.size for c in kernel_calls] == [1, 4096, 4001, 3]
+    assert abs(measured - predicted) <= 1e-6 * abs(predicted)
+    # log f is real at the base point, so dropping its real parts leaves a
+    # two-term sum's factor bit for bit what the difference of logs gave
+    for base in (2.0, 3.5, 1000.0):
+        end = continue_log(f, build_loop_path(1j * math.pi, base, 0.25))
+        by_difference = cmath.exp((end.logf - evaluate_log(f, base)) / base)
+        assert loop_monodromy(f, (1j * math.pi, 1), base, 0.25)[0] == by_difference
+
+
 def test_continue_log_refuses_a_loop_from_a_huge_base_at_once(kernel_calls):
     f = from_vector(RealVector((math.e, 1.0)))
     with pytest.raises(ContinuationError, match="step budget") as err:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -16,7 +17,9 @@ from pnormcert import (
     pnorm_at,
 )
 from pnormcert import dependence, exppoly
-from pnormcert.dependence import CONSISTENT
+from pnormcert.cli import main
+from pnormcert.dependence import CONSISTENT, ILL_CONDITIONED, UNEXPECTED
+from pnormcert.vectors import EquivalencePartition
 from pnormcert.exppoly import from_vector, ratio_factor
 
 FAMILIES = {
@@ -374,6 +377,45 @@ def test_tolerance_boundary_stays_coherent():
     assert len(r.partition.classes) == 2
     assert r.numeric_rank == 2
     assert r.classification == CONSISTENT
+
+
+@pytest.mark.parametrize(
+    "coords, planted, classification, rank, note",
+    [
+        # a smooth cascade of singular values: no admissible gap
+        ([[1, 1 + k / 8] for k in range(1, 9)], None, ILL_CONDITIONED, None, "rank undecided"),
+        # two independent curves planted as one class
+        ([[1, 2], [1, 3]], (2.0, 3.0), ILL_CONDITIONED, 2, "exceeds the 1 equivalence"),
+        # one class planted with the wrong scale ratio: the null space misses
+        ([[1, 2], [2, 4]], (2.0, 6.0), UNEXPECTED, 1, "principal angle 1.974e-01 rad"),
+        # the second weight is below float64 resolution beside the first, so
+        # the two classes' curves agree to the last bit
+        ([[1, 1e-20], [1]], None, ILL_CONDITIONED, 1, "sigma_2/sigma_1 = 1.13e-16 under"),
+        ([[1, 1e-300], [1]], None, ILL_CONDITIONED, 1, "sigma_2/sigma_1 = 1.13e-16 under"),
+    ],
+    ids=["no-gap", "rank-above-classes", "misaligned", "weight-1e-20", "weight-1e-300"],
+)
+def test_analyze_refuses_what_the_samples_cannot_certify(
+    tmp_path, capsys, monkeypatch, coords, planted, classification, rank, note
+):
+    if planted is not None:
+        merged = EquivalencePartition(((0, 1),), (planted,), 2)
+        monkeypatch.setattr(dependence, "partition", lambda vs: merged)
+    report = analyze([RealVector(tuple(map(float, v))) for v in coords])
+    assert report.classification == classification
+    assert report.numeric_rank == rank
+    assert note in report.notes[-1]
+    if classification == UNEXPECTED:
+        assert report.principal_angle == pytest.approx(0.1974, abs=1e-4)
+    else:
+        assert report.principal_angle is None
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"command": "analyze", "vectors": coords}))
+    code = 3 if classification == ILL_CONDITIONED else 2
+    assert main(["analyze", "--input", str(job_file)]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["payload"]["classification"] == classification
+    assert not captured.err
 
 
 def test_grid_validation():

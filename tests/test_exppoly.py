@@ -215,6 +215,22 @@ def test_window_inflation_when_zero_sits_on_boundary():
         count_zeros(g, rect)
 
 
+def test_window_inflates_when_a_first_round_node_sits_on_a_zero():
+    # the bottom edge of width 4 has 5 panels, the middle one centred on
+    # the zero i pi / ln 2 of 1 + 2^p: the first round's relative-|f| test
+    # refuses the window before any winding is judged
+    f = from_vector(RealVector((1.0, 2.0)))
+    zero = 1j * math.pi / math.log(2.0)
+    window = Rectangle(-2.0, 2.0, zero.imag, 10.0)
+    with pytest.raises(BoundaryProximityError, match="passes within relative magnitude 1.61e-16"):
+        count_zeros(f, window)
+    zs = find_zeros(f, window)
+    # one inflation: Re [-2.0625, 2.0625] x Im [4.4469, 10.0854]
+    assert zs.window == window.inflate(exppoly._INFLATION_FACTOR)
+    assert zs.total == 1
+    assert abs(zs.zeros[0].location - zero) <= 1e-9 * abs(zero)
+
+
 def test_count_additivity_over_partition():
     f = ExpPoly(((-0.4, 1), (0.3, 2), (1.1, 1)))
     rect = Rectangle(-1.0, 1.0, 0.5, 30.0)
