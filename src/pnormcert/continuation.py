@@ -282,6 +282,8 @@ def loop_monodromy(
     point), and predicted = exp(2 pi i m / base_p) for an m-fold zero.
     The two must agree to 1e-6 relative or MonodromyMismatchError
     is raised; agreement is the end-to-end check on the branch tracking.
+    A base_p so small that float64 cannot resolve the phase 2 pi m / base_p
+    to 1e-6 is refused with InvalidInputError.
 
     Any known non-target zeros may be passed in ``other_zeros``; the loop
     refuses to run if one of them lies inside the circle or within half a
@@ -295,6 +297,15 @@ def loop_monodromy(
         raise InvalidInputError("zero multiplicity must be a positive integer")
     base_p = float(base_p)
     path = build_loop_path(z, base_p, loop_radius)  # validates base_p and radius
+    # The factors are exp(i phase), phase = 2 pi m / base_p; float64 resolves
+    # them to _MONODROMY_REL_TOL only while its spacing at phase is no
+    # coarser (phase below 2^33, about 8.6e9 rad).
+    phase = 2.0 * math.pi * m / base_p
+    if not math.ulp(phase) <= _MONODROMY_REL_TOL:
+        raise InvalidInputError(
+            f"base_p {base_p!r} is too small: the loop's phase 2 pi m / base_p = {phase:.3g} "
+            f"rad is not resolved to {_MONODROMY_REL_TOL:g} in float64"
+        )
     if abs(complex(base_p, 0.0) - z) <= loop_radius:
         raise InvalidInputError("base point sits under the loop")
     if relative_magnitude(f, z) > 1e-6:
@@ -311,7 +322,7 @@ def loop_monodromy(
             raise ClearanceError(f"path passes within {clearance!r} of the zero at {oz!r}")
     # the loop starts and ends at base_p, where f > 0 and log f is real
     measured = cmath.exp(1j * continue_log(f, path).logf.imag / base_p)
-    predicted = cmath.exp(2j * math.pi * m / base_p)
+    predicted = cmath.exp(1j * phase)
     if abs(measured - predicted) > _MONODROMY_REL_TOL * abs(predicted):
         raise MonodromyMismatchError(
             f"loop around {z!r} (m={m}, base_p={base_p}) measured {measured!r}, "

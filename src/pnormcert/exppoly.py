@@ -44,6 +44,8 @@ _PANEL_BUDGET = 128
 _MAX_BISECTIONS = 16
 # A box no wider than this is not split: its zeros must be one multiple zero.
 _CLUSTER_DIAMETER = 1e-6
+# A box of 2 to this many zeros is solved from its power sums, not split.
+_MOMENT_ZEROS = 4
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
@@ -98,6 +100,12 @@ _GAUSS_WEIGHTS = _mirrored(
         0.417959183673469387755102040816327,
     )
 )
+
+
+# |K - G| of a panel is its integral under these weights.
+_ERROR_WEIGHTS = _KRONROD_WEIGHTS - _GAUSS_WEIGHTS
+# Counterclockwise, a box's edges step along these directions.
+_EDGE_STEPS = np.array((1, 1j, -1, -1j))
 
 
 def _read_only(values: list) -> np.ndarray:
@@ -165,6 +173,10 @@ class Rectangle:
         return math.hypot(self.width, self.height)
 
     @property
+    def center(self) -> complex:
+        return complex(0.5 * (self.re_min + self.re_max), 0.5 * (self.im_min + self.im_max))
+
+    @property
     def corners(self) -> tuple[complex, complex, complex, complex]:
         """Counterclockwise from the bottom-left corner."""
         return (
@@ -179,11 +191,10 @@ class Rectangle:
 
     def inflate(self, factor: float) -> "Rectangle":
         """Scale width and height by ``factor`` about the center."""
-        cx = 0.5 * (self.re_min + self.re_max)
-        cy = 0.5 * (self.im_min + self.im_max)
+        c = self.center
         hw = 0.5 * self.width * factor
         hh = 0.5 * self.height * factor
-        return Rectangle(cx - hw, cx + hw, cy - hh, cy + hh)
+        return Rectangle(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
 
     def split(self, x: float, y: float) -> tuple["Rectangle", ...]:
         """Quadrisect at the interior point (x, y)."""
@@ -206,7 +217,7 @@ class Zero:
     box that counted the zero, where f and each derivative up to that one
     is <= 1e-12 of its own term scale.
     Only a simple zero can be unrefined; its location is then that box's
-    contour centroid.
+    contour centroid, taken about the box's center.
     """
 
     location: complex
@@ -348,21 +359,25 @@ def _contour_panels(
     """
     # the edges' lengths; their counterclockwise steps are these times 1, 1j, -1, -1j
     lengths = np.array([(r.width, r.height, r.width, r.height) for r in rects])
-    panels = np.ceil(1.25 * lengths).clip(4, 160).astype(np.intp)
+    panels = np.minimum(np.maximum(np.ceil(1.25 * lengths), 4), 160).astype(np.intp)
     counts = panels.ravel()
-    halves = np.repeat((lengths / (2 * panels) * (1, 1j, -1, -1j)).ravel(), counts)
-    starts = np.repeat(np.array([r.corners for r in rects]).ravel(), counts)
-    index = np.arange(halves.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    base = panels.sum(axis=1)
-    return starts + (2 * index + 1) * halves, halves, np.repeat(np.arange(len(rects)), base), base
+    halves = (lengths / (2 * panels) * _EDGE_STEPS).ravel().repeat(counts)
+    starts = np.array([r.corners for r in rects]).ravel().repeat(counts)
+    index = np.arange(halves.size) - (np.cumsum(counts) - counts).repeat(counts)
+    base = np.add.reduce(panels, 1)
+    return starts + (2 * index + 1) * halves, halves, np.arange(len(rects)).repeat(base), base
 
 
 def _contour_sums(
-    f: ExpPoly, rects: list[Rectangle], check_boundary: bool
-) -> list[tuple[complex, complex, float]]:
-    """Per box of ``rects``: (1/2πi) ∮ f'/f dp, (1/2πi) ∮ p f'/f dp and the
-    error estimate of the first.
+    f: ExpPoly, rects: list[Rectangle], check_boundary: bool, powers: int = 0
+) -> list[tuple[complex, ...]]:
+    """Per box of ``rects``: (1/2πi) ∮ f'/f dp, (1/2πi) ∮ p f'/f dp, the
+    error estimate of the first, and then the power sums
+    s_k = (1/2πi) ∮ u^k f'/f dp for k = 1, ..., ``powers``.
 
+    u = (p - c) / r are the box's own coordinates (c its center, r its
+    half-diagonal), so |u| <= 1 on its contour and s_k is the sum of u^k
+    over its zeros, counted with multiplicity.
     Locally adaptive Gauss-Kronrod: every panel gets the 15-point Kronrod
     rule, and |K - G| against the embedded 7-point Gauss rule is its error
     estimate.  A round evaluates every pending panel of every box together,
@@ -386,11 +401,16 @@ def _contour_sums(
     centers, halves, owner, base = _contour_panels(rects)
     budget = _PANEL_BUDGET * base
     span = np.array([r.width + r.height for r in rects])
+    if powers:
+        middle = np.array([r.center for r in rects])
     tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
-    # per box: Re and Im of the k0 and k1 sums and the error sum over its
-    # done panels (all its panels once it stops), and its panels used
-    acc = np.zeros((6, boxes))
-    offsets = 2 * boxes * np.arange(7)[:, None]
+    # per box: Re then Im of its 2 + powers complex sums, and the error sum,
+    # over its done panels (all its panels once it stops), and its panels
+    # used; the channels add a last row, a panel's non-finite moment
+    sums = 2 + powers
+    err_row, used_row, rows = 2 * sums, 2 * sums + 1, 2 * sums + 3
+    acc = np.zeros((rows - 1, boxes))
+    offsets = 2 * boxes * np.arange(rows)[:, None]
     for bisections in range(_MAX_BISECTIONS + 1):
         pts = centers[:, None] + halves[:, None] * _KRONROD_NODES
         _, s_val, ds_val, bound = _chunked_parts(f, pts.ravel())
@@ -402,37 +422,57 @@ def _contour_sums(
                     f"{rel_min:.2e} of a zero; inflate the window"
                 )
         integrand = (ds_val / s_val).reshape(pts.shape)
-        k0 = halves * (integrand * _KRONROD_WEIGHTS).sum(axis=1)
-        e0 = np.abs(halves * (integrand * (_KRONROD_WEIGHTS - _GAUSS_WEIGHTS)).sum(axis=1))
+        term = integrand * _KRONROD_WEIGHTS
+        k0 = halves * np.add.reduce(term, 1)
+        e0 = np.abs(halves * np.add.reduce(integrand * _ERROR_WEIGHTS, 1))
         # a panel's share of the tolerance is its share of its box's perimeter
         pending = e0 > tol * np.abs(halves) / span[owner]
         # far from the origin the moment can overflow; _judge_winding refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = halves * (pts * integrand * _KRONROD_WEIGHTS).sum(axis=1)
+            # a panel's first moment about its own center, then about 0
+            offset = halves * halves * np.add.reduce(term * _KRONROD_NODES, 1)
+            k1 = centers * k0 + offset
+            panel_sums = [k0, k1]
+            # the power sums about the box center, scaled after the last round
+            if powers:
+                panel_sums.append((centers - middle[owner]) * k0 + offset)
+            if powers > 1:
+                shifted = pts - middle[owner, None]
+                term = term * shifted  # the nodes' terms of the first power
+                for _ in range(powers - 1):
+                    term = term * shifted
+                    panel_sums.append(halves * np.add.reduce(term, 1))
             # Each channel summed per box over its done and its pending
             # panels, in one np.bincount.  bincount adds in array order, so
             # a box's sums do not depend on the other boxes of the batch.
             channels = np.array(
-                (k0.real, k0.imag, k1.real, k1.imag, e0, np.ones(e0.size), ~np.isfinite(k1))
+                [
+                    *(z.real for z in panel_sums),
+                    *(z.imag for z in panel_sums),
+                    e0,
+                    np.ones(e0.size),
+                    ~np.isfinite(k1),
+                ]
             )
             per_box = np.bincount(
-                (2 * owner + pending + offsets).ravel(), channels.ravel(), 14 * boxes
+                (2 * owner + pending + offsets).ravel(), channels.ravel(), 2 * boxes * rows
             )
-            done, held = per_box.reshape(7, boxes, 2).transpose(2, 0, 1)
-            acc += done[:6]
-            acc[5] += held[5]
-            total_err = acc[4] + held[4]
+            done, held = per_box.reshape(rows, boxes, 2).transpose(2, 0, 1)
+            acc += done[:-1]
+            acc[used_row] += held[used_row]
+            total_err = acc[err_row] + held[err_row]
             going = (
                 (tol <= total_err)
                 & (total_err < math.inf)
-                & (done[6] + held[6] == 0)
-                & (held[5] > 0)
-                & (acc[5] + 2 * held[5] <= budget)
+                & (done[-1] + held[-1] == 0)
+                & (held[used_row] > 0)
+                & (acc[used_row] + 2 * held[used_row] <= budget)
                 & (bisections < _MAX_BISECTIONS)
             )
-        # A box that stops takes its pending panels too.  Once stopped it has
-        # no panels, and adding +0.0 leaves acc (never -0.0) as it was.
-        acc[:5, ~going] += held[:5, ~going]
+        # A box that stops takes its pending panels too.  A going box adds
+        # +0.0, as does a box stopped before (it has no panels), and that
+        # leaves acc (never -0.0) as it was.
+        acc[:used_row] += np.where(going, 0.0, held[:used_row])
         if not going.any():
             break
         keep = pending & going[owner]
@@ -441,12 +481,21 @@ def _contour_sums(
         halves = np.concatenate((halves, halves))
         owner = np.concatenate((owner[keep], owner[keep]))
     two_pi_i = 2j * math.pi
-    return [
-        (complex(k0r, k0i) / two_pi_i, complex(k1r, k1i) / two_pi_i, err / (2.0 * math.pi))
-        if math.isfinite(err)
-        else (complex(math.nan), complex(math.nan), math.inf)
-        for k0r, k0i, k1r, k1i, err, _ in acc.T.tolist()
-    ]
+    out = []
+    for box, rect in zip(acc.T.tolist(), rects):
+        err = box[err_row]
+        if not math.isfinite(err):
+            out.append((complex(math.nan),) * 2 + (math.inf,) + (complex(math.nan),) * powers)
+            continue
+        values = [complex(re, im) / two_pi_i for re, im in zip(box[:sums], box[sums:err_row])]
+        # s_k was summed over (p - c)^k: in units of r it is divided by r^k
+        # (repeated products overflow to inf, and the solve refuses a nan)
+        unit, inverse = 1.0, 2.0 / rect.diameter
+        for k in range(2, sums):
+            unit *= inverse
+            values[k] *= unit
+        out.append((values[0], values[1], err / (2.0 * math.pi), *values[2:]))
+    return out
 
 
 def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
@@ -464,29 +513,30 @@ def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     counted = _judge_winding(f, rect, _contour_sums(f, [rect], True)[0])
     if isinstance(counted, Exception):
         raise counted
-    return counted[0]
+    return counted
 
 
 def _count_adaptive(
     f: ExpPoly, rects: list[Rectangle]
-) -> list[tuple[int, complex] | QuadratureError | BoundaryProximityError]:
-    """Per box of ``rects``: (count, first moment), or the error that refuses it.
+) -> list[tuple[int, tuple[complex, ...]] | QuadratureError | BoundaryProximityError]:
+    """Per box of ``rects``: (count, its ``_contour_sums``), or the error that refuses it.
 
     All boxes are integrated in one ``_contour_sums`` batch, without the
-    boundary test, and each is judged on its own by ``_judge_winding``.
+    boundary test but with the power sums up to s_(2 _MOMENT_ZEROS - 1)
+    that ``_moment_zeros`` solves, and each is judged on its own by
+    ``_judge_winding``.
     """
-    return [
-        _judge_winding(f, rect, sums)
-        for rect, sums in zip(rects, _contour_sums(f, rects, False))
-    ]
+    batch = _contour_sums(f, rects, False, 2 * _MOMENT_ZEROS - 1)
+    counted = [_judge_winding(f, rect, sums) for rect, sums in zip(rects, batch)]
+    return [n if isinstance(n, Exception) else (n, sums) for n, sums in zip(counted, batch)]
 
 
 def _judge_winding(
-    f: ExpPoly, rect: Rectangle, sums: tuple[complex, complex, float]
-) -> tuple[int, complex] | QuadratureError | BoundaryProximityError:
-    """The count and first moment that the contour ``sums`` of one box give,
-    or the error that refuses them."""
-    w0, w1, err = sums
+    f: ExpPoly, rect: Rectangle, sums: tuple[complex, ...]
+) -> int | QuadratureError | BoundaryProximityError:
+    """The count that the contour ``sums`` of one box give, or the error
+    that refuses it."""
+    w0, w1, err = sums[:3]
     spread = f.exponents[-1] - f.exponents[0]
     max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms) - 1
     if math.isfinite(err):
@@ -501,7 +551,7 @@ def _judge_winding(
                 f"at most {max_count:.4g} zeros there"
             )
         if err < _WINDING_ERROR_TOL and n >= 0 and abs(w0 - n) < _QUAD_TOL:
-            return n, w1
+            return n
         # A winding near a half-integer means a zero sits on the contour
         # itself; on an outer window that calls for inflation.
         if abs(w0 - (math.floor(w0.real) + 0.5)) < _QUAD_TOL:
@@ -591,40 +641,116 @@ def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, 
     return points
 
 
+def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
+    """c + r s_1 / s_0: the mean of the zeros of box ``rect`` from its contour ``sums``."""
+    return rect.center + 0.5 * rect.diameter * sums[3] / sums[0]
+
+
+def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], list[int]] | None:
+    """The distinct points u_j and multiplicities m_j (positive integers,
+    summing to ``n``) with s[k] = sum_j m_j u_j^k for k < 2n, or None.
+
+    The count d of distinct points is the numerical rank of the Hankel
+    matrix H_0 = [s_(i+j)], i, j < n: the number of its singular values
+    above n * ``noise``, where ``noise`` is the error estimate of the
+    quadrature that gave ``s``.  An error of at most ``noise`` in every
+    entry moves no singular value by more than that (Weyl), so a smaller
+    one may be noise.
+    The points are the eigenvalues of the pencil (H_1, H_0), H_1 = [s_(i+j+1)],
+    restricted to the range of H_0 through its SVD (Kravanja, Sakurai and
+    Van Barel, BIT 39, 1999).  The multiplicities solve the d x d
+    Vandermonde system of s_0, ..., s_(d-1), and each must lie within 0.1
+    of a positive integer.
+    """
+    if not np.isfinite(s).all():
+        return None
+    hankel = np.add.outer(np.arange(n), np.arange(n))
+    left, sigma, right = np.linalg.svd(s[hankel])
+    d = int(np.count_nonzero(sigma > n * noise))
+    pencil = left[:, :d].conj().T @ s[hankel + 1] @ right[:d].conj().T / sigma[:d, None]
+    try:
+        points = np.linalg.eigvals(pencil)
+        # a huge point makes an infinite or nan multiplicity, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult = np.linalg.solve(np.vander(points, d, increasing=True).T, s[:d])
+            counts = np.rint(mult.real)
+            near = np.abs(mult - counts) <= 0.1
+    except np.linalg.LinAlgError:
+        return None
+    if not near.all() or counts.min() < 1 or counts.sum() != n:
+        return None
+    return points.tolist(), counts.astype(int).tolist()
+
+
+def _moment_zeros(
+    f: ExpPoly, rect: Rectangle, count: int, sums: tuple[complex, ...]
+) -> list[Zero] | None:
+    """The ``count`` zeros of box ``rect`` from its power sums, or None.
+
+    ``_hankel_solve`` gives their points u and multiplicities m from
+    s_0, ..., s_(2 count - 1); each zero c + r u is polished by Newton on
+    f^(m-1) as a leaf's is.  The zeros stand only if each is refined inside
+    ``rect`` and no two lie within _CLUSTER_DIAMETER; the multiplicities sum
+    to ``count``, the winding that proved them.
+    """
+    solved = _hankel_solve(np.array((sums[0], *sums[3 : 2 * count + 2])), count, sums[2])
+    if solved is None:
+        return None
+    zeros: list[Zero] = []
+    for u, m in zip(*solved):
+        z, refined = _newton_polish(f, rect.center + 0.5 * rect.diameter * u, rect, m - 1)
+        if not refined or any(abs(z - w.location) <= _CLUSTER_DIAMETER for w in zeros):
+            return None
+        zeros.append(Zero(z, m))
+    return zeros
+
+
 def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     """The ``total`` zeros in ``window``, in ``ZeroSet`` order, isolated in count rounds.
 
-    A box with several zeros that is wider than _CLUSTER_DIAMETER splits.
-    Each round counts in one ``_count_adaptive`` batch the quadrants of
-    every box being split: a box new to the round at the best of its three
-    ``_split_points`` (ranked for all new boxes in one evaluation), a box
-    whose last try failed at its next point.  Quadrants that all count must
-    sum to their box's count and are the next round's new boxes, with their
-    counts and moments, so no box is integrated twice.  A quadrant that
-    takes all of its box's zeros keeps the box's moment, which a wider
-    contour gave with less cancellation.  Split fractions lie in 0.3-0.7,
-    so _CLUSTER_DIAMETER ends every search without a depth cap.
+    A box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
+    (``_moment_zeros``).  A box with more zeros, or whose solve fails, splits
+    if it is wider than _CLUSTER_DIAMETER.  Each round counts in one
+    ``_count_adaptive`` batch the quadrants of every box being split: a box
+    new to the round at the best of its three ``_split_points`` (ranked for
+    all new boxes in one evaluation), a box whose last try failed at its
+    next point.  Quadrants that all count must sum to their box's count and
+    are the next round's new boxes, with their counts and sums, so no box is
+    integrated twice.  Split fractions lie in 0.3-0.7, so _CLUSTER_DIAMETER
+    ends every search without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
     round a leaf of m zeros is polished by ``_newton_polish`` of order
-    m - 1 from its moment / m; a leaf of several zeros that it does not
-    verify as one m-fold zero fails the search.  Only the outer window,
-    counted through ``count_zeros``, comes without a moment; as a leaf it
-    integrates once more for it.
+    m - 1 from its centroid (``_centroid``); a quadrant that takes all of
+    its box's zeros keeps the box's centroid, which a wider contour gave
+    from a larger |f|.  A leaf of several zeros that Newton does not verify
+    as one m-fold zero fails the search, and so does an unrefined simple
+    zero whose centroid lies outside its leaf.  Only the outer window,
+    counted through ``count_zeros``, comes without its power sums; with
+    at most _MOMENT_ZEROS zeros, or as a leaf, it integrates once more for
+    them.
     """
+    zeros = []
     leaves = []
-    new: list[tuple[Rectangle, int, complex | None]] = [(window, total, None)]
+    # (box, its count, its contour sums, the centroid it inherits, if any)
+    new: list[tuple[Rectangle, int, tuple | None, complex | None]] = [(window, total, None, None)]
     retry = []
     while True:
         split = []
-        for box in new:
-            rect, count, _ = box
-            if count > 1 and rect.diameter > _CLUSTER_DIAMETER:
+        for rect, count, sums, centroid in new:
+            if sums is None and 0 < count <= _MOMENT_ZEROS:
+                # count_zeros judged the window without its power sums
+                sums = _contour_sums(f, [rect], False, 2 * count - 1)[0]
+            box = rect, count, sums, centroid
+            solved = 1 < count <= _MOMENT_ZEROS and _moment_zeros(f, rect, count, sums)
+            if solved:
+                zeros += solved
+            elif count > 1 and rect.diameter > _CLUSTER_DIAMETER:
                 split.append(box)
             elif count:
                 leaves.append(box)
-        ranked = _split_points(f, [rect for rect, _, _ in split]) if split else []
+        ranked = _split_points(f, [box[0] for box in split]) if split else []
         # (box, its split points, the index of the one to try)
         tries = [(box, points, 0) for box, points in zip(split, ranked)] + retry
         if not tries:
@@ -633,7 +759,7 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
         counted = _count_adaptive(f, [q for qs in quads for q in qs])
         new, retry = [], []
         for j, (box, points, k) in enumerate(tries):
-            rect, count, moment = box
+            rect, count, sums, centroid = box
             results = counted[4 * j : 4 * j + 4]
             if not any(isinstance(r, Exception) for r in results):
                 counts = [n for n, _ in results]
@@ -641,22 +767,26 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
                     raise QuadratureError(
                         f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                     )
+                if centroid is None and sums is not None:
+                    centroid = _centroid(rect, sums)
                 new += [
-                    (q, n, moment if n == count and moment is not None else w1)
-                    for q, (n, w1) in zip(quads[j], results)
+                    (q, n, s, centroid if n == count else None)
+                    for q, (n, s) in zip(quads[j], results)
                 ]
             elif k + 1 < len(points):
                 retry.append((box, points, k + 1))
             else:
                 leaves.append(box)
-    zeros = []
-    for rect, count, moment in leaves:
-        if moment is None:
-            # count_zeros judged these same sums when it counted the window
-            moment = _contour_sums(f, [rect], False)[0][1]
-        z, refined = _newton_polish(f, moment / count, rect, count - 1)
+    for rect, count, sums, centroid in leaves:
+        if centroid is None:
+            if sums is None:  # the window, counted without its power sums
+                sums = _contour_sums(f, [rect], False, 1)[0]
+            centroid = _centroid(rect, sums)
+        z, refined = _newton_polish(f, centroid, rect, count - 1)
         if count > 1 and not refined:
             raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
+        if not rect.contains(z):
+            raise QuadratureError(f"the centroid {z} of the zero counted in {rect} lies outside it")
         zeros.append(Zero(z, count, refined))
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     return sorted(zeros, key=lambda z: (round(z.location.real, 9), z.location.imag))
@@ -672,13 +802,16 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     recorded on the result.  Isolation works in count rounds (``_isolate``):
     every box being split in a round shares each quadrature round of its
     batch, so a search makes a kernel call per quadrature round of a count
-    round, not per box.  A box of one zero, a box of diameter at most 1e-6
-    and a box that no split can count are leaves.  A leaf of m zeros is
-    polished by Newton on f^(m-1) to a point inside the leaf where f,
+    round, not per box.  A box of 2 to 4 zeros is solved from its contour
+    power sums (``_moment_zeros``) and splits only if a check of that solve
+    fails.  A box of one zero, a box of diameter at most 1e-6 and a box
+    that no split can count are leaves.  Every zero, solved or a leaf's, is
+    polished by Newton on f^(m-1) to a point inside its box where f,
     f', ..., f^(m-1) are each <= 1e-12 of their own term scale.  A simple
-    zero that does not polish is reported at its box's first moment with
-    ``refined=False``; a leaf of several zeros that does not polish to one
-    m-fold zero raises QuadratureError.
+    zero that does not polish is reported at its box's centroid with
+    ``refined=False``, and a centroid outside the box raises
+    QuadratureError; so does a leaf of several zeros that does not polish
+    to one m-fold zero.
     """
     window, (total,) = _counted_window((f,), rect)
     return ZeroSet(tuple(_isolate(f, window, total)), window, total)

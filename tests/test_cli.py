@@ -890,3 +890,40 @@ def test_monodromy_at_a_huge_base_p_warns_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not captured.out
+
+
+@pytest.mark.parametrize("base_p, code", [(1e-308, 1), (5e-324, 1), (1e-300, 1), (1e-3, 0)])
+def test_monodromy_refuses_a_base_p_whose_phase_float64_cannot_resolve(
+    tmp_path, capsys, base_p, code
+):
+    # (1 + 2^p)^2 has a double zero at i pi / ln 2; its factor
+    # exp(4 pi i / base_p) raised a bare math domain error for a phase that
+    # overflows, and read rel_error 0 for one of 1.3e301 rad, where float64
+    # spaces phases ~1e285 apart
+    job_file = tmp_path / "job.json"
+    options = {"radius": 0.5, "base_p": [base_p]}
+    doc = {"vectors": [[1, 2, 2, 4]], "window": {"im": [1, 6]}, "options": options}
+    job_file.write_text(job_text(command="monodromy", **doc))
+    assert main(["monodromy", "--input", str(job_file)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error: base_p ") and not captured.out
+    else:
+        (loop,) = json.loads(captured.out)["payload"]["results"][0]["loops"]
+        assert loop["multiplicity"] == 2 and loop["rel_error"] <= 1e-6
+
+
+def test_a_zero_far_up_the_imaginary_axis_is_reported_inside_its_window(tmp_path, capsys):
+    # 1 + 2^p has one zero, near Im 1e15 + 6.5, in this window; Newton cannot
+    # refine it there, and its location came from the first moment about 0,
+    # whose quadrature error times |p| ~ 1e15 put it 3.6e11 above the window
+    job_file = tmp_path / "job.json"
+    window = {"re": [-1, 1], "im": [1e15, 1e15 + 10]}
+    job_file.write_text(job_text(command="zeros", vectors=[[1, 2]], window=window))
+    assert main(["zeros", "--input", str(job_file)]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["payload"]["results"]
+    (zero,) = result["zeros"]
+    assert result["total"] == 1 and zero["multiplicity"] == 1 and not zero["refined"]
+    assert -1 <= zero["re"] <= 1 and 1e15 <= zero["im"] <= 1e15 + 10
+    k = round((1e15 * math.log(2.0) / math.pi - 1) / 2) + 1  # the zero (2k+1) pi i / ln 2
+    assert abs(zero["im"] - (2 * k + 1) * math.pi / math.log(2.0)) < 1.0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnormcert import exppoly
 from pnormcert import (
@@ -186,6 +188,58 @@ def test_find_zeros_refines_multiple_zeros(base, m, window, n):
         assert abs(z.location - e) <= 1e-14 * abs(e)
 
 
+def assert_same_zeros(a, b) -> None:
+    """Equal totals, multiplicities and refined flags; locations within 1e-12 relative."""
+    assert a.total == b.total and len(a.zeros) == len(b.zeros)
+    for za, zb in zip(a.zeros, b.zeros):
+        assert (za.multiplicity, za.refined) == (zb.multiplicity, zb.refined)
+        assert abs(za.location - zb.location) <= 1e-12 * abs(za.location)
+
+
+def test_a_triple_zero_is_solved_from_its_power_sums_without_a_split(monkeypatch):
+    # (1 + 3^p)^3: the window holds the triple zero i pi / ln 3 alone; its
+    # Hankel matrix has rank 1, and Newton on f'' polishes the solved point
+    split_calls = []
+    real = exppoly._split_points
+    monkeypatch.setattr(
+        exppoly, "_split_points", lambda f, rects: split_calls.append(rects) or real(f, rects)
+    )
+    zs = find_zeros(from_vector(binomial_vector(3.0, 3)), Rectangle(-1, 1, 0.5, 5))
+    assert zs.total == 3 and not split_calls
+    (zero,) = zs.zeros
+    assert zero.multiplicity == 3 and zero.refined
+    expect = 1j * math.pi / math.log(3.0)
+    assert abs(zero.location - expect) <= 1e-14 * abs(expect)
+
+
+def test_a_box_whose_solve_fails_splits_and_finds_the_same_zeros(monkeypatch):
+    # e^p + 1 has six zeros here; with every Hankel solve refused, each box
+    # of 2 to _MOMENT_ZEROS zeros splits as a box of more zeros does
+    f = from_vector(RealVector((math.e, 1.0)))
+    solved = find_zeros(f, WINDOW)
+    refused = []
+    monkeypatch.setattr(exppoly, "_hankel_solve", lambda s, n, noise: refused.append(n))
+    split = find_zeros(f, WINDOW)
+    assert refused and all(2 <= n <= exppoly._MOMENT_ZEROS for n in refused)
+    assert_same_zeros(solved, split)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-2.0, 2.0),
+    st.lists(st.tuples(st.floats(0.3, 1.5), st.integers(1, 3)), min_size=1, max_size=5),
+)
+def test_solving_boxes_from_power_sums_finds_the_zeros_splitting_finds(lowest, steps):
+    # a 2-6 term sum whose exponents lie 0.3-1.5 apart, so the window holds zeros
+    betas = np.cumsum([lowest] + [step for step, _ in steps]).tolist()
+    f = ExpPoly(tuple(zip(betas, [1] + [m for _, m in steps])))
+    solved = find_zeros(f, exppoly.DEFAULT_WINDOW)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exppoly, "_MOMENT_ZEROS", 1)  # every box of several zeros splits
+        split = find_zeros(f, exppoly.DEFAULT_WINDOW)
+    assert_same_zeros(solved, split)
+
+
 def test_a_split_double_zero_is_two_simple_zeros(monkeypatch):
     # 1 + 2^p + (2 (1 + 1e-6))^p + 4^p is (1 + 2^p)^2 but for one exponent
     # 1e-6 off: its double zero near pi i / ln 2 splits into two simple
@@ -197,8 +251,10 @@ def test_a_split_double_zero_is_two_simple_zeros(monkeypatch):
     assert all(z.refined for z in zs.zeros)
     assert 5e-3 < abs(zs.zeros[0].location - zs.zeros[1].location) < 7e-3
     # a leaf holding both is not verified as one double zero: Newton on f'
-    # converges between them, where |f| is far above 1e-12
+    # converges between them, where |f| is far above 1e-12 (the split path:
+    # no box is solved from its power sums)
     monkeypatch.setattr(exppoly, "_CLUSTER_DIAMETER", 0.1)
+    monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
     with pytest.raises(QuadratureError, match="counts its 2 zeros"):
         find_zeros(f, window)
 
@@ -445,13 +501,25 @@ def test_each_counted_zero_is_reported_once_inside_the_window(coords):
             assert abs(a.location - b.location) > 1e-6
 
 
+def test_an_unrefined_zero_placed_outside_its_box_fails_the_search(monkeypatch):
+    # Newton cannot refine the zero of 1 + 2^p near Im 1e15 + 6.5, so it
+    # would be reported at its box's centroid; one outside the box is refused
+    f = from_vector(RealVector((1.0, 2.0)))
+    window = Rectangle(-1, 1, 1e15, 1e15 + 10)
+    (zero,) = find_zeros(f, window).zeros
+    assert not zero.refined and window.contains(zero.location)
+    monkeypatch.setattr(exppoly, "_centroid", lambda rect, sums: complex(0, rect.im_max + 1))
+    with pytest.raises(QuadratureError, match="lies outside"):
+        find_zeros(f, window)
+
+
 def test_find_zeros_integrates_no_box_twice(monkeypatch):
     seen = []
     real = exppoly._contour_sums
 
-    def spy(f, rects, check_boundary):
+    def spy(f, rects, check_boundary, *powers):
         seen.extend(rects)
-        return real(f, rects, check_boundary)
+        return real(f, rects, check_boundary, *powers)
 
     monkeypatch.setattr(exppoly, "_contour_sums", spy)
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
@@ -464,7 +532,9 @@ def test_split_ranking_keeps_midline_zeros_cheap(kernel_calls):
     # window's midline: a split there fails and costs kernel calls, which
     # the ranking of candidate lines by min |f| avoids (13 calls with the
     # ranking and one call per quadrature round of a count round; 24 with a
-    # call per box, 53 when the midpoint was tried first)
+    # call per box, 53 when the midpoint was tried first).  Now the window
+    # is solved from its power sums and not split at all: 6 calls, its
+    # count, its second integration and four Newton steps
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
     assert len(kernel_calls) <= 32
@@ -473,7 +543,8 @@ def test_split_ranking_keeps_midline_zeros_cheap(kernel_calls):
 def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
     # e^p + 1 has 6 zeros here; every box split in a count round shares each
     # quadrature round, and every new box the split-line sampling (21 calls;
-    # 41 with one per box)
+    # 41 with one per box).  Now only the window splits, and its quadrants
+    # of 2 to 4 zeros are solved from their power sums: 9 calls
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), WINDOW)
     assert zs.total == 6 and all(z.refined for z in zs.zeros)
     assert len(kernel_calls) <= 26
@@ -519,7 +590,9 @@ def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
 
 
 def test_a_wide_box_whose_splits_all_fail_is_not_a_cluster(monkeypatch):
-    # only the outer window counts; every split count fails
+    # only the outer window counts; every split count fails, and no box is
+    # solved from its power sums
+    monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
     monkeypatch.setattr(
         exppoly,
         "_count_adaptive",
@@ -536,7 +609,8 @@ def test_simple_zeros_where_f_and_a_higher_derivative_vanish_are_not_a_multiple_
     # f = 3 + 4 * 2^p + 4^p = (1 + 2^p)(3 + 2^p) has three simple zeros
     # i pi (2k+1) / ln 2 here, and f'' = 4 ln^2 2 * 2^p (1 + 2^p) vanishes at
     # each, so Newton on f'' from their centroid lands on a zero of f; f' is
-    # no zero there, so the window is no triple zero
+    # no zero there, so the window is no triple zero (split path only)
+    monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
     monkeypatch.setattr(
         exppoly,
         "_count_adaptive",

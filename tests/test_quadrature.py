@@ -5,6 +5,7 @@ counts against the closed-form zeros of two-term sums, and its work
 against fixed kernel-point budgets (a deterministic count, no clock).
 """
 
+import collections
 import math
 
 import numpy as np
@@ -131,6 +132,57 @@ def test_zero_search_uses_under_half_the_uniform_kernel_points(kernel_calls, nam
     assert kernel_calls.points < UNIFORM_POINTS[name] / 2
 
 
+@pytest.fixture
+def term_points(monkeypatch) -> collections.Counter:
+    """Term-points (points x terms) of every kernel call from here on, keyed
+    by the stage that made it: "_split_points", "_contour_sums" or None."""
+    work = collections.Counter()
+    stages = [None]
+    real_parts = exppoly._parts
+
+    def parts(f, ps, *args, **kwargs):
+        work[stages[-1]] += np.asarray(ps).size * len(f.terms)
+        return real_parts(f, ps, *args, **kwargs)
+
+    def staged(name):
+        real = getattr(exppoly, name)
+
+        def run(*args, **kwargs):
+            stages.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stages.pop()
+
+        monkeypatch.setattr(exppoly, name, run)
+
+    monkeypatch.setattr(exppoly, "_parts", parts)
+    staged("_split_points")
+    staged("_contour_sums")
+    return work
+
+
+def test_boxes_of_few_zeros_are_solved_not_split(term_points):
+    # the sums of test_each_counted_zero_is_reported_once_inside_the_window
+    # and e^p + 1: split sampling took 225,810 term-points when every box of
+    # several zeros split, and 65,520 once boxes of 2 to 4 zeros are solved
+    # from their power sums
+    for name in ("six-terms-13-zeros", "tied-pair", "six-terms-wide"):
+        find_zeros(from_vector(RealVector(SEARCHES[name][0])), exppoly.DEFAULT_WINDOW)
+    find_zeros(from_vector(RealVector((math.e, 1.0))), exppoly.DEFAULT_WINDOW)
+    assert term_points["_split_points"] <= 225_810 // 2
+
+
+def test_triple_zeros_cost_a_tenth_of_their_split_search(term_points):
+    # (1 + 3^p)^3 has seven triple zeros here; boxes split around each down
+    # to ~4e-4 across, which took 4,351,920 contour term-points, and 55,800
+    # once each box of one triple zero is solved from its power sums
+    v = RealVector(tuple(3.0**k for k in range(4) for _ in range(math.comb(3, k))))
+    zs = find_zeros(from_vector(v), exppoly.DEFAULT_WINDOW)
+    assert [z.multiplicity for z in zs.zeros] == [3] * 7
+    assert term_points["_contour_sums"] <= 4_351_920 // 10
+
+
 def test_a_zero_1e_3_from_an_edge_is_counted_without_inflation():
     # the uniform rule inflated this window; the adaptive one resolves the
     # near-pole of f'/f by bisecting only the panels next to it
@@ -197,19 +249,23 @@ def sums_and_batches(draw):
     return f, rects
 
 
-def _bits(sums: tuple[complex, complex, float]) -> tuple[str, ...]:
-    w0, w1, err = sums
-    return (w0.real.hex(), w0.imag.hex(), w1.real.hex(), w1.imag.hex(), err.hex())
+def _bits(sums: tuple) -> tuple[str, ...]:
+    """The bits of every value of one box's ``_contour_sums``."""
+    parts = [(v.real, v.imag) if isinstance(v, complex) else (v,) for v in sums]
+    return tuple(x.hex() for part in parts for x in part)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(sums_and_batches())
 def test_a_box_counts_the_same_in_any_batch(case):
     f, rects = case
-    batch = exppoly._contour_sums(f, rects, check_boundary=False)
-    for rect, sums in zip(rects, batch):
-        (alone,) = exppoly._contour_sums(f, [rect], check_boundary=False)
-        assert _bits(sums) == _bits(alone)
+    # without power sums, as count_zeros integrates, and with those of an
+    # isolation batch
+    for powers in (0, 2 * exppoly._MOMENT_ZEROS - 1):
+        batch = exppoly._contour_sums(f, rects, False, powers)
+        for rect, sums in zip(rects, batch):
+            (alone,) = exppoly._contour_sums(f, [rect], False, powers)
+            assert len(sums) == 3 + powers and _bits(sums) == _bits(alone)
     for rect, counted in zip(rects, exppoly._count_adaptive(f, rects)):
         try:
             expected = count_zeros(f, rect)
