@@ -369,11 +369,11 @@ def _contour_panels(
 
 
 def _contour_sums(
-    f: ExpPoly, rects: list[Rectangle], check_boundary: bool, powers: int = 0
+    f: ExpPoly, rects: list[Rectangle], check_boundary: bool, powers: int
 ) -> list[tuple[complex, ...]]:
-    """Per box of ``rects``: (1/2πi) ∮ f'/f dp, (1/2πi) ∮ p f'/f dp, the
-    error estimate of the first, and then the power sums
-    s_k = (1/2πi) ∮ u^k f'/f dp for k = 1, ..., ``powers``.
+    """Per box of ``rects``: the power sums s_k = (1/2πi) ∮ u^k f'/f dp for
+    k = 0, 1, ..., ``powers`` (``powers`` >= 1), s_k at index k, and last the
+    error estimate of s_0, the winding.
 
     u = (p - c) / r are the box's own coordinates (c its center, r its
     half-diagonal), so |u| <= 1 on its contour and s_k is the sum of u^k
@@ -386,13 +386,14 @@ def _contour_sums(
     done; otherwise each of its panels over its length's share of that
     tolerance is bisected and the others are kept.  A box stops unconverged
     (error estimate at least _WINDING_ERROR_TOL) as soon as a panel's
-    estimate (then inf) or moment is not finite, when its next round would
-    pass _PANEL_BUDGET times its base panels in all, once a panel has been
-    bisected _MAX_BISECTIONS times, or when none of its panels is over its
-    share, so the loop runs at most _MAX_BISECTIONS + 1 rounds.  Each box's
-    channels accumulate in one array, read out once after the last round.
-    A box's panels keep their order and its sums are reduced on their own,
-    so its result does not depend on the other boxes in ``rects``.
+    estimate (then inf) or first moment is not finite, when its next round
+    would pass _PANEL_BUDGET times its base panels in all, once a panel has
+    been bisected _MAX_BISECTIONS times, or when none of its panels is over
+    its share, so the loop runs at most _MAX_BISECTIONS + 1 rounds.  Each
+    box's channels accumulate in one array, read out once after the last
+    round.  A box's panels keep their order and its sums are reduced on
+    their own, so its result does not depend on the other boxes in
+    ``rects``.
     ``check_boundary`` is for a batch of one box (the outer count of
     ``count_zeros``): it applies the relative-|f| test to the first round's
     nodes and raises naming ``rects[0]``.
@@ -401,13 +402,12 @@ def _contour_sums(
     centers, halves, owner, base = _contour_panels(rects)
     budget = _PANEL_BUDGET * base
     span = np.array([r.width + r.height for r in rects])
-    if powers:
-        middle = np.array([r.center for r in rects])
+    middle = np.array([r.center for r in rects])
     tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
-    # per box: Re then Im of its 2 + powers complex sums, and the error sum,
+    # per box: Re then Im of its 1 + powers complex sums, and the error sum,
     # over its done panels (all its panels once it stops), and its panels
-    # used; the channels add a last row, a panel's non-finite moment
-    sums = 2 + powers
+    # used; the channels add a last row, a panel's non-finite first moment
+    sums = 1 + powers
     err_row, used_row, rows = 2 * sums, 2 * sums + 1, 2 * sums + 3
     acc = np.zeros((rows - 1, boxes))
     offsets = 2 * boxes * np.arange(rows)[:, None]
@@ -429,13 +429,11 @@ def _contour_sums(
         pending = e0 > tol * np.abs(halves) / span[owner]
         # far from the origin the moment can overflow; _judge_winding refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            # a panel's first moment about its own center, then about 0
+            # a panel's first moment about its own center, then about its
+            # box's; the power sums are scaled after the last round
             offset = halves * halves * np.add.reduce(term * _KRONROD_NODES, 1)
-            k1 = centers * k0 + offset
+            k1 = (centers - middle[owner]) * k0 + offset
             panel_sums = [k0, k1]
-            # the power sums about the box center, scaled after the last round
-            if powers:
-                panel_sums.append((centers - middle[owner]) * k0 + offset)
             if powers > 1:
                 shifted = pts - middle[owner, None]
                 term = term * shifted  # the nodes' terms of the first power
@@ -485,32 +483,34 @@ def _contour_sums(
     for box, rect in zip(acc.T.tolist(), rects):
         err = box[err_row]
         if not math.isfinite(err):
-            out.append((complex(math.nan),) * 2 + (math.inf,) + (complex(math.nan),) * powers)
+            out.append((complex(math.nan),) * sums + (math.inf,))
             continue
         values = [complex(re, im) / two_pi_i for re, im in zip(box[:sums], box[sums:err_row])]
         # s_k was summed over (p - c)^k: in units of r it is divided by r^k
         # (repeated products overflow to inf, and the solve refuses a nan)
         unit, inverse = 1.0, 2.0 / rect.diameter
-        for k in range(2, sums):
+        for k in range(1, sums):
             unit *= inverse
             values[k] *= unit
-        out.append((values[0], values[1], err / (2.0 * math.pi), *values[2:]))
+        out.append((*values, err / (2.0 * math.pi)))
     return out
 
 
 def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     """Number of zeros of f inside ``rect``, counted with multiplicity.
 
-    Locally adaptive Gauss-Kronrod quadrature of f'/f (see
-    ``_contour_sums``); accepted once the summed error estimate is below
-    1e-4 and the value sits within 1e-3 of a non-negative integer.
+    Locally adaptive Gauss-Kronrod quadrature of f'/f and of its first
+    moment about the center of ``rect`` (see ``_contour_sums``); accepted
+    once the summed error estimate is below 1e-4 and the value sits within
+    1e-3 of a non-negative integer.
     Raises BoundaryProximityError when the boundary runs too close to a
-    zero (callers may inflate and retry) and QuadratureError when no
-    converged integer emerges within the work cap, or when the integer is
-    one f cannot have: a rectangle of height h holds at most
+    zero (callers may inflate and retry) and QuadratureError when the
+    first moment overflows float64, when no converged integer emerges
+    within the work cap, or when the integer is one f cannot have: a
+    rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     """
-    counted = _judge_winding(f, rect, _contour_sums(f, [rect], True)[0])
+    counted = _judge_winding(f, rect, _contour_sums(f, [rect], True, 1)[0])
     if isinstance(counted, Exception):
         raise counted
     return counted
@@ -534,14 +534,14 @@ def _count_adaptive(
 def _judge_winding(
     f: ExpPoly, rect: Rectangle, sums: tuple[complex, ...]
 ) -> int | QuadratureError | BoundaryProximityError:
-    """The count that the contour ``sums`` of one box give, or the error
-    that refuses it."""
-    w0, w1, err = sums[:3]
+    """The count that the contour ``sums`` (s_0, s_1, ..., error estimate)
+    of one box give, or the error that refuses it."""
+    w0, s1, err = sums[0], sums[1], sums[-1]
     spread = f.exponents[-1] - f.exponents[0]
     max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms) - 1
     if math.isfinite(err):
         # an overflowing moment leaves the winding noise, so it is refused first
-        if not (math.isfinite(w1.real) and math.isfinite(w1.imag)):
+        if not (math.isfinite(s1.real) and math.isfinite(s1.imag)):
             return QuadratureError(f"first moment over {rect} overflows float64")
         n = round(w0.real)
         # the slack keeps a count that meets the bound from failing on rounding
@@ -643,7 +643,7 @@ def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, 
 
 def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
     """c + r s_1 / s_0: the mean of the zeros of box ``rect`` from its contour ``sums``."""
-    return rect.center + 0.5 * rect.diameter * sums[3] / sums[0]
+    return rect.center + 0.5 * rect.diameter * sums[1] / sums[0]
 
 
 def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], list[int]] | None:
@@ -693,7 +693,7 @@ def _moment_zeros(
     ``rect`` and no two lie within _CLUSTER_DIAMETER; the multiplicities sum
     to ``count``, the winding that proved them.
     """
-    solved = _hankel_solve(np.array((sums[0], *sums[3 : 2 * count + 2])), count, sums[2])
+    solved = _hankel_solve(np.array(sums[: 2 * count]), count, sums[-1])
     if solved is None:
         return None
     zeros: list[Zero] = []
@@ -722,27 +722,26 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
     round a leaf of m zeros is polished by ``_newton_polish`` of order
-    m - 1 from its centroid (``_centroid``); a quadrant that takes all of
-    its box's zeros keeps the box's centroid, which a wider contour gave
-    from a larger |f|.  A leaf of several zeros that Newton does not verify
-    as one m-fold zero fails the search, and so does an unrefined simple
-    zero whose centroid lies outside its leaf.  Only the outer window,
-    counted through ``count_zeros``, comes without its power sums; with
-    at most _MOMENT_ZEROS zeros, or as a leaf, it integrates once more for
+    m - 1 from the centroid of its own power sums (``_centroid``).  A leaf
+    of several zeros that Newton does not verify as one m-fold zero fails
+    the search, and so does an unrefined simple zero whose centroid lies
+    outside its leaf.  Only the outer window, counted through
+    ``count_zeros``, comes without the power sums a solve needs; with at
+    most _MOMENT_ZEROS zeros, or as a leaf, it integrates once more for
     them.
     """
     zeros = []
     leaves = []
-    # (box, its count, its contour sums, the centroid it inherits, if any)
-    new: list[tuple[Rectangle, int, tuple | None, complex | None]] = [(window, total, None, None)]
+    # (box, its count, its contour sums)
+    new: list[tuple[Rectangle, int, tuple | None]] = [(window, total, None)]
     retry = []
     while True:
         split = []
-        for rect, count, sums, centroid in new:
+        for rect, count, sums in new:
             if sums is None and 0 < count <= _MOMENT_ZEROS:
                 # count_zeros judged the window without its power sums
                 sums = _contour_sums(f, [rect], False, 2 * count - 1)[0]
-            box = rect, count, sums, centroid
+            box = rect, count, sums
             solved = 1 < count <= _MOMENT_ZEROS and _moment_zeros(f, rect, count, sums)
             if solved:
                 zeros += solved
@@ -759,7 +758,7 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
         counted = _count_adaptive(f, [q for qs in quads for q in qs])
         new, retry = [], []
         for j, (box, points, k) in enumerate(tries):
-            rect, count, sums, centroid = box
+            rect, count, _ = box
             results = counted[4 * j : 4 * j + 4]
             if not any(isinstance(r, Exception) for r in results):
                 counts = [n for n, _ in results]
@@ -767,22 +766,15 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
                     raise QuadratureError(
                         f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                     )
-                if centroid is None and sums is not None:
-                    centroid = _centroid(rect, sums)
-                new += [
-                    (q, n, s, centroid if n == count else None)
-                    for q, (n, s) in zip(quads[j], results)
-                ]
+                new += [(q, n, s) for q, (n, s) in zip(quads[j], results)]
             elif k + 1 < len(points):
                 retry.append((box, points, k + 1))
             else:
                 leaves.append(box)
-    for rect, count, sums, centroid in leaves:
-        if centroid is None:
-            if sums is None:  # the window, counted without its power sums
-                sums = _contour_sums(f, [rect], False, 1)[0]
-            centroid = _centroid(rect, sums)
-        z, refined = _newton_polish(f, centroid, rect, count - 1)
+    for rect, count, sums in leaves:
+        if sums is None:  # the window, counted without its power sums
+            sums = _contour_sums(f, [rect], False, 1)[0]
+        z, refined = _newton_polish(f, _centroid(rect, sums), rect, count - 1)
         if count > 1 and not refined:
             raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
         if not rect.contains(z):
