@@ -574,8 +574,8 @@ def _newton_polish(
     where f and each derivative up to f^(order) is within 1e-12 of its own
     term scale: near a multiple zero |f| is that small in a wide disc, and a
     zero of f^(order) alone may be no zero of f or of a lower derivative.
-    For order >= 1 the first point that meets the test on f^(order) can lie
-    ~1e-12 from the zero, so Newton takes one step more.
+    The first point that meets the test on f^(order) can lie ~1e-12 from
+    the zero, so Newton takes one step more.
     """
     z = z0
     reach = 2.0 * max(rect.width, rect.height)
@@ -586,7 +586,7 @@ def _newton_polish(
         ds = complex(ds_val[0])
         if abs(s) <= _NEWTON_REL_TARGET * float(bound[0]):
             converged = True
-            if order and ds != 0:
+            if ds != 0:
                 # one step more, kept if it still meets the test inside rect
                 z_new = z - s / ds
                 _, s_val, _, bound = _parts(f, z_new, order)

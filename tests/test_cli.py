@@ -821,6 +821,31 @@ def test_main_exits_3_on_a_window_far_from_the_origin(tmp_path, capsys, window, 
     assert message in captured.err and not captured.out
 
 
+@pytest.mark.parametrize(
+    "vector, window, axis",
+    [
+        ([1, 9], {"re": [1e308, 1.5e308]}, "re"),
+        ([1, 2], {"re": [-1.7e308, 1.7e308]}, "re"),
+        ([1, 2], {"im": [1e308, 1.5e308]}, "im"),
+    ],
+)
+def test_main_refuses_a_window_beyond_the_reach_of_float64(
+    tmp_path, capsys, vector, window, axis
+):
+    # a bound of the window inflated 8 times, times an exponent ln|x| as
+    # large as 744.4, must be finite; such windows once ended in numpy
+    # warnings and "rectangle must have positive width and height" when an
+    # inflation overflowed
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command="zeros", vectors=[vector], window=window))
+    assert main(["zeros", "--input", str(job_file)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        f"error: window.{axis}: a bound above 1.9e+305 in magnitude is out of float64's reach\n"
+    )
+
+
 def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):
     # the window of test_count_beyond_the_zero_bound_is_refused, as a job
     job_file = tmp_path / "job.json"

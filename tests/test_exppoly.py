@@ -168,17 +168,30 @@ def binomial_vector(base: float, m: int) -> RealVector:
     return RealVector(tuple(base**k for k in range(m + 1) for _ in range(math.comb(m, k))))
 
 
+MULTIPLE_ZEROS = {
+    # (1 + 3^p)^3 and (1 + 2^p)^4: m-fold zeros at (2k+1) pi i / ln base
+    "3.0-3-window0-7": (3.0, 3, WINDOW, 7),
+    "2.0-4-window1-2": (2.0, 4, Rectangle(-1, 1, 1, 15), 2),
+    # (1 + e^p)^2 in a window 2000 wide and 4.5 high: the double zero i pi
+    "2.718281828459045-2-window2-1": (math.e, 2, Rectangle(-1000, 1000, 0.5, 5), 1),
+    # (1 + 3^p)^5: one 5-fold zero, more than a box is solved for, so it is
+    # always found as a leaf
+    "3.0-5-window3-1": (3.0, 5, Rectangle(-1, 1, 0.5, 6), 1),
+}
+
+
 @pytest.mark.parametrize(
-    "base, m, window, n",
+    "moment_zeros, base, m, window, n",
     [
-        # (1 + 3^p)^3 and (1 + 2^p)^4: m-fold zeros at (2k+1) pi i / ln base
-        (3.0, 3, WINDOW, 7),
-        (2.0, 4, Rectangle(-1, 1, 1, 15), 2),
-        # (1 + e^p)^2 in a window 2000 wide and 4.5 high: the double zero i pi
-        (math.e, 2, Rectangle(-1000, 1000, 0.5, 5), 1),
+        # at _MOMENT_ZEROS = 1 every box of several zeros splits, down to a
+        # leaf of one m-fold zero
+        pytest.param(k, *case, id=name if k == exppoly._MOMENT_ZEROS else f"{name}-split")
+        for k in (exppoly._MOMENT_ZEROS, 1)
+        for name, case in MULTIPLE_ZEROS.items()
     ],
 )
-def test_find_zeros_refines_multiple_zeros(base, m, window, n):
+def test_find_zeros_refines_multiple_zeros(monkeypatch, moment_zeros, base, m, window, n):
+    monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", moment_zeros)
     zs = find_zeros(from_vector(binomial_vector(base, m)), window)
     assert zs.total == m * n
     assert [z.multiplicity for z in zs.zeros] == [m] * n
@@ -236,6 +249,22 @@ def test_solving_boxes_from_power_sums_finds_the_zeros_splitting_finds(lowest, s
     solved = find_zeros(f, exppoly.DEFAULT_WINDOW)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exppoly, "_MOMENT_ZEROS", 1)  # every box of several zeros splits
+        split = find_zeros(f, exppoly.DEFAULT_WINDOW)
+    assert_same_zeros(solved, split)
+
+
+@pytest.mark.parametrize("d", [1e-7, 1e-6, 1e-4, 1e-3])
+def test_near_double_zeros_come_out_the_same_solved_or_split(d):
+    # 1 + 2^p + (2 (1 + d))^p + 4^p is (1 + 2^p)^2 but for one exponent d
+    # off: each double zero splits into two simple zeros ~sqrt(d) apart.  A
+    # solved zero starts farther off than a small leaf's centroid; stopped
+    # at the first point under the 1e-12 test, the two searches put a zero
+    # up to 2.2e-11 relative apart.  At d = 1e-9 the pair is too
+    # ill-conditioned for this bound: they agree to 1.06e-12
+    f = from_vector(RealVector((1.0, 2.0, 2.0 * (1 + d), 4.0)))
+    solved = find_zeros(f, exppoly.DEFAULT_WINDOW)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exppoly, "_MOMENT_ZEROS", 1)
         split = find_zeros(f, exppoly.DEFAULT_WINDOW)
     assert_same_zeros(solved, split)
 
@@ -527,24 +556,31 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
-def test_split_ranking_keeps_midline_zeros_cheap(kernel_calls):
+def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch, kernel_calls):
     # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
     # window's midline: a split there fails and costs kernel calls, which
-    # the ranking of candidate lines by min |f| avoids (13 calls with the
-    # ranking and one call per quadrature round of a count round; 24 with a
-    # call per box, 53 when the midpoint was tried first).  Now the window
-    # is solved from its power sums and not split at all: 6 calls, its
-    # count, its second integration and four Newton steps
+    # the ranking of candidate lines by min |f| avoids (24 calls with a call
+    # per box, 53 when the midpoint was tried first).  With every box of
+    # several zeros split, not solved from its power sums: 13 calls, the
+    # window's count, two count rounds of quadrants, two of split sampling
+    # and two Newton steps per zero
+    monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
+    split_calls = []
+    real = exppoly._split_points
+    monkeypatch.setattr(
+        exppoly, "_split_points", lambda f, rects: split_calls.append(rects) or real(f, rects)
+    )
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
-    assert len(kernel_calls) <= 32
+    assert split_calls and len(kernel_calls) <= 32
 
 
 def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
     # e^p + 1 has 6 zeros here; every box split in a count round shares each
     # quadrature round, and every new box the split-line sampling (21 calls;
     # 41 with one per box).  Now only the window splits, and its quadrants
-    # of 2 to 4 zeros are solved from their power sums: 9 calls
+    # of 2 to 4 zeros are solved from their power sums: 15 calls, six of
+    # them the Newton step each zero takes past the test
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), WINDOW)
     assert zs.total == 6 and all(z.refined for z in zs.zeros)
     assert len(kernel_calls) <= 26
