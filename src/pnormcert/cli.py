@@ -132,9 +132,10 @@ def _as_window(value, where: str) -> Rectangle:
         hi = _as_float(pair[1], f"{where}.{axis}[1]")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidInputError(f"{where}.{axis}: need finite lo < hi")
-        # a bound of a fully inflated window, times any exponent ln|x| of a
-        # float64 x (|ln x| <= 744.44), must stay finite
-        reach = _INFLATION_FACTOR**_MAX_INFLATIONS * -math.log(math.ulp(0.0))
+        # a bound of a fully inflated window, times the largest difference of
+        # two exponents ln|x| (the kernel forms exponent * p - M), must stay finite
+        spread = math.log(sys.float_info.max) - math.log(math.ulp(0.0))
+        reach = _INFLATION_FACTOR**_MAX_INFLATIONS * spread
         if not math.isfinite(max(abs(lo), abs(hi)) * reach):
             raise InvalidInputError(
                 f"{where}.{axis}: a bound above {sys.float_info.max / reach:.2g} "

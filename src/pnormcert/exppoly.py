@@ -196,14 +196,13 @@ class Rectangle:
         hh = 0.5 * self.height * factor
         return Rectangle(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
 
-    def split(self, x: float, y: float) -> tuple["Rectangle", ...]:
-        """Quadrisect at the interior point (x, y)."""
-        return (
-            Rectangle(self.re_min, x, self.im_min, y),
-            Rectangle(x, self.re_max, self.im_min, y),
-            Rectangle(self.re_min, x, y, self.im_max),
-            Rectangle(x, self.re_max, y, self.im_max),
-        )
+    def split(self, at: float) -> tuple["Rectangle", "Rectangle"]:
+        """Halve across the longer side (the width on a tie) at ``at`` on that
+        side's axis: into left and right, or bottom and top."""
+        r0, r1, i0, i1 = self.re_min, self.re_max, self.im_min, self.im_max
+        if self.width >= self.height:
+            return Rectangle(r0, at, i0, i1), Rectangle(at, r1, i0, i1)
+        return Rectangle(r0, r1, i0, at), Rectangle(r0, r1, at, i1)
 
 
 DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
@@ -538,7 +537,8 @@ def _judge_winding(
     of one box give, or the error that refuses it."""
     w0, s1, err = sums[0], sums[1], sums[-1]
     spread = f.exponents[-1] - f.exponents[0]
-    max_count = rect.height * spread / (2.0 * math.pi) + len(f.terms) - 1
+    # height / 2pi first: height * spread can overflow on a window the parser takes
+    max_count = rect.height / (2.0 * math.pi) * spread + len(f.terms) - 1
     if math.isfinite(err):
         # an overflowing moment leaves the winding noise, so it is refused first
         if not (math.isfinite(s1.real) and math.isfinite(s1.imag)):
@@ -612,33 +612,29 @@ def _newton_polish(
     return z, True
 
 
-def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[tuple[float, float]]]:
-    """The three split points (x, y) to try in each box, best clearance first.
+def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[float]]:
+    """The three coordinates to try halving each box at (``Rectangle.split``),
+    best clearance first.
 
     One evaluation (a kernel call per _MAX_CALL_POINTS points) samples |f|,
-    relative to the term scale, at 65 points on each of 9 candidate
-    full-length lines per axis of every box.  Each axis ranks its lines by
-    their minimum, so lines near a zero sort last, and the k-th point joins
-    the k-th best line of each axis.  No hard cutoff; the quadrature
-    convergence test is the final arbiter.
+    relative to the term scale, at 65 points on each of 9 candidate lines
+    across the longer side of every box, and ranks the lines by their
+    minimum, so lines near a zero sort last.  No hard cutoff; the
+    quadrature convergence test is the final arbiter.
     """
     fractions = np.array((0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7))
-    lo = np.array([(r.re_min, r.im_min) for r in rects])
-    hi = np.array([(r.re_max, r.im_max) for r in rects])
-    size = np.array([(r.width, r.height) for r in rects])
-    # per box: the candidate x's and y's, and the 65 y's and x's along them
-    coords = lo[:, :, None] + fractions * size[:, :, None]
-    cross = np.linspace(lo[:, ::-1], hi[:, ::-1], 65, axis=-1)
-    vertical = coords[:, 0, :, None] + 1j * cross[:, None, 0]
-    horizontal = cross[:, None, 1] + 1j * coords[:, 1, :, None]
-    _, s_val, _, bound = _chunked_parts(f, np.stack((vertical, horizontal), axis=1).ravel())
-    rel = (np.abs(s_val) / bound).reshape(len(rects), 2, 9, 65).min(axis=3).tolist()
-    points = []
-    for box_rel, box_coords in zip(rel, coords.tolist()):
-        # (clearance, coordinate) of each axis's three best lines
-        x_best, y_best = (sorted(zip(r, c), reverse=True)[:3] for r, c in zip(box_rel, box_coords))
-        points.append([(x, y) for (_, x), (_, y) in zip(x_best, y_best)])
-    return points
+    wide = np.array([r.width >= r.height for r in rects])[:, None]
+    bounds = np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r in rects])
+    # per box: the bounds of the side cut, then of the side along the lines
+    lo, hi, along_lo, along_hi = np.where(wide, bounds, bounds[:, [2, 3, 0, 1]]).T
+    coords = lo[:, None] + fractions * (hi - lo)[:, None]
+    cut, along = coords[:, :, None], np.linspace(along_lo, along_hi, 65, axis=-1)[:, None]
+    lines = np.where(wide[:, :, None], cut + 1j * along, along + 1j * cut)
+    _, s_val, _, bound = _chunked_parts(f, lines.ravel())
+    rel = (np.abs(s_val) / bound).reshape(len(rects), 9, 65).min(axis=2).tolist()
+    return [
+        [c for _, c in sorted(zip(r, c), reverse=True)[:3]] for r, c in zip(rel, coords.tolist())
+    ]
 
 
 def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
@@ -711,13 +707,14 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     A box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
     (``_moment_zeros``).  A box with more zeros, or whose solve fails, splits
     if it is wider than _CLUSTER_DIAMETER.  Each round counts in one
-    ``_count_adaptive`` batch the quadrants of every box being split: a box
+    ``_count_adaptive`` batch the halves of every box being split: a box
     new to the round at the best of its three ``_split_points`` (ranked for
     all new boxes in one evaluation), a box whose last try failed at its
-    next point.  Quadrants that all count must sum to their box's count and
-    are the next round's new boxes, with their counts and sums, so no box is
-    integrated twice.  Split fractions lie in 0.3-0.7, so _CLUSTER_DIAMETER
-    ends every search without a depth cap.
+    next one.  Halves that both count must sum to their box's count and are
+    the next round's new boxes, with their counts and sums, so no box is
+    integrated twice.  Cuts lie at 0.3-0.7 of the longer side, so two in a
+    row leave both sides at most 0.7 of it, and _CLUSTER_DIAMETER ends
+    every search without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
@@ -754,19 +751,19 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
         tries = [(box, points, 0) for box, points in zip(split, ranked)] + retry
         if not tries:
             break
-        quads = [box[0].split(*points[k]) for box, points, k in tries]
-        counted = _count_adaptive(f, [q for qs in quads for q in qs])
+        halves = [box[0].split(points[k]) for box, points, k in tries]
+        counted = _count_adaptive(f, [h for pair in halves for h in pair])
         new, retry = [], []
         for j, (box, points, k) in enumerate(tries):
             rect, count, _ = box
-            results = counted[4 * j : 4 * j + 4]
+            results = counted[2 * j : 2 * j + 2]
             if not any(isinstance(r, Exception) for r in results):
                 counts = [n for n, _ in results]
                 if sum(counts) != count:
                     raise QuadratureError(
                         f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                     )
-                new += [(q, n, s) for q, (n, s) in zip(quads[j], results)]
+                new += [(h, n, s) for h, (n, s) in zip(halves[j], results)]
             elif k + 1 < len(points):
                 retry.append((box, points, k + 1))
             else:
@@ -792,18 +789,18 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
     zero or its count does not converge; the window actually used is
     recorded on the result.  Isolation works in count rounds (``_isolate``):
-    every box being split in a round shares each quadrature round of its
-    batch, so a search makes a kernel call per quadrature round of a count
-    round, not per box.  A box of 2 to 4 zeros is solved from its contour
-    power sums (``_moment_zeros``) and splits only if a check of that solve
-    fails.  A box of one zero, a box of diameter at most 1e-6 and a box
-    that no split can count are leaves.  Every zero, solved or a leaf's, is
-    polished by Newton on f^(m-1) to a point inside its box where f,
-    f', ..., f^(m-1) are each <= 1e-12 of their own term scale.  A simple
-    zero that does not polish is reported at its box's centroid with
-    ``refined=False``, and a centroid outside the box raises
-    QuadratureError; so does a leaf of several zeros that does not polish
-    to one m-fold zero.
+    a box is split in halves across its longer side, and all boxes split in
+    a round share each quadrature round of its batch, so a search makes a
+    kernel call per quadrature round of a count round, not per box.  A box
+    of 2 to 4 zeros is solved from its contour power sums (``_moment_zeros``)
+    and splits only if a check of that solve fails.  A box of one zero, a
+    box of diameter at most 1e-6 and a box that no cut can count are leaves.
+    Every zero, solved or a leaf's, is polished by Newton on f^(m-1) to a
+    point inside its box where f, f', ..., f^(m-1) are each <= 1e-12 of
+    their own term scale.  A simple zero that does not polish is reported at
+    its box's centroid with ``refined=False``, and a centroid outside the
+    box raises QuadratureError; so does a leaf of several zeros that does
+    not polish to one m-fold zero.
     """
     window, (total,) = _counted_window((f,), rect)
     return ZeroSet(tuple(_isolate(f, window, total)), window, total)

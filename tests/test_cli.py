@@ -827,23 +827,43 @@ def test_main_exits_3_on_a_window_far_from_the_origin(tmp_path, capsys, window, 
         ([1, 9], {"re": [1e308, 1.5e308]}, "re"),
         ([1, 2], {"re": [-1.7e308, 1.7e308]}, "re"),
         ([1, 2], {"im": [1e308, 1.5e308]}, "im"),
+        ([5e-324, 1.7e308], {"re": [-1.88e305, 1.88e305]}, "re"),
+        ([1e-300, 1e300], {"re": [-1.5e305, 1.5e305]}, "re"),
     ],
 )
 def test_main_refuses_a_window_beyond_the_reach_of_float64(
     tmp_path, capsys, vector, window, axis
 ):
-    # a bound of the window inflated 8 times, times an exponent ln|x| as
-    # large as 744.4, must be finite; such windows once ended in numpy
-    # warnings and "rectangle must have positive width and height" when an
-    # inflation overflowed
+    # a bound of the window inflated 8 times, times the largest difference
+    # of two exponents ln|x| of float64 x's, 709.8 + 744.4, must be finite;
+    # such windows once ended in numpy warnings and "rectangle must have
+    # positive width and height" when an inflation overflowed, and the last
+    # two in overflow warnings from the kernel before exiting 3
     job_file = tmp_path / "job.json"
     job_file.write_text(job_text(command="zeros", vectors=[vector], window=window))
     assert main(["zeros", "--input", str(job_file)]) == 1
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == (
-        f"error: window.{axis}: a bound above 1.9e+305 in magnitude is out of float64's reach\n"
+        f"error: window.{axis}: a bound above 9.7e+304 in magnitude is out of float64's reach\n"
     )
+
+
+@pytest.mark.parametrize("vector", [[5e-324, 1.7e308], [1e-300, 1e300]])
+@pytest.mark.parametrize("axis", ["re", "im"])
+def test_a_window_at_the_reach_of_float64_is_judged_without_warnings(
+    tmp_path, capsys, vector, axis
+):
+    # just inside the bound, with the widest exponent spread float64
+    # allows: the kernel's exponent * p - M and the zero bound's
+    # height * spread / 2pi once overflowed here, and warnings are errors
+    # under this suite; the count is refused, not the window
+    job_file = tmp_path / "job.json"
+    window = {axis: [-9.6e304, 9.6e304]}
+    job_file.write_text(job_text(command="zeros", vectors=[vector], window=window))
+    assert main(["zeros", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_main_exits_3_on_a_zero_count_beyond_the_bound(tmp_path, capsys):

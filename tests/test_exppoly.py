@@ -557,22 +557,27 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
 
 
 def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch, kernel_calls):
-    # 1 + 2^p has its 4 zeros in the default window on Re p = 0, the
-    # window's midline: a split there fails and costs kernel calls, which
-    # the ranking of candidate lines by min |f| avoids (24 calls with a call
-    # per box, 53 when the midpoint was tried first).  With every box of
-    # several zeros split, not solved from its power sums: 13 calls, the
-    # window's count, two count rounds of quadrants, two of split sampling
-    # and two Newton steps per zero
+    # 1 + 2^p has its 2 zeros here on Re p = 0, the midline of a window
+    # wider than tall, so the window is cut by a vertical line and the first
+    # candidate runs through both zeros: a cut there fails and costs kernel
+    # calls, which the ranking of candidate lines by min |f| avoids.  With
+    # every box of several zeros split, not solved from its power sums: 9
+    # calls, the window's count, two count rounds of halves, two of split
+    # sampling and two Newton steps per zero (26 when the midline is tried
+    # first)
     monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
-    split_calls = []
-    real = exppoly._split_points
+    split_calls, halves = [], []
+    points, count = exppoly._split_points, exppoly._count_adaptive
     monkeypatch.setattr(
-        exppoly, "_split_points", lambda f, rects: split_calls.append(rects) or real(f, rects)
+        exppoly, "_split_points", lambda f, rects: split_calls.append(rects) or points(f, rects)
     )
-    zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
-    assert zs.total == 4 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
-    assert split_calls and len(kernel_calls) <= 32
+    monkeypatch.setattr(
+        exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or count(f, rects)
+    )
+    zs = find_zeros(from_vector(RealVector((1.0, 2.0))), Rectangle(-10.0, 10.0, 0.5, 15.0))
+    assert zs.total == 2 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
+    assert halves and not any(0.0 in (r.re_min, r.re_max) for r in halves)
+    assert split_calls and len(kernel_calls) <= 16
 
 
 def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
@@ -588,28 +593,35 @@ def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
 
 @pytest.mark.parametrize(
     "coords, rect",
-    [((1.0, 2.0), exppoly.DEFAULT_WINDOW), ((1.0, 2.0, 3.0), Rectangle(-2.0, 1.0, 1.0, 9.0))],
+    [
+        pytest.param((1.0, 2.0), exppoly.DEFAULT_WINDOW, id="tall"),
+        pytest.param((1.0, 2.0, 3.0), Rectangle(-2.0, 1.0, 1.0, 9.0), id="tall-three-terms"),
+        pytest.param((1.0, 2.0), Rectangle(-10.0, 10.0, 0.5, 15.0), id="wide"),
+    ],
 )
-def test_split_points_rank_both_axes_in_one_kernel_call(kernel_calls, coords, rect):
+def test_split_points_rank_the_longer_side_in_one_kernel_call(kernel_calls, coords, rect):
     f = from_vector(RealVector(coords))
     (points,) = exppoly._split_points(f, [rect])
-    assert [c.size for c in kernel_calls] == [2 * 9 * 65]
+    assert [c.size for c in kernel_calls] == [9 * 65]
 
-    # each axis ranked by the minimum relative |f| over 65 points of each
-    # candidate line, largest first, as relative_magnitude measures it
+    # 9 candidate lines across the longer side, vertical on a wide box and
+    # horizontal on a tall one, 65 points each, ranked by the minimum
+    # relative |f| over their points, largest first, as relative_magnitude
+    # measures it
     fractions = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
+    wide = rect.width >= rect.height
+    re_bounds, im_bounds = (rect.re_min, rect.re_max), (rect.im_min, rect.im_max)
+    (lo, hi), (cross_lo, cross_hi) = (re_bounds, im_bounds) if wide else (im_bounds, re_bounds)
 
-    def ranked(lo, hi, cross_lo, cross_hi, point):
-        coords = [lo + t * (hi - lo) for t in fractions]
-        cross = np.linspace(cross_lo, cross_hi, 65)
-        clearance = [
-            min(exppoly.relative_magnitude(f, point(c, s)) for s in cross) for c in coords
-        ]
-        return [c for _, c in sorted(zip(clearance, coords), reverse=True)][:3]
+    def point(cut: float, s: float) -> complex:
+        return complex(cut, s) if wide else complex(s, cut)
 
-    xs = ranked(rect.re_min, rect.re_max, rect.im_min, rect.im_max, complex)
-    ys = ranked(rect.im_min, rect.im_max, rect.re_min, rect.re_max, lambda c, s: complex(s, c))
-    assert points == list(zip(xs, ys))
+    cuts = [lo + t * (hi - lo) for t in fractions]
+    cross = np.linspace(cross_lo, cross_hi, 65)
+    lines = [point(c, s) for c in cuts for s in cross]
+    np.testing.assert_array_equal(np.sort_complex(kernel_calls[0]), np.sort_complex(lines))
+    clearance = [min(exppoly.relative_magnitude(f, point(c, s)) for s in cross) for c in cuts]
+    assert points == [c for _, c in sorted(zip(clearance, cuts), reverse=True)][:3]
 
 
 def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
@@ -658,18 +670,18 @@ def test_simple_zeros_where_f_and_a_higher_derivative_vanish_are_not_a_multiple_
 
 
 def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
-    # e^p + 1 has its six zeros here on Re p = 0; boxes below Im 10 try that
-    # line first, so their first split runs through a zero and is refused,
-    # while the boxes above split at their best point at once
+    # e^p + 1 has its six zeros here at (2k + 1) pi i; the window's first
+    # cut is forced through the zero 3 pi i, so its halves are refused and
+    # it is cut again at its next point
     f = from_vector(RealVector((math.e, 1.0)))
     real_points, real_count = exppoly._split_points, exppoly._count_adaptive
     refused = []
 
-    def midline_first(f, rects):
+    def through_a_zero_first(f, rects):
         ranked = real_points(f, rects)
         for rect, points in zip(rects, ranked):
-            if rect.im_min < 10 and rect.re_min < 0 < rect.re_max:
-                points[0] = (0.0, points[0][1])
+            if rect == WINDOW:
+                points[0] = 3 * math.pi
         return ranked
 
     def spy(f, rects):
@@ -677,10 +689,11 @@ def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
         refused.extend(r for r, c in zip(rects, counted) if isinstance(c, Exception))
         return counted
 
-    monkeypatch.setattr(exppoly, "_split_points", midline_first)
+    monkeypatch.setattr(exppoly, "_split_points", through_a_zero_first)
     monkeypatch.setattr(exppoly, "_count_adaptive", spy)
     zs = find_zeros(f, WINDOW)
-    assert refused and all(0.0 in (r.re_min, r.re_max) for r in refused)
+    assert zs.window == WINDOW
+    assert refused and all(3 * math.pi in (r.im_min, r.im_max) for r in refused)
     assert zs.total == 6 and all(z.multiplicity == 1 and z.refined for z in zs.zeros)
     for k, z in enumerate(zs.zeros):
         assert abs(z.location - 1j * math.pi * (2 * k + 1)) <= 1e-12 * abs(z.location)

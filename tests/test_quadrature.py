@@ -183,6 +183,16 @@ def test_triple_zeros_cost_a_tenth_of_their_split_search(term_points):
     assert term_points["_contour_sums"] <= 4_351_920 // 10
 
 
+def test_halving_boxes_across_their_longer_side_keeps_split_work_down(kernel_calls):
+    # 1 + 40^p has 23 zeros here, up the line Re p = 0, so its boxes of
+    # more than 4 zeros split: 26,119 kernel points when each box was cut
+    # into four at a point, 13,759 now that it is halved across its longer
+    # side, with no empty half to count
+    zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 23
+    assert kernel_calls.points <= 18_000
+
+
 def test_a_zero_1e_3_from_an_edge_is_counted_without_inflation():
     # the uniform rule inflated this window; the adaptive one resolves the
     # near-pole of f'/f by bisecting only the panels next to it
