@@ -49,6 +49,7 @@ from .continuation import (
     build_loop_path,
     continue_log,
     continue_pnorm,
+    loop_monodromies,
     loop_monodromy,
     pnorm_at,
     pnorm_value,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .continuation import loop_monodromy
+from .continuation import loop_monodromies
 from .dependence import (
     CONSISTENT,
     DEFAULT_INTERVAL,
@@ -401,25 +402,25 @@ def _run_monodromy(job: JobSpec) -> dict:
             targets = [zs.zeros[job.target_index]]
         else:
             targets = list(zs.zeros)
-        loops = []
-        for zero in targets:
-            z = zero.location
-            others = tuple(w.location for w in zs.zeros if w.location != z)
-            for bp in job.base_ps:
-                measured, predicted = loop_monodromy(
-                    f, zero, bp, job.radius, other_zeros=others
-                )
-                loops.append(
-                    {
-                        "zero": _enc_complex(z),
-                        "multiplicity": zero.multiplicity,
-                        "base_p": bp,
-                        "radius": job.radius,
-                        "measured": _enc_complex(measured),
-                        "predicted": _enc_complex(predicted),
-                        "rel_error": abs(measured - predicted) / abs(predicted),
-                    }
-                )
+        others = [
+            tuple(w.location for w in zs.zeros if w.location != zero.location)
+            for zero in targets
+        ]
+        pairs = loop_monodromies(f, targets, job.base_ps, job.radius, other_zeros=others)
+        loops = [
+            {
+                "zero": _enc_complex(zero.location),
+                "multiplicity": zero.multiplicity,
+                "base_p": bp,
+                "radius": job.radius,
+                "measured": _enc_complex(measured),
+                "predicted": _enc_complex(predicted),
+                "rel_error": abs(measured - predicted) / abs(predicted),
+            }
+            for (zero, bp), (measured, predicted) in zip(
+                itertools.product(targets, job.base_ps), pairs
+            )
+        ]
         out.append(
             {"vector_index": k, "window": _enc_rect(zs.window), "loops": loops}
         )

@@ -727,13 +727,14 @@ def test_main_leaves_no_certificate_when_the_curves_fail(tmp_path, capsys):
 
 
 def test_monodromy_job_takes_few_kernel_calls(kernel_calls):
-    # two zeros, two base points: four loops, each continued in refinement
-    # rounds of one kernel call, not one call per step (601 calls in all
-    # when every step took its own)
+    # two zeros, two base points: four loops, continued together in
+    # refinement rounds of one kernel call each, after one call that tests
+    # both zeros: 6 calls for the zero search, 1 for the zeros and 2 rounds
+    # (18 when each loop ran alone, 601 when every step took its own call)
     doc = {**RUNNABLE["monodromy"], "options": {"base_p": [2, 3.5]}}
     cert, code = run(parse_jobspec(job_text(command="monodromy", **doc)))
     assert code == 0 and len(cert.payload["results"][0]["loops"]) == 4
-    assert len(kernel_calls) <= 40
+    assert len(kernel_calls) <= 9
 
 
 def _classified(classification):
@@ -759,8 +760,8 @@ def _raising(error):
         ("analyze", [[1, 0], [0, 1]], None, None, 0),
         ("analyze", [[1, 0], [0, 1]], "analyze", _classified(dependence.UNEXPECTED), 2),
         ("analyze", [[1, 0], [0, 1]], "analyze", _classified(dependence.ILL_CONDITIONED), 3),
-        ("monodromy", [[math.e, 1]], "loop_monodromy", _raising(MonodromyMismatchError), 2),
-        ("monodromy", [[math.e, 1]], "loop_monodromy", _raising(ClearanceError), 1),
+        ("monodromy", [[math.e, 1]], "loop_monodromies", _raising(MonodromyMismatchError), 2),
+        ("monodromy", [[math.e, 1]], "loop_monodromies", _raising(ClearanceError), 1),
         ("zeros", [[math.e, 1]], "find_zeros", _raising(QuadratureError), 3),
         ("zeros", [[math.e, 1]], "find_zeros", _raising(SingularEvaluationError), 3),
         # the ratio of the two scales leaves the float64 range
@@ -897,6 +898,85 @@ def test_monodromy_at_a_vanishing_quad_tol_does_not_blame_the_input(
     assert "not a zero" not in captured.err and not captured.out
 
 
+_BUDGET = "error: step budget of 100000 evaluated points spent before the path end\n"
+_TOO_SMALL = (
+    "error: base_p 1e-300 is too small: the loop's phase 2 pi m / base_p = 6.28e+300 rad "
+    "is not resolved to 1e-06 in float64\n"
+)
+
+
+@pytest.mark.parametrize(
+    "vector, window, options, code, err",
+    [
+        # the loop from base_p 2 passes; the one from 1e6 is refused by its budget
+        ([math.e, 1], None, {"base_p": [2, 1e6]}, 3, _BUDGET),
+        # a continuation refusal of the first loop comes before a
+        # validation error of the second, and the other way round
+        ([math.e, 1], None, {"base_p": [1e6, 1e-300]}, 3, _BUDGET),
+        ([math.e, 1], None, {"base_p": [1e-300, 1e6]}, 1, _TOO_SMALL),
+        # the loop around 1 + 2^p + 5^p's first zero passes; the second zero's
+        # loop runs past the zero at 0.19 + 2.55i ...
+        (
+            [1, 2, 5],
+            {"im": [0.5, 20]},
+            {"radius": 2.0, "base_p": [2]},
+            1,
+            "error: path passes within 1.0 of the zero at (0.19208234558188883+2.55177483179098j)\n",
+        ),
+        # ... unless a loop around the first zero is refused by its budget first
+        ([1, 2, 5], {"im": [0.5, 20]}, {"radius": 2.0, "base_p": [2, 1e6]}, 3, _BUDGET),
+    ],
+    ids=[
+        "later-budget",
+        "budget-before-validation",
+        "validation-before-budget",
+        "later-clearance",
+        "budget-before-clearance",
+    ],
+)
+def test_the_first_loop_to_fail_decides_a_monodromy_job(
+    tmp_path, capsys, vector, window, options, code, err
+):
+    # the loops of a vector are checked and continued together, yet the
+    # job ends as if they ran one after another: with the error of the
+    # first loop, in (zero, base_p) order, to fail at any stage
+    job_file = tmp_path / "job.json"
+    doc = {"vectors": [vector], "options": options, **({"window": window} if window else {})}
+    job_file.write_text(job_text(command="monodromy", **doc))
+    assert main(["monodromy", "--input", str(job_file)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err and not captured.out
+
+
+def test_a_loop_around_an_unrefined_zero_does_not_blame_the_input(tmp_path, capsys):
+    # the zero search reports 1 + 2^p's zero near Im 1e15 unrefined, at its
+    # box's centroid, where |f| is 1e-2 of its term scale; the loop around
+    # it once exited 1 with "... is not a zero of f"
+    job_file = tmp_path / "job.json"
+    window = {"re": [-1, 1], "im": [1e15, 1e15 + 10]}
+    job_file.write_text(job_text(command="monodromy", vectors=[[1, 2]], window=window))
+    assert main(["monodromy", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unrefined zero at (") and not captured.out
+    assert "not a zero" not in captured.err
+
+
+def test_a_loop_that_would_touch_the_real_axis_names_the_radius(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(
+        job_text(command="monodromy", vectors=[[1, 2]], options={"radius": 5})
+    )
+    assert main(["monodromy", "--input", str(job_file)]) == 1
+    captured = capsys.readouterr()
+    # the zero of 1 + 2^p nearest the real axis, i pi / ln 2 = 4.53i
+    assert re.fullmatch(
+        r"error: options\.radius: the loop of radius 5\.0 around the zero at "
+        r"\(\S+\+4\.53236014182719\d*j\) would touch the real axis\n",
+        captured.err,
+    )
+    assert not captured.out
+
+
 def test_monodromy_at_a_tiny_base_p_reads_no_norm_value(tmp_path, capsys):
     # exp(logf / p) overflows for p near 0; a loop reads only log f, so the
     # continued norm value must not be computed for it
@@ -935,6 +1015,20 @@ def test_monodromy_at_a_huge_base_p_warns_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not captured.out
+
+
+@pytest.mark.parametrize("base_ps", [[1e308], [2, 3e307, 1.7976931348623157e308]])
+def test_monodromy_beyond_the_step_budget_warns_nothing(tmp_path, capsys, base_ps):
+    # legs of ~1e308 once overflowed the count of their pieces (gap / 0.25)
+    # and its sum, which printed numpy RuntimeWarnings before the refusal
+    job_file = tmp_path / "job.json"
+    job_file.write_text(
+        job_text(command="monodromy", vectors=[[1, 2]], options={"base_p": base_ps})
+    )
+    # every warning is an error in this suite (pyproject filterwarnings)
+    assert main(["monodromy", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == _BUDGET and not captured.out
 
 
 @pytest.mark.parametrize("base_p, code", [(1e-308, 1), (5e-324, 1), (1e-300, 1), (1e-3, 0)])

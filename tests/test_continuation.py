@@ -14,6 +14,7 @@ from pnormcert import (
     Path,
     RealVector,
     Rectangle,
+    Zero,
     build_loop_path,
     continue_log,
     continue_pnorm,
@@ -426,8 +427,9 @@ def test_continue_log_caps_the_points_per_kernel_call(kernel_calls):
 
 
 def test_loop_monodromy_reads_the_base_log_from_its_continuation(kernel_calls):
-    # one call for relative_magnitude at the zero and the continuation's
-    # three (4,096 + 4,001 + 3 points); no call re-evaluates log f at base_p
+    # one call that tests the zero (relative |f| there) and the
+    # continuation's three (4,096 + 4,001 + 3 points); no call re-evaluates
+    # log f at base_p
     f = from_vector(RealVector((math.e, 1.0)))
     measured, predicted = loop_monodromy(f, (1j * math.pi, 1), 1000.0, 0.25)
     assert [c.size for c in kernel_calls] == [1, 4096, 4001, 3]
@@ -446,3 +448,56 @@ def test_continue_log_refuses_a_loop_from_a_huge_base_at_once(kernel_calls):
         continue_log(f, build_loop_path(1j * math.pi, 1e300, 0.25))
     assert kernel_calls == []
     assert err.value.point == 1e300
+
+
+@pytest.mark.parametrize("where", [0, 2])
+@pytest.mark.parametrize("refusal", ["runs into", "starts at", "budget"])
+def test_a_batch_tracks_each_path_as_alone_up_to_the_first_refused(
+    monkeypatch, refusal, where
+):
+    f = from_vector(RealVector((math.e, 1.0)))  # zeros at odd multiples of i pi
+    loops = [
+        np.array(build_loop_path(1j * math.pi, 2.0, 0.25).points),  # 2 rounds
+        np.array(build_loop_path(3j * math.pi, 3.5, 0.5).points),
+    ]
+    refused = {
+        # the node in the middle of this segment is i pi
+        "runs into": np.array([2 + 0j, 1 + 1j * math.pi, -1 + 1j * math.pi]),
+        "starts at": np.array([1j * math.pi, 2 + 1j * math.pi]),
+        # round 1 cuts this path into 1,201 points
+        "budget": np.array([1 + 0j, 1 + 300j]),
+    }[refusal]
+    monkeypatch.setattr(continuation, "_MAX_STEPS", 1000)
+    paths = loops[:where] + [refused] + loops[where:]
+    tracked, err = continuation._track_paths(f, paths)
+    assert len(tracked) == where
+    for (end, nodes), path in zip(tracked, paths):
+        alone_end, alone_nodes = continuation._track(f, Path(tuple(path.tolist())))
+        assert end == alone_end and nodes.tolist() == alone_nodes.tolist()
+    with pytest.raises(ContinuationError) as alone:
+        continuation._track(f, Path(tuple(refused.tolist())))
+    assert str(err) == str(alone.value) and err.point == alone.value.point
+    assert {"budget": "step budget"}.get(refusal, refusal) in str(err)
+
+
+def test_loop_monodromies_raise_the_error_of_the_first_loop_to_fail():
+    f = from_vector(RealVector((math.e, 1.0)))
+    z = complex(0.0, math.pi)
+    # a loop that continues but mismatches comes before one refused up front
+    with pytest.raises(MonodromyMismatchError):
+        continuation.loop_monodromies(f, [(z, 2), (complex(0.0, 2.0), 1)], [2.0], 1.0)
+    with pytest.raises(InvalidInputError, match="not a zero"):
+        continuation.loop_monodromies(f, [(complex(0.0, 2.0), 1), (z, 2)], [2.0], 1.0)
+    # the first loop's failure decides even when it comes later in the stages
+    with pytest.raises(InvalidInputError, match="base_p 1e-300"):
+        continuation.loop_monodromies(f, [(z, 1), (complex(0.0, 2.0), 1)], [1e-300, 2.0], 1.0)
+
+
+def test_only_an_unrefined_zero_is_spared_the_not_a_zero_verdict():
+    f = from_vector(RealVector((math.e, 1.0)))
+    near = complex(0.01, math.pi)
+    with pytest.raises(ContinuationError, match=r"^unrefined zero at \(0\.01\+3\.14"):
+        loop_monodromy(f, Zero(near, 1, refined=False), 2.0, 0.25)
+    for zero in (Zero(near, 1), (near, 1)):
+        with pytest.raises(InvalidInputError, match="is not a zero of f"):
+            loop_monodromy(f, zero, 2.0, 0.25)

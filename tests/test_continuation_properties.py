@@ -15,7 +15,19 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pnormcert import ExpPoly, Path, Rectangle, evaluate, evaluate_log, find_zeros
+from pnormcert import (
+    ExpPoly,
+    InvalidInputError,
+    Path,
+    RealVector,
+    Rectangle,
+    evaluate,
+    evaluate_log,
+    find_zeros,
+    from_vector,
+    loop_monodromies,
+    loop_monodromy,
+)
 from pnormcert.continuation import (
     _INITIAL_STEP,
     _MAX_ARG_CHANGE,
@@ -90,3 +102,51 @@ def test_rounds_accept_only_gaps_that_meet_the_step_rules(case):
     value = evaluate(f, end.p)
     assert abs(cmath.exp(end.logf) - value) <= 1e-10 * abs(value)
     assert abs(end.logf.imag - _dense_unwrapped_argument(f, pts)) <= 1e-9
+
+
+@st.composite
+def two_term_loops(draw):
+    """c1 + c2 e^(gap p), the sum of (1,)*c1 + (e^gap,)*c2, with the first
+    1-3 of its zeros (ln(c1/c2) + (2k + 1) pi i) / gap above the real axis,
+    a loop radius r a tenth of the zeros' spacing and 1-3 base points at
+    least r right of the zeros, so no loop's legs pass near another zero.
+
+    Two terms sum in the same order whatever the size of a kernel call;
+    NumPy sums three or more in another order for a one-point call, which
+    can move a factor by an ulp when a lone loop has a one-point round."""
+    gap = draw(st.floats(0.3, 2.0))
+    c1, c2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    v = RealVector((1.0,) * c1 + (math.exp(gap),) * c2)
+    count = draw(st.integers(1, 3))
+    zeros = [complex(math.log(c1 / c2), (2 * k + 1) * math.pi) / gap for k in range(count)]
+    radius = 0.2 * math.pi / gap
+    lowest = max(0.5, zeros[0].real + radius)
+    base_ps = draw(st.lists(st.floats(lowest, lowest + 5.0), min_size=1, max_size=3))
+    return v, zeros, base_ps, radius
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (InvalidInputError, ArithmeticError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+@PROPERTY
+@given(two_term_loops())
+def test_batched_loops_equal_one_loop_calls(case):
+    v, zeros, base_ps, radius = case
+    f = from_vector(v)
+    others = [tuple(w for w in zeros if w != z) for z in zeros]
+    batched = _outcome(
+        lambda: loop_monodromies(f, [(z, 1) for z in zeros], base_ps, radius, other_zeros=others)
+    )
+    alone = _outcome(
+        lambda: [
+            loop_monodromy(f, (z, 1), base_p, radius, other_zeros=rest)
+            for z, rest in zip(zeros, others)
+            for base_p in base_ps
+        ]
+    )
+    assert batched == alone
+    assert isinstance(batched, list), batched  # closed-form zeros: every loop runs
