@@ -46,6 +46,10 @@ _MAX_BISECTIONS = 16
 _CLUSTER_DIAMETER = 1e-6
 # A box of 2 to this many zeros is solved from its power sums, not split.
 _MOMENT_ZEROS = 4
+# A box is cut at these fractions of its longer side, in this order, until
+# both halves count.  The first is off the midline: in a symmetric window
+# the zeros of sums like 1 + 2^p all lie on it.
+_CUT_FRACTIONS = (0.45, 0.55, 0.35)
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
@@ -196,12 +200,14 @@ class Rectangle:
         hh = 0.5 * self.height * factor
         return Rectangle(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
 
-    def split(self, at: float) -> tuple["Rectangle", "Rectangle"]:
-        """Halve across the longer side (the width on a tie) at ``at`` on that
-        side's axis: into left and right, or bottom and top."""
+    def split(self, fraction: float) -> tuple["Rectangle", "Rectangle"]:
+        """Cut across the longer side (the width on a tie) at ``fraction`` of
+        it from its low end: into left and right, or bottom and top."""
         r0, r1, i0, i1 = self.re_min, self.re_max, self.im_min, self.im_max
         if self.width >= self.height:
+            at = r0 + fraction * (r1 - r0)
             return Rectangle(r0, at, i0, i1), Rectangle(at, r1, i0, i1)
+        at = i0 + fraction * (i1 - i0)
         return Rectangle(r0, r1, i0, at), Rectangle(r0, r1, at, i1)
 
 
@@ -289,8 +295,12 @@ def _parts(
 def _chunked_parts(
     f: ExpPoly, ps: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_parts`` at ``ps``, one kernel call per _MAX_CALL_POINTS points; the
-    kernel is elementwise, so the chunks change no value."""
+    """``_parts`` at ``ps``, one kernel call per _MAX_CALL_POINTS points.
+
+    A call of 2 or more points gives every point the same values as one
+    call of all of them.  A one-point call can differ in the last bits:
+    NumPy sums its terms in another order.
+    """
     ps = np.asarray(ps).reshape(-1)
     if ps.size <= _MAX_CALL_POINTS:
         return _parts(f, ps)
@@ -420,10 +430,13 @@ def _contour_sums(
                     f"contour of {rects[0]} passes within relative magnitude "
                     f"{rel_min:.2e} of a zero; inflate the window"
                 )
-        integrand = (ds_val / s_val).reshape(pts.shape)
-        term = integrand * _KRONROD_WEIGHTS
-        k0 = halves * np.add.reduce(term, 1)
-        e0 = np.abs(halves * np.add.reduce(integrand * _ERROR_WEIGHTS, 1))
+        # a node on a zero makes its panel's sums non-finite, which stops its
+        # box unconverged: a cut through a zero is refused, not warned about
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = (ds_val / s_val).reshape(pts.shape)
+            term = integrand * _KRONROD_WEIGHTS
+            k0 = halves * np.add.reduce(term, 1)
+            e0 = np.abs(halves * np.add.reduce(integrand * _ERROR_WEIGHTS, 1))
         # a panel's share of the tolerance is its share of its box's perimeter
         pending = e0 > tol * np.abs(halves) / span[owner]
         # far from the origin the moment can overflow; _judge_winding refuses it
@@ -612,31 +625,6 @@ def _newton_polish(
     return z, True
 
 
-def _split_points(f: ExpPoly, rects: list[Rectangle]) -> list[list[float]]:
-    """The three coordinates to try halving each box at (``Rectangle.split``),
-    best clearance first.
-
-    One evaluation (a kernel call per _MAX_CALL_POINTS points) samples |f|,
-    relative to the term scale, at 65 points on each of 9 candidate lines
-    across the longer side of every box, and ranks the lines by their
-    minimum, so lines near a zero sort last.  No hard cutoff; the
-    quadrature convergence test is the final arbiter.
-    """
-    fractions = np.array((0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7))
-    wide = np.array([r.width >= r.height for r in rects])[:, None]
-    bounds = np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r in rects])
-    # per box: the bounds of the side cut, then of the side along the lines
-    lo, hi, along_lo, along_hi = np.where(wide, bounds, bounds[:, [2, 3, 0, 1]]).T
-    coords = lo[:, None] + fractions * (hi - lo)[:, None]
-    cut, along = coords[:, :, None], np.linspace(along_lo, along_hi, 65, axis=-1)[:, None]
-    lines = np.where(wide[:, :, None], cut + 1j * along, along + 1j * cut)
-    _, s_val, _, bound = _chunked_parts(f, lines.ravel())
-    rel = (np.abs(s_val) / bound).reshape(len(rects), 9, 65).min(axis=2).tolist()
-    return [
-        [c for _, c in sorted(zip(r, c), reverse=True)[:3]] for r, c in zip(rel, coords.tolist())
-    ]
-
-
 def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
     """c + r s_1 / s_0: the mean of the zeros of box ``rect`` from its contour ``sums``."""
     return rect.center + 0.5 * rect.diameter * sums[1] / sums[0]
@@ -708,13 +696,12 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     (``_moment_zeros``).  A box with more zeros, or whose solve fails, splits
     if it is wider than _CLUSTER_DIAMETER.  Each round counts in one
     ``_count_adaptive`` batch the halves of every box being split: a box
-    new to the round at the best of its three ``_split_points`` (ranked for
-    all new boxes in one evaluation), a box whose last try failed at its
-    next one.  Halves that both count must sum to their box's count and are
-    the next round's new boxes, with their counts and sums, so no box is
-    integrated twice.  Cuts lie at 0.3-0.7 of the longer side, so two in a
-    row leave both sides at most 0.7 of it, and _CLUSTER_DIAMETER ends
-    every search without a depth cap.
+    new to the round cut at the first of _CUT_FRACTIONS of its longer side,
+    a box whose last try failed at the next.  Halves that both count must
+    sum to their box's count and are the next round's new boxes, with their
+    counts and sums, so no box is integrated twice.  Cuts lie at 0.35-0.55
+    of the longer side, so two in a row leave both sides at most 0.65 of
+    it, and _CLUSTER_DIAMETER ends every search without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
@@ -746,15 +733,14 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
                 split.append(box)
             elif count:
                 leaves.append(box)
-        ranked = _split_points(f, [box[0] for box in split]) if split else []
-        # (box, its split points, the index of the one to try)
-        tries = [(box, points, 0) for box, points in zip(split, ranked)] + retry
+        # (box, the index of the cut fraction to try)
+        tries = [(box, 0) for box in split] + retry
         if not tries:
             break
-        halves = [box[0].split(points[k]) for box, points, k in tries]
+        halves = [box[0].split(_CUT_FRACTIONS[k]) for box, k in tries]
         counted = _count_adaptive(f, [h for pair in halves for h in pair])
         new, retry = [], []
-        for j, (box, points, k) in enumerate(tries):
+        for j, (box, k) in enumerate(tries):
             rect, count, _ = box
             results = counted[2 * j : 2 * j + 2]
             if not any(isinstance(r, Exception) for r in results):
@@ -764,8 +750,8 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
                         f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
                     )
                 new += [(h, n, s) for h, (n, s) in zip(halves[j], results)]
-            elif k + 1 < len(points):
-                retry.append((box, points, k + 1))
+            elif k + 1 < len(_CUT_FRACTIONS):
+                retry.append((box, k + 1))
             else:
                 leaves.append(box)
     for rect, count, sums in leaves:
@@ -789,12 +775,14 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
     zero or its count does not converge; the window actually used is
     recorded on the result.  Isolation works in count rounds (``_isolate``):
-    a box is split in halves across its longer side, and all boxes split in
-    a round share each quadrature round of its batch, so a search makes a
-    kernel call per quadrature round of a count round, not per box.  A box
-    of 2 to 4 zeros is solved from its contour power sums (``_moment_zeros``)
-    and splits only if a check of that solve fails.  A box of one zero, a
-    box of diameter at most 1e-6 and a box that no cut can count are leaves.
+    a box is cut in two across its longer side, at 0.45 of it, else at 0.55,
+    else at 0.35, until both halves count, and all boxes split in a round
+    share each quadrature round of its batch, so a search makes a kernel
+    call per quadrature round of a count round, not per box.  f is evaluated
+    only on contours and in Newton.  A box of 2 to 4 zeros is solved from its
+    contour power sums (``_moment_zeros``) and splits only if a check of that
+    solve fails.  A box of one zero, a box of diameter at most 1e-6 and a box
+    that none of its three cuts can count are leaves.
     Every zero, solved or a leaf's, is polished by Newton on f^(m-1) to a
     point inside its box where f, f', ..., f^(m-1) are each <= 1e-12 of
     their own term scale.  A simple zero that does not polish is reported at

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -212,13 +213,13 @@ def assert_same_zeros(a, b) -> None:
 def test_a_triple_zero_is_solved_from_its_power_sums_without_a_split(monkeypatch):
     # (1 + 3^p)^3: the window holds the triple zero i pi / ln 3 alone; its
     # Hankel matrix has rank 1, and Newton on f'' polishes the solved point
-    split_calls = []
-    real = exppoly._split_points
+    halves = []
+    real = exppoly._count_adaptive
     monkeypatch.setattr(
-        exppoly, "_split_points", lambda f, rects: split_calls.append(rects) or real(f, rects)
+        exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or real(f, rects)
     )
     zs = find_zeros(from_vector(binomial_vector(3.0, 3)), Rectangle(-1, 1, 0.5, 5))
-    assert zs.total == 3 and not split_calls
+    assert zs.total == 3 and not halves
     (zero,) = zs.zeros
     assert zero.multiplicity == 3 and zero.refined
     expect = 1j * math.pi / math.log(3.0)
@@ -280,10 +281,14 @@ def test_a_split_double_zero_is_two_simple_zeros(monkeypatch):
     assert all(z.refined for z in zs.zeros)
     assert 5e-3 < abs(zs.zeros[0].location - zs.zeros[1].location) < 7e-3
     # a leaf holding both is not verified as one double zero: Newton on f'
-    # converges between them, where |f| is far above 1e-12 (the split path:
-    # no box is solved from its power sums)
-    monkeypatch.setattr(exppoly, "_CLUSTER_DIAMETER", 0.1)
+    # converges between them, where |f| is far above 1e-12 (the window is
+    # that leaf: it is not solved from its power sums, and no split counts)
     monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
+    monkeypatch.setattr(
+        exppoly,
+        "_count_adaptive",
+        lambda f, rects: [QuadratureError("split count refused") for _ in rects],
+    )
     with pytest.raises(QuadratureError, match="counts its 2 zeros"):
         find_zeros(f, window)
 
@@ -556,35 +561,31 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
-def test_split_ranking_keeps_midline_zeros_cheap(monkeypatch, kernel_calls):
+def test_an_off_midline_first_cut_keeps_midline_zeros_cheap(monkeypatch, kernel_calls):
     # 1 + 2^p has its 2 zeros here on Re p = 0, the midline of a window
-    # wider than tall, so the window is cut by a vertical line and the first
-    # candidate runs through both zeros: a cut there fails and costs kernel
-    # calls, which the ranking of candidate lines by min |f| avoids.  With
-    # every box of several zeros split, not solved from its power sums: 9
-    # calls, the window's count, two count rounds of halves, two of split
-    # sampling and two Newton steps per zero (26 when the midline is tried
-    # first)
+    # wider than tall, so the window is cut by a vertical line, first at
+    # 0.45 of its width, Re -1, clear of both zeros.  A cut at the midline
+    # fails and costs kernel calls.  With every box of several zeros split,
+    # not solved from its power sums: 7 calls, the window's count, two
+    # count rounds of halves and two Newton steps per zero (24 when the
+    # midline is tried first)
     monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
-    split_calls, halves = [], []
-    points, count = exppoly._split_points, exppoly._count_adaptive
-    monkeypatch.setattr(
-        exppoly, "_split_points", lambda f, rects: split_calls.append(rects) or points(f, rects)
-    )
+    halves = []
+    count = exppoly._count_adaptive
     monkeypatch.setattr(
         exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or count(f, rects)
     )
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), Rectangle(-10.0, 10.0, 0.5, 15.0))
     assert zs.total == 2 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
     assert halves and not any(0.0 in (r.re_min, r.re_max) for r in halves)
-    assert split_calls and len(kernel_calls) <= 16
+    assert len(kernel_calls) <= 16
 
 
 def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
     # e^p + 1 has 6 zeros here; every box split in a count round shares each
-    # quadrature round, and every new box the split-line sampling (21 calls;
-    # 41 with one per box).  Now only the window splits, and its quadrants
-    # of 2 to 4 zeros are solved from their power sums: 15 calls, six of
+    # quadrature round (41 calls with one per box, 21 while new boxes also
+    # sampled candidate cut lines).  Only the window splits, and its halves
+    # of 2 to 4 zeros are solved from their power sums: 14 calls, six of
     # them the Newton step each zero takes past the test
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), WINDOW)
     assert zs.total == 6 and all(z.refined for z in zs.zeros)
@@ -592,36 +593,71 @@ def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
 
 
 @pytest.mark.parametrize(
-    "coords, rect",
+    "rect, wide",
     [
-        pytest.param((1.0, 2.0), exppoly.DEFAULT_WINDOW, id="tall"),
-        pytest.param((1.0, 2.0, 3.0), Rectangle(-2.0, 1.0, 1.0, 9.0), id="tall-three-terms"),
-        pytest.param((1.0, 2.0), Rectangle(-10.0, 10.0, 0.5, 15.0), id="wide"),
+        pytest.param(Rectangle(-1.0, 1.0, 0.5, 40.0), False, id="tall"),
+        pytest.param(Rectangle(-10.0, 10.0, 0.5, 15.0), True, id="wide"),
+        pytest.param(Rectangle(2.0, 5.0, -1.0, 2.0), True, id="square"),
     ],
 )
-def test_split_points_rank_the_longer_side_in_one_kernel_call(kernel_calls, coords, rect):
-    f = from_vector(RealVector(coords))
-    (points,) = exppoly._split_points(f, [rect])
-    assert [c.size for c in kernel_calls] == [9 * 65]
+@pytest.mark.parametrize("fraction", [0.45, 0.55, 0.35])
+def test_a_box_is_cut_across_its_longer_side_at_the_fraction(rect, wide, fraction):
+    # a wide box (or a square) by a vertical line, a tall one by a
+    # horizontal line, at the fraction of the cut side from its low end
+    low, high = rect.split(fraction)
+    if wide:
+        at = rect.re_min + fraction * rect.width
+        assert low == Rectangle(rect.re_min, at, rect.im_min, rect.im_max)
+        assert high == Rectangle(at, rect.re_max, rect.im_min, rect.im_max)
+    else:
+        at = rect.im_min + fraction * rect.height
+        assert low == Rectangle(rect.re_min, rect.re_max, rect.im_min, at)
+        assert high == Rectangle(rect.re_min, rect.re_max, at, rect.im_max)
 
-    # 9 candidate lines across the longer side, vertical on a wide box and
-    # horizontal on a tall one, 65 points each, ranked by the minimum
-    # relative |f| over their points, largest first, as relative_magnitude
-    # measures it
-    fractions = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
-    wide = rect.width >= rect.height
-    re_bounds, im_bounds = (rect.re_min, rect.re_max), (rect.im_min, rect.im_max)
-    (lo, hi), (cross_lo, cross_hi) = (re_bounds, im_bounds) if wide else (im_bounds, re_bounds)
 
-    def point(cut: float, s: float) -> complex:
-        return complex(cut, s) if wide else complex(s, cut)
+def test_a_split_search_cuts_at_fixed_fractions_and_evaluates_f_only_on_contours(
+    monkeypatch,
+):
+    # 1 + 40^p has its zeros up Re p = 0, 23 in the default window and 9 in
+    # the wide one, so boxes of more than 4 zeros split: the tall window's
+    # across their height, the wide window and its first halves across their
+    # width.  Each pair of halves counted together is its box cut at 0.45,
+    # 0.55 or 0.35 of the longer side, and f is evaluated only by the
+    # contour quadrature and by Newton: no cut is placed by sampling f
+    halves, callers = [], set()
+    count, parts = exppoly._count_adaptive, exppoly._parts
 
-    cuts = [lo + t * (hi - lo) for t in fractions]
-    cross = np.linspace(cross_lo, cross_hi, 65)
-    lines = [point(c, s) for c in cuts for s in cross]
-    np.testing.assert_array_equal(np.sort_complex(kernel_calls[0]), np.sort_complex(lines))
-    clearance = [min(exppoly.relative_magnitude(f, point(c, s)) for s in cross) for c in cuts]
-    assert points == [c for _, c in sorted(zip(clearance, cuts), reverse=True)][:3]
+    def spy_count(f, rects):
+        halves.extend(rects)
+        return count(f, rects)
+
+    def spy_parts(f, ps, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_chunked_parts":
+            caller = caller.f_back
+        callers.add(caller.f_code.co_name)
+        return parts(f, ps, *args, **kwargs)
+
+    monkeypatch.setattr(exppoly, "_count_adaptive", spy_count)
+    monkeypatch.setattr(exppoly, "_parts", spy_parts)
+    f = from_vector(RealVector((1.0, 40.0)))
+    for window, total in ((exppoly.DEFAULT_WINDOW, 23), (Rectangle(-20.0, 20.0, 0.5, 15.0), 9)):
+        zs = find_zeros(f, window)
+        assert zs.total == total and sum(z.multiplicity for z in zs.zeros) == total
+    assert callers == {"_contour_sums", "_newton_polish"}
+    orientations = set()
+    for low, high in zip(halves[::2], halves[1::2]):
+        box = Rectangle(low.re_min, high.re_max, low.im_min, high.im_max)
+        wide = box.width >= box.height
+        orientations.add(wide)
+        if wide:
+            assert (low.im_min, low.im_max, low.re_max) == (high.im_min, high.im_max, high.re_min)
+            fraction = (low.re_max - box.re_min) / box.width
+        else:
+            assert (low.re_min, low.re_max, low.im_max) == (high.re_min, high.re_max, high.im_min)
+            fraction = (low.im_max - box.im_min) / box.height
+        assert min(abs(fraction - t) for t in (0.45, 0.55, 0.35)) <= 1e-9
+    assert orientations == {True, False}
 
 
 def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
@@ -672,24 +708,23 @@ def test_simple_zeros_where_f_and_a_higher_derivative_vanish_are_not_a_multiple_
 def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
     # e^p + 1 has its six zeros here at (2k + 1) pi i; the window's first
     # cut is forced through the zero 3 pi i, so its halves are refused and
-    # it is cut again at its next point
+    # it is cut again at its next fraction
     f = from_vector(RealVector((math.e, 1.0)))
-    real_points, real_count = exppoly._split_points, exppoly._count_adaptive
+    real_split, real_count = Rectangle.split, exppoly._count_adaptive
     refused = []
 
-    def through_a_zero_first(f, rects):
-        ranked = real_points(f, rects)
-        for rect, points in zip(rects, ranked):
-            if rect == WINDOW:
-                points[0] = 3 * math.pi
-        return ranked
+    def through_a_zero_first(rect, fraction):
+        if rect == WINDOW and fraction == exppoly._CUT_FRACTIONS[0]:
+            at = 3 * math.pi
+            return Rectangle(-1.0, 1.0, 0.5, at), Rectangle(-1.0, 1.0, at, 40.0)
+        return real_split(rect, fraction)
 
     def spy(f, rects):
         counted = real_count(f, rects)
         refused.extend(r for r, c in zip(rects, counted) if isinstance(c, Exception))
         return counted
 
-    monkeypatch.setattr(exppoly, "_split_points", through_a_zero_first)
+    monkeypatch.setattr(Rectangle, "split", through_a_zero_first)
     monkeypatch.setattr(exppoly, "_count_adaptive", spy)
     zs = find_zeros(f, WINDOW)
     assert zs.window == WINDOW

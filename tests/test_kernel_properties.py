@@ -7,15 +7,18 @@ rounded once, so every term carries a relative error of about
 eps * (1 + max|beta| |p|), and cancellation among the terms magnifies that
 by the term scale over |f|.  Points where |f| is below 1e-6 of the term
 scale (next to a zero, where log f is ill-conditioned) are skipped.
+The kernel's chunked calls are checked against one call, bit for bit.
 """
 
 import math
 
 import mpmath
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pnormcert import ExpPoly, evaluate_log, ratio_factor
+from pnormcert import ExpPoly, evaluate_log, exppoly, ratio_factor
 from pnormcert.exppoly import (
     _DEFAULT_RATIO_SAMPLES,
     _parts,
@@ -196,3 +199,22 @@ def test_ratio_factor_matches_mpmath(case):
         assert math.isinf(fit.residual)
     else:
         assert abs(fit.residual - residual) <= SLACK * unit * (1.0 + residual)
+
+
+@PROPERTY
+@given(exp_sums(), st.integers(2, 5), st.data())
+def test_chunks_of_two_or_more_points_give_the_values_of_one_call(f, cap, data):
+    # _chunked_parts calls the kernel once per cap points; with no chunk of
+    # one point, each point's values are those of one call of all points,
+    # bit for bit (a one-point call may sum the terms in another order)
+    n = data.draw(st.integers(cap + 2, 4 * cap).filter(lambda n: n % cap != 1))
+    top = max(1.0, _beta_max(f))
+    re = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    im = data.draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
+    ps = np.array(re) * (700.0 / top) + 1j * np.array(im)
+    whole = _parts(f, ps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exppoly, "_MAX_CALL_POINTS", cap)
+        chunked = exppoly._chunked_parts(f, ps)
+    for a, b in zip(whole, chunked):
+        assert a.tobytes() == b.tobytes()

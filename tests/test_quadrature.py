@@ -135,7 +135,7 @@ def test_zero_search_uses_under_half_the_uniform_kernel_points(kernel_calls, nam
 @pytest.fixture
 def term_points(monkeypatch) -> collections.Counter:
     """Term-points (points x terms) of every kernel call from here on, keyed
-    by the stage that made it: "_split_points", "_contour_sums" or None."""
+    by the stage that made it: "_contour_sums" or None."""
     work = collections.Counter()
     stages = [None]
     real_parts = exppoly._parts
@@ -157,20 +157,24 @@ def term_points(monkeypatch) -> collections.Counter:
         monkeypatch.setattr(exppoly, name, run)
 
     monkeypatch.setattr(exppoly, "_parts", parts)
-    staged("_split_points")
     staged("_contour_sums")
     return work
 
 
-def test_boxes_of_few_zeros_are_solved_not_split(term_points):
+def test_boxes_of_few_zeros_are_solved_not_split(monkeypatch):
     # the sums of test_each_counted_zero_is_reported_once_inside_the_window
-    # and e^p + 1: split sampling took 225,810 term-points when every box of
-    # several zeros split, and 65,520 once boxes of 2 to 4 zeros are solved
-    # from their power sums
+    # and e^p + 1: 132 halves were counted when every box of several zeros
+    # split, and 34 once boxes of 2 to 4 zeros are solved from their power
+    # sums
+    halves = []
+    count = exppoly._count_adaptive
+    monkeypatch.setattr(
+        exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or count(f, rects)
+    )
     for name in ("six-terms-13-zeros", "tied-pair", "six-terms-wide"):
         find_zeros(from_vector(RealVector(SEARCHES[name][0])), exppoly.DEFAULT_WINDOW)
     find_zeros(from_vector(RealVector((math.e, 1.0))), exppoly.DEFAULT_WINDOW)
-    assert term_points["_split_points"] <= 225_810 // 2
+    assert halves and len(halves) <= 132 // 2
 
 
 def test_triple_zeros_cost_a_tenth_of_their_split_search(term_points):
@@ -186,11 +190,27 @@ def test_triple_zeros_cost_a_tenth_of_their_split_search(term_points):
 def test_halving_boxes_across_their_longer_side_keeps_split_work_down(kernel_calls):
     # 1 + 40^p has 23 zeros here, up the line Re p = 0, so its boxes of
     # more than 4 zeros split: 26,119 kernel points when each box was cut
-    # into four at a point, 13,759 now that it is halved across its longer
-    # side, with no empty half to count
+    # into four at a point, 13,759 once it was halved across its longer
+    # side, with no empty half to count, and 8,787 now that no cut line is
+    # sampled
     zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 23
-    assert kernel_calls.points <= 18_000
+    assert kernel_calls.points <= 10_000
+
+
+def test_a_contour_node_on_a_zero_refuses_the_count_without_a_warning():
+    # (1 + 5^p)^5 has a 5-fold zero at 5 pi i / ln 5 = 9.76i.  The right
+    # edge of this box, a half its search counts, runs 2.4e-4 from it, and
+    # f rounds to exactly 0 at a node of a bisected panel there: the count
+    # is refused, and no RuntimeWarning is raised (warnings fail tests here)
+    b = math.log(5.0)
+    f = ExpPoly(tuple((k * b, math.comb(5, k)) for k in range(6)))
+    box = Rectangle(
+        -0.09999999999999998, 0.00023750000000004323, 9.731367248457033, 9.879584210937502
+    )
+    (counted,) = exppoly._count_adaptive(f, [box])
+    assert isinstance(counted, QuadratureError)
+    assert "value (nan+0j), error estimate inf" in str(counted)
 
 
 def test_a_zero_1e_3_from_an_edge_is_counted_without_inflation():
