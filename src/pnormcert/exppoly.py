@@ -13,6 +13,8 @@ what lets the quadrature run with an aggressive acceptance test.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -293,19 +295,21 @@ def _parts(
 
 
 def _chunked_parts(
-    f: ExpPoly, ps: complex | np.ndarray
+    f: ExpPoly, ps: complex | list[complex] | np.ndarray, order: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_parts`` at ``ps``, one kernel call per _MAX_CALL_POINTS points.
+    """``_parts`` of f^(``order``) at ``ps``, one kernel call per
+    _MAX_CALL_POINTS points.
 
     A call of 2 or more points gives every point the same values as one
-    call of all of them.  A one-point call can differ in the last bits:
-    NumPy sums its terms in another order.
+    call of all of them.  Only a one-point call can differ, in the last
+    bits: NumPy sums its terms in the other order.
     """
     ps = np.asarray(ps).reshape(-1)
     if ps.size <= _MAX_CALL_POINTS:
-        return _parts(f, ps)
+        return _parts(f, ps, order)
     chunks = [
-        _parts(f, ps[lo : lo + _MAX_CALL_POINTS]) for lo in range(0, ps.size, _MAX_CALL_POINTS)
+        _parts(f, ps[lo : lo + _MAX_CALL_POINTS], order)
+        for lo in range(0, ps.size, _MAX_CALL_POINTS)
     ]
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
@@ -578,51 +582,66 @@ def _judge_winding(
 
 
 def _newton_polish(
-    f: ExpPoly, z0: complex, rect: Rectangle, order: int = 0
-) -> tuple[complex, bool]:
-    """Refine the estimate ``z0`` of a zero of multiplicity order + 1 inside
-    ``rect`` by Newton on f^(order), where that zero is simple; else keep ``z0``.
+    f: ExpPoly, starts: list[tuple[complex, Rectangle, int]]
+) -> list[tuple[complex, bool]]:
+    """Per (z0, rect, order) of ``starts``: refine the estimate z0 of a zero
+    of multiplicity order + 1 inside rect by Newton on f^(order), where that
+    zero is simple, to (the zero, True); else (z0, False).
 
-    A point is accepted only inside ``rect`` (outside it is some other zero)
+    A point is accepted only inside its rect (outside it is some other zero)
     where f and each derivative up to f^(order) is within 1e-12 of its own
     term scale: near a multiple zero |f| is that small in a wide disc, and a
     zero of f^(order) alone may be no zero of f or of a lower derivative.
     The first point that meets the test on f^(order) can lie ~1e-12 from
     the zero, so Newton takes one step more.
+    Every Newton iteration evaluates all the live points of one order in
+    one kernel call, and so does each derivative of the final test.  Each
+    point takes the steps it would take alone; only a batch of one point
+    sums its terms in the other order (see ``_chunked_parts``), so a point
+    polished with others can end a few ulp from where it ends alone.
     """
-    z = z0
-    reach = 2.0 * max(rect.width, rect.height)
-    converged = False
-    for _ in range(_MAX_NEWTON_ITERS):
-        _, s_val, ds_val, bound = _parts(f, z, order)
-        s = complex(s_val[0])
-        ds = complex(ds_val[0])
-        if abs(s) <= _NEWTON_REL_TARGET * float(bound[0]):
-            converged = True
-            if ds != 0:
-                # one step more, kept if it still meets the test inside rect
-                z_new = z - s / ds
-                _, s_val, _, bound = _parts(f, z_new, order)
-                if rect.contains(z_new) and abs(s_val[0]) <= _NEWTON_REL_TARGET * bound[0]:
-                    z = z_new
-            break
-        if ds == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
-            break
-        step = s / ds
-        z_new = z - step
-        if abs(z_new - z0) > reach:
-            break
-        z = z_new
-        if abs(step) <= 1e-17 * max(1.0, abs(z)):
-            break
-    if not rect.contains(z):
-        return z0, False
-    # a converged Newton already met the test on f^(order) at z
-    for k in range(order if converged else order + 1):
-        _, s_val, _, bound = _parts(f, z, k)
-        if not abs(s_val[0]) / bound[0] <= _NEWTON_REL_TARGET:
-            return z0, False
-    return z, True
+    z = [z0 for z0, _, _ in starts]
+    converged = set()
+    for order in {k for _, _, k in starts}:
+        # (index, point, whether it is the step past the test)
+        live = [(i, z0, False) for i, (z0, _, k) in enumerate(starts) if k == order]
+        for iteration in itertools.count():
+            # a step past the test is tried even after the last iteration
+            live = [entry for entry in live if entry[2] or iteration < _MAX_NEWTON_ITERS]
+            if not live:
+                break
+            _, s_val, ds_val, bound = _chunked_parts(f, [p for _, p, _ in live], order)
+            values = zip(live, s_val.tolist(), ds_val.tolist(), bound.tolist())
+            live = []
+            for (i, p, past), s, ds, b in values:
+                z0, rect, _ = starts[i]
+                met = abs(s) <= _NEWTON_REL_TARGET * b
+                if past:
+                    # kept if it still meets the test inside rect
+                    if met and rect.contains(p):
+                        z[i] = p
+                elif met:
+                    converged.add(i)
+                    if ds != 0:
+                        live.append((i, p - s / ds, True))
+                elif ds != 0 and cmath.isfinite(s):
+                    step = s / ds
+                    z_new = p - step
+                    if abs(z_new - z0) <= 2.0 * max(rect.width, rect.height):
+                        z[i] = z_new
+                        if abs(step) > 1e-17 * max(1.0, abs(z_new)):
+                            live.append((i, z_new, False))
+    passed = [i for i, (_, rect, _) in enumerate(starts) if rect.contains(z[i])]
+    for k in range(1 + max((order for _, _, order in starts), default=-1)):
+        # a converged Newton already met the test on f^(order) at z
+        tested = [i for i in passed if k < starts[i][2] + (i not in converged)]
+        if tested:
+            _, s_val, _, bound = _chunked_parts(f, [z[i] for i in tested], k)
+            small = (np.abs(s_val) / bound <= _NEWTON_REL_TARGET).tolist()
+            failed = {i for i, ok in zip(tested, small) if not ok}
+            passed = [i for i in passed if i not in failed]
+    refined = set(passed)
+    return [(z[i], True) if i in refined else (z0, False) for i, (z0, _, _) in enumerate(starts)]
 
 
 def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
@@ -667,68 +686,87 @@ def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], l
 
 
 def _moment_zeros(
-    f: ExpPoly, rect: Rectangle, count: int, sums: tuple[complex, ...]
-) -> list[Zero] | None:
-    """The ``count`` zeros of box ``rect`` from its power sums, or None.
+    f: ExpPoly, boxes: list[tuple[Rectangle, int, tuple[complex, ...]]]
+) -> list[list[Zero] | None]:
+    """Per box (rect, count, sums) of ``boxes``: its ``count`` zeros from
+    its power sums, or None.
 
     ``_hankel_solve`` gives their points u and multiplicities m from
     s_0, ..., s_(2 count - 1); each zero c + r u is polished by Newton on
-    f^(m-1) as a leaf's is.  The zeros stand only if each is refined inside
-    ``rect`` and no two lie within _CLUSTER_DIAMETER; the multiplicities sum
-    to ``count``, the winding that proved them.
+    f^(m-1) as a leaf's is, the zeros of every box in one ``_newton_polish``
+    batch, so a box whose solve fails has polished all of its zeros.  A
+    box's zeros stand only if each is refined inside it and no two lie
+    within _CLUSTER_DIAMETER; the multiplicities sum to ``count``, the
+    winding that proved them.
     """
-    solved = _hankel_solve(np.array(sums[: 2 * count]), count, sums[-1])
-    if solved is None:
-        return None
-    zeros: list[Zero] = []
-    for u, m in zip(*solved):
-        z, refined = _newton_polish(f, rect.center + 0.5 * rect.diameter * u, rect, m - 1)
-        if not refined or any(abs(z - w.location) <= _CLUSTER_DIAMETER for w in zeros):
-            return None
-        zeros.append(Zero(z, m))
-    return zeros
+    pencils = [
+        _hankel_solve(np.array(sums[: 2 * count]), count, sums[-1]) for _, count, sums in boxes
+    ]
+    starts = [
+        (rect.center + 0.5 * rect.diameter * u, rect, m - 1)
+        for (rect, _, _), pencil in zip(boxes, pencils)
+        if pencil is not None
+        for u, m in zip(*pencil)
+    ]
+    polished = iter(_newton_polish(f, starts))
+    out: list[list[Zero] | None] = []
+    for pencil in pencils:
+        if pencil is None:
+            out.append(None)
+            continue
+        # zip takes one polished zero per multiplicity, and no more
+        zeros = [Zero(z, m) for m, (z, refined) in zip(pencil[1], polished) if refined]
+        close = any(
+            abs(a.location - b.location) <= _CLUSTER_DIAMETER
+            for a, b in itertools.combinations(zeros, 2)
+        )
+        out.append(zeros if len(zeros) == len(pencil[1]) and not close else None)
+    return out
 
 
 def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     """The ``total`` zeros in ``window``, in ``ZeroSet`` order, isolated in count rounds.
 
     A box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
-    (``_moment_zeros``).  A box with more zeros, or whose solve fails, splits
-    if it is wider than _CLUSTER_DIAMETER.  Each round counts in one
-    ``_count_adaptive`` batch the halves of every box being split: a box
-    new to the round cut at the first of _CUT_FRACTIONS of its longer side,
-    a box whose last try failed at the next.  Halves that both count must
-    sum to their box's count and are the next round's new boxes, with their
-    counts and sums, so no box is integrated twice.  Cuts lie at 0.35-0.55
-    of the longer side, so two in a row leave both sides at most 0.65 of
-    it, and _CLUSTER_DIAMETER ends every search without a depth cap.
+    (``_moment_zeros``, every such box of a round in one call, so all their
+    zeros are polished together).  A box with more zeros, or whose solve
+    fails, splits if it is wider than _CLUSTER_DIAMETER.  Each round counts
+    in one ``_count_adaptive`` batch the halves of every box being split: a
+    box new to the round cut at the first of _CUT_FRACTIONS of its longer
+    side, a box whose last try failed at the next.  Halves that both count
+    must sum to their box's count and are the next round's new boxes, with
+    their counts and sums, so no box is integrated twice.  Cuts lie at
+    0.35-0.55 of the longer side, so two in a row leave both sides at most
+    0.65 of it, and _CLUSTER_DIAMETER ends every search without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
-    round a leaf of m zeros is polished by ``_newton_polish`` of order
-    m - 1 from the centroid of its own power sums (``_centroid``).  A leaf
-    of several zeros that Newton does not verify as one m-fold zero fails
-    the search, and so does an unrefined simple zero whose centroid lies
-    outside its leaf.  Only the outer window, counted through
-    ``count_zeros``, comes without the power sums a solve needs; with at
-    most _MOMENT_ZEROS zeros, or as a leaf, it integrates once more for
-    them.
+    round every leaf is polished in one ``_newton_polish`` batch, a leaf of
+    m zeros by Newton of order m - 1 from the centroid of its own power sums
+    (``_centroid``).  Then, leaf by leaf, a leaf of several zeros that
+    Newton does not verify as one m-fold zero fails the search, and so does
+    an unrefined simple zero whose centroid lies outside its leaf.  Only the
+    outer window, counted through ``count_zeros``, comes without the power
+    sums a solve needs; with at most _MOMENT_ZEROS zeros, or as a leaf, it
+    integrates once more for them.
     """
     zeros = []
     leaves = []
+    sums = None
+    if 0 < total <= _MOMENT_ZEROS:
+        # count_zeros judged the window without its power sums
+        sums = _contour_sums(f, [window], False, 2 * total - 1)[0]
     # (box, its count, its contour sums)
-    new: list[tuple[Rectangle, int, tuple | None]] = [(window, total, None)]
+    new: list[tuple[Rectangle, int, tuple | None]] = [(window, total, sums)]
     retry = []
     while True:
         split = []
-        for rect, count, sums in new:
-            if sums is None and 0 < count <= _MOMENT_ZEROS:
-                # count_zeros judged the window without its power sums
-                sums = _contour_sums(f, [rect], False, 2 * count - 1)[0]
-            box = rect, count, sums
-            solved = 1 < count <= _MOMENT_ZEROS and _moment_zeros(f, rect, count, sums)
-            if solved:
-                zeros += solved
+        solved = iter(_moment_zeros(f, [box for box in new if 1 < box[1] <= _MOMENT_ZEROS]))
+        for box in new:
+            rect, count, _ = box
+            solution = 1 < count <= _MOMENT_ZEROS and next(solved)
+            if solution:
+                zeros += solution
             elif count > 1 and rect.diameter > _CLUSTER_DIAMETER:
                 split.append(box)
             elif count:
@@ -754,10 +792,12 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
                 retry.append((box, k + 1))
             else:
                 leaves.append(box)
-    for rect, count, sums in leaves:
-        if sums is None:  # the window, counted without its power sums
-            sums = _contour_sums(f, [rect], False, 1)[0]
-        z, refined = _newton_polish(f, _centroid(rect, sums), rect, count - 1)
+    starts = [
+        # only the window can come without its sums
+        (_centroid(rect, sums or _contour_sums(f, [rect], False, 1)[0]), rect, count - 1)
+        for rect, count, sums in leaves
+    ]
+    for (rect, count, _), (z, refined) in zip(leaves, _newton_polish(f, starts)):
         if count > 1 and not refined:
             raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
         if not rect.contains(z):
@@ -785,10 +825,14 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     that none of its three cuts can count are leaves.
     Every zero, solved or a leaf's, is polished by Newton on f^(m-1) to a
     point inside its box where f, f', ..., f^(m-1) are each <= 1e-12 of
-    their own term scale.  A simple zero that does not polish is reported at
-    its box's centroid with ``refined=False``, and a centroid outside the
-    box raises QuadratureError; so does a leaf of several zeros that does
-    not polish to one m-fold zero.
+    their own term scale.  The zeros of all boxes solved in a count round
+    are polished together, and all leaves together after the last round,
+    one kernel call per Newton iteration and order, not per zero; a box
+    whose solve fails has polished all of its zeros before it splits.  A
+    simple zero that does not polish is reported at its box's centroid with
+    ``refined=False``, and a centroid outside the box raises
+    QuadratureError; so does a leaf of several zeros that does not polish
+    to one m-fold zero.
     """
     window, (total,) = _counted_window((f,), rect)
     return ZeroSet(tuple(_isolate(f, window, total)), window, total)

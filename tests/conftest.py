@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,13 +8,23 @@ from pnormcert import exppoly
 
 
 class KernelCalls(list):
-    """The points of every ``exppoly._parts`` call, one flat array per call.
+    """The points of every ``exppoly._parts`` call, one flat array per call,
+    and in ``callers`` the name of the function that made each call
+    (through ``_chunked_parts`` or directly).
 
     A call that would take the points evaluated past ``limit`` fails before
     it evaluates, so a runaway search stops before it allocates.
     """
 
     limit = math.inf
+
+    def __init__(self):
+        super().__init__()
+        self.callers: list[str] = []
+
+    def clear(self) -> None:
+        super().clear()
+        self.callers.clear()
 
     @property
     def points(self) -> int:
@@ -28,6 +39,10 @@ def kernel_calls(monkeypatch) -> KernelCalls:
     real = exppoly._parts
 
     def spy(f, ps, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_chunked_parts":
+            caller = caller.f_back
+        calls.callers.append(caller.f_code.co_name)
         calls.append(np.asarray(ps).reshape(-1).copy())
         assert calls.points <= calls.limit
         return real(f, ps, *args, **kwargs)

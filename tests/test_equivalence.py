@@ -1,0 +1,57 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
+_SPEC = importlib.util.spec_from_file_location("equivalence", _PATH)
+equivalence = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(equivalence)
+
+
+def run(code=0, im=4.0, refined=True, loop_im=2.0, rel_error=0.0):
+    """One tree's runs of one job: a zeros result and a loop around a zero."""
+    payload = {
+        "results": [
+            {"total": 1, "zeros": [{"im": im, "multiplicity": 1, "re": 0.0, "refined": refined}]}
+        ],
+        "loops": [{"rel_error": rel_error, "zero": {"im": loop_im, "re": 1.0}}],
+    }
+    return {"runs": {"job": (code, payload, "p,norm\n")}}
+
+
+def test_identical_runs_are_equivalent():
+    verdict = equivalence.compare(run(), run())
+    assert verdict["equivalent"] and verdict["zeros"] == 2 and verdict["zeros_moved"] == 0
+
+
+@pytest.mark.parametrize(
+    "change, equivalent",
+    [
+        pytest.param({"im": 4.0 * (1 + 2e-16)}, True, id="zero-last-bit"),
+        pytest.param({"loop_im": 2.0 * (1 + 1e-13)}, True, id="loop-zero-1e-13"),
+        pytest.param({"im": 4.0 * (1 + 1e-11)}, False, id="zero-1e-11"),
+    ],
+)
+def test_zero_coordinates_may_move_by_the_tolerance(change, equivalent):
+    verdict = equivalence.compare(run(), run(**change))
+    assert verdict["zeros_moved"] == 1 and not verdict["field_differences"]
+    assert verdict["equivalent"] == equivalent
+
+
+@pytest.mark.parametrize(
+    "change, difference",
+    [
+        ({"refined": False}, "job: results.0.zeros.0.refined"),
+        ({"rel_error": 1e-17}, "job: loops.0.rel_error"),
+    ],
+)
+def test_any_other_field_must_be_equal(change, difference):
+    verdict = equivalence.compare(run(), run(**change))
+    assert verdict["field_differences"] == [difference] and not verdict["equivalent"]
+
+
+def test_exit_codes_must_be_equal():
+    verdict = equivalence.compare(run(), run(code=3))
+    assert verdict["exit_code_differences"] == ["job: exit 0 -> 3"]
+    assert not verdict["equivalent"]

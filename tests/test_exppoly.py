@@ -1,6 +1,5 @@
 import cmath
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -293,6 +292,71 @@ def test_a_split_double_zero_is_two_simple_zeros(monkeypatch):
         find_zeros(f, window)
 
 
+def scalar_newton_polish(f, z0, rect, order):
+    """The one-point Newton rule that ``_newton_polish`` applies to each
+    point of a batch, with one kernel call per step: the reference."""
+    z = z0
+    reach = 2.0 * max(rect.width, rect.height)
+    converged = False
+    for _ in range(exppoly._MAX_NEWTON_ITERS):
+        _, s_val, ds_val, bound = exppoly._parts(f, z, order)
+        s, ds = complex(s_val[0]), complex(ds_val[0])
+        if abs(s) <= exppoly._NEWTON_REL_TARGET * float(bound[0]):
+            converged = True
+            if ds != 0:
+                z_new = z - s / ds
+                _, s_val, _, bound = exppoly._parts(f, z_new, order)
+                if rect.contains(z_new) and abs(s_val[0]) <= exppoly._NEWTON_REL_TARGET * bound[0]:
+                    z = z_new
+            break
+        if ds == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
+            break
+        step = s / ds
+        z_new = z - step
+        if abs(z_new - z0) > reach:
+            break
+        z = z_new
+        if abs(step) <= 1e-17 * max(1.0, abs(z)):
+            break
+    if not rect.contains(z):
+        return z0, False
+    for k in range(order if converged else order + 1):
+        _, s_val, _, bound = exppoly._parts(f, z, k)
+        if not abs(s_val[0]) / bound[0] <= exppoly._NEWTON_REL_TARGET:
+            return z0, False
+    return z, True
+
+
+def test_a_newton_batch_polishes_each_point_as_it_would_alone(kernel_calls):
+    # (1 + 2^p)^2 (1 + 3^p): double zeros at (2k + 1) pi i / ln 2 (4.53i,
+    # 13.6i) and simple zeros at (2k + 1) pi i / ln 3 (2.86i, 8.58i, 14.3i)
+    f = from_vector(RealVector((1.0, 2.0, 2.0, 4.0, 3.0, 6.0, 6.0, 12.0)))
+    near = 1e-3 + 1e-3j
+    batch = [
+        (1j * math.pi / math.log(3.0) + near, Rectangle(-1, 1, 2, 3.5), 0),
+        (3j * math.pi / math.log(3.0) - near, Rectangle(-1, 1, 7.5, 9.5), 0),
+        # the double zero, by Newton on f'
+        (1j * math.pi / math.log(2.0) + near, Rectangle(-1, 1, 4, 5), 1),
+        # a first step far longer than twice the box's side
+        (complex(0.5005, 6.0005), Rectangle(0.5, 0.501, 6.0, 6.001), 0),
+        # a box that holds no zero: Newton ends on a zero outside it
+        (6.5j, Rectangle(-1, 1, 5.5, 7.5), 0),
+    ]
+    alone = [scalar_newton_polish(f, *entry) for entry in batch]
+    assert [refined for _, refined in alone] == [True, True, True, False, False]
+    for entry, reference in zip(batch, alone):
+        assert exppoly._newton_polish(f, [entry]) == [reference]
+    kernel_calls.clear()
+    together = exppoly._newton_polish(f, batch)
+    for (z, refined), (z_alone, refined_alone) in zip(together, alone):
+        assert refined == refined_alone
+        assert abs(z - z_alone) <= 1e-15 * abs(z_alone)
+    # one call per iteration per order: 22 on f, as many as the longest run
+    # alone (the start in the box without a zero), 5 on f', then one test
+    # of f at the double zero and at the start that left its reach
+    assert len(kernel_calls) == 22 + 5 + 1
+
+
 def test_window_inflation_when_zero_sits_on_boundary():
     g = ExpPoly(((0.0, 1), (1.0, 1)))
     rect = Rectangle(-1.0, 1.0, math.pi, 40.0)  # bottom edge through i*pi
@@ -566,9 +630,10 @@ def test_an_off_midline_first_cut_keeps_midline_zeros_cheap(monkeypatch, kernel_
     # wider than tall, so the window is cut by a vertical line, first at
     # 0.45 of its width, Re -1, clear of both zeros.  A cut at the midline
     # fails and costs kernel calls.  With every box of several zeros split,
-    # not solved from its power sums: 7 calls, the window's count, two
-    # count rounds of halves and two Newton steps per zero (24 when the
-    # midline is tried first)
+    # not solved from its power sums: 5 calls, the window's count, two
+    # count rounds of halves, and one Newton step and the step past the
+    # test, each taken by both zeros in one call (22 when the midline is
+    # tried first)
     monkeypatch.setattr(exppoly, "_MOMENT_ZEROS", 1)
     halves = []
     count = exppoly._count_adaptive
@@ -578,18 +643,30 @@ def test_an_off_midline_first_cut_keeps_midline_zeros_cheap(monkeypatch, kernel_
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), Rectangle(-10.0, 10.0, 0.5, 15.0))
     assert zs.total == 2 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
     assert halves and not any(0.0 in (r.re_min, r.re_max) for r in halves)
-    assert len(kernel_calls) <= 16
+    assert len(kernel_calls) <= 8
 
 
 def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
     # e^p + 1 has 6 zeros here; every box split in a count round shares each
     # quadrature round (41 calls with one per box, 21 while new boxes also
     # sampled candidate cut lines).  Only the window splits, and its halves
-    # of 2 to 4 zeros are solved from their power sums: 14 calls, six of
-    # them the Newton step each zero takes past the test
+    # of 2 to 4 zeros are solved from their power sums, all six zeros
+    # polished together: 4 calls, the window's count, the halves' count,
+    # and one Newton step and the step past the test (14 with a Newton call
+    # per zero and step)
     zs = find_zeros(from_vector(RealVector((math.e, 1.0))), WINDOW)
     assert zs.total == 6 and all(z.refined for z in zs.zeros)
-    assert len(kernel_calls) <= 26
+    assert len(kernel_calls) <= 6
+
+
+def test_newton_makes_one_kernel_call_per_iteration_of_a_count_round(kernel_calls):
+    # 1 + 40^p has 23 zeros here on Re p = 0.  The window splits until every
+    # box holds 2 to 4 zeros; all 23 are solved from power sums in the last
+    # count round and polished in one batch: 3 Newton calls, of 23, 23 and
+    # 11 points (57 with a call per zero and step)
+    zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 23 and all(z.refined for z in zs.zeros)
+    assert kernel_calls.callers.count("_newton_polish") <= 4
 
 
 @pytest.mark.parametrize(
@@ -616,7 +693,7 @@ def test_a_box_is_cut_across_its_longer_side_at_the_fraction(rect, wide, fractio
 
 
 def test_a_split_search_cuts_at_fixed_fractions_and_evaluates_f_only_on_contours(
-    monkeypatch,
+    monkeypatch, kernel_calls
 ):
     # 1 + 40^p has its zeros up Re p = 0, 23 in the default window and 9 in
     # the wide one, so boxes of more than 4 zeros split: the tall window's
@@ -624,27 +701,19 @@ def test_a_split_search_cuts_at_fixed_fractions_and_evaluates_f_only_on_contours
     # width.  Each pair of halves counted together is its box cut at 0.45,
     # 0.55 or 0.35 of the longer side, and f is evaluated only by the
     # contour quadrature and by Newton: no cut is placed by sampling f
-    halves, callers = [], set()
-    count, parts = exppoly._count_adaptive, exppoly._parts
+    halves = []
+    count = exppoly._count_adaptive
 
     def spy_count(f, rects):
         halves.extend(rects)
         return count(f, rects)
 
-    def spy_parts(f, ps, *args, **kwargs):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_chunked_parts":
-            caller = caller.f_back
-        callers.add(caller.f_code.co_name)
-        return parts(f, ps, *args, **kwargs)
-
     monkeypatch.setattr(exppoly, "_count_adaptive", spy_count)
-    monkeypatch.setattr(exppoly, "_parts", spy_parts)
     f = from_vector(RealVector((1.0, 40.0)))
     for window, total in ((exppoly.DEFAULT_WINDOW, 23), (Rectangle(-20.0, 20.0, 0.5, 15.0), 9)):
         zs = find_zeros(f, window)
         assert zs.total == total and sum(z.multiplicity for z in zs.zeros) == total
-    assert callers == {"_contour_sums", "_newton_polish"}
+    assert set(kernel_calls.callers) == {"_contour_sums", "_newton_polish"}
     orientations = set()
     for low, high in zip(halves[::2], halves[1::2]):
         box = Rectangle(low.re_min, high.re_max, low.im_min, high.im_max)

@@ -1,0 +1,149 @@
+"""Compare the certificates of two source trees over the benchmark's jobs.
+
+    python3 tools/equivalence.py <parent_src> <change_src>
+
+Each ``src`` directory holds a ``pnormcert`` package.  The jobs are those
+``bench/jobs.py`` of this checkout generates for every workload and the
+seeds 101-103; each tree runs all of them once through ``cli.main`` with
+``--threads 1``, in a fresh interpreter of its own.  The two runs must
+agree on every exit code, every CSV table and every payload field,
+totals, multiplicities and ``refined`` flags included, except the
+coordinates of zeros (an entry of a ``zeros`` list, or a loop's
+``zero``), which may move by at most ``ZERO_REL_TOL`` of |z|.
+
+Each run also counts its kernel work: the ``exppoly._parts`` calls and
+their term-points (terms x points), by workload and by the function
+that asked for them.
+
+Prints one JSON object and exits 0 when the trees are equivalent, 1 when
+they are not.
+"""
+
+from __future__ import annotations
+
+import collections
+import concurrent.futures
+import contextlib
+import io
+import json
+import multiprocessing
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEEDS = (101, 102, 103)
+ZERO_REL_TOL = 1e-12
+
+
+def run_tree(src: str) -> dict:
+    """Every job's exit code, payload and CSV under the package in ``src``,
+    and the kernel work by workload and caller."""
+    sys.path[:0] = [src, str(BENCH)]
+    import jobs  # bench/jobs.py
+    from pnormcert import cli, exppoly
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"equivalence: pnormcert was imported from {cli.__file__}, not {src}")
+    kernel = exppoly._parts
+    # (workload, caller) -> [calls, term-points]
+    work: dict = collections.defaultdict(lambda: [0, 0])
+    workload = None
+
+    def counted(f, ps, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_chunked_parts":
+            caller = caller.f_back
+        entry = work[workload, caller.f_code.co_name]
+        entry[0] += 1
+        entry[1] += len(f.terms) * np.asarray(ps).size
+        return kernel(f, ps, *args, **kwargs)
+
+    exppoly._parts = counted
+
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in jobs.WORKLOADS:
+            for seed in SEEDS:
+                for job in jobs.generate(workload, seed):
+                    name = f"{workload}/{seed}/{job.name}"
+                    path, cert, csv = (Path(tmp) / f"job.{ext}" for ext in ("json", "cert", "csv"))
+                    for artifact in (cert, csv):
+                        artifact.unlink(missing_ok=True)
+                    path.write_text(json.dumps(job.doc), encoding="utf-8")
+                    argv = [job.command, "--input", str(path), "--output", str(cert)]
+                    argv += ["--curves", str(csv)] if job.curves else []
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.main(argv + ["--threads", "1"])
+                    runs[name] = (
+                        code,
+                        json.loads(cert.read_text())["payload"] if cert.exists() else None,
+                        csv.read_text() if csv.exists() else None,
+                    )
+    return {"runs": runs, "work": {f"{w}/{c}": v for (w, c), v in work.items()}}
+
+
+def differences(a, b, path: tuple, moves: list[float]):
+    """The paths at which payloads ``a`` and ``b`` differ; each zero's move
+    relative to |z| in ``a`` is appended to ``moves`` instead."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        if path and (path[-1] == "zero" or (len(path) > 1 and path[-2] == "zeros")):
+            za, zb = complex(a["re"], a["im"]), complex(b["re"], b["im"])
+            moves.append(abs(za - zb) / abs(za) if za else abs(zb) * float("inf"))
+            a, b = ({k: v for k, v in d.items() if k not in ("re", "im")} for d in (a, b))
+        for key in a:
+            yield from differences(a[key], b[key], path + (key,), moves)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differences(x, y, path + (i,), moves)
+    elif type(a) is not type(b) or a != b:
+        yield path
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """The verdict on two trees' runs of the same jobs."""
+    codes, fields, moves = [], [], []
+    for name, (code, payload, csv) in parent["runs"].items():
+        code_b, payload_b, csv_b = change["runs"][name]
+        if code != code_b:
+            codes.append(f"{name}: exit {code} -> {code_b}")
+        if csv != csv_b:
+            fields.append(f"{name}: curves CSV")
+        fields += [
+            f"{name}: {'.'.join(map(str, path))}"
+            for path in differences(payload, payload_b, (), moves)
+        ]
+    moved = [m for m in moves if m != 0]
+    worst = max(moves, default=0.0)
+    return {
+        "jobs": len(parent["runs"]),
+        "exit_code_differences": codes,
+        "field_differences": fields,
+        "zeros": len(moves),
+        "zeros_moved": len(moved),
+        "max_zero_move_rel": worst,
+        "equivalent": not codes and not fields and worst <= ZERO_REL_TOL,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1].strip())
+    # one fresh interpreter per tree: the two packages share a name
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
+        parent, change = pool.map(run_tree, [str(Path(src).resolve()) for src in argv])
+    verdict = compare(parent, change)
+    verdict["kernel_work"] = {
+        "keys": "workload/caller: [calls, term-points]",
+        "parent": parent["work"],
+        "change": change["work"],
+    }
+    print(json.dumps(verdict, indent=1, sort_keys=True))
+    return 0 if verdict["equivalent"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
