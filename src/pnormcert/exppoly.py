@@ -110,8 +110,11 @@ _GAUSS_WEIGHTS = _mirrored(
 
 # |K - G| of a panel is its integral under these weights.
 _ERROR_WEIGHTS = _KRONROD_WEIGHTS - _GAUSS_WEIGHTS
-# Counterclockwise, a box's edges step along these directions.
-_EDGE_STEPS = np.array((1, 1j, -1, -1j))
+# A panel's K, K - G and first moment about its midpoint, per unit of its
+# half-length (and its square), are its nodes' values times these columns.
+_PANEL_RULES = np.column_stack(
+    (_KRONROD_WEIGHTS, _ERROR_WEIGHTS, _KRONROD_WEIGHTS * _KRONROD_NODES)
+).astype(complex)
 
 
 def _read_only(values: list) -> np.ndarray:
@@ -361,155 +364,402 @@ def relative_magnitude(f: ExpPoly, p: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _contour_panels(
-    rects: list[Rectangle],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(centers, half-steps, owning box) of the base panels of every box, and
-    each box's base panel count.
+def _base_count(length: float) -> int:
+    """Base panels of an edge of this length: max(4, min(160, ceil(1.25 L)))."""
+    return min(max(math.ceil(1.25 * length), 4), 160)
 
-    The panels run counterclockwise around each box, box after box.  An edge
-    of length L gets max(4, min(160, ceil(1.25 L))) equal panels.
+
+# The ends of n equal base panels on [0, 1], for every base panel count n.
+_FRACTIONS = {n: np.arange(n + 1) / n for n in range(4, 161)}
+
+
+@dataclass(eq=False, slots=True)
+class _Box:
+    """A box of a zero search: its rectangle and the stored panels of its
+    boundary, each with the sign of the box's counterclockwise direction
+    along the panel's line; once counted, its count and its (s_0, s_1,
+    error estimate) from ``_contour_sums``."""
+
+    rect: Rectangle
+    panels: np.ndarray
+    signs: np.ndarray
+    count: int = 0
+    sums: tuple = ()
+
+
+class _Edges:
+    """The contour panels of one zero search, each evaluated once.
+
+    Every box boundary of a search lies on the window's four edges and on
+    the cuts.  A panel is an interval [lo, hi] of one such line, Im p =
+    ``fixed`` or, if ``vertical``, Re p = ``fixed``.  Evaluated, it keeps
+    its midpoint ``mid``, its ``length``, its ``step`` (dp/dx times half
+    its length), the Kronrod terms w_k f'/f at its 15 nodes (``terms``),
+    its integral ``k0``, its first moment about its midpoint ``k1`` and its
+    |K - G| estimate ``err``.  Panels are appended, never
+    changed and never evaluated again: a panel bisected for a count, or cut
+    where a box is split, gets pieces (``kid_count`` of them from ``kids``,
+    in the line's direction), which ``resolve`` puts in its place.
     """
-    # the edges' lengths; their counterclockwise steps are these times 1, 1j, -1, -1j
-    lengths = np.array([(r.width, r.height, r.width, r.height) for r in rects])
-    panels = np.minimum(np.maximum(np.ceil(1.25 * lengths), 4), 160).astype(np.intp)
-    counts = panels.ravel()
-    halves = (lengths / (2 * panels) * _EDGE_STEPS).ravel().repeat(counts)
-    starts = np.array([r.corners for r in rects]).ravel().repeat(counts)
-    index = np.arange(halves.size) - (np.cumsum(counts) - counts).repeat(counts)
-    base = np.add.reduce(panels, 1)
-    return starts + (2 * index + 1) * halves, halves, np.arange(len(rects)).repeat(base), base
+
+    def __init__(self, f: ExpPoly) -> None:
+        self.f = f
+        self.size = self.evaluated = self.capacity = 0
+
+    def _grow(self, cap: int) -> None:
+        """Room for ``cap`` panels: each field is a row of one of five blocks."""
+        blocks = (
+            np.empty((5, cap)),
+            np.empty((3, cap), np.intp),
+            np.empty((4, cap), complex),
+            np.empty(cap, bool),
+            np.empty((cap, _KRONROD_NODES.size), complex),
+        )
+        if self.size:
+            for old, new in zip(self._blocks, blocks[:4]):
+                new[..., : self.size] = old[..., : self.size]
+            blocks[4][: self.size] = self.terms[: self.size]
+        self._blocks, self.capacity = blocks, cap
+        self.fixed, self.lo, self.hi, self.length, self.err = blocks[0]
+        self.depth, self.kids, self.kid_count = blocks[1]
+        self.mid, self.step, self.k0, self.k1 = blocks[2]
+        self.vertical, self.terms = blocks[3:]
+
+    def add(self, vertical, fixed, lo, hi, depth) -> int:
+        """Append unevaluated panels [lo, hi] on the lines (vertical, fixed);
+        the index of the first."""
+        start, end = self.size, self.size + len(lo)
+        if end > self.capacity:
+            self._grow(max(end, 2 * self.capacity))
+        new = slice(start, end)
+        self.vertical[new], self.fixed[new], self.lo[new], self.hi[new] = vertical, fixed, lo, hi
+        self.depth[new], self.kid_count[new] = depth, 0
+        self.size = end
+        return start
+
+    def lines(
+        self, segments: list[tuple[bool, float, float, float]]
+    ) -> tuple[np.ndarray, list[int]]:
+        """Base panels on each segment (vertical, fixed, lo, hi) of a line
+        (``_base_count`` equal ones): their indices, segment after segment,
+        and each segment's count."""
+        counts, lows, highs = [], [], []
+        for _, _, lo, hi in segments:
+            n = _base_count(hi - lo)
+            ends = lo + (hi - lo) * _FRACTIONS[n]
+            ends[-1] = hi
+            counts.append(n)
+            lows.append(ends[:-1])
+            highs.append(ends[1:])
+        vertical, fixed = np.array([s[:2] for s in segments]).T
+        lo, hi = np.concatenate(lows), np.concatenate(highs)
+        start = self.add(vertical.repeat(counts), fixed.repeat(counts), lo, hi, 0)
+        return np.arange(start, self.size), counts
+
+    def outline(self, rect: Rectangle) -> _Box:
+        """A box of base panels on four new lines along ``rect``'s edges."""
+        r0, r1, i0, i1 = rect.re_min, rect.re_max, rect.im_min, rect.im_max
+        edges = [(False, i0, r0, r1), (True, r1, i0, i1), (False, i1, r0, r1), (True, r0, i0, i1)]
+        panels, counts = self.lines(edges)
+        return _Box(rect, panels, np.repeat((1.0, 1.0, -1.0, -1.0), counts))
+
+    def nodes(self, panels: np.ndarray | slice) -> np.ndarray:
+        """The 15 Kronrod nodes of each of the evaluated ``panels``, one row
+        per panel."""
+        return self.mid[panels, None] + self.step[panels, None] * _KRONROD_NODES
+
+    def evaluate_panels(self, check: bool = False) -> float:
+        """Evaluate every new panel, one kernel call per _MAX_CALL_POINTS
+        nodes; with ``check``, the least relative |f| over their nodes (nan
+        if one is nan)."""
+        new = slice(self.evaluated, self.size)
+        if new.start == new.stop:
+            return math.inf
+        self.evaluated = self.size
+        vertical, fixed, lo, hi = self.vertical[new], self.fixed[new], self.lo[new], self.hi[new]
+        along = 0.5 * (lo + hi)
+        mid = self.mid[new]
+        mid.real = np.where(vertical, fixed, along)
+        mid.imag = np.where(vertical, along, fixed)
+        self.length[new] = length = hi - lo
+        # dp/dx, times the half-length: 1 along a horizontal line, i up a vertical one
+        self.step[new] = step = np.where(vertical, 1j, 1.0) * (0.5 * length)
+        pts = self.nodes(new)
+        _, s_val, ds_val, bound = _chunked_parts(self.f, pts.ravel())
+        # A node on a zero makes its panel's values non-finite, which stops
+        # its box unconverged: a cut through a zero is refused, not warned
+        # about.  Far from the origin the moment can overflow;
+        # _judge_winding refuses it.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            integrand = (ds_val / s_val).reshape(pts.shape)
+            self.terms[new] = integrand * _KRONROD_WEIGHTS
+            k0, error, k1 = (integrand @ _PANEL_RULES).T
+            self.k0[new] = step * k0
+            self.err[new] = np.abs(step * error)
+            self.k1[new] = step * step * k1
+        return np.min(np.abs(s_val) / bound) if check else math.inf
+
+    def resolve(self, panels: np.ndarray, *carried: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``panels`` with every replaced panel put back as its pieces, and
+        each array of ``carried`` repeated to match."""
+        while True:
+            count = self.kid_count[panels]
+            if not count.any():
+                return (panels, *carried)
+            reps = np.maximum(count, 1)
+            at = np.repeat(np.arange(panels.size), reps)
+            offset = np.arange(at.size) - np.repeat(np.cumsum(reps) - reps, reps)
+            panels = np.where(count[at] > 0, self.kids[panels][at] + offset, panels[at])
+            carried = tuple(c[at] for c in carried)
+
+    def _replace(self, panels, counts, lo, hi, depth) -> None:
+        """Replace each of ``panels`` by ``counts`` of the pieces [lo, hi]."""
+        start = self.add(
+            np.repeat(self.vertical[panels], counts),
+            np.repeat(self.fixed[panels], counts),
+            lo,
+            hi,
+            np.repeat(depth, counts),
+        )
+        self.kids[panels] = start + np.cumsum(counts) - counts
+        self.kid_count[panels] = counts
+
+    def bisect(self, panels: np.ndarray) -> None:
+        """Replace each of ``panels`` by its two halves, one bisection deeper."""
+        lo, hi = self.lo[panels], self.hi[panels]
+        mid = 0.5 * (lo + hi)
+        start = self.add(
+            self.vertical[panels].repeat(2),
+            self.fixed[panels].repeat(2),
+            np.column_stack((lo, mid)).ravel(),
+            np.column_stack((mid, hi)).ravel(),
+            (self.depth[panels] + 1).repeat(2),
+        )
+        self.kids[panels] = np.arange(start, self.size, 2)
+        self.kid_count[panels] = 2
+
+    def cut(self, pairs: list[tuple[_Box, Rectangle, Rectangle]]) -> list[_Box]:
+        """The halves of each (box, low half, high half) of ``pairs``, two
+        boxes per pair, low first.
+
+        A half takes its box's panels on its side of the cut; a panel that
+        straddles the cut is replaced by its pieces on either side.  The cut
+        line gets base panels once, and both halves take them, with opposite
+        signs.
+        """
+        # per pair its cut line's segment: a vertical one across a wide box
+        segments = []
+        for box, low, _ in pairs:
+            r = box.rect
+            if low.re_max < r.re_max:
+                segments.append((True, low.re_max, r.im_min, r.im_max))
+            else:
+                segments.append((False, low.im_max, r.re_min, r.re_max))
+        vertical = np.array([s[0] for s in segments])
+        at = np.array([s[1] for s in segments])
+        pair = np.repeat(np.arange(len(pairs)), [box.panels.size for box, _, _ in pairs])
+        panels, signs, pair = self.resolve(
+            np.concatenate([box.panels for box, _, _ in pairs]),
+            np.concatenate([box.signs for box, _, _ in pairs]),
+            pair,
+        )
+        # a panel crosses the cut if it runs across the cut's line
+        across = self.vertical[panels] != vertical[pair]
+        cut_at = at[pair]
+        straddle = across & (self.lo[panels] < cut_at) & (cut_at < self.hi[panels])
+        if straddle.any():
+            # each straddled panel is cut once at every cut that crosses it
+            cuts: dict[int, set[float]] = {}
+            for p, a in zip(panels[straddle].tolist(), cut_at[straddle].tolist()):
+                cuts.setdefault(p, set()).add(a)
+            ends = [[self.lo[p], *sorted(c), self.hi[p]] for p, c in cuts.items()]
+            split = np.array(list(cuts), dtype=np.intp)
+            self._replace(
+                split,
+                np.array([len(e) - 1 for e in ends]),
+                [a for e in ends for a in e[:-1]],
+                [b for e in ends for b in e[1:]],
+                self.depth[split],
+            )
+            panels, signs, pair = self.resolve(panels, signs, pair)
+            across = self.vertical[panels] != vertical[pair]
+            cut_at = at[pair]
+        high = np.where(across, self.lo[panels] >= cut_at, self.fixed[panels] > cut_at)
+        line, counts = self.lines(segments)
+        # the low half runs up a vertical cut and leftward along a horizontal one
+        line_pair = np.repeat(np.arange(len(pairs)), counts)
+        low_sign = np.where(vertical, 1.0, -1.0)[line_pair]
+        half = np.concatenate((2 * pair + high, 2 * line_pair, 2 * line_pair + 1))
+        order = np.argsort(half, kind="stable")
+        panels = np.concatenate((panels, line, line))[order]
+        signs = np.concatenate((signs, low_sign, -low_sign))[order]
+        stops = np.cumsum(np.bincount(half, minlength=2 * len(pairs))).tolist()
+        rects = [rect for _, low_half, high_half in pairs for rect in (low_half, high_half)]
+        return [
+            _Box(rect, panels[start:stop], signs[start:stop])
+            for rect, start, stop in zip(rects, [0] + stops, stops)
+        ]
+
+
+_TWO_PI_I = 2j * math.pi
+
+
+def _per_box(owner: np.ndarray, values: np.ndarray, boxes: int) -> list[complex]:
+    """The sum of complex ``values`` over each box's entries (``owner``), in
+    entry order."""
+    real, imag = (np.bincount(owner, v, boxes).tolist() for v in (values.real, values.imag))
+    return [complex(re, im) for re, im in zip(real, imag)]
 
 
 def _contour_sums(
-    f: ExpPoly, rects: list[Rectangle], check_boundary: bool, powers: int
-) -> list[tuple[complex, ...]]:
-    """Per box of ``rects``: the power sums s_k = (1/2πi) ∮ u^k f'/f dp for
-    k = 0, 1, ..., ``powers`` (``powers`` >= 1), s_k at index k, and last the
-    error estimate of s_0, the winding.
+    edges: _Edges, boxes: list[_Box], check_boundary: bool = False
+) -> list[tuple[complex, complex, float]]:
+    """Per box of ``boxes``: (s_0, s_1, error estimate of s_0), where
+    s_k = (1/2πi) ∮ u^k f'/f dp.
 
     u = (p - c) / r are the box's own coordinates (c its center, r its
     half-diagonal), so |u| <= 1 on its contour and s_k is the sum of u^k
     over its zeros, counted with multiplicity.
-    Locally adaptive Gauss-Kronrod: every panel gets the 15-point Kronrod
-    rule, and |K - G| against the embedded 7-point Gauss rule is its error
-    estimate.  A round evaluates every pending panel of every box together,
-    one kernel call per _MAX_CALL_POINTS points.  Each box is judged on its
-    own: once its estimates sum below _WINDING_ERROR_TOL its integrals are
-    done; otherwise each of its panels over its length's share of that
-    tolerance is bisected and the others are kept.  A box stops unconverged
-    (error estimate at least _WINDING_ERROR_TOL) as soon as a panel's
-    estimate (then inf) or first moment is not finite, when its next round
-    would pass _PANEL_BUDGET times its base panels in all, once a panel has
-    been bisected _MAX_BISECTIONS times, or when none of its panels is over
-    its share, so the loop runs at most _MAX_BISECTIONS + 1 rounds.  Each
-    box's channels accumulate in one array, read out once after the last
-    round.  A box's panels keep their order and its sums are reduced on
-    their own, so its result does not depend on the other boxes in
-    ``rects``.
-    ``check_boundary`` is for a batch of one box (the outer count of
-    ``count_zeros``): it applies the relative-|f| test to the first round's
-    nodes and raises naming ``rects[0]``.
+    Locally adaptive Gauss-Kronrod over the panels ``edges`` stores for
+    each box: every panel has the 15-point Kronrod rule, and |K - G|
+    against the embedded 7-point Gauss rule is its error estimate.  A round
+    evaluates every new panel of every box together, one kernel call per
+    _MAX_CALL_POINTS points.  Each box is judged on its own: once its
+    estimates sum below _WINDING_ERROR_TOL its integrals are done;
+    otherwise each of its panels over its length's share of that tolerance
+    is bisected, once for all the boxes that hold it, and the others are
+    kept.  A box stops unconverged (error estimate at least
+    _WINDING_ERROR_TOL) as soon as a panel's estimate (then inf) or first
+    moment is not finite, when its next round would pass _PANEL_BUDGET
+    times its base panels in all (the panels it starts with, and two per
+    bisection), when a panel it would bisect has been bisected
+    _MAX_BISECTIONS times, or when none of its panels is over its share.
+    Each box keeps, in ``panels`` and ``signs``, the panels its sums were
+    reduced over, so its halves and its higher power sums start from them.
+    ``check_boundary`` is for a window of its own (``count_zeros``): it
+    applies the relative-|f| test to the first round's nodes and raises
+    naming ``boxes[0]``.
     """
-    boxes = len(rects)
-    centers, halves, owner, base = _contour_panels(rects)
-    budget = _PANEL_BUDGET * base
-    span = np.array([r.width + r.height for r in rects])
-    middle = np.array([r.center for r in rects])
+    n = len(boxes)
+    sizes = [box.panels.size for box in boxes]
+    owner = np.repeat(np.arange(n), sizes)
+    panels = np.concatenate([box.panels for box in boxes])
+    signs = np.concatenate([box.signs for box in boxes])
+    rects = [box.rect for box in boxes]
+    # a panel's share of the tolerance is its share of its box's perimeter
     tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
-    # per box: Re then Im of its 1 + powers complex sums, and the error sum,
-    # over its done panels (all its panels once it stops), and its panels
-    # used; the channels add a last row, a panel's non-finite first moment
-    sums = 1 + powers
-    err_row, used_row, rows = 2 * sums, 2 * sums + 1, 2 * sums + 3
-    acc = np.zeros((rows - 1, boxes))
-    offsets = 2 * boxes * np.arange(rows)[:, None]
-    for bisections in range(_MAX_BISECTIONS + 1):
-        pts = centers[:, None] + halves[:, None] * _KRONROD_NODES
-        _, s_val, ds_val, bound = _chunked_parts(f, pts.ravel())
-        if check_boundary and bisections == 0:
-            rel_min = np.min(np.abs(s_val) / bound)  # a nan node makes it nan: no refusal
-            if rel_min < _BOUNDARY_REL_MIN:
-                raise BoundaryProximityError(
-                    f"contour of {rects[0]} passes within relative magnitude "
-                    f"{rel_min:.2e} of a zero; inflate the window"
-                )
-        # a node on a zero makes its panel's sums non-finite, which stops its
-        # box unconverged: a cut through a zero is refused, not warned about
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = (ds_val / s_val).reshape(pts.shape)
-            term = integrand * _KRONROD_WEIGHTS
-            k0 = halves * np.add.reduce(term, 1)
-            e0 = np.abs(halves * np.add.reduce(integrand * _ERROR_WEIGHTS, 1))
-        # a panel's share of the tolerance is its share of its box's perimeter
-        pending = e0 > tol * np.abs(halves) / span[owner]
-        # far from the origin the moment can overflow; _judge_winding refuses it
+    share = np.array([tol / (2.0 * (r.width + r.height)) for r in rects])
+    middle = np.array([r.center for r in rects])
+    base = [_base_count(r.width) + _base_count(r.height) for r in rects]
+    budget = 2 * _PANEL_BUDGET * np.array(base)
+    used = np.array(sizes, dtype=float)
+    out: list = [None] * n
+    live = np.ones(n, dtype=bool)
+    check = check_boundary
+    while True:
+        rel_min = edges.evaluate_panels(check)
+        if rel_min < _BOUNDARY_REL_MIN:
+            raise BoundaryProximityError(
+                f"contour of {boxes[0].rect} passes within relative magnitude "
+                f"{rel_min:.2e} of a zero; inflate the window"
+            )
+        check = False
+        err = edges.err[panels]
+        total = np.bincount(owner, err, n)
+        # the moment about each box's center, as each panel adds to it
         with np.errstate(over="ignore", invalid="ignore"):
-            # a panel's first moment about its own center, then about its
-            # box's; the power sums are scaled after the last round
-            offset = halves * halves * np.add.reduce(term * _KRONROD_NODES, 1)
-            k1 = (centers - middle[owner]) * k0 + offset
-            panel_sums = [k0, k1]
-            if powers > 1:
-                shifted = pts - middle[owner, None]
-                term = term * shifted  # the nodes' terms of the first power
-                for _ in range(powers - 1):
-                    term = term * shifted
-                    panel_sums.append(halves * np.add.reduce(term, 1))
-            # Each channel summed per box over its done and its pending
-            # panels, in one np.bincount.  bincount adds in array order, so
-            # a box's sums do not depend on the other boxes of the batch.
-            channels = np.array(
-                [
-                    *(z.real for z in panel_sums),
-                    *(z.imag for z in panel_sums),
-                    e0,
-                    np.ones(e0.size),
-                    ~np.isfinite(k1),
-                ]
-            )
-            per_box = np.bincount(
-                (2 * owner + pending + offsets).ravel(), channels.ravel(), 2 * boxes * rows
-            )
-            done, held = per_box.reshape(rows, boxes, 2).transpose(2, 0, 1)
-            acc += done[:-1]
-            acc[used_row] += held[used_row]
-            total_err = acc[err_row] + held[err_row]
-            going = (
-                (tol <= total_err)
-                & (total_err < math.inf)
-                & (done[-1] + held[-1] == 0)
-                & (held[used_row] > 0)
-                & (acc[used_row] + 2 * held[used_row] <= budget)
-                & (bisections < _MAX_BISECTIONS)
-            )
-        # A box that stops takes its pending panels too.  A going box adds
-        # +0.0, as does a box stopped before (it has no panels), and that
-        # leaves acc (never -0.0) as it was.
-        acc[:used_row] += np.where(going, 0.0, held[:used_row])
+            k1 = (edges.mid[panels] - middle[owner]) * edges.k0[panels] + edges.k1[panels]
+        going = live & (tol <= total) & (total < math.inf)
+        if going.any():
+            pending = err > share[owner] * edges.length[panels]
+            held = np.bincount(owner, pending, n)
+            going &= (held > 0) & (used + 2 * held <= budget)
+            finite = np.isfinite(k1)
+            if not finite.all():
+                going &= np.bincount(owner, ~finite, n) == 0
+            split = pending & going[owner]
+            deep = edges.depth[panels[split]] >= _MAX_BISECTIONS
+            if deep.any():
+                going &= np.bincount(owner[split], deep, n) == 0
+                split = pending & going[owner]
+        stops = np.flatnonzero(live ^ going).tolist()
+        if stops:
+            # s_0 of box i at i, s_1 at n + i
+            with np.errstate(invalid="ignore"):
+                moments = np.concatenate((signs * edges.k0[panels], signs * k1))
+            sums = _per_box(np.concatenate((owner, owner + n)), moments, 2 * n)
+            ends = list(itertools.accumulate(sizes))
+            for i in stops:
+                box = boxes[i]
+                box.panels = panels[ends[i] - sizes[i] : ends[i]]
+                box.signs = signs[ends[i] - sizes[i] : ends[i]]
+                error = total[i] / (2.0 * math.pi)
+                if not math.isfinite(error):
+                    out[i] = (complex(math.nan), complex(math.nan), math.inf)
+                    continue
+                # s_1 was summed over p - c: in units of r it is divided by r
+                s1 = sums[n + i] / _TWO_PI_I * (2.0 / box.rect.diameter)
+                out[i] = (sums[i] / _TWO_PI_I, s1, error)
         if not going.any():
-            break
-        keep = pending & going[owner]
-        halves = 0.5 * halves[keep]
-        centers = np.concatenate((centers[keep] - halves, centers[keep] + halves))
-        halves = np.concatenate((halves, halves))
-        owner = np.concatenate((owner[keep], owner[keep]))
-    two_pi_i = 2j * math.pi
+            return out
+        live = going
+        used += 2 * held
+        # a panel two boxes hold is bisected once
+        chosen = np.zeros(edges.size, dtype=bool)
+        chosen[panels[split]] = True
+        edges.bisect(np.flatnonzero(chosen))
+        keep = going[owner]
+        panels, signs, owner = edges.resolve(panels[keep], signs[keep], owner[keep])
+        sizes = np.bincount(owner, minlength=n).tolist()
+
+
+def _power_sums(
+    edges: _Edges, boxes: list[_Box]
+) -> list[tuple[Rectangle, int, tuple[complex, ...]]]:
+    """Per counted box of n zeros: (rect, n, (s_0, ..., s_(2n-1), error)).
+
+    s_0 and s_1 are those its count gave; the others are reduced from the
+    ``terms`` of the same stored panels, with no kernel call.
+    """
+    if not boxes:
+        return []
+    n = len(boxes)
+    owner = np.repeat(np.arange(n), [box.panels.size for box in boxes])
+    panels = np.concatenate([box.panels for box in boxes])
+    signs = np.concatenate([box.signs for box in boxes])
+    shifted = edges.nodes(panels) - np.array([box.rect.center for box in boxes])[owner, None]
+    top = 2 * max(box.count for box in boxes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the nodes' terms of the first power, then of each higher one
+        term = (signs * edges.step[panels])[:, None] * edges.terms[panels] * shifted
+        rows = []
+        for _ in range(2, top):
+            term = term * shifted
+            rows.append(np.add.reduce(term, 1))
+    # every power's sum per box in one pass: power k - 2 of box i at k - 2 + i (top - 2)
+    power = np.arange(top - 2)[:, None]
+    sums = _per_box((owner * (top - 2) + power).ravel(), np.array(rows).ravel(), n * (top - 2))
     out = []
-    for box, rect in zip(acc.T.tolist(), rects):
-        err = box[err_row]
-        if not math.isfinite(err):
-            out.append((complex(math.nan),) * sums + (math.inf,))
-            continue
-        values = [complex(re, im) / two_pi_i for re, im in zip(box[:sums], box[sums:err_row])]
+    for i, box in enumerate(boxes):
+        s0, s1, err = box.sums
+        values = [s0, s1]
         # s_k was summed over (p - c)^k: in units of r it is divided by r^k
         # (repeated products overflow to inf, and the solve refuses a nan)
-        unit, inverse = 1.0, 2.0 / rect.diameter
-        for k in range(1, sums):
+        unit = inverse = 2.0 / box.rect.diameter
+        for k in range(2, 2 * box.count):
             unit *= inverse
-            values[k] *= unit
-        out.append((*values, err / (2.0 * math.pi)))
+            values.append(sums[i * (top - 2) + k - 2] / _TWO_PI_I * unit)
+        out.append((box.rect, box.count, (*values, err)))
     return out
+
+
+class _WindowCount(int):
+    """The zero count of a window, with the panel store that counted it
+    (``edges``) and the counted window box (``box``), so a search that
+    asks ``count_zeros`` for its window builds on those panels."""
+
+    edges: _Edges
+    box: _Box
 
 
 def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
@@ -525,26 +775,32 @@ def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     within the work cap, or when the integer is one f cannot have: a
     rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
+    The count is an int that also carries the panels it was integrated on
+    (``_WindowCount``).
     """
-    counted = _judge_winding(f, rect, _contour_sums(f, [rect], True, 1)[0])
+    edges = _Edges(f)
+    box = edges.outline(rect)
+    (box.sums,) = _contour_sums(edges, [box], True)
+    counted = _judge_winding(f, rect, box.sums)
     if isinstance(counted, Exception):
         raise counted
-    return counted
+    box.count = counted
+    total = _WindowCount(counted)
+    total.edges, total.box = edges, box
+    return total
 
 
 def _count_adaptive(
-    f: ExpPoly, rects: list[Rectangle]
-) -> list[tuple[int, tuple[complex, ...]] | QuadratureError | BoundaryProximityError]:
-    """Per box of ``rects``: (count, its ``_contour_sums``), or the error that refuses it.
+    edges: _Edges, boxes: list[_Box]
+) -> list[int | QuadratureError | BoundaryProximityError]:
+    """Per box of ``boxes``: its count, or the error that refuses it.
 
     All boxes are integrated in one ``_contour_sums`` batch, without the
-    boundary test but with the power sums up to s_(2 _MOMENT_ZEROS - 1)
-    that ``_moment_zeros`` solves, and each is judged on its own by
-    ``_judge_winding``.
+    boundary test, and each is judged on its own by ``_judge_winding``.
     """
-    batch = _contour_sums(f, rects, False, 2 * _MOMENT_ZEROS - 1)
-    counted = [_judge_winding(f, rect, sums) for rect, sums in zip(rects, batch)]
-    return [n if isinstance(n, Exception) else (n, sums) for n, sums in zip(counted, batch)]
+    for box, sums in zip(boxes, _contour_sums(edges, boxes)):
+        box.sums = sums
+    return [_judge_winding(edges.f, box.rect, box.sums) for box in boxes]
 
 
 def _judge_winding(
@@ -649,40 +905,90 @@ def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
     return rect.center + 0.5 * rect.diameter * sums[1] / sums[0]
 
 
-def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], list[int]] | None:
-    """The distinct points u_j and multiplicities m_j (positive integers,
-    summing to ``n``) with s[k] = sum_j m_j u_j^k for k < 2n, or None.
+def _hankel_solves(
+    problems: list[tuple[np.ndarray, int, float]]
+) -> list[tuple[list[complex], list[int]] | None]:
+    """Per (s, n, noise) of ``problems``: the distinct points u_j and
+    multiplicities m_j (positive integers, summing to n) with
+    s[k] = sum_j m_j u_j^k for k < 2n, or None.
 
     The count d of distinct points is the numerical rank of the Hankel
     matrix H_0 = [s_(i+j)], i, j < n: the number of its singular values
-    above n * ``noise``, where ``noise`` is the error estimate of the
-    quadrature that gave ``s``.  An error of at most ``noise`` in every
-    entry moves no singular value by more than that (Weyl), so a smaller
-    one may be noise.
+    above n * noise, where noise is the error estimate of the quadrature
+    that gave s.  An error of at most noise in every entry moves no
+    singular value by more than that (Weyl), so a smaller one may be noise.
     The points are the eigenvalues of the pencil (H_1, H_0), H_1 = [s_(i+j+1)],
     restricted to the range of H_0 through its SVD (Kravanja, Sakurai and
     Van Barel, BIT 39, 1999).  The multiplicities solve the d x d
     Vandermonde system of s_0, ..., s_(d-1), and each must lie within 0.1
     of a positive integer.
+    The problems of one n share one SVD call, and those of one (n, d) one
+    eigenvalue and one Vandermonde call; LAPACK solves each matrix of a
+    stack on its own, so a problem's answer does not depend on the others.
+    A stack that fails is solved a problem at a time, so each problem is
+    refused only for its own matrices.
     """
-    if not np.isfinite(s).all():
-        return None
-    hankel = np.add.outer(np.arange(n), np.arange(n))
-    left, sigma, right = np.linalg.svd(s[hankel])
-    d = int(np.count_nonzero(sigma > n * noise))
-    pencil = left[:, :d].conj().T @ s[hankel + 1] @ right[:d].conj().T / sigma[:d, None]
-    try:
-        points = np.linalg.eigvals(pencil)
-        # a huge point makes an infinite or nan multiplicity, which fails
-        with np.errstate(over="ignore", invalid="ignore"):
-            mult = np.linalg.solve(np.vander(points, d, increasing=True).T, s[:d])
-            counts = np.rint(mult.real)
-            near = np.abs(mult - counts) <= 0.1
-    except np.linalg.LinAlgError:
-        return None
-    if not near.all() or counts.min() < 1 or counts.sum() != n:
-        return None
-    return points.tolist(), counts.astype(int).tolist()
+    out: list = [None] * len(problems)
+    sizes: dict[int, list[int]] = {}
+    for i, (_, n, _) in enumerate(problems):
+        sizes.setdefault(n, []).append(i)
+    for n, members in sizes.items():
+        s = np.array([problems[i][0] for i in members], dtype=complex)
+        finite = np.isfinite(s).all(1)
+        if not finite.all():
+            members = [i for i, ok in zip(members, finite.tolist()) if ok]
+            s = s[finite]
+        noise = np.array([problems[i][2] for i in members])
+        hankel = np.add.outer(np.arange(n), np.arange(n))
+        left, sigma, right = np.linalg.svd(s[:, hankel])
+        ranks = np.add.reduce(sigma > n * noise[:, None], 1)
+        for d in set(ranks.tolist()):
+            rows = np.flatnonzero(ranks == d)
+            pencils = (
+                left[rows, :, :d].conj().mT
+                @ s[rows][:, hankel + 1]
+                @ right[rows, :d].conj().mT
+                / sigma[rows, :d, None]
+            )
+            try:
+                solved = _pencil_roots(pencils, s[rows, :d], n)
+            except np.linalg.LinAlgError:
+                solved = []
+                for row in range(rows.size):
+                    one = slice(row, row + 1)
+                    try:
+                        solved += _pencil_roots(pencils[one], s[rows[one], :d], n)
+                    except np.linalg.LinAlgError:
+                        solved.append(None)
+            for row, answer in zip(rows.tolist(), solved):
+                out[members[row]] = answer
+    return out
+
+
+def _pencil_roots(
+    pencils: np.ndarray, s: np.ndarray, n: int
+) -> list[tuple[list[complex], list[int]] | None]:
+    """Per d x d pencil of the stack ``pencils`` and its s_0, ..., s_(d-1):
+    the eigenvalues and their multiplicities if they pass (see
+    ``_hankel_solves``), else None.  Raises LinAlgError if a matrix of the
+    stack does."""
+    points = np.linalg.eigvals(pencils)
+    d = points.shape[1]
+    # the transposed Vandermonde matrix of each point set, row k the k-th
+    # powers, built by repeated products as np.vander builds it
+    vander = np.repeat(points[:, None, :], d, axis=1)
+    vander[:, 0] = 1.0
+    # a huge point makes an infinite or nan multiplicity, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(vander[:, 1:], axis=1, out=vander[:, 1:])
+        mult = np.linalg.solve(vander, s[:, :, None])[:, :, 0]
+        counts = np.rint(mult.real)
+        near = np.abs(mult - counts) <= 0.1
+    ok = near.all(1) & (counts.min(1, initial=math.inf) >= 1) & (counts.sum(1) == n)
+    return [
+        (p.tolist(), c.astype(int).tolist()) if good else None
+        for p, c, good in zip(points, counts, ok.tolist())
+    ]
 
 
 def _moment_zeros(
@@ -691,17 +997,15 @@ def _moment_zeros(
     """Per box (rect, count, sums) of ``boxes``: its ``count`` zeros from
     its power sums, or None.
 
-    ``_hankel_solve`` gives their points u and multiplicities m from
-    s_0, ..., s_(2 count - 1); each zero c + r u is polished by Newton on
+    ``_hankel_solves`` gives their points u and multiplicities m from
+    s_0, ..., s_(2 count - 1), for all boxes in one call; each zero c + r u is polished by Newton on
     f^(m-1) as a leaf's is, the zeros of every box in one ``_newton_polish``
     batch, so a box whose solve fails has polished all of its zeros.  A
     box's zeros stand only if each is refined inside it and no two lie
     within _CLUSTER_DIAMETER; the multiplicities sum to ``count``, the
     winding that proved them.
     """
-    pencils = [
-        _hankel_solve(np.array(sums[: 2 * count]), count, sums[-1]) for _, count, sums in boxes
-    ]
+    pencils = _hankel_solves([(sums[: 2 * count], count, sums[-1]) for _, count, sums in boxes])
     starts = [
         (rect.center + 0.5 * rect.diameter * u, rect, m - 1)
         for (rect, _, _), pencil in zip(boxes, pencils)
@@ -724,8 +1028,9 @@ def _moment_zeros(
     return out
 
 
-def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
-    """The ``total`` zeros in ``window``, in ``ZeroSet`` order, isolated in count rounds.
+def _isolate(window: _WindowCount) -> list[Zero]:
+    """The zeros in the window ``count_zeros`` counted, in ``ZeroSet``
+    order, isolated in count rounds on that count's panels.
 
     A box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
     (``_moment_zeros``, every such box of a round in one call, so all their
@@ -733,11 +1038,13 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     fails, splits if it is wider than _CLUSTER_DIAMETER.  Each round counts
     in one ``_count_adaptive`` batch the halves of every box being split: a
     box new to the round cut at the first of _CUT_FRACTIONS of its longer
-    side, a box whose last try failed at the next.  Halves that both count
-    must sum to their box's count and are the next round's new boxes, with
-    their counts and sums, so no box is integrated twice.  Cuts lie at
-    0.35-0.55 of the longer side, so two in a row leave both sides at most
-    0.65 of it, and _CLUSTER_DIAMETER ends every search without a depth cap.
+    side, a box whose last try failed at the next.  The halves are built
+    on the panels their box was counted on (``_Edges.cut``), so each piece
+    of contour is evaluated once in the whole search.  Halves that both
+    count must sum to their box's count and are the next round's new
+    boxes.  Cuts lie at 0.35-0.55 of the longer side, so two in a row leave
+    both sides at most 0.65 of it, and _CLUSTER_DIAMETER ends every search
+    without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
@@ -745,64 +1052,55 @@ def _isolate(f: ExpPoly, window: Rectangle, total: int) -> list[Zero]:
     m zeros by Newton of order m - 1 from the centroid of its own power sums
     (``_centroid``).  Then, leaf by leaf, a leaf of several zeros that
     Newton does not verify as one m-fold zero fails the search, and so does
-    an unrefined simple zero whose centroid lies outside its leaf.  Only the
-    outer window, counted through ``count_zeros``, comes without the power
-    sums a solve needs; with at most _MOMENT_ZEROS zeros, or as a leaf, it
-    integrates once more for them.
+    an unrefined simple zero whose centroid lies outside its leaf.
     """
+    edges = window.edges
     zeros = []
     leaves = []
-    sums = None
-    if 0 < total <= _MOMENT_ZEROS:
-        # count_zeros judged the window without its power sums
-        sums = _contour_sums(f, [window], False, 2 * total - 1)[0]
-    # (box, its count, its contour sums)
-    new: list[tuple[Rectangle, int, tuple | None]] = [(window, total, sums)]
+    new = [window.box]
     retry = []
     while True:
         split = []
-        solved = iter(_moment_zeros(f, [box for box in new if 1 < box[1] <= _MOMENT_ZEROS]))
+        solvable = [box for box in new if 1 < box.count <= _MOMENT_ZEROS]
+        solved = iter(_moment_zeros(edges.f, _power_sums(edges, solvable)) if solvable else ())
         for box in new:
-            rect, count, _ = box
-            solution = 1 < count <= _MOMENT_ZEROS and next(solved)
+            solution = 1 < box.count <= _MOMENT_ZEROS and next(solved)
             if solution:
                 zeros += solution
-            elif count > 1 and rect.diameter > _CLUSTER_DIAMETER:
+            elif box.count > 1 and box.rect.diameter > _CLUSTER_DIAMETER:
                 split.append(box)
-            elif count:
+            elif box.count:
                 leaves.append(box)
         # (box, the index of the cut fraction to try)
         tries = [(box, 0) for box in split] + retry
         if not tries:
             break
-        halves = [box[0].split(_CUT_FRACTIONS[k]) for box, k in tries]
-        counted = _count_adaptive(f, [h for pair in halves for h in pair])
+        halves = edges.cut([(box, *box.rect.split(_CUT_FRACTIONS[k])) for box, k in tries])
+        counted = _count_adaptive(edges, halves)
         new, retry = [], []
         for j, (box, k) in enumerate(tries):
-            rect, count, _ = box
-            results = counted[2 * j : 2 * j + 2]
-            if not any(isinstance(r, Exception) for r in results):
-                counts = [n for n, _ in results]
-                if sum(counts) != count:
+            counts = counted[2 * j : 2 * j + 2]
+            if not any(isinstance(n, Exception) for n in counts):
+                if sum(counts) != box.count:
                     raise QuadratureError(
-                        f"subdivision of {rect} lost zeros: {counts} vs parent {count}"
+                        f"subdivision of {box.rect} lost zeros: {counts} vs parent {box.count}"
                     )
-                new += [(h, n, s) for h, (n, s) in zip(halves[j], results)]
+                for half, n in zip(halves[2 * j : 2 * j + 2], counts):
+                    half.count = n
+                    new.append(half)
             elif k + 1 < len(_CUT_FRACTIONS):
                 retry.append((box, k + 1))
             else:
                 leaves.append(box)
-    starts = [
-        # only the window can come without its sums
-        (_centroid(rect, sums or _contour_sums(f, [rect], False, 1)[0]), rect, count - 1)
-        for rect, count, sums in leaves
-    ]
-    for (rect, count, _), (z, refined) in zip(leaves, _newton_polish(f, starts)):
-        if count > 1 and not refined:
-            raise QuadratureError(f"no subdivision of {rect} counts its {count} zeros")
-        if not rect.contains(z):
-            raise QuadratureError(f"the centroid {z} of the zero counted in {rect} lies outside it")
-        zeros.append(Zero(z, count, refined))
+    starts = [(_centroid(box.rect, box.sums), box.rect, box.count - 1) for box in leaves]
+    for box, (z, refined) in zip(leaves, _newton_polish(edges.f, starts)):
+        if box.count > 1 and not refined:
+            raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
+        if not box.rect.contains(z):
+            raise QuadratureError(
+                f"the centroid {z} of the zero counted in {box.rect} lies outside it"
+            )
+        zeros.append(Zero(z, box.count, refined))
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     return sorted(zeros, key=lambda z: (round(z.location.real, 9), z.location.imag))
 
@@ -818,10 +1116,13 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     a box is cut in two across its longer side, at 0.45 of it, else at 0.55,
     else at 0.35, until both halves count, and all boxes split in a round
     share each quadrature round of its batch, so a search makes a kernel
-    call per quadrature round of a count round, not per box.  f is evaluated
-    only on contours and in Newton.  A box of 2 to 4 zeros is solved from its
-    contour power sums (``_moment_zeros``) and splits only if a check of that
-    solve fails.  A box of one zero, a box of diameter at most 1e-6 and a box
+    call per quadrature round of a count round, not per box.  The search
+    keeps every panel it evaluates (``_Edges``): a half takes its box's
+    panels on its outer edges and shares its cut with its sibling, so each
+    piece of contour is evaluated once.  f is evaluated only on contours
+    and in Newton.  A box of 2 to 4 zeros is solved from power sums
+    reduced from its stored panels (``_moment_zeros``) and splits only if a
+    check of that solve fails.  A box of one zero, a box of diameter at most 1e-6 and a box
     that none of its three cuts can count are leaves.
     Every zero, solved or a leaf's, is polished by Newton on f^(m-1) to a
     point inside its box where f, f', ..., f^(m-1) are each <= 1e-12 of
@@ -835,10 +1136,12 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     to one m-fold zero.
     """
     window, (total,) = _counted_window((f,), rect)
-    return ZeroSet(tuple(_isolate(f, window, total)), window, total)
+    return ZeroSet(tuple(_isolate(total)), window, int(total))
 
 
-def _counted_window(polys: tuple[ExpPoly, ...], rect: Rectangle) -> tuple[Rectangle, list[int]]:
+def _counted_window(
+    polys: tuple[ExpPoly, ...], rect: Rectangle
+) -> tuple[Rectangle, list[_WindowCount]]:
     """``rect`` or its first inflation over which every sum counts cleanly.
 
     A count that does not converge inflates too: a zero on the edge can
@@ -873,10 +1176,7 @@ def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
     are isolated, each once.
     """
     window, totals = _counted_window(tuple(polys), rect)
-    zero_sets = [
-        _isolate(f, window, n) if totals.count(n) > 1 else None
-        for f, n in zip(polys, totals)
-    ]
+    zero_sets = [_isolate(n) if totals.count(n) > 1 else None for n in totals]
     return [
         totals[i] == totals[j] and _zeros_match(zero_sets[i], zero_sets[j])
         for i in range(len(polys))

@@ -921,7 +921,7 @@ _TOO_SMALL = (
             {"im": [0.5, 20]},
             {"radius": 2.0, "base_p": [2]},
             1,
-            "error: path passes within 1.0 of the zero at (0.1920823455818888+2.5517748317909796j)\n",
+            "error: path passes within 1.0 of the zero at (0.19208234558188883+2.5517748317909796j)\n",
         ),
         # ... unless a loop around the first zero is refused by its budget first
         ([1, 2, 5], {"im": [0.5, 20]}, {"radius": 2.0, "base_p": [2, 1e6]}, 3, _BUDGET),

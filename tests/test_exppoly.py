@@ -215,7 +215,7 @@ def test_a_triple_zero_is_solved_from_its_power_sums_without_a_split(monkeypatch
     halves = []
     real = exppoly._count_adaptive
     monkeypatch.setattr(
-        exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or real(f, rects)
+        exppoly, "_count_adaptive", lambda edges, boxes: halves.extend(boxes) or real(edges, boxes)
     )
     zs = find_zeros(from_vector(binomial_vector(3.0, 3)), Rectangle(-1, 1, 0.5, 5))
     assert zs.total == 3 and not halves
@@ -225,13 +225,65 @@ def test_a_triple_zero_is_solved_from_its_power_sums_without_a_split(monkeypatch
     assert abs(zero.location - expect) <= 1e-14 * abs(expect)
 
 
+def hankel_problem(points, multiplicities, noise=1e-9):
+    """(s, n, noise) of zeros ``points`` with ``multiplicities``: s_k for k < 2n."""
+    n = sum(multiplicities)
+    s = [sum(m * complex(u) ** k for u, m in zip(points, multiplicities)) for k in range(2 * n)]
+    return tuple(s), n, noise
+
+
+HANKEL_PROBLEMS = [
+    hankel_problem([0.3 + 0.2j, -0.4j], [1, 1]),
+    hankel_problem([0.1, -0.5 + 0.1j, 0.2 - 0.3j], [1, 1, 1]),
+    hankel_problem([0.25j], [3]),  # one triple point: a rank-1 Hankel of size 3
+    hankel_problem([0.5, -0.5], [2, 1]),
+    hankel_problem([-0.1 + 0.6j, 0.7j], [1, 1]),
+    ((math.nan,) * 4, 2, 1e-9),  # a count whose sums overflowed
+    hankel_problem([0.2, -0.2, 0.4j, -0.3j], [1, 1, 1, 1]),
+]
+
+
+def _solution_bits(solution):
+    if solution is None:
+        return None
+    points, multiplicities = solution
+    return [(p.real.hex(), p.imag.hex()) for p in points], multiplicities
+
+
+def test_hankel_solves_of_a_batch_equal_those_of_each_problem_alone():
+    # stacked by size n and rank d, each problem gets the bits it gets alone
+    batch = exppoly._hankel_solves(HANKEL_PROBLEMS)
+    alone = [exppoly._hankel_solves([problem])[0] for problem in HANKEL_PROBLEMS]
+    assert [_solution_bits(s) for s in batch] == [_solution_bits(s) for s in alone]
+    assert [None if s is None else sorted(s[1]) for s in batch] == [
+        [1, 1], [1, 1, 1], [3], [1, 2], [1, 1], None, [1, 1, 1, 1]
+    ]
+
+
+def test_a_stack_that_fails_is_solved_one_problem_at_a_time(monkeypatch):
+    # a LinAlgError from a stack of several pencils refuses none of them:
+    # each is solved again on its own
+    real = exppoly._pencil_roots
+
+    def refuse_stacks(pencils, s, n):
+        if len(pencils) > 1:
+            raise np.linalg.LinAlgError("a matrix of the stack failed")
+        return real(pencils, s, n)
+
+    expected = [_solution_bits(s) for s in exppoly._hankel_solves(HANKEL_PROBLEMS)]
+    monkeypatch.setattr(exppoly, "_pencil_roots", refuse_stacks)
+    assert [_solution_bits(s) for s in exppoly._hankel_solves(HANKEL_PROBLEMS)] == expected
+
+
 def test_a_box_whose_solve_fails_splits_and_finds_the_same_zeros(monkeypatch):
     # e^p + 1 has six zeros here; with every Hankel solve refused, each box
     # of 2 to _MOMENT_ZEROS zeros splits as a box of more zeros does
     f = from_vector(RealVector((math.e, 1.0)))
     solved = find_zeros(f, WINDOW)
     refused = []
-    monkeypatch.setattr(exppoly, "_hankel_solve", lambda s, n, noise: refused.append(n))
+    monkeypatch.setattr(
+        exppoly, "_hankel_solves", lambda problems: [refused.append(n) for _, n, _ in problems]
+    )
     split = find_zeros(f, WINDOW)
     assert refused and all(2 <= n <= exppoly._MOMENT_ZEROS for n in refused)
     assert_same_zeros(solved, split)
@@ -611,18 +663,48 @@ def test_an_unrefined_zero_placed_outside_its_box_fails_the_search(monkeypatch):
         find_zeros(f, window)
 
 
-def test_find_zeros_integrates_no_box_twice(monkeypatch):
+def test_find_zeros_integrates_no_box_twice(monkeypatch, kernel_calls):
+    # no box is integrated twice, and no contour node is evaluated twice:
+    # a half takes its parent's panels and both halves share their cut
     seen = []
     real = exppoly._contour_sums
 
-    def spy(f, rects, check_boundary, *powers):
-        seen.extend(rects)
-        return real(f, rects, check_boundary, *powers)
+    def spy(edges, boxes, *check_boundary):
+        seen.extend(box.rect for box in boxes)
+        return real(edges, boxes, *check_boundary)
 
     monkeypatch.setattr(exppoly, "_contour_sums", spy)
-    zs = find_zeros(from_vector(RealVector((math.e, 1.0))), Rectangle(-1, 1, 0.5, 40))
-    assert zs.total == 6
-    assert len(seen) == len(set(seen))
+    for coords, total in (((math.e, 1.0), 6), ((1.0, 40.0), 23)):
+        seen.clear()
+        kernel_calls.clear()
+        zs = find_zeros(from_vector(RealVector(coords)), exppoly.DEFAULT_WINDOW)
+        assert zs.total == total
+        assert len(seen) == len(set(seen))
+        calls = zip(kernel_calls, kernel_calls.callers)
+        nodes = np.concatenate([c for c, who in calls if who == "evaluate_panels"])
+        assert np.unique(nodes).size == nodes.size
+
+
+def test_halves_reuse_their_parents_panels(kernel_calls):
+    # 1 + 40^p has 23 zeros here, so boxes split: 17,460 contour
+    # term-points when each half integrated its whole perimeter, 5,400 now
+    # that a half takes its parent's panels and integrates only its cut and
+    # the pieces of the panels the cut straddles
+    zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 23
+    contour = [c for c, who in zip(kernel_calls, kernel_calls.callers) if who == "evaluate_panels"]
+    assert 2 * sum(c.size for c in contour) <= 17_460 // 2
+
+
+def test_the_window_is_integrated_once(kernel_calls):
+    # 1 + 2^p has 4 zeros here, solved from the window's power sums, which
+    # come from the panels its count converged: one contour call of 108
+    # base panels (3,240 term-points) and two Newton calls, where the
+    # window was integrated a second time for its sums (4 calls, 6,480)
+    zs = find_zeros(from_vector(RealVector((1.0, 2.0))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 4 and all(z.refined for z in zs.zeros)
+    assert kernel_calls.callers == ["evaluate_panels", "_newton_polish", "_newton_polish"]
+    assert 2 * kernel_calls[0].size == 3_240
 
 
 def test_an_off_midline_first_cut_keeps_midline_zeros_cheap(monkeypatch, kernel_calls):
@@ -638,7 +720,9 @@ def test_an_off_midline_first_cut_keeps_midline_zeros_cheap(monkeypatch, kernel_
     halves = []
     count = exppoly._count_adaptive
     monkeypatch.setattr(
-        exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or count(f, rects)
+        exppoly,
+        "_count_adaptive",
+        lambda edges, boxes: halves.extend(b.rect for b in boxes) or count(edges, boxes),
     )
     zs = find_zeros(from_vector(RealVector((1.0, 2.0))), Rectangle(-10.0, 10.0, 0.5, 15.0))
     assert zs.total == 2 and all(abs(z.location.real) < 1e-12 for z in zs.zeros)
@@ -704,16 +788,16 @@ def test_a_split_search_cuts_at_fixed_fractions_and_evaluates_f_only_on_contours
     halves = []
     count = exppoly._count_adaptive
 
-    def spy_count(f, rects):
-        halves.extend(rects)
-        return count(f, rects)
+    def spy_count(edges, boxes):
+        halves.extend(b.rect for b in boxes)
+        return count(edges, boxes)
 
     monkeypatch.setattr(exppoly, "_count_adaptive", spy_count)
     f = from_vector(RealVector((1.0, 40.0)))
     for window, total in ((exppoly.DEFAULT_WINDOW, 23), (Rectangle(-20.0, 20.0, 0.5, 15.0), 9)):
         zs = find_zeros(f, window)
         assert zs.total == total and sum(z.multiplicity for z in zs.zeros) == total
-    assert set(kernel_calls.callers) == {"_contour_sums", "_newton_polish"}
+    assert set(kernel_calls.callers) == {"evaluate_panels", "_newton_polish"}
     orientations = set()
     for low, high in zip(halves[::2], halves[1::2]):
         box = Rectangle(low.re_min, high.re_max, low.im_min, high.im_max)
@@ -788,9 +872,9 @@ def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
             return Rectangle(-1.0, 1.0, 0.5, at), Rectangle(-1.0, 1.0, at, 40.0)
         return real_split(rect, fraction)
 
-    def spy(f, rects):
-        counted = real_count(f, rects)
-        refused.extend(r for r, c in zip(rects, counted) if isinstance(c, Exception))
+    def spy(edges, boxes):
+        counted = real_count(edges, boxes)
+        refused.extend(b.rect for b, c in zip(boxes, counted) if isinstance(c, Exception))
         return counted
 
     monkeypatch.setattr(Rectangle, "split", through_a_zero_first)

@@ -169,7 +169,7 @@ def test_boxes_of_few_zeros_are_solved_not_split(monkeypatch):
     halves = []
     count = exppoly._count_adaptive
     monkeypatch.setattr(
-        exppoly, "_count_adaptive", lambda f, rects: halves.extend(rects) or count(f, rects)
+        exppoly, "_count_adaptive", lambda edges, boxes: halves.extend(boxes) or count(edges, boxes)
     )
     for name in ("six-terms-13-zeros", "tied-pair", "six-terms-wide"):
         find_zeros(from_vector(RealVector(SEARCHES[name][0])), exppoly.DEFAULT_WINDOW)
@@ -208,7 +208,8 @@ def test_a_contour_node_on_a_zero_refuses_the_count_without_a_warning():
     box = Rectangle(
         -0.09999999999999998, 0.00023750000000004323, 9.731367248457033, 9.879584210937502
     )
-    (counted,) = exppoly._count_adaptive(f, [box])
+    edges = exppoly._Edges(f)
+    (counted,) = exppoly._count_adaptive(edges, [edges.outline(box)])
     assert isinstance(counted, QuadratureError)
     assert "value (nan+0j), error estimate inf" in str(counted)
 
@@ -280,7 +281,7 @@ def sums_and_batches(draw):
 
 
 def _bits(sums: tuple) -> tuple[str, ...]:
-    """The bits of every value of one box's ``_contour_sums``."""
+    """The bits of every value of one box's ``_contour_sums`` or ``_power_sums``."""
     parts = [(v.real, v.imag) if isinstance(v, complex) else (v,) for v in sums]
     return tuple(x.hex() for part in parts for x in part)
 
@@ -289,18 +290,29 @@ def _bits(sums: tuple) -> tuple[str, ...]:
 @given(sums_and_batches())
 def test_a_box_counts_the_same_in_any_batch(case):
     f, rects = case
-    # with the first power sum only, as count_zeros integrates, and with
-    # those of an isolation batch
-    batches = {}
-    for powers in (1, 2 * exppoly._MOMENT_ZEROS - 1):
-        batches[powers] = exppoly._contour_sums(f, rects, False, powers)
-        for rect, sums in zip(rects, batches[powers]):
-            (alone,) = exppoly._contour_sums(f, [rect], False, powers)
-            assert len(sums) == 2 + powers and _bits(sums) == _bits(alone)
-    # s_0, s_1 and the error estimate do not depend on how many powers follow
-    for short, full in zip(*batches.values()):
-        assert _bits(short) == _bits(full[:2] + full[-1:])
-    for rect, counted in zip(rects, exppoly._count_adaptive(f, rects)):
+    # boxes on lines of their own, counted together in one store and each
+    # alone in a store of its own; then their power sums up to those a
+    # solve reads, as if each held _MOMENT_ZEROS zeros
+    edges = exppoly._Edges(f)
+    boxes = [edges.outline(rect) for rect in rects]
+    batch = exppoly._contour_sums(edges, boxes)
+    alone = []
+    for rect, sums in zip(rects, batch):
+        own = exppoly._Edges(f)
+        box = own.outline(rect)
+        (box.sums,) = exppoly._contour_sums(own, [box])
+        assert len(sums) == 3 and _bits(sums) == _bits(box.sums)
+        alone.append((own, box))
+    for box, sums in zip(boxes, batch):
+        box.count, box.sums = exppoly._MOMENT_ZEROS, sums
+    for (_, _, full), (own, box) in zip(exppoly._power_sums(edges, boxes), alone):
+        box.count = exppoly._MOMENT_ZEROS
+        ((_, _, own_full),) = exppoly._power_sums(own, [box])
+        assert len(full) == 2 * exppoly._MOMENT_ZEROS + 1 and _bits(full) == _bits(own_full)
+    # the counts of _count_adaptive are those of count_zeros
+    edges = exppoly._Edges(f)
+    counts = exppoly._count_adaptive(edges, [edges.outline(rect) for rect in rects])
+    for rect, counted in zip(rects, counts):
         try:
             expected = count_zeros(f, rect)
         except BoundaryProximityError:
@@ -308,7 +320,7 @@ def test_a_box_counts_the_same_in_any_batch(case):
             continue
         except QuadratureError:
             expected = None
-        assert (None if isinstance(counted, Exception) else counted[0]) == expected
+        assert (None if isinstance(counted, Exception) else counted) == expected
 
 
 E_PLUS_ONE = ((math.e, 1.0), Rectangle(-1.0, 1.0, 1.0, 20.0))
@@ -340,7 +352,7 @@ def test_a_converged_winding_counts_within_1e_3_of_an_integer(
     monkeypatch.setattr(
         exppoly,
         "_contour_sums",
-        lambda f, rects, check_boundary, powers: [(complex(winding), 0j, 0.0) for _ in rects],
+        lambda edges, boxes, check_boundary: [(complex(winding), 0j, 0.0) for _ in boxes],
     )
     coords, rect = search
     f = from_vector(RealVector(coords))
