@@ -255,7 +255,12 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
     for k, item in enumerate(raw["vectors"]):
         if not isinstance(item, list) or not item:
             raise InvalidInputError(f"vectors[{k}]: expected a non-empty list of numbers")
-        coords = tuple(_as_float(x, f"vectors[{k}][{j}]") for j, x in enumerate(item))
+        # a float that is not nan passes _as_float as itself; only another
+        # coordinate pays for its field name
+        coords = tuple(
+            x if type(x) is float and x == x else _as_float(x, f"vectors[{k}][{j}]")
+            for j, x in enumerate(item)
+        )
         try:
             vectors.append(RealVector(coords))
         except InvalidInputError as err:

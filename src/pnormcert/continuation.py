@@ -13,6 +13,7 @@ multiplicative monodromy factors.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .exppoly import (
     Zero,
     _chunked_parts,
     _log,
+    _stacks,
     evaluate_log,
 )
 from .vectors import RealVector
@@ -89,27 +91,44 @@ class BranchState:
         return cmath.exp(self.logf / self.p)
 
 
-def pnorms(v: RealVector, ps: float | tuple[float, ...] | np.ndarray) -> np.ndarray:
-    """The p-norms of v at every point of ``ps`` (each a real p > 0 or +inf).
+def pnorms(vs: list[RealVector], ps: float | tuple[float, ...] | np.ndarray) -> np.ndarray:
+    """The p-norms of the vectors ``vs`` at the points ``ps`` (each a real p > 0
+    or +inf): entry [i, k] is ||vs[k]||_{ps[i]}.
 
-    Factors out the largest magnitude m once and returns m * (sum r**p)**(1/p)
-    over the non-zero ratios r = |c|/m <= 1, so no power overflows for any p
-    and p = +inf gives exactly m; exactly representable points come out exact
-    (||(3,4)||_2 = 5.0, ||(1,1)||_2 = 2**0.5).  Memory is len(ps) * len(v).
+    Factors out each vector's largest magnitude m and returns
+    m * (sum r**p)**(1/p) over its non-zero ratios r = |c|/m <= 1, so no power
+    overflows for any p and p = +inf gives exactly m; exactly representable
+    points come out exact (||(3,4)||_2 = 5.0, ||(1,1)||_2 = 2**0.5).  The
+    vectors with k non-zero ratios stack their ratio rows, so one power and
+    one sum over k fill their columns, _MAX_STACK_ELEMENTS elements at a time
+    (a vector with more than that runs alone).  The sum over k runs in order
+    either way, so a column has the bits of the vector's own call.
     """
     ps = np.asarray(ps, dtype=float).reshape(-1)
     if not np.all(ps > 0):  # also catches nan
         raise InvalidInputError("p must be positive (or +inf)")
-    m = v.max_abs
-    ratios = np.abs(v.coords) / m
-    ratios = ratios[ratios != 0.0]
-    sums = np.add.reduce(np.power.outer(ratios, ps))
-    return m * sums ** (1.0 / ps)
+    lengths = np.array([len(v) for v in vs])
+    starts = np.cumsum(lengths) - lengths
+    coords = itertools.chain.from_iterable(v.coords for v in vs)
+    ratios = np.abs(np.fromiter(coords, float, starts[-1] + lengths[-1]))
+    m = np.maximum.reduceat(ratios, starts)
+    ratios /= np.repeat(m, lengths)
+    nonzero = ratios != 0.0
+    counts = np.add.reduceat(nonzero, starts, dtype=np.intp)
+    ratios = ratios[nonzero]
+    firsts = np.cumsum(counts) - counts
+    inverse = 1.0 / ps
+    out = np.empty((ps.size, len(vs)))
+    for k, cols in _stacks(counts.tolist(), ps.size):
+        rows = ratios[firsts[cols, None] + np.arange(k)]
+        sums = np.add.reduce(np.power(rows[:, :, None], ps), axis=1)
+        out[:, cols] = (m[cols, None] * sums**inverse).T
+    return out
 
 
 def pnorm_at(v: RealVector, p: float) -> float:
     """The p-norm of v for real p > 0; p = +inf gives the max norm (``pnorms``)."""
-    return float(pnorms(v, float(p))[0])
+    return float(pnorms([v], float(p))[0, 0])
 
 
 def pnorm_value(f: ExpPoly, p: float) -> float:

@@ -175,7 +175,7 @@ def build_matrix(vs: list[RealVector], grid: SampleGrid) -> NormMatrix:
         )
     ps = grid.points + ((math.inf,) if grid.include_infinity else ())
     with np.errstate(over="ignore"):  # an overflowing column raises below
-        entries = np.column_stack([pnorms(v, ps) for v in vs])
+        entries = pnorms(vs, ps)
         # scale each column by a power of two near its largest entry before
         # squaring: exact, and only a length above the float64 range overflows
         _, exps = np.frexp(entries.max(axis=0))

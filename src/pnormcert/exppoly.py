@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,10 @@ _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
 # Points one kernel call may take, so its memory stays at terms x this.
 _MAX_CALL_POINTS = 4096
+# Elements (rows x terms x points) one stacked call may hold, of the norm
+# table or of the kernel; a longer stack is cut into chunks, and a single
+# row larger than this runs alone.
+_MAX_STACK_ELEMENTS = 2**20
 # Two zeros match when their multiplicities agree and they lie this close.
 _MATCH_TOL = 1e-6
 
@@ -253,6 +258,23 @@ class RatioFit:
     residual: float
 
 
+class _Stack(NamedTuple):
+    """Sums of one term count as one kernel argument: row i of ``exponents``
+    and ``multiplicities`` is sum i, and ``degree`` is a column of their
+    degrees."""
+
+    exponents: np.ndarray
+    multiplicities: np.ndarray
+    degree: np.ndarray
+
+
+def _stack(polys: list[ExpPoly]) -> _Stack:
+    # read from the terms: the cached per-sum arrays cost more to build than this
+    terms = np.array([f.terms for f in polys])
+    mults = terms[..., 1]
+    return _Stack(terms[..., 0], mults, mults.sum(axis=1, keepdims=True))
+
+
 def from_vector(v: RealVector) -> ExpPoly:
     """Exponential sum of the norm curve of ``v``: exponents ln|v_j|, zeros dropped.
 
@@ -275,7 +297,7 @@ def from_vector(v: RealVector) -> ExpPoly:
 
 
 def _parts(
-    f: ExpPoly, ps: complex | np.ndarray, order: int = 0
+    f: ExpPoly | _Stack, ps: complex | np.ndarray, order: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(M, S, S', bound) of the derivative f^(order) at the points ``ps`` (a
     scalar is one point).
@@ -284,21 +306,25 @@ def _parts(
     real part over terms of exponent * p, so no summand of S exceeds its
     coefficient c_j * beta_j^order and nothing overflows while |M| < ~709.
     bound = sum_j |c_j * beta_j^order * exp(beta_j p - M)|.
+
+    ``f`` may be a ``_Stack`` of sums of one term count (exponents (n, t)):
+    each result then has one row per sum, and each row holds the bits of
+    that sum's own call, since every sum is reduced over its terms alone.
     """
     ps = np.asarray(ps).reshape(-1)
     betas = f.exponents
     re = ps.real
-    m_val = np.maximum(betas[0] * re, betas[-1] * re)
+    m_val = np.maximum(betas[..., :1] * re, betas[..., -1:] * re)
     coeffs = f.multiplicities * betas**order if order else f.multiplicities
-    weighted = coeffs[:, None] * np.exp(np.multiply.outer(betas, ps) - m_val)
-    s_val = np.add.reduce(weighted)
-    ds_val = np.add.reduce(betas[:, None] * weighted)
-    bound = np.add.reduce(np.abs(weighted))
+    weighted = coeffs[..., None] * np.exp(betas[..., None] * ps - m_val[..., None, :])
+    s_val = np.add.reduce(weighted, axis=-2)
+    ds_val = np.add.reduce(betas[..., None] * weighted, axis=-2)
+    bound = np.add.reduce(np.abs(weighted), axis=-2)
     return m_val, s_val, ds_val, bound
 
 
 def _chunked_parts(
-    f: ExpPoly, ps: complex | list[complex] | np.ndarray, order: int = 0
+    f: ExpPoly | _Stack, ps: complex | list[complex] | np.ndarray, order: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_parts`` of f^(``order``) at ``ps``, one kernel call per
     _MAX_CALL_POINTS points.
@@ -314,18 +340,31 @@ def _chunked_parts(
         _parts(f, ps[lo : lo + _MAX_CALL_POINTS], order)
         for lo in range(0, ps.size, _MAX_CALL_POINTS)
     ]
-    return tuple(np.concatenate(part) for part in zip(*chunks))
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*chunks))
+
+
+def _stacks(sizes: list[int], points: int) -> list[tuple[int, list[int]]]:
+    """(size, rows) for each stacked call over ``sizes``: the rows of one size,
+    at most _MAX_STACK_ELEMENTS // (size x ``points``) of them (at least one)."""
+    groups: dict[int, list[int]] = {}
+    for row, size in enumerate(sizes):
+        groups.setdefault(size, []).append(row)
+    calls = []
+    for size, rows in groups.items():
+        step = max(1, _MAX_STACK_ELEMENTS // (size * points))
+        calls += [(size, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+    return calls
 
 
 def _log(
-    f: ExpPoly, ps: complex | np.ndarray
+    f: ExpPoly | _Stack, ps: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M + log(S), S, S') at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree,
     naming the first such point."""
     m_val, s_val, ds_val, _ = _chunked_parts(f, ps)
     singular = np.abs(s_val) <= 1e-12 * f.degree
     if singular.any():
-        p = np.asarray(ps).reshape(-1)[singular][0].item()
+        p = np.broadcast_to(np.asarray(ps).reshape(-1), singular.shape)[singular][0].item()
         raise SingularEvaluationError(f"f is numerically zero at p={p!r}", point=p)
     return m_val + np.log(s_val), s_val, ds_val
 
@@ -1227,7 +1266,8 @@ def _ratio_fits(
 ) -> list[RatioFit]:
     """``ratio_factor(polys[i], polys[j], sample_ps)`` for every (i, j) in ``pairs``.
 
-    Each sum is evaluated once; the fits are array arithmetic over a
+    Each sum is evaluated once: the sums of one term count stack into one
+    ``_log`` call (cut by ``_stacks``).  The fits are array arithmetic over a
     (pairs x samples) block, each row reduced on its own (no matmul), so a
     pair's fit does not depend on the other pairs in the batch.
     """
@@ -1236,13 +1276,20 @@ def _ratio_fits(
     ps = np.array(_DEFAULT_RATIO_SAMPLES if sample_ps is None else sample_ps, dtype=float)
     if len(set(ps.tolist())) < 2:
         raise InvalidInputError("need at least two distinct sample points")
-    logs = np.array([_log(f, ps)[0] for f in polys])
-    fs, gs = [i for i, _ in pairs], [j for _, j in pairs]
-    a = [polys[i].degree / polys[j].degree for i, j in pairs]
+    logs = np.empty((len(polys), ps.size))
+    for _, rows in _stacks([len(f.terms) for f in polys], ps.size):
+        logs[rows] = _log(_stack([polys[i] for i in rows]), ps)[0]
+    fs, gs = np.array(pairs).T
+    degrees = np.array([f.degree for f in polys])
+    a = (degrees[fs] / degrees[gs]).tolist()
+    # math.log, not np.log, which may round the last bit differently
+    log_of = {x: math.log(x) for x in set(a)}
     log_f = logs[fs]
-    diffs = log_f - logs[gs] - np.array([math.log(x) for x in a])[:, None]
-    centered = ps - ps.mean()
-    slope = np.add.reduce(centered * (diffs - diffs.mean(axis=1)[:, None]), axis=1)
+    diffs = log_f - logs[gs] - np.array([log_of[x] for x in a])[:, None]
+    # sum / size: the bits of mean() without its dispatch
+    centered = ps - np.add.reduce(ps) / ps.size
+    means = np.add.reduce(diffs, axis=1) / ps.size
+    slope = np.add.reduce(centered * (diffs - means[:, None]), axis=1)
     beta = slope / (centered @ centered)
     w = diffs - beta[:, None] * ps  # log of f / (a exp(beta p) g)
     # |f - a exp(beta p) g| / max(1, |f|) = |1 - exp(-w)| * min(1, |f|)
@@ -1251,4 +1298,6 @@ def _ratio_fits(
     damp = np.exp(np.minimum(log_f, 0.0))
     # fmax skips the NaN of inf * 0 where |f| underflows
     residual = np.fmax.reduce(mismatch * damp, axis=1, initial=0.0)
-    return [RatioFit(x, float(b), float(r)) for x, b, r in zip(a, beta, residual)]
+    return [
+        RatioFit(x, b, r) for x, b, r in zip(a, beta.tolist(), residual.tolist())
+    ]

@@ -297,6 +297,8 @@ def test_ratio_evidence_equals_the_one_pair_fit_bit_for_bit():
 
 
 def test_ratio_evidence_evaluates_each_sum_once(monkeypatch):
+    # the sums of one term count share one stacked call, a row each, and
+    # every sum is a row of exactly one call
     vs = _family_with_copies()
     polys = [from_vector(v) for v in vs]
     part = dependence.partition(vs)
@@ -309,7 +311,9 @@ def test_ratio_evidence_evaluates_each_sum_once(monkeypatch):
 
     monkeypatch.setattr(exppoly, "_log", spy)
     dependence._ratio_evidence(polys, part)
-    assert sorted(map(id, seen)) == sorted(map(id, polys))
+    rows = [(tuple(e), tuple(m)) for f in seen for e, m in zip(f.exponents, f.multiplicities)]
+    assert sorted(rows) == sorted((tuple(f.exponents), tuple(f.multiplicities)) for f in polys)
+    assert len(seen) == len({len(f.terms) for f in polys}) == 4
 
 
 def test_analyze_decomposes_the_norm_matrix_once(monkeypatch):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from pnormcert import ExpPoly, exppoly
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
 _SPEC = importlib.util.spec_from_file_location("equivalence", _PATH)
 equivalence = importlib.util.module_from_spec(_SPEC)
@@ -55,3 +57,27 @@ def test_exit_codes_must_be_equal():
     verdict = equivalence.compare(run(), run(code=3))
     assert verdict["exit_code_differences"] == ["job: exit 0 -> 3"]
     assert not verdict["equivalent"]
+
+
+def test_a_stacked_call_counts_the_term_points_of_every_sum_it_holds(monkeypatch):
+    # five sums of two and three terms: their ratio fits make one kernel
+    # call per term count, and count what five calls of one sum counted
+    polys = [
+        ExpPoly(((0.0, 1), (1.0, 2))),
+        ExpPoly(((0.5, 1), (1.0, 1), (2.0, 3))),
+        ExpPoly(((-1.0, 2), (3.0, 1))),
+        ExpPoly(((0.0, 1), (0.25, 1), (4.0, 1))),
+        ExpPoly(((1.0, 3), (2.0, 1))),
+    ]
+    samples = len(exppoly._DEFAULT_RATIO_SAMPLES)
+    counted = []
+    real = exppoly._parts
+
+    def spy(f, ps, *args):
+        counted.append(equivalence.term_points(f, ps))
+        return real(f, ps, *args)
+
+    monkeypatch.setattr(exppoly, "_parts", spy)
+    exppoly._ratio_fits(polys, [(0, 1), (2, 3), (4, 0)])
+    assert len(counted) == 2
+    assert sum(counted) == sum(len(f.terms) for f in polys) * samples == 192

@@ -7,7 +7,8 @@ rounded once, so every term carries a relative error of about
 eps * (1 + max|beta| |p|), and cancellation among the terms magnifies that
 by the term scale over |f|.  Points where |f| is below 1e-6 of the term
 scale (next to a zero, where log f is ill-conditioned) are skipped.
-The kernel's chunked calls are checked against one call, bit for bit.
+The kernel's chunked calls are checked against one call, and its stacked
+calls against the calls of each sum alone, bit for bit.
 """
 
 import math
@@ -18,10 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pnormcert import ExpPoly, evaluate_log, exppoly, ratio_factor
+from pnormcert import ExpPoly, SingularEvaluationError, evaluate_log, exppoly, ratio_factor
 from pnormcert.exppoly import (
     _DEFAULT_RATIO_SAMPLES,
+    _log,
     _parts,
+    _stack,
     log_derivative,
     relative_magnitude,
 )
@@ -218,3 +221,41 @@ def test_chunks_of_two_or_more_points_give_the_values_of_one_call(f, cap, data):
         chunked = exppoly._chunked_parts(f, ps)
     for a, b in zip(whole, chunked):
         assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def stacks(draw):
+    """1-6 sums of one term count (1-8) and 1-20 points, real or complex,
+    with |beta * Re p| <= 700 for every exponent."""
+    t = draw(st.integers(1, 8))
+    polys = []
+    for _ in range(draw(st.integers(1, 6))):
+        betas = sorted(draw(st.lists(st.floats(-20.0, 20.0), min_size=t, max_size=t, unique=True)))
+        assume(all(b2 - b1 >= 1e-6 for b1, b2 in zip(betas, betas[1:])))
+        mults = draw(st.lists(st.integers(1, 4), min_size=t, max_size=t))
+        polys.append(ExpPoly(tuple(zip(betas, mults))))
+    top = max(1.0, max(_beta_max(f) for f in polys))
+    n = draw(st.integers(1, 20))
+    re = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * (700.0 / top)
+    if draw(st.booleans()):
+        return polys, re
+    im = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
+    return polys, re + 1j * np.array(im)
+
+
+@PROPERTY
+@given(stacks())
+def test_a_stacked_log_gives_each_sum_the_bits_of_its_own_call(case):
+    # the sums of one term count are evaluated in one call; each row is
+    # reduced over its own terms, so it holds the values of that sum alone
+    polys, ps = case
+    try:
+        alone = [_log(f, ps) for f in polys]
+    except SingularEvaluationError:
+        with pytest.raises(SingularEvaluationError):
+            _log(_stack(polys), ps)
+        return
+    stacked = _log(_stack(polys), ps)
+    for row, one in enumerate(alone):
+        for a, b in zip(stacked, one):
+            assert a[row].tobytes() == b.tobytes()

@@ -7,15 +7,24 @@ rounding of each r**p (one rounding in either power function), the plain
 summation of len(v) non-negative terms (at most about len(v) * eps/2
 relative against the exactly rounded fsum), the outer power and the final
 product: about (len(v) + 3) * eps relative in all, the bound used here.
+
+The table of a family is also checked against the table of each vector
+alone, bit for bit, and its memory against the stacking cap.
 """
 
 import math
+import random
+import tracemalloc
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnormcert import RealVector, SampleGrid, build_matrix, pnorm_at
+from pnormcert import RealVector, SampleGrid, build_matrix, exppoly, pnorm_at
+from pnormcert.continuation import pnorms
+from pnormcert.dependence import default_grid_count, make_grid
 
 EPS = 2.0**-52
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -85,3 +94,55 @@ def test_exactly_representable_norms_are_exact():
     grid = SampleGrid(1.0, math.inf, (1.0, 2.0, 3.0, 4.0), True)
     column = build_matrix([RealVector((3.0, 0.0, -4.0))], grid).entries[:, 0]
     assert column[0] == 7.0 and column[1] == 5.0 and column[-1] == 4.0
+
+
+@st.composite
+def supports(draw) -> RealVector:
+    """1-10 non-zero coordinates, zero padded, some of them tied at the
+    maximum, and at times a subnormal that is not the maximum."""
+    coords = [
+        draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-8.0, 8.0))
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    coords += [max(coords, key=abs)] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        coords.append(draw(st.sampled_from((5e-324, -1e-310, 2.0**-1070))))
+    coords += [0.0] * draw(st.integers(0, 3))
+    return RealVector(tuple(draw(st.permutations(coords))))
+
+
+@PROPERTY
+@given(st.lists(supports(), min_size=1, max_size=12), grids(), st.integers(1, 200))
+def test_a_family_table_gives_each_vector_the_bits_of_its_own_column(vs, grid, cap):
+    # vectors of one support size share a stacked power and sum; a cap of
+    # few elements cuts each group into chunks, down to one vector each
+    ps = grid.points + (math.inf,)
+    alone = [pnorms([v], ps)[:, 0] for v in vs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exppoly, "_MAX_STACK_ELEMENTS", cap)
+        table = pnorms(vs, ps)
+    assert table.shape == (len(ps), len(vs))
+    for k, column in enumerate(alone):
+        assert table[:, k].tobytes() == column.tobytes(), k
+
+
+def test_a_family_table_holds_at_most_the_cap_plus_one_vector_table():
+    # 64 vectors of 2,000 coordinates on their 256-point default grid: the
+    # whole stack would be 64 tables of 4 MB, but a stacked call holds at
+    # most _MAX_STACK_ELEMENTS, and a single vector runs alone past it
+    rng = random.Random(7)
+    vs = [RealVector(tuple(rng.uniform(-3.0, 3.0) for _ in range(2000))) for _ in range(64)]
+    grid = make_grid(1.0, 4.0, default_grid_count(len(vs)))
+    one_table = 2000 * grid.count * 8
+    tracemalloc.start()
+    try:
+        build_matrix(vs, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= exppoly._MAX_STACK_ELEMENTS * 8 + one_table, peak
+    # one vector bigger than the cap is tabulated alone, bit for bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exppoly, "_MAX_STACK_ELEMENTS", 1000)
+        table = pnorms(vs[:3], grid.points)
+    assert table.tobytes() == np.column_stack([pnorms([v], grid.points)[:, 0] for v in vs[:3]]).tobytes()

@@ -12,8 +12,8 @@ coordinates of zeros (an entry of a ``zeros`` list, or a loop's
 ``zero``), which may move by at most ``ZERO_REL_TOL`` of |z|.
 
 Each run also counts its kernel work: the ``exppoly._parts`` calls and
-their term-points (terms x points), by workload and by the function
-that asked for them.
+their term-points (terms x points, over every sum of a stacked call), by
+workload and by the function that asked for them.
 
 Prints one JSON object and exits 0 when the trees are equivalent, 1 when
 they are not.
@@ -38,6 +38,11 @@ SEEDS = (101, 102, 103)
 ZERO_REL_TOL = 1e-12
 
 
+def term_points(f, ps) -> int:
+    """Terms x points of one kernel call, summed over the sums of a stacked ``f``."""
+    return np.size(f.exponents) * np.size(ps)
+
+
 def run_tree(src: str) -> dict:
     """Every job's exit code, payload and CSV under the package in ``src``,
     and the kernel work by workload and caller."""
@@ -58,7 +63,7 @@ def run_tree(src: str) -> dict:
             caller = caller.f_back
         entry = work[workload, caller.f_code.co_name]
         entry[0] += 1
-        entry[1] += len(f.terms) * np.asarray(ps).size
+        entry[1] += term_points(f, ps)
         return kernel(f, ps, *args, **kwargs)
 
     exppoly._parts = counted
