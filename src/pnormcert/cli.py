@@ -14,9 +14,12 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
+
+import orjson
 
 from . import __version__
 from .continuation import loop_monodromies
@@ -76,6 +79,8 @@ def _as_float(value, where: str) -> float:
         x = float(value)
     except ValueError:
         raise InvalidInputError(f"{where}: cannot parse {value!r} as a number") from None
+    except OverflowError:
+        raise InvalidInputError(f"{where}: integer too large for a float") from None
     if math.isnan(x):
         raise InvalidInputError(f"{where}: nan is not allowed")
     return x
@@ -199,9 +204,11 @@ class Certificate:
     def to_json(self) -> str:
         # Each top-level key on a line of its own, so that a tool can drop the
         # "timing_ms" line and compare the rest of two runs byte for byte
-        # (bench/oracle.py does).  Each value is compact, with sorted keys.
+        # (bench/oracle.py does).  Each value is what json.dumps writes
+        # compactly with sorted keys; _dumps writes the number tables
+        # (_Numbers) from orjson's digits in those same bytes.
         lines = [
-            f'  "{name}": ' + json.dumps(getattr(self, name), sort_keys=True, allow_nan=False)
+            f'  "{name}": ' + _dumps(getattr(self, name))
             for name in sorted(f.name for f in fields(self))
         ]
         return "{\n" + ",\n".join(lines) + "\n}\n"
@@ -298,6 +305,73 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
 # ---------------------------------------------------------------------------
 
 
+class _Numbers(list):
+    """A list that holds only finite floats, 64-bit ints, lists of them, or
+    dicts of them whose keys are made of letters and underscores.  ``_dumps``
+    writes it from orjson's digits; anything else in it raises, never writes
+    other bytes."""
+
+
+# orjson writes the shortest round-trip digits, as repr does, and lays them
+# out as repr does except in two places.  Its exponent has no "+" and no
+# leading zero (1e16, 1e-6 for 1e+16, 1e-06): an "e" after a digit is always
+# an exponent, since no key holds a digit.  And it writes [1e-5, 1e-4) in
+# fixed form (0.0000999 for 9.99e-05): such a token starts "0.0000" with no
+# digit before it, unlike the middle of 10.00000837.
+_EXPONENT = re.compile(r"e(?<=[0-9]e)(-?)([0-9]+)")
+_FIXED_SMALL = re.compile(r"0\.0000(?<![0-9]0\.0000)[0-9]+")
+_NULL = re.compile(r"[\[,:]null")
+# a quote that neither opens a key of letters ("beta":) nor closes one
+_NOT_A_KEY = re.compile(r'"(?<![A-Za-z_]")(?![A-Za-z_]+":)')
+
+
+def _plain_float(obj) -> float:
+    """orjson's fallback: a float subclass (numpy.float64) is written as its
+    float, as json.dumps writes it; any other type raises."""
+    if isinstance(obj, float):
+        return float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _numbers_json(value: _Numbers) -> str:
+    """``json.dumps(value, sort_keys=True, allow_nan=False)``, byte for byte."""
+    text = orjson.dumps(value, default=_plain_float, option=orjson.OPT_SORT_KEYS).decode()
+    if "null" in text and _NULL.search(text):
+        # orjson writes inf, nan and None as null
+        raise ValueError("a _Numbers value holds inf, nan or None")
+    if '"' in text and _NOT_A_KEY.search(text):
+        raise TypeError("a _Numbers value holds a string or a key that is not letters")
+    text = text.replace(",", ", ").replace(":", ": ")
+    if "e" in text:
+        text = _EXPONENT.sub(lambda m: "e" + (m[1] or "+") + m[2].rjust(2, "0"), text)
+    if "0.0000" in text:
+        text = _FIXED_SMALL.sub(lambda m: repr(float(m[0])), text)
+    return text
+
+
+def _holds_numbers(value) -> bool:
+    return isinstance(value, _Numbers) or (
+        isinstance(value, dict) and any(map(_holds_numbers, value.values()))
+    )
+
+
+# json.dumps(value, sort_keys=True, allow_nan=False) builds this encoder on
+# every call
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, allow_nan=False)``, byte for byte.
+    A _Numbers value, and a dict with str keys that holds one, are joined
+    here; every other value is the standard encoder's."""
+    if isinstance(value, _Numbers):
+        return _numbers_json(value)
+    if _holds_numbers(value) and all(isinstance(k, str) for k in value):
+        items = (_ENCODER.encode(k) + ": " + _dumps(value[k]) for k in sorted(value))
+        return "{" + ", ".join(items) + "}"
+    return _ENCODER.encode(value)
+
+
 def _enc_float(x: float):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
@@ -334,7 +408,7 @@ def _enc_grid(grid: SampleGrid) -> dict:
     return {
         "a": grid.a,
         "b": _enc_float(grid.b),
-        "points": list(grid.points),
+        "points": _Numbers(grid.points),
         "include_infinity": grid.include_infinity,
     }
 
@@ -342,8 +416,8 @@ def _enc_grid(grid: SampleGrid) -> dict:
 def _enc_matrix(matrix: NormMatrix) -> dict:
     return {
         "grid": _enc_grid(matrix.grid),
-        "norms": matrix.entries.tolist(),
-        "column_scales": matrix.column_scales.tolist(),
+        "norms": _Numbers(matrix.entries.tolist()),
+        "column_scales": _Numbers(matrix.column_scales.tolist()),
     }
 
 
@@ -364,7 +438,7 @@ def _echo_input(job: JobSpec) -> dict:
     echo = {
         "schema": SCHEMA_VERSION,
         "command": job.command,
-        "vectors": [list(v.coords) for v in job.vectors],
+        "vectors": _Numbers(list(v.coords) for v in job.vectors),
         "options": {},
     }
     for key, f in FIELDS.items():
@@ -453,13 +527,13 @@ def _run_analyze(job: JobSpec) -> dict:
         "numeric_rank": report.numeric_rank,
         "rank_gap": _enc_float(report.rank_gap),
         "singular_values": [_enc_float(s) for s in report.singular_values],
-        "null_basis": [list(alpha) for alpha in report.null_basis],
+        "null_basis": _Numbers(list(alpha) for alpha in report.null_basis),
         "principal_angle": report.principal_angle,
         "partition": _enc_partition(report.partition),
-        "ratio_checks": [
+        "ratio_checks": _Numbers(
             {"i": i, "j": j, "a": fit.a, "beta": fit.beta, "residual": fit.residual}
             for i, j, fit in report.ratio_checks
-        ],
+        ),
         "zero_checks": [
             {"i": i, "j": j, "equal": flag} for i, j, flag in report.zero_checks
         ],

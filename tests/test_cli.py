@@ -177,6 +177,8 @@ def test_parse_interval_validation():
         parse_jobspec(job_text(command="norms", vectors=[[1]], interval=[0.5, 3]))
     with pytest.raises(InvalidInputError):
         parse_jobspec(job_text(command="norms", vectors=[[1]], interval=[1]))
+    with pytest.raises(InvalidInputError, match=r"^interval\[1\]: integer too large"):
+        parse_jobspec(job_text(command="norms", vectors=[[1]], interval=[1, 10**400 - 1]))
 
 
 @pytest.mark.parametrize(
@@ -669,6 +671,10 @@ def test_main_error_paths(tmp_path, capsys):
     [
         (job_text(command="zeros", vectors=[["nan", 1]]), "vectors[0][0]: nan is not allowed"),
         (
+            job_text(command="zeros", vectors=[[1, 10**400 - 1]]),
+            "vectors[0][1]: integer too large for a float",
+        ),
+        (
             job_text(command="zeros", vectors=[[1, 2]], window={"re": [1, -1]}),
             "window.re: need finite lo < hi",
         ),
@@ -682,6 +688,7 @@ def test_main_error_paths(tmp_path, capsys):
     ],
     ids=[
         "nan-coordinate",
+        "huge-integer-coordinate",
         "reversed-window",
         "list-job",
         "no-vectors",

@@ -1,6 +1,7 @@
 """The certificate layout: one line per top-level key, sorted, each value as
 the standard json encoder writes it compactly with ``sort_keys=True,
-allow_nan=False``."""
+allow_nan=False``, the number tables (``_Numbers``) written from orjson's
+digits included."""
 
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pnormcert.cli import Certificate, parse_jobspec, run
+from pnormcert.cli import Certificate, _Numbers, parse_jobspec, run
 
 ENCODE = settings(
     max_examples=150,
@@ -77,6 +78,31 @@ def test_encoding_equals_the_standard_encoder(doc):
     check_layout(certificate(doc))
 
 
+def record(**values) -> dict:
+    """One ratio check as an analyze certificate holds it."""
+    return {"a": 2.0, "beta": 0.5, "i": 0, "j": 1, "residual": 1e-17, **values}
+
+
+# floats that orjson lays out otherwise than repr (below 1e-4 and from 1e16
+# up), the bounds of those ranges, and a float whose digits hold "0.0000"
+# after a digit
+EDGES = st.sampled_from(
+    [1e-5, 9.99e-5, 1e-4, 1e16, 9999999999999998.0, 5e-324, -0.0, 10.00000837497269]
+    + [-2.5e-9, 1e-6, 1.5e-10]
+)
+NUMBERS = FLOATS | EDGES | st.integers(min_value=-(2**63), max_value=2**64 - 1)
+TABLES = st.lists(st.lists(NUMBERS, max_size=6), max_size=6) | st.lists(
+    st.builds(record, a=NUMBERS, beta=NUMBERS, i=NUMBERS, j=NUMBERS, residual=NUMBERS),
+    max_size=6,
+)
+
+
+@ENCODE
+@given(TABLES)
+def test_a_number_table_is_written_as_the_standard_encoder_writes_it(table):
+    check_layout(certificate({"t": _Numbers(table), "u": {"v": _Numbers(table), "w": "x"}}))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
 @pytest.mark.parametrize(
     "wrap",
@@ -87,6 +113,8 @@ def test_encoding_equals_the_standard_encoder(doc):
         lambda x: [1, "a", x],
         lambda x: {"a": x},
         lambda x: {"a": [{"b": (x,)}]},
+        lambda x: {"t": _Numbers([[1.0, x]])},
+        lambda x: {"ratio_checks": _Numbers([record(), record(residual=x)])},
     ],
 )
 def test_a_non_finite_float_raises_value_error(bad, wrap):
@@ -98,6 +126,28 @@ def test_a_non_finite_float_raises_value_error(bad, wrap):
 def test_an_unsupported_type_raises_type_error(bad):
     with pytest.raises(TypeError):
         certificate(bad).to_json()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["x"],
+        [1.0, ""],
+        [[1.0], ["1.0"]],
+        [record(i="0")],
+        [record(), {"a": 1.0, "beta": "0.5"}],
+        [{"b1": 1.0}],
+        [{'b"': 1.0}],
+        [{"é": 1.0}],
+        [{1: 1.0}],
+        [np.int64(1)],
+        [2**64],
+    ],
+    ids=repr,
+)
+def test_a_number_table_with_a_string_or_another_type_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        certificate({"t": _Numbers(bad)}).to_json()
 
 
 JOBS = [

@@ -11,20 +11,40 @@ equivalence = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(equivalence)
 
 
-def run(code=0, im=4.0, refined=True, loop_im=2.0, rel_error=0.0):
-    """One tree's runs of one job: a zeros result and a loop around a zero."""
+def run(code=0, im=4.0, refined=True, loop_im=2.0, rel_error=0.0, cert="digest"):
+    """One tree's runs of one job: a zeros result and a loop around a zero,
+    with the digest of its certificate text."""
     payload = {
         "results": [
             {"total": 1, "zeros": [{"im": im, "multiplicity": 1, "re": 0.0, "refined": refined}]}
         ],
         "loops": [{"rel_error": rel_error, "zero": {"im": loop_im, "re": 1.0}}],
     }
-    return {"runs": {"job": (code, payload, "p,norm\n")}}
+    return {"runs": {"job": (code, payload, "p,norm\n", cert)}}
 
 
 def test_identical_runs_are_equivalent():
     verdict = equivalence.compare(run(), run())
     assert verdict["equivalent"] and verdict["zeros"] == 2 and verdict["zeros_moved"] == 0
+    assert verdict["byte_identical"] == 1
+
+
+def test_byte_identical_counts_certificate_bytes_and_decides_nothing():
+    # the same payload in other bytes (another float layout, say) stays
+    # equivalent, and is not counted identical
+    verdict = equivalence.compare(run(), run(cert="other digest"))
+    assert verdict["equivalent"] and verdict["byte_identical"] == 0
+    # nor is a job whose CSV differs
+    changed = run()
+    changed["runs"]["job"] = changed["runs"]["job"][:2] + ("p,norm\n1,2\n", "digest")
+    assert equivalence.compare(run(), changed)["byte_identical"] == 0
+
+
+def test_a_certificate_digest_drops_only_the_timing_line():
+    text = '{\n  "payload": {"x": 1.5},\n  "timing_ms": 12.25,\n  "version": "0.1.0"\n}\n'
+    assert equivalence.TIMING_LINE.sub("", text) == (
+        '{\n  "payload": {"x": 1.5},\n  "version": "0.1.0"\n}\n'
+    )
 
 
 @pytest.mark.parametrize(

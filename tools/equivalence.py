@@ -11,6 +11,10 @@ totals, multiplicities and ``refined`` flags included, except the
 coordinates of zeros (an entry of a ``zeros`` list, or a loop's
 ``zero``), which may move by at most ``ZERO_REL_TOL`` of |z|.
 
+It also reports ``byte_identical``, the number of jobs whose certificate
+text, less its ``timing_ms`` line, and CSV are the same bytes in both
+trees.  That count is information; the rule above decides ``equivalent``.
+
 Each run also counts its kernel work: the ``exppoly._parts`` calls and
 their term-points (terms x points, over every sum of a stacked call), by
 workload and by the function that asked for them.
@@ -24,9 +28,11 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +42,8 @@ import numpy as np
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (101, 102, 103)
 ZERO_REL_TOL = 1e-12
+# the line that differs between two runs of one job (bench/oracle.py drops it too)
+TIMING_LINE = re.compile(r'\n  "timing_ms": [^\n]*')
 
 
 def term_points(f, ps) -> int:
@@ -44,8 +52,9 @@ def term_points(f, ps) -> int:
 
 
 def run_tree(src: str) -> dict:
-    """Every job's exit code, payload and CSV under the package in ``src``,
-    and the kernel work by workload and caller."""
+    """Every job's exit code, payload, CSV and the SHA-256 of its certificate
+    text less the timing line, under the package in ``src``, and the kernel
+    work by workload and caller."""
     sys.path[:0] = [src, str(BENCH)]
     import jobs  # bench/jobs.py
     from pnormcert import cli, exppoly
@@ -82,10 +91,12 @@ def run_tree(src: str) -> dict:
                     argv += ["--curves", str(csv)] if job.curves else []
                     with contextlib.redirect_stderr(io.StringIO()):
                         code = cli.main(argv + ["--threads", "1"])
+                    text = cert.read_text() if cert.exists() else None
                     runs[name] = (
                         code,
-                        json.loads(cert.read_text())["payload"] if cert.exists() else None,
+                        json.loads(text)["payload"] if text is not None else None,
                         csv.read_text() if csv.exists() else None,
+                        text and hashlib.sha256(TIMING_LINE.sub("", text).encode()).hexdigest(),
                     )
     return {"runs": runs, "work": {f"{w}/{c}": v for (w, c), v in work.items()}}
 
@@ -110,8 +121,10 @@ def differences(a, b, path: tuple, moves: list[float]):
 def compare(parent: dict, change: dict) -> dict:
     """The verdict on two trees' runs of the same jobs."""
     codes, fields, moves = [], [], []
-    for name, (code, payload, csv) in parent["runs"].items():
-        code_b, payload_b, csv_b = change["runs"][name]
+    identical = 0
+    for name, (code, payload, csv, cert) in parent["runs"].items():
+        code_b, payload_b, csv_b, cert_b = change["runs"][name]
+        identical += cert == cert_b and csv == csv_b
         if code != code_b:
             codes.append(f"{name}: exit {code} -> {code_b}")
         if csv != csv_b:
@@ -129,6 +142,7 @@ def compare(parent: dict, change: dict) -> dict:
         "zeros": len(moves),
         "zeros_moved": len(moved),
         "max_zero_move_rel": worst,
+        "byte_identical": identical,
         "equivalent": not codes and not fields and worst <= ZERO_REL_TOL,
     }
 
