@@ -232,6 +232,12 @@ def parse_jobspec(text: str, command: str | None = None) -> JobSpec:
         raise InvalidInputError(
             f"malformed JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except ValueError:  # the one other ValueError json.loads raises
+        raise InvalidInputError(
+            f"malformed JSON: an integer literal has over {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise InvalidInputError("malformed JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise InvalidInputError("job file must contain a JSON object")
     _check_keys(
@@ -629,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {args.input}: {err}", file=sys.stderr)
         return EXIT_INPUT
     try:

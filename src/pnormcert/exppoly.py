@@ -567,15 +567,13 @@ class _Edges:
         """Replace each of ``panels`` by its two halves, one bisection deeper."""
         lo, hi = self.lo[panels], self.hi[panels]
         mid = 0.5 * (lo + hi)
-        start = self.add(
-            self.vertical[panels].repeat(2),
-            self.fixed[panels].repeat(2),
+        self._replace(
+            panels,
+            np.full(panels.size, 2),
             np.column_stack((lo, mid)).ravel(),
             np.column_stack((mid, hi)).ravel(),
-            (self.depth[panels] + 1).repeat(2),
+            self.depth[panels] + 1,
         )
-        self.kids[panels] = np.arange(start, self.size, 2)
-        self.kid_count[panels] = 2
 
     def cut(self, pairs: list[tuple[_Box, Rectangle, Rectangle]]) -> list[_Box]:
         """The halves of each (box, low half, high half) of ``pairs``, two
@@ -944,90 +942,44 @@ def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
     return rect.center + 0.5 * rect.diameter * sums[1] / sums[0]
 
 
-def _hankel_solves(
-    problems: list[tuple[np.ndarray, int, float]]
-) -> list[tuple[list[complex], list[int]] | None]:
-    """Per (s, n, noise) of ``problems``: the distinct points u_j and
-    multiplicities m_j (positive integers, summing to n) with
-    s[k] = sum_j m_j u_j^k for k < 2n, or None.
+def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], list[int]] | None:
+    """The distinct points u_j and multiplicities m_j (positive integers,
+    summing to ``n``) with s[k] = sum_j m_j u_j^k for k < 2n, or None.
 
     The count d of distinct points is the numerical rank of the Hankel
     matrix H_0 = [s_(i+j)], i, j < n: the number of its singular values
-    above n * noise, where noise is the error estimate of the quadrature
-    that gave s.  An error of at most noise in every entry moves no
-    singular value by more than that (Weyl), so a smaller one may be noise.
+    above n * ``noise``, where ``noise`` is the error estimate of the
+    quadrature that gave ``s``.  An error of at most ``noise`` in every
+    entry moves no singular value by more than that (Weyl), so a smaller
+    one may be noise.
     The points are the eigenvalues of the pencil (H_1, H_0), H_1 = [s_(i+j+1)],
     restricted to the range of H_0 through its SVD (Kravanja, Sakurai and
     Van Barel, BIT 39, 1999).  The multiplicities solve the d x d
     Vandermonde system of s_0, ..., s_(d-1), and each must lie within 0.1
-    of a positive integer.
-    The problems of one n share one SVD call, and those of one (n, d) one
-    eigenvalue and one Vandermonde call; LAPACK solves each matrix of a
-    stack on its own, so a problem's answer does not depend on the others.
-    A stack that fails is solved a problem at a time, so each problem is
-    refused only for its own matrices.
+    of a positive integer.  Sums that are not finite, a rank of 0 and a
+    matrix that LAPACK cannot factor give None.
     """
-    out: list = [None] * len(problems)
-    sizes: dict[int, list[int]] = {}
-    for i, (_, n, _) in enumerate(problems):
-        sizes.setdefault(n, []).append(i)
-    for n, members in sizes.items():
-        s = np.array([problems[i][0] for i in members], dtype=complex)
-        finite = np.isfinite(s).all(1)
-        if not finite.all():
-            members = [i for i, ok in zip(members, finite.tolist()) if ok]
-            s = s[finite]
-        noise = np.array([problems[i][2] for i in members])
-        hankel = np.add.outer(np.arange(n), np.arange(n))
-        left, sigma, right = np.linalg.svd(s[:, hankel])
-        ranks = np.add.reduce(sigma > n * noise[:, None], 1)
-        for d in set(ranks.tolist()):
-            rows = np.flatnonzero(ranks == d)
-            pencils = (
-                left[rows, :, :d].conj().mT
-                @ s[rows][:, hankel + 1]
-                @ right[rows, :d].conj().mT
-                / sigma[rows, :d, None]
-            )
-            try:
-                solved = _pencil_roots(pencils, s[rows, :d], n)
-            except np.linalg.LinAlgError:
-                solved = []
-                for row in range(rows.size):
-                    one = slice(row, row + 1)
-                    try:
-                        solved += _pencil_roots(pencils[one], s[rows[one], :d], n)
-                    except np.linalg.LinAlgError:
-                        solved.append(None)
-            for row, answer in zip(rows.tolist(), solved):
-                out[members[row]] = answer
-    return out
-
-
-def _pencil_roots(
-    pencils: np.ndarray, s: np.ndarray, n: int
-) -> list[tuple[list[complex], list[int]] | None]:
-    """Per d x d pencil of the stack ``pencils`` and its s_0, ..., s_(d-1):
-    the eigenvalues and their multiplicities if they pass (see
-    ``_hankel_solves``), else None.  Raises LinAlgError if a matrix of the
-    stack does."""
-    points = np.linalg.eigvals(pencils)
-    d = points.shape[1]
-    # the transposed Vandermonde matrix of each point set, row k the k-th
-    # powers, built by repeated products as np.vander builds it
-    vander = np.repeat(points[:, None, :], d, axis=1)
-    vander[:, 0] = 1.0
-    # a huge point makes an infinite or nan multiplicity, which fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply.accumulate(vander[:, 1:], axis=1, out=vander[:, 1:])
-        mult = np.linalg.solve(vander, s[:, :, None])[:, :, 0]
-        counts = np.rint(mult.real)
-        near = np.abs(mult - counts) <= 0.1
-    ok = near.all(1) & (counts.min(1, initial=math.inf) >= 1) & (counts.sum(1) == n)
-    return [
-        (p.tolist(), c.astype(int).tolist()) if good else None
-        for p, c, good in zip(points, counts, ok.tolist())
-    ]
+    s = np.asarray(s, dtype=complex)
+    if not np.isfinite(s).all():
+        return None
+    hankel = np.add.outer(np.arange(n), np.arange(n))
+    try:
+        left, sigma, right = np.linalg.svd(s[hankel])
+        d = int(np.count_nonzero(sigma > n * noise))
+        if d == 0:
+            return None
+        pencil = left[:, :d].conj().T @ s[hankel + 1] @ right[:d].conj().T / sigma[:d, None]
+        points = np.linalg.eigvals(pencil)
+        # a huge point makes an infinite or nan multiplicity, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult = np.linalg.solve(np.vander(points, d, increasing=True).T, s[:d])
+            counts = np.rint(mult.real)
+            near = np.abs(mult - counts) <= 0.1
+    except np.linalg.LinAlgError:
+        return None
+    if not near.all() or counts.min() < 1 or counts.sum() != n:
+        return None
+    return points.tolist(), counts.astype(int).tolist()
 
 
 def _moment_zeros(
@@ -1036,15 +988,14 @@ def _moment_zeros(
     """Per box (rect, count, sums) of ``boxes``: its ``count`` zeros from
     its power sums, or None.
 
-    ``_hankel_solves`` gives their points u and multiplicities m from
-    s_0, ..., s_(2 count - 1), for all boxes in one call; each zero c + r u is polished by Newton on
-    f^(m-1) as a leaf's is, the zeros of every box in one ``_newton_polish``
-    batch, so a box whose solve fails has polished all of its zeros.  A
-    box's zeros stand only if each is refined inside it and no two lie
-    within _CLUSTER_DIAMETER; the multiplicities sum to ``count``, the
-    winding that proved them.
+    ``_hankel_solve`` gives their points u and multiplicities m from
+    s_0, ..., s_(2 count - 1), each box on its own; each zero c + r u is
+    polished by Newton on f^(m-1) as a leaf's is, the zeros of every solved
+    box in one ``_newton_polish`` batch.  A box's zeros stand only if each
+    is refined inside it and no two lie within _CLUSTER_DIAMETER; the
+    multiplicities sum to ``count``, the winding that proved them.
     """
-    pencils = _hankel_solves([(sums[: 2 * count], count, sums[-1]) for _, count, sums in boxes])
+    pencils = [_hankel_solve(sums[: 2 * count], count, sums[-1]) for _, count, sums in boxes]
     starts = [
         (rect.center + 0.5 * rect.diameter * u, rect, m - 1)
         for (rect, _, _), pencil in zip(boxes, pencils)

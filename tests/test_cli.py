@@ -685,6 +685,16 @@ def test_main_error_paths(tmp_path, capsys):
         (job_text(command="zeros"), "vectors: required field is missing"),
         (job_text(command="zeros", vectors=[]), "vectors: expected a non-empty list"),
         (job_text(command="zeros", vectors=[[1, 2]], options=[]), "options: expected an object"),
+        (
+            # past CPython's 4,300-digit limit json.loads raises a plain ValueError
+            '{"command": "zeros", "vectors": [[1, ' + "9" * 5000 + "]]}",
+            "malformed JSON: an integer literal has over 4300 digits",
+        ),
+        (
+            # past the recursion limit json.loads raises a RecursionError
+            '{"command": "zeros", "vectors": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "malformed JSON: nested too deeply",
+        ),
     ],
     ids=[
         "nan-coordinate",
@@ -694,6 +704,8 @@ def test_main_error_paths(tmp_path, capsys):
         "no-vectors",
         "empty-vectors",
         "list-options",
+        "overlong-integer-literal",
+        "deep-nesting",
     ],
 )
 def test_main_refuses_a_malformed_job_file(tmp_path, capsys, text, message):
@@ -702,6 +714,15 @@ def test_main_refuses_a_malformed_job_file(tmp_path, capsys, text, message):
     assert main(["zeros", "--input", str(job_file)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and not captured.out
+
+
+def test_main_refuses_a_job_file_that_is_not_utf8(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_bytes(job_text(command="zeros", vectors=[[1, 2]]).encode() + b"\xff")
+    assert main(["zeros", "--input", str(job_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {job_file}: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1 and not captured.out
 
 
 def test_main_reports_an_unwritable_output(tmp_path, capsys):

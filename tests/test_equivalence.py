@@ -101,3 +101,12 @@ def test_a_stacked_call_counts_the_term_points_of_every_sum_it_holds(monkeypatch
     exppoly._ratio_fits(polys, [(0, 1), (2, 3), (4, 0)])
     assert len(counted) == 2
     assert sum(counted) == sum(len(f.terms) for f in polys) * samples == 192
+
+
+def test_src_lines_counts_the_lines_of_every_python_file_of_a_tree(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("x = 1\n\ny = 2\n")
+    (package / "sub" / "mod.py").write_text("z = 3")  # no final newline
+    (package / "notes.txt").write_text("not source\n")
+    assert equivalence.src_lines(str(tmp_path)) == 4

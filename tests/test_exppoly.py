@@ -250,29 +250,44 @@ def _solution_bits(solution):
     return [(p.real.hex(), p.imag.hex()) for p in points], multiplicities
 
 
-def test_hankel_solves_of_a_batch_equal_those_of_each_problem_alone():
-    # stacked by size n and rank d, each problem gets the bits it gets alone
-    batch = exppoly._hankel_solves(HANKEL_PROBLEMS)
-    alone = [exppoly._hankel_solves([problem])[0] for problem in HANKEL_PROBLEMS]
-    assert [_solution_bits(s) for s in batch] == [_solution_bits(s) for s in alone]
-    assert [None if s is None else sorted(s[1]) for s in batch] == [
+def test_a_hankel_solve_gives_each_box_its_points_and_multiplicities():
+    solved = [exppoly._hankel_solve(*problem) for problem in HANKEL_PROBLEMS]
+    assert [None if s is None else sorted(s[1]) for s in solved] == [
         [1, 1], [1, 1, 1], [3], [1, 2], [1, 1], None, [1, 1, 1, 1]
     ]
+    for (s, n, _), solution in zip(HANKEL_PROBLEMS, solved):
+        if solution is not None:
+            points, multiplicities = solution
+            moments = [sum(m * u**k for u, m in zip(points, multiplicities)) for k in range(2 * n)]
+            assert np.allclose(moments, s, atol=1e-9)
 
 
-def test_a_stack_that_fails_is_solved_one_problem_at_a_time(monkeypatch):
-    # a LinAlgError from a stack of several pencils refuses none of them:
-    # each is solved again on its own
-    real = exppoly._pencil_roots
+def test_sums_that_are_not_finite_give_no_solve():
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        s, n, noise = HANKEL_PROBLEMS[0]
+        assert exppoly._hankel_solve((bad,) + s[1:], n, noise) is None
 
-    def refuse_stacks(pencils, s, n):
-        if len(pencils) > 1:
-            raise np.linalg.LinAlgError("a matrix of the stack failed")
-        return real(pencils, s, n)
 
-    expected = [_solution_bits(s) for s in exppoly._hankel_solves(HANKEL_PROBLEMS)]
-    monkeypatch.setattr(exppoly, "_pencil_roots", refuse_stacks)
-    assert [_solution_bits(s) for s in exppoly._hankel_solves(HANKEL_PROBLEMS)] == expected
+def test_a_rank_0_hankel_matrix_gives_no_solve():
+    # every singular value under n * noise: no distinct point to solve for
+    s, n, _ = HANKEL_PROBLEMS[0]
+    assert exppoly._hankel_solve(s, n, 1e3) is None
+
+
+def test_a_linalg_error_refuses_only_its_own_box(monkeypatch):
+    # of HANKEL_PROBLEMS only the second has three distinct points
+    real = np.linalg.eigvals
+
+    def eigvals(pencil):
+        if pencil.shape == (3, 3):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real(pencil)
+
+    expected = [_solution_bits(exppoly._hankel_solve(*problem)) for problem in HANKEL_PROBLEMS]
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    got = [_solution_bits(exppoly._hankel_solve(*problem)) for problem in HANKEL_PROBLEMS]
+    assert got[1] is None and expected[1] is not None
+    assert got[:1] + got[2:] == expected[:1] + expected[2:]
 
 
 def test_a_box_whose_solve_fails_splits_and_finds_the_same_zeros(monkeypatch):
@@ -281,9 +296,7 @@ def test_a_box_whose_solve_fails_splits_and_finds_the_same_zeros(monkeypatch):
     f = from_vector(RealVector((math.e, 1.0)))
     solved = find_zeros(f, WINDOW)
     refused = []
-    monkeypatch.setattr(
-        exppoly, "_hankel_solves", lambda problems: [refused.append(n) for _, n, _ in problems]
-    )
+    monkeypatch.setattr(exppoly, "_hankel_solve", lambda s, n, noise: refused.append(n))
     split = find_zeros(f, WINDOW)
     assert refused and all(2 <= n <= exppoly._MOMENT_ZEROS for n in refused)
     assert_same_zeros(solved, split)

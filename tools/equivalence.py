@@ -19,6 +19,9 @@ Each run also counts its kernel work: the ``exppoly._parts`` calls and
 their term-points (terms x points, over every sum of a stacked call), by
 workload and by the function that asked for them.
 
+It reports each tree's line count of its ``**/*.py`` files as
+``src_lines``, so a change's net source lines come with its verdict.
+
 Prints one JSON object and exits 0 when the trees are equivalent, 1 when
 they are not.
 """
@@ -49,6 +52,11 @@ TIMING_LINE = re.compile(r'\n  "timing_ms": [^\n]*')
 def term_points(f, ps) -> int:
     """Terms x points of one kernel call, summed over the sums of a stacked ``f``."""
     return np.size(f.exponents) * np.size(ps)
+
+
+def src_lines(src: str) -> int:
+    """The lines of every ``.py`` file under ``src``."""
+    return sum(len(path.read_bytes().splitlines()) for path in Path(src).rglob("*.py"))
 
 
 def run_tree(src: str) -> dict:
@@ -155,6 +163,7 @@ def main(argv: list[str]) -> int:
     with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
         parent, change = pool.map(run_tree, [str(Path(src).resolve()) for src in argv])
     verdict = compare(parent, change)
+    verdict["src_lines"] = dict(zip(("parent", "change"), map(src_lines, argv)))
     verdict["kernel_work"] = {
         "keys": "workload/caller: [calls, term-points]",
         "parent": parent["work"],
