@@ -45,7 +45,7 @@ from .exppoly import (
     find_zeros,
     from_vector,
 )
-from .vectors import EquivalencePartition, RealVector, equivalent, partition
+from .vectors import EquivalencePartition, RealVector, _scale_ratio, partition
 
 SCHEMA_VERSION = 1
 # The commands that certify a sampled norm table: only they read the
@@ -514,11 +514,13 @@ def _run_monodromy(job: JobSpec) -> dict:
 
 def _run_equiv(job: JobSpec) -> dict:
     part = partition(list(job.vectors))
+    # each vector's (index, class, canonical scale), in vector order
+    classes = enumerate(zip(part.classes, part.scales))
+    member = sorted((k, c, s) for c, (ks, ss) in classes for k, s in zip(ks, ss))
     pairs = []
-    for i in range(len(job.vectors)):
-        for j in range(i + 1, len(job.vectors)):
-            flag, ratio = equivalent(job.vectors[i], job.vectors[j])
-            pairs.append({"i": i, "j": j, "equivalent": flag, "ratio": ratio})
+    for (i, ci, si), (j, cj, sj) in itertools.combinations(member, 2):
+        ratio = _scale_ratio(si, sj) if ci == cj else None
+        pairs.append({"i": i, "j": j, "equivalent": ci == cj, "ratio": ratio})
     return {"partition": _enc_partition(part), "pairs": pairs}
 
 

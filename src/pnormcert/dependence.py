@@ -273,7 +273,8 @@ def analyze(
     trivial dependencies.  Any disagreement is surfaced in the
     classification, never patched over.  A ``zero_window`` adds zero
     evidence: the class representatives' zero multisets compared pairwise
-    inside it.
+    inside it.  A family the equivalence rule cannot split raises
+    ArithmeticError (``partition``).
     """
     part = partition(vs)
     grid = make_grid(a, b, default_grid_count(len(vs)))

@@ -28,7 +28,7 @@ from .errors import (
     QuadratureError,
     SingularEvaluationError,
 )
-from .vectors import RealVector
+from .vectors import _MAX_STACK_ELEMENTS, RealVector
 
 # Exponents within this (absolute) distance are one term of from_vector.
 _MERGE_TOL = 1e-12
@@ -56,12 +56,9 @@ _CUT_FRACTIONS = (0.45, 0.55, 0.35)
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
-# Points one kernel call may take, so its memory stays at terms x this.
+# Points one kernel call may take; a sum of many terms takes fewer, so that
+# a call holds at most _MAX_STACK_ELEMENTS term-points (``_chunked_parts``).
 _MAX_CALL_POINTS = 4096
-# Elements (rows x terms x points) one stacked call may hold, of the norm
-# table or of the kernel; a longer stack is cut into chunks, and a single
-# row larger than this runs alone.
-_MAX_STACK_ELEMENTS = 2**20
 # Two zeros match when their multiplicities agree and they lie this close.
 _MATCH_TOL = 1e-6
 
@@ -327,19 +324,20 @@ def _chunked_parts(
     f: ExpPoly | _Stack, ps: complex | list[complex] | np.ndarray, order: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_parts`` of f^(``order``) at ``ps``, one kernel call per
-    _MAX_CALL_POINTS points.
+    _MAX_CALL_POINTS points, or per _MAX_STACK_ELEMENTS // terms points
+    when fewer (at least 3).
 
     A call of 2 or more points gives every point the same values as one
-    call of all of them.  Only a one-point call can differ, in the last
-    bits: NumPy sums its terms in the other order.
+    call of all of them: no chunk holds one point (NumPy sums a lone
+    point's terms in the other order, which can differ in the last bits),
+    since a remainder of one point makes the last two chunks cap - 1 and 2.
     """
     ps = np.asarray(ps).reshape(-1)
-    if ps.size <= _MAX_CALL_POINTS:
+    cap = min(_MAX_CALL_POINTS, max(3, _MAX_STACK_ELEMENTS // np.size(f.exponents)))
+    if ps.size <= cap:
         return _parts(f, ps, order)
-    chunks = [
-        _parts(f, ps[lo : lo + _MAX_CALL_POINTS], order)
-        for lo in range(0, ps.size, _MAX_CALL_POINTS)
-    ]
+    cuts = [min(lo, ps.size - 2) for lo in range(cap, ps.size, cap)]
+    chunks = [_parts(f, chunk, order) for chunk in np.split(ps, cuts)]
     return tuple(np.concatenate(part, axis=-1) for part in zip(*chunks))
 
 

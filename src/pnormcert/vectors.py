@@ -12,10 +12,17 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 # Relative tolerance within which two canonical weights count as equal.
 _EQUIV_TOL = 1e-9
+# Elements one stacked array may hold: rows x terms x points of the norm
+# table or of a kernel call, vectors x vectors x weights of a block of
+# ``partition``'s comparisons.  A longer stack is cut into chunks, and a
+# single row larger than this runs alone.
+_MAX_STACK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -90,53 +97,67 @@ def canonicalize(v: RealVector) -> CanonicalForm:
 
 
 def equivalent(u: RealVector, v: RealVector) -> tuple[bool, float | None]:
-    """Decide equivalence; on success also return scale(u)/scale(v).
+    """Decide equivalence by ``partition([u, v])``; on success also return
+    scale(u)/scale(v) (``_scale_ratio``), so ||u||_p = ratio * ||v||_p for
+    every p."""
+    part = partition([u, v])
+    return (True, _scale_ratio(*part.scales[0])) if len(part.classes) == 1 else (False, None)
 
-    The flag is true iff the canonical weights agree elementwise within
-    relative 1e-9; the ratio then satisfies ||u||_p = ratio * ||v||_p
-    for every p.  A ratio outside the normal float64 range raises
-    OverflowError rather than come back as inf, 0 or a subnormal.
-    """
-    cu = canonicalize(u)
-    cv = canonicalize(v)
-    if not _weights_match(cu.weights, cv.weights):
-        return False, None
-    ratio = cu.scale / cv.scale
+
+def _scale_ratio(a: float, b: float) -> float:
+    """a / b for the canonical scales of two equivalent vectors.  A ratio
+    outside the normal float64 range raises OverflowError rather than come
+    back as inf, 0 or a subnormal."""
+    ratio = a / b
     if not sys.float_info.min <= ratio <= sys.float_info.max:
-        raise OverflowError(f"scale ratio {cu.scale!r} / {cv.scale!r} leaves the float64 range")
-    return True, ratio
-
-
-def _weights_match(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= _EQUIV_TOL * max(x, y) for x, y in zip(a, b))
+        raise OverflowError(f"scale ratio {a!r} / {b!r} leaves the float64 range")
+    return ratio
 
 
 def partition(vs: list[RealVector]) -> EquivalencePartition:
     """Group vectors into equivalence classes, ordered by smallest member.
 
-    Membership is decided against the class representative (its first
-    member), which makes the grouping deterministic.
+    Each vector is canonicalized once.  Two vectors match when they have
+    as many canonical weights and every pair x, y of them has
+    |x - y| <= 1e-9 * max(x, y); the vectors of one support size are
+    compared pairwise in blocks of rows, at most _MAX_STACK_ELEMENTS
+    elements at a time (a row larger than that runs alone).  Each vector
+    joins the class of the first vector it matches, itself if none before
+    it.  Matching is not transitive near the tolerance: when some pair's
+    match disagrees with the classes, ArithmeticError names the first such
+    pair (i < j, by j, then by i).
     """
     if not vs:
         raise InvalidInputError("need at least one vector")
     forms = [canonicalize(v) for v in vs]
-    classes: list[list[int]] = []
-    scales: list[list[float]] = []
+    sizes: dict[int, list[int]] = {}
     for i, form in enumerate(forms):
-        for c, members in enumerate(classes):
-            rep = forms[members[0]]
-            if _weights_match(form.weights, rep.weights):
-                members.append(i)
-                scales[c].append(form.scale)
-                break
-        else:
-            classes.append([i])
-            scales.append([form.scale])
+        sizes.setdefault(len(form.weights), []).append(i)
+    root = np.arange(len(vs))  # each vector's class, named by its smallest member
+    refusals = []  # (j, i, match) of each block's first pair that disagrees
+    for idx in (np.array(group) for group in sizes.values() if len(group) > 1):
+        w = np.array([forms[i].weights for i in idx.tolist()])
+        step = max(1, _MAX_STACK_ELEMENTS // w.size)
+        for lo in range(0, idx.size, step):
+            rows, js = w[lo : lo + step, None], idx[lo : lo + step]
+            match = (np.abs(rows - w) <= _EQUIV_TOL * np.maximum(rows, w)).all(axis=-1)
+            for j, i in zip(js.tolist(), idx[match.argmax(axis=1)].tolist()):
+                root[j] = root[i]
+            bad = (match != (root[js, None] == root[idx])) & (idx < js[:, None])
+            refusals += [(js[r], idx[c], match[r, c]) for r, c in np.argwhere(bad)[:1]]
+    if refusals:
+        j, i, matched = min(refusals)
+        how = "match but fall in two classes" if matched else "fall in one class but do not match"
+        raise ArithmeticError(
+            f"equivalence within relative {_EQUIV_TOL:g} is not transitive on these "
+            f"vectors: vectors[{i}] and vectors[{j}] {how}"
+        )
+    classes: dict[int, list[int]] = {}
+    for k, r in enumerate(root.tolist()):
+        classes.setdefault(r, []).append(k)
     return EquivalencePartition(
-        tuple(tuple(c) for c in classes),
-        tuple(tuple(s) for s in scales),
+        tuple(map(tuple, classes.values())),
+        tuple(tuple(forms[k].scale for k in c) for c in classes.values()),
         len(vs),
     )
 

@@ -22,6 +22,7 @@ from pnormcert import (
     cli,
     dependence,
     exppoly,
+    vectors,
 )
 from pnormcert.cli import (
     DEFAULT_WINDOW,
@@ -259,6 +260,42 @@ def test_run_equiv_payload():
     assert pair["equivalent"] is True
     assert pair["ratio"] == pytest.approx(0.5, rel=1e-12)
     assert cert.payload["partition"]["classes"] == [[0, 1]]
+
+
+# [1, 0.5] matches both other vectors within 1e-9, and they do not match
+# each other: one class would hold a pair the rule calls inequivalent
+NOT_TRANSITIVE = [[1, 0.5], [1, 0.5000000004], [1, 0.4999999996]]
+
+
+@pytest.mark.parametrize("command", ["equiv", "analyze"])
+def test_a_family_the_equivalence_rule_cannot_split_exits_3(tmp_path, capsys, command):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command=command, vectors=NOT_TRANSITIVE))
+    assert main([command, "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: equivalence within relative 1e-09 is not transitive on these vectors: "
+        "vectors[1] and vectors[2] fall in one class but do not match\n"
+    )
+
+
+def test_equiv_canonicalizes_each_vector_once(monkeypatch):
+    # the pair list reads the partition: no pair canonicalizes its vectors again
+    seen = []
+    real = vectors.canonicalize
+
+    def spy(v):
+        seen.append(v)
+        return real(v)
+
+    monkeypatch.setattr(vectors, "canonicalize", spy)
+    doc = [[0, 3, -4], [8, 6], [1, 1], [2, 2, 0], [5], [-0.5, 0.5]]
+    cert, code = run(parse_jobspec(job_text(command="equiv", vectors=doc)))
+    assert code == 0 and len(cert.payload["pairs"]) == 15
+    assert seen == [RealVector(tuple(map(float, v))) for v in doc]
+    flagged = [(p["i"], p["j"], p["ratio"]) for p in cert.payload["pairs"] if p["equivalent"]]
+    assert flagged == [(0, 1, 0.5), (2, 3, 0.5), (2, 5, 2.0), (3, 5, 4.0)]
 
 
 def test_run_norms_payload():

@@ -110,3 +110,24 @@ def test_src_lines_counts_the_lines_of_every_python_file_of_a_tree(tmp_path):
     (package / "sub" / "mod.py").write_text("z = 3")  # no final newline
     (package / "notes.txt").write_text("not source\n")
     assert equivalence.src_lines(str(tmp_path)) == 4
+
+
+def test_code_lines_skip_blank_lines_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\n\non three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # a trailing comment stays code\n"
+        '    """One line."""\n'
+        "    text = '''a string\n"
+        "    that is code'''\n"
+        "        # an indented comment\n"
+        "    return text\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "    y = '#'\n"
+    )
+    assert equivalence.src_lines(str(tmp_path)) == 15
+    # def, both lines of the assigned string, return, class and y
+    assert equivalence.code_lines(str(tmp_path)) == 6

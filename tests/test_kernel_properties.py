@@ -19,7 +19,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pnormcert import ExpPoly, SingularEvaluationError, evaluate_log, exppoly, ratio_factor
+from pnormcert import (
+    ExpPoly,
+    RealVector,
+    SingularEvaluationError,
+    evaluate_log,
+    exppoly,
+    from_vector,
+    ratio_factor,
+)
 from pnormcert.exppoly import (
     _DEFAULT_RATIO_SAMPLES,
     _log,
@@ -221,6 +229,32 @@ def test_chunks_of_two_or_more_points_give_the_values_of_one_call(f, cap, data):
         chunked = exppoly._chunked_parts(f, ps)
     for a, b in zip(whole, chunked):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+def test_a_call_one_point_past_the_cap_gives_the_values_of_one_call(n):
+    # the point past the last full chunk goes with the point before it (the
+    # last two chunks are 4,095 and 2 points), so no point is summed alone
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        t = int(rng.integers(3, 9))
+        betas = np.sort(rng.choice(np.arange(-300, 300) / 100, t, replace=False))
+        f = ExpPoly(tuple(zip(betas.tolist(), rng.integers(1, 4, t).tolist())))
+        ps = rng.uniform(-100.0, 100.0, n) + 1j * rng.uniform(-40.0, 40.0, n)
+        whole = _parts(f, ps)
+        for a, b in zip(whole, exppoly._chunked_parts(f, ps)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_kernel_call_holds_at_most_the_stack_cap_of_term_points(kernel_calls):
+    # 4,096 points of a 1,000-term sum would be 4.1M term-points in one call
+    f = from_vector(RealVector(tuple(1.0 + k / 1000 for k in range(1000))))
+    assert len(f.terms) == 1000
+    ps = np.linspace(1.0, 4.0, 5000)
+    logs = _log(f, ps)[0]
+    assert [c.size for c in kernel_calls] == [1048] * 4 + [808]
+    assert max(c.size for c in kernel_calls) * 1000 <= exppoly._MAX_STACK_ELEMENTS
+    assert logs.tobytes() == _log(f, ps[:2500])[0].tobytes() + _log(f, ps[2500:])[0].tobytes()
 
 
 @st.composite

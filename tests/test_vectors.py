@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnormcert import (
     InvalidInputError,
@@ -11,7 +14,9 @@ from pnormcert import (
     partition,
     pnorm_at,
     trivial_null_basis,
+    vectors,
 )
+from pnormcert.cli import parse_jobspec, run
 
 
 def test_rejects_degenerate_vectors():
@@ -198,3 +203,110 @@ def test_partition_transitive_at_generous_tolerance():
     w = RealVector((4.0, 8.0000000004))
     part = partition([u, v, w])
     assert len(part.classes) == 1
+
+
+# weights 0.5 (1 +- 8e-10): each matches 0.5 within 1e-9 relative, and they
+# do not match each other
+UP, DOWN = 0.5 * (1 + 8e-10), 0.5 * (1 - 8e-10)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((0.5, UP, DOWN), "vectors[1] and vectors[2] fall in one class but do not match"),
+        ((UP, DOWN, 0.5), "vectors[1] and vectors[2] match but fall in two classes"),
+        ((0.7, UP, 0.3, DOWN, 0.5), "vectors[3] and vectors[4] match but fall in two classes"),
+    ],
+)
+def test_partition_refuses_a_family_where_matching_is_not_transitive(weights, message):
+    vs = [RealVector((2.0, 2.0 * w)) for w in weights]
+    with pytest.raises(ArithmeticError, match=r"not transitive on these vectors: ") as err:
+        partition(vs)
+    assert str(err.value).endswith(message)
+    # two vectors are never refused: matching one pair is symmetric
+    x, y = weights[:2]
+    assert equivalent(vs[0], vs[1])[0] == (abs(x - y) <= 1e-9 * max(x, y))
+
+
+def test_the_first_pair_that_disagrees_is_named_across_support_sizes():
+    # support 3 comes first and disagrees at (4, 5), support 2 at (2, 3):
+    # the pair named is the first by j
+    vs = [
+        RealVector((1.0, 0.25, 0.25)),
+        RealVector((1.0, 0.5)),
+        RealVector((1.0, UP)),
+        RealVector((1.0, DOWN)),
+        RealVector((1.0, 0.25 * (1 + 8e-10), 0.25)),
+        RealVector((1.0, 0.25 * (1 - 8e-10), 0.25)),
+    ]
+    with pytest.raises(ArithmeticError, match=r"vectors\[2\] and vectors\[3\] fall in one"):
+        partition(vs)
+
+
+def _family(rng, n_bases: int, copies: int) -> list[RealVector]:
+    """Bases of 2-4 coordinates and copies made by the equivalence moves, shuffled."""
+    bases = [rng.uniform(0.1, 5.0, size=int(rng.integers(2, 5))) for _ in range(n_bases)]
+    vs = []
+    for base in bases:
+        for _ in range(copies):
+            coords = rng.permutation(base) * rng.choice([-1.0, 1.0], base.size)
+            padding = np.zeros(rng.integers(0, 2))
+            vs.append(np.concatenate([coords * rng.uniform(0.5, 4.0), padding]))
+    return [RealVector(tuple(vs[k])) for k in rng.permutation(len(vs))]
+
+
+@pytest.mark.parametrize("cap", [1, 4, 7, 30])
+def test_partition_in_blocks_equals_partition_in_one_block(monkeypatch, cap):
+    rng = np.random.default_rng(11)
+    family = _family(rng, 8, 4)
+    whole = partition(family)
+    assert len(whole.classes) == 8
+    refused = [RealVector((1.0, w)) for w in (0.7, UP, 0.3, DOWN, 0.5, 0.2)]
+    with pytest.raises(ArithmeticError) as whole_err:
+        partition(refused)
+    monkeypatch.setattr(vectors, "_MAX_STACK_ELEMENTS", cap)
+    assert partition(family) == whole
+    with pytest.raises(ArithmeticError) as err:
+        partition(refused)
+    assert str(err.value) == str(whole_err.value)
+
+
+@st.composite
+def nearly_equivalent_families(draw):
+    """Base vectors and copies whose smaller weights move by relative
+    offsets around the 1e-9 tolerance, permuted, negated, rescaled and
+    zero-padded."""
+    offsets = st.sampled_from([0.0, 3e-10, -3e-10, 6e-10, -6e-10, 1.2e-9, -1.2e-9])
+    vs = []
+    for _ in range(draw(st.integers(1, 3))):
+        rest = draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3))
+        for _ in range(draw(st.integers(1, 4))):
+            moved = [1.0] + [w * (1 + draw(offsets)) for w in rest]
+            scale = draw(st.sampled_from([0.25, 1.0, 3.0, 1e-3]))
+            signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(moved), max_size=len(moved))
+            coords = zip(draw(signs), draw(st.permutations(moved)))
+            vs.append([scale * sign * w for sign, w in coords] + [0.0] * draw(st.integers(0, 1)))
+    return draw(st.permutations(vs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nearly_equivalent_families())
+@example([[1, 0.5], [1, 0.5000000004], [1, 0.4999999996]])
+def test_equiv_pairs_never_disagree_with_the_partition(vs):
+    job = parse_jobspec(json.dumps({"command": "equiv", "vectors": vs}))
+    try:
+        cert, _ = run(job)
+    except ArithmeticError as err:
+        assert "not transitive" in str(err)
+        return
+    part = cert.payload["partition"]
+    where = {
+        k: (c, scale)
+        for c, (members, scales) in enumerate(zip(part["classes"], part["scales"]))
+        for k, scale in zip(members, scales)
+    }
+    assert sorted(where) == list(range(len(vs)))
+    for pair in cert.payload["pairs"]:
+        (ci, si), (cj, sj) = where[pair["i"]], where[pair["j"]]
+        assert pair["equivalent"] == (ci == cj)
+        assert pair["ratio"] == (si / sj if ci == cj else None)

@@ -20,7 +20,9 @@ their term-points (terms x points, over every sum of a stacked call), by
 workload and by the function that asked for them.
 
 It reports each tree's line count of its ``**/*.py`` files as
-``src_lines``, so a change's net source lines come with its verdict.
+``src_lines``, and as ``code_lines`` the count of those lines that are
+not blank, comment-only or docstrings, so a change's net source lines
+come with its verdict, and reformatting cannot fake a reduction.
 
 Prints one JSON object and exits 0 when the trees are equivalent, 1 when
 they are not.
@@ -28,6 +30,7 @@ they are not.
 
 from __future__ import annotations
 
+import ast
 import collections
 import concurrent.futures
 import contextlib
@@ -57,6 +60,26 @@ def term_points(f, ps) -> int:
 def src_lines(src: str) -> int:
     """The lines of every ``.py`` file under ``src``."""
     return sum(len(path.read_bytes().splitlines()) for path in Path(src).rglob("*.py"))
+
+
+def code_lines(src: str) -> int:
+    """The lines of every ``.py`` file under ``src`` that hold code: not
+    blank, not a comment alone and not part of a docstring (a statement
+    that is a string alone, found with ``ast``)."""
+    total = 0
+    for path in Path(src).rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                if isinstance(node.value.value, str):
+                    docs.update(range(node.lineno, node.end_lineno + 1))
+        total += sum(
+            1
+            for number, line in enumerate(text.splitlines(), 1)
+            if number not in docs and line.strip() and not line.lstrip().startswith("#")
+        )
+    return total
 
 
 def run_tree(src: str) -> dict:
@@ -164,6 +187,7 @@ def main(argv: list[str]) -> int:
         parent, change = pool.map(run_tree, [str(Path(src).resolve()) for src in argv])
     verdict = compare(parent, change)
     verdict["src_lines"] = dict(zip(("parent", "change"), map(src_lines, argv)))
+    verdict["code_lines"] = dict(zip(("parent", "change"), map(code_lines, argv)))
     verdict["kernel_work"] = {
         "keys": "workload/caller: [calls, term-points]",
         "parent": parent["work"],
