@@ -24,13 +24,12 @@ from .errors import (
     ContinuationError,
     InvalidInputError,
     MonodromyMismatchError,
-    SingularEvaluationError,
 )
 from .exppoly import (
     ExpPoly,
     Zero,
     _chunked_parts,
-    _log,
+    _singular,
     _stacks,
     evaluate_log,
 )
@@ -295,16 +294,14 @@ def _subdivide(
 
 def _evaluate(f: ExpPoly, nodes: np.ndarray) -> tuple[np.ndarray, int | None]:
     """(principal log f, f'/f) at ``nodes`` as two rows, and the index of the
-    first singular node (None if there is none), from which on both rows are 0."""
-    try:
-        logs, s_val, ds_val = _log(f, nodes)
-    except SingularEvaluationError as err:
-        bad = int(np.argmax(nodes == err.point))
-        out = np.zeros((2, nodes.size), dtype=complex)
-        if bad:
-            out[:, :bad] = _evaluate(f, nodes[:bad])[0]
-        return out, bad
-    return np.array((logs, ds_val / s_val)), None
+    first singular node (``exppoly._singular``; None if there is none), from
+    which on both rows are 0.  One kernel call, singular node or not."""
+    m_val, s_val, ds_val, _ = _chunked_parts(f, nodes)
+    singular = _singular(f, s_val)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.array((m_val + np.log(s_val), ds_val / s_val))
+    out[:, np.logical_or.accumulate(singular)] = 0.0
+    return out, int(np.argmax(singular)) if singular.any() else None
 
 
 def continue_pnorm(f: ExpPoly, path: Path) -> complex:

@@ -354,13 +354,18 @@ def _stacks(sizes: list[int], points: int) -> list[tuple[int, list[int]]]:
     return calls
 
 
+def _singular(f: ExpPoly | _Stack, s_val: np.ndarray) -> np.ndarray:
+    """Where f is numerically zero: |S| <= 1e-12 * degree, the coefficient total."""
+    return np.abs(s_val) <= 1e-12 * f.degree
+
+
 def _log(
     f: ExpPoly | _Stack, ps: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M + log(S), S, S') at ``ps``; SingularEvaluationError where |S| <= 1e-12 * degree,
-    naming the first such point."""
+    """(M + log(S), S, S') at ``ps``; SingularEvaluationError where
+    ``_singular``, naming the first such point."""
     m_val, s_val, ds_val, _ = _chunked_parts(f, ps)
-    singular = np.abs(s_val) <= 1e-12 * f.degree
+    singular = _singular(f, s_val)
     if singular.any():
         p = np.broadcast_to(np.asarray(ps).reshape(-1), singular.shape)[singular][0].item()
         raise SingularEvaluationError(f"f is numerically zero at p={p!r}", point=p)
@@ -378,7 +383,9 @@ def evaluate_log(f: ExpPoly, p: complex) -> complex:
 
     Computed as M + log(S) with the dominant real exponent factored out, so
     large |Re(exponent * p)| never overflows.  Raises SingularEvaluationError
-    when |f(p)| falls below 1e-12 of the local term scale.
+    when |S| <= 1e-12 * f.degree, that is when |f(p)| is at most 1e-12 of
+    exp(M) times the coefficient total, which is at least the local term
+    scale sum_j c_j exp(Re(beta_j p)).
     """
     return complex(_log(f, complex(p))[0][0])
 
@@ -504,6 +511,12 @@ class _Edges:
         """The 15 Kronrod nodes of each of the evaluated ``panels``, one row
         per panel."""
         return self.mid[panels, None] + self.step[panels, None] * _KRONROD_NODES
+
+    def moments(self, panels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """The first moment of each of ``panels`` about its box's center
+        (``centers``, one per panel); inf or nan where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.mid[panels] - centers) * self.k0[panels] + self.k1[panels]
 
     def evaluate_panels(self, check: bool = False) -> float:
         """Evaluate every new panel, one kernel call per _MAX_CALL_POINTS
@@ -649,12 +662,9 @@ def _per_box(owner: np.ndarray, values: np.ndarray, boxes: int) -> list[complex]
 def _contour_sums(
     edges: _Edges, boxes: list[_Box], check_boundary: bool = False
 ) -> list[tuple[complex, complex, float]]:
-    """Per box of ``boxes``: (s_0, s_1, error estimate of s_0), where
-    s_k = (1/2πi) ∮ u^k f'/f dp.
+    """Per box of ``boxes``: (s_0, s_1, error estimate of s_0) from
+    ``_box_sums``, once each box's panels are integrated.
 
-    u = (p - c) / r are the box's own coordinates (c its center, r its
-    half-diagonal), so |u| <= 1 on its contour and s_k is the sum of u^k
-    over its zeros, counted with multiplicity.
     Locally adaptive Gauss-Kronrod over the panels ``edges`` stores for
     each box: every panel has the 15-point Kronrod rule, and |K - G|
     against the embedded 7-point Gauss rule is its error estimate.  A round
@@ -669,8 +679,9 @@ def _contour_sums(
     times its base panels in all (the panels it starts with, and two per
     bisection), when a panel it would bisect has been bisected
     _MAX_BISECTIONS times, or when none of its panels is over its share.
-    Each box keeps, in ``panels`` and ``signs``, the panels its sums were
-    reduced over, so its halves and its higher power sums start from them.
+    In the round it stops, a box keeps in ``panels`` and ``signs`` the
+    panels of that round, so its sums, its halves and its higher power
+    sums all start from them.
     ``check_boundary`` is for a window of its own (``count_zeros``): it
     applies the relative-|f| test to the first round's nodes and raises
     naming ``boxes[0]``.
@@ -688,7 +699,6 @@ def _contour_sums(
     base = [_base_count(r.width) + _base_count(r.height) for r in rects]
     budget = 2 * _PANEL_BUDGET * np.array(base)
     used = np.array(sizes, dtype=float)
-    out: list = [None] * n
     live = np.ones(n, dtype=bool)
     check = check_boundary
     while True:
@@ -701,15 +711,12 @@ def _contour_sums(
         check = False
         err = edges.err[panels]
         total = np.bincount(owner, err, n)
-        # the moment about each box's center, as each panel adds to it
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = (edges.mid[panels] - middle[owner]) * edges.k0[panels] + edges.k1[panels]
         going = live & (tol <= total) & (total < math.inf)
         if going.any():
             pending = err > share[owner] * edges.length[panels]
             held = np.bincount(owner, pending, n)
             going &= (held > 0) & (used + 2 * held <= budget)
-            finite = np.isfinite(k1)
+            finite = np.isfinite(edges.moments(panels, middle[owner]))
             if not finite.all():
                 going &= np.bincount(owner, ~finite, n) == 0
             split = pending & going[owner]
@@ -717,26 +724,12 @@ def _contour_sums(
             if deep.any():
                 going &= np.bincount(owner[split], deep, n) == 0
                 split = pending & going[owner]
-        stops = np.flatnonzero(live ^ going).tolist()
-        if stops:
-            # s_0 of box i at i, s_1 at n + i
-            with np.errstate(invalid="ignore"):
-                moments = np.concatenate((signs * edges.k0[panels], signs * k1))
-            sums = _per_box(np.concatenate((owner, owner + n)), moments, 2 * n)
-            ends = list(itertools.accumulate(sizes))
-            for i in stops:
-                box = boxes[i]
-                box.panels = panels[ends[i] - sizes[i] : ends[i]]
-                box.signs = signs[ends[i] - sizes[i] : ends[i]]
-                error = total[i] / (2.0 * math.pi)
-                if not math.isfinite(error):
-                    out[i] = (complex(math.nan), complex(math.nan), math.inf)
-                    continue
-                # s_1 was summed over p - c: in units of r it is divided by r
-                s1 = sums[n + i] / _TWO_PI_I * (2.0 / box.rect.diameter)
-                out[i] = (sums[i] / _TWO_PI_I, s1, error)
+        ends = list(itertools.accumulate(sizes))
+        for i in np.flatnonzero(live ^ going).tolist():
+            boxes[i].panels = panels[ends[i] - sizes[i] : ends[i]]
+            boxes[i].signs = signs[ends[i] - sizes[i] : ends[i]]
         if not going.any():
-            return out
+            return _box_sums(edges, boxes, 2)
         live = going
         used += 2 * held
         # a panel two boxes hold is bisected once
@@ -748,43 +741,50 @@ def _contour_sums(
         sizes = np.bincount(owner, minlength=n).tolist()
 
 
-def _power_sums(
-    edges: _Edges, boxes: list[_Box]
-) -> list[tuple[Rectangle, int, tuple[complex, ...]]]:
-    """Per counted box of n zeros: (rect, n, (s_0, ..., s_(2n-1), error)).
+def _box_sums(edges: _Edges, boxes: list[_Box], top: int) -> list[tuple[complex | float, ...]]:
+    """Per box of ``boxes``: (s_0, ..., s_(top - 1), error estimate of s_0),
+    where s_k = (1/2πi) ∮ u^k f'/f dp over the box's stored panels.
 
-    s_0 and s_1 are those its count gave; the others are reduced from the
-    ``terms`` of the same stored panels, with no kernel call.
+    u = (p - c) / r are the box's own coordinates (c its center, r its
+    half-diagonal), so |u| <= 1 on its contour and s_k is the sum of u^k
+    over its zeros, counted with multiplicity.  s_0 and s_1 come from the
+    panels' integrals and first moments, s_2 and up from the Kronrod terms
+    of their nodes, with no kernel call.  Each box is reduced on its own,
+    in panel order, so its sums do not depend on the other boxes.  A box
+    whose estimate is not finite gets (nan, ..., nan, inf).
     """
-    if not boxes:
-        return []
     n = len(boxes)
     owner = np.repeat(np.arange(n), [box.panels.size for box in boxes])
     panels = np.concatenate([box.panels for box in boxes])
     signs = np.concatenate([box.signs for box in boxes])
-    shifted = edges.nodes(panels) - np.array([box.rect.center for box in boxes])[owner, None]
-    top = 2 * max(box.count for box in boxes)
+    middle = np.array([box.rect.center for box in boxes])[owner]
     with np.errstate(over="ignore", invalid="ignore"):
-        # the nodes' terms of the first power, then of each higher one
-        term = (signs * edges.step[panels])[:, None] * edges.terms[panels] * shifted
-        rows = []
-        for _ in range(2, top):
-            term = term * shifted
-            rows.append(np.add.reduce(term, 1))
-    # every power's sum per box in one pass: power k - 2 of box i at k - 2 + i (top - 2)
-    power = np.arange(top - 2)[:, None]
-    sums = _per_box((owner * (top - 2) + power).ravel(), np.array(rows).ravel(), n * (top - 2))
+        rows = [signs * edges.k0[panels], signs * edges.moments(panels, middle)]
+        if top > 2:
+            # the nodes' terms of the first power, then of each higher one
+            shifted = edges.nodes(panels) - middle[:, None]
+            term = (signs * edges.step[panels])[:, None] * edges.terms[panels] * shifted
+            for _ in range(2, top):
+                term = term * shifted
+                rows.append(np.add.reduce(term, 1))
+    # every power's sum per box in one pass: s_k of box i at i * top + k
+    where = owner * top + np.arange(top)[:, None]
+    sums = _per_box(where.ravel(), np.array(rows).ravel(), n * top)
+    total = np.bincount(owner, edges.err[panels], n).tolist()
     out = []
     for i, box in enumerate(boxes):
-        s0, s1, err = box.sums
-        values = [s0, s1]
+        error = total[i] / (2.0 * math.pi)
+        if not math.isfinite(error):
+            out.append((complex(math.nan),) * top + (math.inf,))
+            continue
         # s_k was summed over (p - c)^k: in units of r it is divided by r^k
         # (repeated products overflow to inf, and the solve refuses a nan)
-        unit = inverse = 2.0 / box.rect.diameter
-        for k in range(2, 2 * box.count):
+        values = [sums[i * top] / _TWO_PI_I]
+        unit, inverse = 1.0, 2.0 / box.rect.diameter
+        for s in sums[i * top + 1 : (i + 1) * top]:
             unit *= inverse
-            values.append(sums[i * (top - 2) + k - 2] / _TWO_PI_I * unit)
-        out.append((box.rect, box.count, (*values, err)))
+            values.append(s / _TWO_PI_I * unit)
+        out.append((*values, error))
     return out
 
 
@@ -981,10 +981,10 @@ def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], l
 
 
 def _moment_zeros(
-    f: ExpPoly, boxes: list[tuple[Rectangle, int, tuple[complex, ...]]]
+    f: ExpPoly, boxes: list[_Box], sums: list[tuple[complex | float, ...]]
 ) -> list[list[Zero] | None]:
-    """Per box (rect, count, sums) of ``boxes``: its ``count`` zeros from
-    its power sums, or None.
+    """Per counted box of ``boxes``: its ``count`` zeros from its power
+    ``sums`` (s_0, ..., s_(2 count - 1) or more, error estimate), or None.
 
     ``_hankel_solve`` gives their points u and multiplicities m from
     s_0, ..., s_(2 count - 1), each box on its own; each zero c + r u is
@@ -993,10 +993,10 @@ def _moment_zeros(
     is refined inside it and no two lie within _CLUSTER_DIAMETER; the
     multiplicities sum to ``count``, the winding that proved them.
     """
-    pencils = [_hankel_solve(sums[: 2 * count], count, sums[-1]) for _, count, sums in boxes]
+    pencils = [_hankel_solve(s[: 2 * box.count], box.count, s[-1]) for box, s in zip(boxes, sums)]
     starts = [
-        (rect.center + 0.5 * rect.diameter * u, rect, m - 1)
-        for (rect, _, _), pencil in zip(boxes, pencils)
+        (box.rect.center + 0.5 * box.rect.diameter * u, box.rect, m - 1)
+        for box, pencil in zip(boxes, pencils)
         if pencil is not None
         for u, m in zip(*pencil)
     ]
@@ -1021,9 +1021,10 @@ def _isolate(window: _WindowCount) -> list[Zero]:
     order, isolated in count rounds on that count's panels.
 
     A box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
-    (``_moment_zeros``, every such box of a round in one call, so all their
-    zeros are polished together).  A box with more zeros, or whose solve
-    fails, splits if it is wider than _CLUSTER_DIAMETER.  Each round counts
+    (``_box_sums`` and ``_moment_zeros``, every such box of a round in one
+    call, so all their zeros are polished together).  A box with more
+    zeros, or whose solve fails, splits if it is wider than
+    _CLUSTER_DIAMETER.  Each round counts
     in one ``_count_adaptive`` batch the halves of every box being split: a
     box new to the round cut at the first of _CUT_FRACTIONS of its longer
     side, a box whose last try failed at the next.  The halves are built
@@ -1040,7 +1041,8 @@ def _isolate(window: _WindowCount) -> list[Zero]:
     m zeros by Newton of order m - 1 from the centroid of its own power sums
     (``_centroid``).  Then, leaf by leaf, a leaf of several zeros that
     Newton does not verify as one m-fold zero fails the search, and so does
-    an unrefined simple zero whose centroid lies outside its leaf.
+    an unrefined simple zero whose centroid lies outside its leaf.  A leaf
+    of at least len(f.terms) zeros fails before any is polished.
     """
     edges = window.edges
     zeros = []
@@ -1050,7 +1052,9 @@ def _isolate(window: _WindowCount) -> list[Zero]:
     while True:
         split = []
         solvable = [box for box in new if 1 < box.count <= _MOMENT_ZEROS]
-        solved = iter(_moment_zeros(edges.f, _power_sums(edges, solvable)) if solvable else ())
+        if solvable:
+            sums = _box_sums(edges, solvable, 2 * max(box.count for box in solvable))
+            solved = iter(_moment_zeros(edges.f, solvable, sums))
         for box in new:
             solution = 1 < box.count <= _MOMENT_ZEROS and next(solved)
             if solution:
@@ -1080,6 +1084,11 @@ def _isolate(window: _WindowCount) -> list[Zero]:
                 retry.append((box, k + 1))
             else:
                 leaves.append(box)
+    for box in leaves:
+        # a sum of t terms has no zero of multiplicity t or more: the
+        # Vandermonde matrix of its distinct exponents is nonsingular
+        if box.count >= len(edges.f.terms):
+            raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
     starts = [(_centroid(box.rect, box.sums), box.rect, box.count - 1) for box in leaves]
     for box, (z, refined) in zip(leaves, _newton_polish(edges.f, starts)):
         if box.count > 1 and not refined:
@@ -1225,6 +1234,15 @@ def _ratio_fits(
     ps = np.array(_DEFAULT_RATIO_SAMPLES if sample_ps is None else sample_ps, dtype=float)
     if len(set(ps.tolist())) < 2:
         raise InvalidInputError("need at least two distinct sample points")
+    # sum / size: the bits of mean() without its dispatch
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = ps - np.add.reduce(ps) / ps.size
+        spread = centered @ centered
+    # a nan or inf sample makes the spread nan, as does one that overflows it
+    if not math.isfinite(spread):
+        raise InvalidInputError(
+            f"sample points {ps.tolist()} must be finite, their spread within float64"
+        )
     logs = np.empty((len(polys), ps.size))
     for _, rows in _stacks([len(f.terms) for f in polys], ps.size):
         logs[rows] = _log(_stack([polys[i] for i in rows]), ps)[0]
@@ -1235,11 +1253,9 @@ def _ratio_fits(
     log_of = {x: math.log(x) for x in set(a)}
     log_f = logs[fs]
     diffs = log_f - logs[gs] - np.array([log_of[x] for x in a])[:, None]
-    # sum / size: the bits of mean() without its dispatch
-    centered = ps - np.add.reduce(ps) / ps.size
     means = np.add.reduce(diffs, axis=1) / ps.size
     slope = np.add.reduce(centered * (diffs - means[:, None]), axis=1)
-    beta = slope / (centered @ centered)
+    beta = slope / spread
     w = diffs - beta[:, None] * ps  # log of f / (a exp(beta p) g)
     # |f - a exp(beta p) g| / max(1, |f|) = |1 - exp(-w)| * min(1, |f|)
     mismatch = np.abs(1.0 - np.exp(np.minimum(-w, 700.0)))

@@ -142,12 +142,20 @@ def test_continue_log_conjugate_symmetry():
     assert abs(su.logf - sd.logf.conjugate()) <= 1e-8
 
 
-def test_continue_log_rejects_path_through_zero():
+def test_continue_log_rejects_path_through_zero(monkeypatch):
     f = ExpPoly(((0.0, 1), (1.0, 1)))
     z = complex(0.0, math.pi)
+    calls = []
+    real = exppoly._parts
+    monkeypatch.setattr(
+        exppoly, "_parts", lambda f, ps, *a: calls.append(np.size(ps)) or real(f, ps, *a)
+    )
     with pytest.raises(ContinuationError) as err:
         continue_log(f, Path((1 + z, -1 + z)))
     assert err.value.point is not None
+    # one kernel call for the round that meets the zero: its nodes before
+    # the zero are not evaluated again
+    assert calls == [9]
 
 
 def test_continue_log_near_zero_crossing_reports_point():

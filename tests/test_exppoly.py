@@ -548,6 +548,22 @@ def test_ratio_factor_rejects_degenerate_samples():
         ratio_factor(f, f, [2.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [
+        # nan once gave a perfect-fit residual of 0 (fmax skips it)
+        [1.0, math.nan],
+        [1.0, math.inf],
+        # the least-squares denominator overflows
+        [1.0, 1e308],
+    ],
+)
+def test_ratio_factor_refuses_samples_it_cannot_fit(samples):
+    f = from_vector(RealVector((1.0, 2.0)))
+    with pytest.raises(InvalidInputError, match=r"must be finite, their spread within float64"):
+        ratio_factor(f, f, samples)
+
+
 def test_evaluate_handles_large_real_parts():
     f = ExpPoly(((-1.0, 1), (1.0, 1)))
     for p in (700.0, -700.0, complex(650.0, 1e4)):
@@ -869,6 +885,30 @@ def test_simple_zeros_where_f_and_a_higher_derivative_vanish_are_not_a_multiple_
     f = from_vector(RealVector((1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 4.0)))
     with pytest.raises(QuadratureError, match="no subdivision .* counts its 3 zeros"):
         find_zeros(f, Rectangle(-1, 1, 0.5, 25))
+
+
+def test_newton_refuses_a_zero_of_f_and_f2_where_f1_does_not_vanish():
+    # the zeros of the sum above: Newton on f'' reaches the middle one, a
+    # zero of f and f'' but not of f', and so no triple zero; on f it is
+    # a refined simple zero.  The search above fails before Newton, as a
+    # 3-term sum has no triple zero, so Newton's own test is checked here.
+    f = from_vector(RealVector((1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 4.0)))
+    rect = Rectangle(-1, 1, 0.5, 25)
+    start = 3j * math.pi / math.log(2.0) + 1e-3
+    ((_, refined),) = exppoly._newton_polish(f, [(start, rect, 2)])
+    assert not refined
+    ((z, refined),) = exppoly._newton_polish(f, [(start, rect, 0)])
+    assert refined and abs(z - 3j * math.pi / math.log(2.0)) <= 1e-14 * abs(z)
+
+
+def test_a_leaf_of_more_zeros_than_terms_fails_before_newton():
+    # a sum of t terms has no zero of multiplicity t or more; this leaf of
+    # 287 zeros of a 2-term sum once went to Newton on f^(286), which
+    # overflowed (a RuntimeWarning, an error here)
+    f = from_vector(RealVector((5e-324, 1.0)))
+    window = Rectangle(-1, 1, 10.478440625000001, 12.898062500000002)
+    with pytest.raises(QuadratureError, match="no subdivision .* counts its 287 zeros"):
+        find_zeros(f, window)
 
 
 def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):

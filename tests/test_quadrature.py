@@ -281,7 +281,7 @@ def sums_and_batches(draw):
 
 
 def _bits(sums: tuple) -> tuple[str, ...]:
-    """The bits of every value of one box's ``_contour_sums`` or ``_power_sums``."""
+    """The bits of every value of one box's ``_contour_sums`` or ``_box_sums``."""
     parts = [(v.real, v.imag) if isinstance(v, complex) else (v,) for v in sums]
     return tuple(x.hex() for part in parts for x in part)
 
@@ -303,12 +303,12 @@ def test_a_box_counts_the_same_in_any_batch(case):
         (box.sums,) = exppoly._contour_sums(own, [box])
         assert len(sums) == 3 and _bits(sums) == _bits(box.sums)
         alone.append((own, box))
-    for box, sums in zip(boxes, batch):
-        box.count, box.sums = exppoly._MOMENT_ZEROS, sums
-    for (_, _, full), (own, box) in zip(exppoly._power_sums(edges, boxes), alone):
-        box.count = exppoly._MOMENT_ZEROS
-        ((_, _, own_full),) = exppoly._power_sums(own, [box])
-        assert len(full) == 2 * exppoly._MOMENT_ZEROS + 1 and _bits(full) == _bits(own_full)
+    top = 2 * exppoly._MOMENT_ZEROS
+    for full, sums, (own, box) in zip(exppoly._box_sums(edges, boxes, top), batch, alone):
+        (own_full,) = exppoly._box_sums(own, [box], top)
+        assert len(full) == top + 1 and _bits(full) == _bits(own_full)
+        # the higher sums extend the count's, bit for bit
+        assert _bits(full[:2] + full[-1:]) == _bits(sums)
     # the counts of _count_adaptive are those of count_zeros
     edges = exppoly._Edges(f)
     counts = exppoly._count_adaptive(edges, [edges.outline(rect) for rect in rects])
@@ -321,6 +321,31 @@ def test_a_box_counts_the_same_in_any_batch(case):
         except QuadratureError:
             expected = None
         assert (None if isinstance(counted, Exception) else counted) == expected
+
+
+def test_a_solve_reads_the_sums_its_box_was_counted_on(monkeypatch):
+    # the s_0, s_1 and error estimate that a Hankel solve reads are those
+    # its box's count was judged on, bit for bit, though the count read
+    # them with other boxes of its round and the solve with other boxes
+    read = []
+    real = exppoly._moment_zeros
+
+    def spy(f, boxes, sums):
+        read.append([(box.count, box.sums, s) for box, s in zip(boxes, sums)])
+        return real(f, boxes, sums)
+
+    monkeypatch.setattr(exppoly, "_moment_zeros", spy)
+    for name in ("six-terms-13-zeros", "tied-pair", "six-terms-wide"):
+        coords, window = SEARCHES[name]
+        find_zeros(from_vector(RealVector(coords)), window)
+    # solves of several boxes, of unequal counts, so some boxes get more
+    # higher sums than they read
+    assert any(len({count for count, _, _ in batch}) > 1 for batch in read)
+    for batch in read:
+        top = 2 * max(count for count, _, _ in batch)
+        for _, counted, sums in batch:
+            assert len(sums) == top + 1
+            assert _bits(sums[:2] + sums[-1:]) == _bits(counted)
 
 
 E_PLUS_ONE = ((math.e, 1.0), Rectangle(-1.0, 1.0, 1.0, 20.0))
