@@ -119,7 +119,7 @@ _PANEL_RULES = np.column_stack(
 ).astype(complex)
 
 
-def _read_only(values: list) -> np.ndarray:
+def _read_only(values: list | np.ndarray) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
@@ -248,7 +248,8 @@ class ZeroSet:
 
 @dataclass(frozen=True)
 class RatioFit:
-    """Best fit f(p) ~ a * exp(beta * p) * g(p) over a real sample set."""
+    """Best fit f(p) ~ a * exp(beta * p) * g(p) over the ratio samples
+    (``ratio_factor``)."""
 
     a: float
     beta: float
@@ -257,19 +258,16 @@ class RatioFit:
 
 class _Stack(NamedTuple):
     """Sums of one term count as one kernel argument: row i of ``exponents``
-    and ``multiplicities`` is sum i, and ``degree`` is a column of their
-    degrees."""
+    and ``multiplicities`` is sum i."""
 
     exponents: np.ndarray
     multiplicities: np.ndarray
-    degree: np.ndarray
 
 
 def _stack(polys: list[ExpPoly]) -> _Stack:
     # read from the terms: the cached per-sum arrays cost more to build than this
     terms = np.array([f.terms for f in polys])
-    mults = terms[..., 1]
-    return _Stack(terms[..., 0], mults, mults.sum(axis=1, keepdims=True))
+    return _Stack(terms[..., 0], terms[..., 1])
 
 
 def from_vector(v: RealVector) -> ExpPoly:
@@ -354,20 +352,18 @@ def _stacks(sizes: list[int], points: int) -> list[tuple[int, list[int]]]:
     return calls
 
 
-def _singular(f: ExpPoly | _Stack, s_val: np.ndarray) -> np.ndarray:
+def _singular(f: ExpPoly, s_val: np.ndarray) -> np.ndarray:
     """Where f is numerically zero: |S| <= 1e-12 * degree, the coefficient total."""
     return np.abs(s_val) <= 1e-12 * f.degree
 
 
-def _log(
-    f: ExpPoly | _Stack, ps: complex | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M + log(S), S, S') at ``ps``; SingularEvaluationError where
-    ``_singular``, naming the first such point."""
+def _log(f: ExpPoly, ps: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M + log(S), S, S') of the one sum f at ``ps``; SingularEvaluationError
+    where ``_singular``, naming the first such point."""
     m_val, s_val, ds_val, _ = _chunked_parts(f, ps)
     singular = _singular(f, s_val)
     if singular.any():
-        p = np.broadcast_to(np.asarray(ps).reshape(-1), singular.shape)[singular][0].item()
+        p = np.asarray(ps).reshape(-1)[singular][0].item()
         raise SingularEvaluationError(f"f is numerically zero at p={p!r}", point=p)
     return m_val + np.log(s_val), s_val, ds_val
 
@@ -420,13 +416,12 @@ _FRACTIONS = {n: np.arange(n + 1) / n for n in range(4, 161)}
 @dataclass(eq=False, slots=True)
 class _Box:
     """A box of a zero search: its rectangle and the stored panels of its
-    boundary, each with the sign of the box's counterclockwise direction
-    along the panel's line; once counted, its count and its (s_0, s_1,
-    error estimate) from ``_contour_sums``."""
+    boundary (each on one of its four edges, which fixes the box's
+    direction along it: ``_Edges.walk``); once counted, its count and its
+    (s_0, s_1, error estimate) from ``_contour_sums``."""
 
     rect: Rectangle
     panels: np.ndarray
-    signs: np.ndarray
     count: int = 0
     sums: tuple = ()
 
@@ -504,13 +499,30 @@ class _Edges:
         """A box of base panels on four new lines along ``rect``'s edges."""
         r0, r1, i0, i1 = rect.re_min, rect.re_max, rect.im_min, rect.im_max
         edges = [(False, i0, r0, r1), (True, r1, i0, i1), (False, i1, r0, r1), (True, r0, i0, i1)]
-        panels, counts = self.lines(edges)
-        return _Box(rect, panels, np.repeat((1.0, 1.0, -1.0, -1.0), counts))
+        return _Box(rect, self.lines(edges)[0])
 
     def nodes(self, panels: np.ndarray | slice) -> np.ndarray:
         """The 15 Kronrod nodes of each of the evaluated ``panels``, one row
         per panel."""
         return self.mid[panels, None] + self.step[panels, None] * _KRONROD_NODES
+
+    def walk(self, boxes: list[_Box]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every panel of ``boxes``, box after box, with the index of its box
+        and the direction (1 or -1) of its box's counterclockwise walk
+        along it.
+
+        A panel's ``fixed`` is the very float of the box edge it lies on
+        (the window's bound, or the ``at`` that ``Rectangle.split`` gives
+        both halves), so the walk runs 1 along a horizontal panel whose
+        ``fixed`` is the box's ``im_min`` or a vertical one whose ``fixed``
+        is its ``re_max``, and -1 along the others.
+        """
+        owner = np.repeat(np.arange(len(boxes)), [box.panels.size for box in boxes])
+        panels = np.concatenate([box.panels for box in boxes])
+        # box i's im_min at 2i, its re_max at 2i + 1
+        edge = np.array([(box.rect.im_min, box.rect.re_max) for box in boxes]).ravel()
+        forward = self.fixed[panels] == edge[2 * owner + self.vertical[panels]]
+        return panels, owner, np.where(forward, 1.0, -1.0)
 
     def moments(self, panels: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """The first moment of each of ``panels`` about its box's center
@@ -549,18 +561,18 @@ class _Edges:
             self.k1[new] = step * step * k1
         return np.min(np.abs(s_val) / bound) if check else math.inf
 
-    def resolve(self, panels: np.ndarray, *carried: np.ndarray) -> tuple[np.ndarray, ...]:
+    def resolve(self, panels: np.ndarray, carried: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``panels`` with every replaced panel put back as its pieces, and
-        each array of ``carried`` repeated to match."""
+        ``carried`` (one entry per panel) repeated to match."""
         while True:
             count = self.kid_count[panels]
             if not count.any():
-                return (panels, *carried)
+                return panels, carried
             reps = np.maximum(count, 1)
             at = np.repeat(np.arange(panels.size), reps)
             offset = np.arange(at.size) - np.repeat(np.cumsum(reps) - reps, reps)
             panels = np.where(count[at] > 0, self.kids[panels][at] + offset, panels[at])
-            carried = tuple(c[at] for c in carried)
+            carried = carried[at]
 
     def _replace(self, panels, counts, lo, hi, depth) -> None:
         """Replace each of ``panels`` by ``counts`` of the pieces [lo, hi]."""
@@ -592,8 +604,9 @@ class _Edges:
 
         A half takes its box's panels on its side of the cut; a panel that
         straddles the cut is replaced by its pieces on either side.  The cut
-        line gets base panels once, and both halves take them, with opposite
-        signs.
+        line gets base panels once, and both halves take them: it is the
+        low half's top or right edge and the high half's bottom or left
+        one, so each walks it its own way (``walk``).
         """
         # per pair its cut line's segment: a vertical one across a wide box
         segments = []
@@ -606,11 +619,7 @@ class _Edges:
         vertical = np.array([s[0] for s in segments])
         at = np.array([s[1] for s in segments])
         pair = np.repeat(np.arange(len(pairs)), [box.panels.size for box, _, _ in pairs])
-        panels, signs, pair = self.resolve(
-            np.concatenate([box.panels for box, _, _ in pairs]),
-            np.concatenate([box.signs for box, _, _ in pairs]),
-            pair,
-        )
+        panels, pair = self.resolve(np.concatenate([box.panels for box, _, _ in pairs]), pair)
         # a panel crosses the cut if it runs across the cut's line
         across = self.vertical[panels] != vertical[pair]
         cut_at = at[pair]
@@ -629,23 +638,18 @@ class _Edges:
                 [b for e in ends for b in e[1:]],
                 self.depth[split],
             )
-            panels, signs, pair = self.resolve(panels, signs, pair)
+            panels, pair = self.resolve(panels, pair)
             across = self.vertical[panels] != vertical[pair]
             cut_at = at[pair]
         high = np.where(across, self.lo[panels] >= cut_at, self.fixed[panels] > cut_at)
         line, counts = self.lines(segments)
-        # the low half runs up a vertical cut and leftward along a horizontal one
         line_pair = np.repeat(np.arange(len(pairs)), counts)
-        low_sign = np.where(vertical, 1.0, -1.0)[line_pair]
         half = np.concatenate((2 * pair + high, 2 * line_pair, 2 * line_pair + 1))
-        order = np.argsort(half, kind="stable")
-        panels = np.concatenate((panels, line, line))[order]
-        signs = np.concatenate((signs, low_sign, -low_sign))[order]
+        panels = np.concatenate((panels, line, line))[np.argsort(half, kind="stable")]
         stops = np.cumsum(np.bincount(half, minlength=2 * len(pairs))).tolist()
         rects = [rect for _, low_half, high_half in pairs for rect in (low_half, high_half)]
         return [
-            _Box(rect, panels[start:stop], signs[start:stop])
-            for rect, start, stop in zip(rects, [0] + stops, stops)
+            _Box(rect, panels[start:stop]) for rect, start, stop in zip(rects, [0] + stops, stops)
         ]
 
 
@@ -679,9 +683,9 @@ def _contour_sums(
     times its base panels in all (the panels it starts with, and two per
     bisection), when a panel it would bisect has been bisected
     _MAX_BISECTIONS times, or when none of its panels is over its share.
-    In the round it stops, a box keeps in ``panels`` and ``signs`` the
-    panels of that round, so its sums, its halves and its higher power
-    sums all start from them.
+    In the round it stops, a box keeps in ``panels`` the panels of that
+    round, so its sums, its halves and its higher power sums all start
+    from them.
     ``check_boundary`` is for a window of its own (``count_zeros``): it
     applies the relative-|f| test to the first round's nodes and raises
     naming ``boxes[0]``.
@@ -690,7 +694,6 @@ def _contour_sums(
     sizes = [box.panels.size for box in boxes]
     owner = np.repeat(np.arange(n), sizes)
     panels = np.concatenate([box.panels for box in boxes])
-    signs = np.concatenate([box.signs for box in boxes])
     rects = [box.rect for box in boxes]
     # a panel's share of the tolerance is its share of its box's perimeter
     tol = 2.0 * math.pi * _WINDING_ERROR_TOL  # in integral units
@@ -727,7 +730,6 @@ def _contour_sums(
         ends = list(itertools.accumulate(sizes))
         for i in np.flatnonzero(live ^ going).tolist():
             boxes[i].panels = panels[ends[i] - sizes[i] : ends[i]]
-            boxes[i].signs = signs[ends[i] - sizes[i] : ends[i]]
         if not going.any():
             return _box_sums(edges, boxes, 2)
         live = going
@@ -737,13 +739,14 @@ def _contour_sums(
         chosen[panels[split]] = True
         edges.bisect(np.flatnonzero(chosen))
         keep = going[owner]
-        panels, signs, owner = edges.resolve(panels[keep], signs[keep], owner[keep])
+        panels, owner = edges.resolve(panels[keep], owner[keep])
         sizes = np.bincount(owner, minlength=n).tolist()
 
 
 def _box_sums(edges: _Edges, boxes: list[_Box], top: int) -> list[tuple[complex | float, ...]]:
     """Per box of ``boxes``: (s_0, ..., s_(top - 1), error estimate of s_0),
-    where s_k = (1/2πi) ∮ u^k f'/f dp over the box's stored panels.
+    where s_k = (1/2πi) ∮ u^k f'/f dp over the box's stored panels, each
+    walked the box's counterclockwise way (``_Edges.walk``).
 
     u = (p - c) / r are the box's own coordinates (c its center, r its
     half-diagonal), so |u| <= 1 on its contour and s_k is the sum of u^k
@@ -754,9 +757,7 @@ def _box_sums(edges: _Edges, boxes: list[_Box], top: int) -> list[tuple[complex 
     whose estimate is not finite gets (nan, ..., nan, inf).
     """
     n = len(boxes)
-    owner = np.repeat(np.arange(n), [box.panels.size for box in boxes])
-    panels = np.concatenate([box.panels for box in boxes])
-    signs = np.concatenate([box.signs for box in boxes])
+    panels, owner, signs = edges.walk(boxes)
     middle = np.array([box.rect.center for box in boxes])[owner]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [signs * edges.k0[panels], signs * edges.moments(panels, middle)]
@@ -1036,19 +1037,28 @@ def _isolate(window: _WindowCount) -> list[Zero]:
     without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
-    _CLUSTER_DIAMETER and the boxes that no try splits.  After the last
-    round every leaf is polished in one ``_newton_polish`` batch, a leaf of
-    m zeros by Newton of order m - 1 from the centroid of its own power sums
-    (``_centroid``).  Then, leaf by leaf, a leaf of several zeros that
-    Newton does not verify as one m-fold zero fails the search, and so does
-    an unrefined simple zero whose centroid lies outside its leaf.  A leaf
-    of at least len(f.terms) zeros fails before any is polished.
+    _CLUSTER_DIAMETER and the boxes that no try splits.  A leaf of at least
+    len(f.terms) zeros fails the search in the round it forms.  After the
+    last round every leaf is polished in one ``_newton_polish`` batch, a
+    leaf of m zeros by Newton of order m - 1 from the centroid of its own
+    power sums (``_centroid``).  Then, leaf by leaf, a leaf of several
+    zeros that Newton does not verify as one m-fold zero fails the search,
+    and so does an unrefined simple zero whose centroid lies outside its
+    leaf.
     """
     edges = window.edges
     zeros = []
     leaves = []
     new = [window.box]
     retry = []
+
+    def leaf(box: _Box) -> None:
+        # a sum of t terms has no zero of multiplicity t or more: the
+        # Vandermonde matrix of its distinct exponents is nonsingular
+        if box.count >= len(edges.f.terms):
+            raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
+        leaves.append(box)
+
     while True:
         split = []
         solvable = [box for box in new if 1 < box.count <= _MOMENT_ZEROS]
@@ -1062,7 +1072,7 @@ def _isolate(window: _WindowCount) -> list[Zero]:
             elif box.count > 1 and box.rect.diameter > _CLUSTER_DIAMETER:
                 split.append(box)
             elif box.count:
-                leaves.append(box)
+                leaf(box)
         # (box, the index of the cut fraction to try)
         tries = [(box, 0) for box in split] + retry
         if not tries:
@@ -1083,14 +1093,9 @@ def _isolate(window: _WindowCount) -> list[Zero]:
             elif k + 1 < len(_CUT_FRACTIONS):
                 retry.append((box, k + 1))
             else:
-                leaves.append(box)
-    for box in leaves:
-        # a sum of t terms has no zero of multiplicity t or more: the
-        # Vandermonde matrix of its distinct exponents is nonsingular
-        if box.count >= len(edges.f.terms):
-            raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
+                leaf(box)
     starts = [(_centroid(box.rect, box.sums), box.rect, box.count - 1) for box in leaves]
-    for box, (z, refined) in zip(leaves, _newton_polish(edges.f, starts)):
+    for box, (z, refined) in zip(leaves, _newton_polish(edges.f, starts) if starts else []):
         if box.count > 1 and not refined:
             raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
         if not box.rect.contains(z):
@@ -1199,53 +1204,46 @@ def _zeros_match(zf: list[Zero], zg: list[Zero]) -> bool:
     return not remaining
 
 
-_DEFAULT_RATIO_SAMPLES = tuple(
-    4.5 - 3.5 * math.cos(k * math.pi / 15) for k in range(16)
+# Chebyshev-Lobatto points on [1, 8]; spread enough that inequivalent
+# vector pairs cannot hide behind a single a * exp(beta p) factor.
+_RATIO_SAMPLES = _read_only([4.5 - 3.5 * math.cos(k * math.pi / 15) for k in range(16)])
+# sum / size: the bits of mean() without its dispatch
+_RATIO_CENTERED = _read_only(
+    _RATIO_SAMPLES - np.add.reduce(_RATIO_SAMPLES) / _RATIO_SAMPLES.size
 )
-"""Chebyshev-Lobatto points on [1, 8]; spread enough that inequivalent
-vector pairs cannot hide behind a single a * exp(beta p) factor."""
+_RATIO_SPREAD = _RATIO_CENTERED @ _RATIO_CENTERED
 
 
-def ratio_factor(
-    f: ExpPoly, g: ExpPoly, sample_ps: list[float] | None = None
-) -> RatioFit:
-    """Fit f(p) = a * exp(beta p) * g(p) over real samples.
+def ratio_factor(f: ExpPoly, g: ExpPoly) -> RatioFit:
+    """Fit f(p) = a * exp(beta p) * g(p) over the 16 Chebyshev-Lobatto
+    points on [1, 8].
 
     a = f(0)/g(0) (exact: the ratio of term-count totals), beta the
     least-squares slope of ln(f/(a g)), residual the worst relative
     mismatch on the samples.  When f and g come from equivalent vectors
     with scale ratio c this returns a = 1, beta = ln c, residual ~ 0.
     """
-    return _ratio_fits([f, g], [(0, 1)], sample_ps)[0]
+    return _ratio_fits([f, g], [(0, 1)])[0]
 
 
-def _ratio_fits(
-    polys: list[ExpPoly], pairs: list[tuple[int, int]], sample_ps: list[float] | None = None
-) -> list[RatioFit]:
-    """``ratio_factor(polys[i], polys[j], sample_ps)`` for every (i, j) in ``pairs``.
+def _ratio_fits(polys: list[ExpPoly], pairs: list[tuple[int, int]]) -> list[RatioFit]:
+    """``ratio_factor(polys[i], polys[j])`` for every (i, j) in ``pairs``.
 
     Each sum is evaluated once: the sums of one term count stack into one
-    ``_log`` call (cut by ``_stacks``).  The fits are array arithmetic over a
-    (pairs x samples) block, each row reduced on its own (no matmul), so a
-    pair's fit does not depend on the other pairs in the batch.
+    ``_chunked_parts`` call (cut by ``_stacks``).  On the real axis a sum's
+    largest term is e^M times a count of at least 1, so S >= 1 and
+    M + log(S) is read without a singular test.  The fits are array
+    arithmetic over a (pairs x samples) block, each row reduced on its own
+    (no matmul), so a pair's fit does not depend on the other pairs in the
+    batch.
     """
     if not pairs:
         return []
-    ps = np.array(_DEFAULT_RATIO_SAMPLES if sample_ps is None else sample_ps, dtype=float)
-    if len(set(ps.tolist())) < 2:
-        raise InvalidInputError("need at least two distinct sample points")
-    # sum / size: the bits of mean() without its dispatch
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = ps - np.add.reduce(ps) / ps.size
-        spread = centered @ centered
-    # a nan or inf sample makes the spread nan, as does one that overflows it
-    if not math.isfinite(spread):
-        raise InvalidInputError(
-            f"sample points {ps.tolist()} must be finite, their spread within float64"
-        )
+    ps = _RATIO_SAMPLES
     logs = np.empty((len(polys), ps.size))
     for _, rows in _stacks([len(f.terms) for f in polys], ps.size):
-        logs[rows] = _log(_stack([polys[i] for i in rows]), ps)[0]
+        m_val, s_val, _, _ = _chunked_parts(_stack([polys[i] for i in rows]), ps)
+        logs[rows] = m_val + np.log(s_val)
     fs, gs = np.array(pairs).T
     degrees = np.array([f.degree for f in polys])
     a = (degrees[fs] / degrees[gs]).tolist()
@@ -1254,8 +1252,8 @@ def _ratio_fits(
     log_f = logs[fs]
     diffs = log_f - logs[gs] - np.array([log_of[x] for x in a])[:, None]
     means = np.add.reduce(diffs, axis=1) / ps.size
-    slope = np.add.reduce(centered * (diffs - means[:, None]), axis=1)
-    beta = slope / spread
+    slope = np.add.reduce(_RATIO_CENTERED * (diffs - means[:, None]), axis=1)
+    beta = slope / _RATIO_SPREAD
     w = diffs - beta[:, None] * ps  # log of f / (a exp(beta p) g)
     # |f - a exp(beta p) g| / max(1, |f|) = |1 - exp(-w)| * min(1, |f|)
     mismatch = np.abs(1.0 - np.exp(np.minimum(-w, 700.0)))

@@ -89,7 +89,7 @@ def test_a_stacked_call_counts_the_term_points_of_every_sum_it_holds(monkeypatch
         ExpPoly(((0.0, 1), (0.25, 1), (4.0, 1))),
         ExpPoly(((1.0, 3), (2.0, 1))),
     ]
-    samples = len(exppoly._DEFAULT_RATIO_SAMPLES)
+    samples = exppoly._RATIO_SAMPLES.size
     counted = []
     real = exppoly._parts
 
@@ -101,6 +101,18 @@ def test_a_stacked_call_counts_the_term_points_of_every_sum_it_holds(monkeypatch
     exppoly._ratio_fits(polys, [(0, 1), (2, 3), (4, 0)])
     assert len(counted) == 2
     assert sum(counted) == sum(len(f.terms) for f in polys) * samples == 192
+
+
+def test_kernel_work_that_moves_between_callers_is_the_same_per_workload():
+    parent = {"a/_log": [3, 48], "a/_newton_polish": [2, 4], "b/_log": [1, 16]}
+    change = {"a/_ratio_fits": [3, 48], "a/_newton_polish": [2, 4], "b/_ratio_fits": [1, 16]}
+    work = equivalence.kernel_work(parent, change)
+    assert work["parent"] == parent and work["change"] == change
+    assert work["per_workload"]["change"] == {"a": [5, 52], "b": [1, 16]}
+    assert work["same_per_workload"]
+    # one call more, or one term-point more, in a workload is not the same work
+    for extra in ({"b/_evaluate": [1, 0]}, {"a/_evaluate": [0, 1]}):
+        assert not equivalence.kernel_work(parent, {**change, **extra})["same_per_workload"]
 
 
 def test_src_lines_counts_the_lines_of_every_python_file_of_a_tree(tmp_path):

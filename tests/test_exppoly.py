@@ -542,28 +542,6 @@ def test_ratio_factor_large_residual_for_unrelated_sums():
     assert ratio_factor(f, g).residual >= 1e-3
 
 
-def test_ratio_factor_rejects_degenerate_samples():
-    f = from_vector(RealVector((1.0, 2.0)))
-    with pytest.raises(InvalidInputError):
-        ratio_factor(f, f, [2.0, 2.0])
-
-
-@pytest.mark.parametrize(
-    "samples",
-    [
-        # nan once gave a perfect-fit residual of 0 (fmax skips it)
-        [1.0, math.nan],
-        [1.0, math.inf],
-        # the least-squares denominator overflows
-        [1.0, 1e308],
-    ],
-)
-def test_ratio_factor_refuses_samples_it_cannot_fit(samples):
-    f = from_vector(RealVector((1.0, 2.0)))
-    with pytest.raises(InvalidInputError, match=r"must be finite, their spread within float64"):
-        ratio_factor(f, f, samples)
-
-
 def test_evaluate_handles_large_real_parts():
     f = ExpPoly(((-1.0, 1), (1.0, 1)))
     for p in (700.0, -700.0, complex(650.0, 1e4)):
@@ -909,6 +887,27 @@ def test_a_leaf_of_more_zeros_than_terms_fails_before_newton():
     window = Rectangle(-1, 1, 10.478440625000001, 12.898062500000002)
     with pytest.raises(QuadratureError, match="no subdivision .* counts its 287 zeros"):
         find_zeros(f, window)
+
+
+def test_a_leaf_of_more_zeros_than_terms_fails_in_the_round_it_forms(monkeypatch):
+    # over the default window the 4,680 zeros of this 2-term sum end in a
+    # box of 287 zeros that none of its three cuts counts; the search
+    # fails in that round, so its last count round holds that box's halves
+    # (not after every other box's rounds have run)
+    f = from_vector(RealVector((5e-324, 1.0)))
+    rounds = []
+    real = exppoly._count_adaptive
+
+    def spy(edges, boxes):
+        rounds.append([box.rect for box in boxes])
+        return real(edges, boxes)
+
+    monkeypatch.setattr(exppoly, "_count_adaptive", spy)
+    with pytest.raises(QuadratureError, match="no subdivision of .* counts its 287 zeros") as error:
+        find_zeros(f, exppoly.DEFAULT_WINDOW)
+    low, high = rounds[-1][::2], rounds[-1][1::2]
+    cut = {str(Rectangle(a.re_min, b.re_max, a.im_min, b.im_max)) for a, b in zip(low, high)}
+    assert str(error.value).split(" counts")[0].removeprefix("no subdivision of ") in cut
 
 
 def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):

@@ -386,3 +386,59 @@ def test_a_converged_winding_counts_within_1e_3_of_an_integer(
             count_zeros(f, rect)
     else:
         assert count_zeros(f, rect) == count
+
+
+def _assert_walked_counterclockwise(edges: exppoly._Edges, boxes: list) -> None:
+    """Each box's panels lie on its edges, and walked the ways
+    ``_Edges.walk`` gives they close up (their steps sum to 0) and enclose
+    its area (the integral of x dy, over its vertical panels), to rounding."""
+    panels, owner, signs = edges.walk(boxes)
+    vertical, fixed = edges.vertical[panels], edges.fixed[panels]
+    length = edges.hi[panels] - edges.lo[panels]
+    for i, box in enumerate(boxes):
+        r, mine = box.rect, owner == i
+        on_edge = np.where(
+            vertical,
+            (fixed == r.re_min) | (fixed == r.re_max),
+            (fixed == r.im_min) | (fixed == r.im_max),
+        )
+        assert on_edge[mine].all()
+        steps = (signs * length * np.where(vertical, 1j, 1.0))[mine]
+        assert abs(steps.sum()) <= 1e-12 * 2.0 * (r.width + r.height)
+        x_dy = (signs * fixed * length)[mine & vertical].sum()
+        assert abs(x_dy - r.width * r.height) <= 1e-12 * (abs(r.re_min) + abs(r.re_max)) * r.height
+
+
+def test_every_box_outline_and_cut_build_is_walked_counterclockwise():
+    # a box stores no directions: _Edges.walk reads each panel's from the
+    # edge it lies on.  Windows wide and tall are cut in rounds, random
+    # boxes at random fractions after random panels are bisected (as a
+    # count bisects them), so cuts run both ways and through straddled
+    # panels, several cuts to a batch
+    rng = np.random.default_rng(5)
+    cuts = collections.Counter()
+    for _ in range(40):
+        re0, im0 = rng.uniform(-1e3, 1e3, 2)
+        width, height = rng.uniform(0.01, 50.0, 2)
+        edges = exppoly._Edges(from_vector(RealVector((1.0, 2.0))))
+        boxes = [edges.outline(Rectangle(re0, re0 + width, im0, im0 + height))]
+        for _ in range(4):
+            _assert_walked_counterclockwise(edges, boxes)
+            held = np.concatenate([box.panels for box in boxes])
+            held = np.unique(edges.resolve(held, held)[0])
+            edges.bisect(rng.choice(held, min(8, held.size), replace=False))
+            split = rng.random(len(boxes)) < 0.6
+            split[rng.integers(len(boxes))] = True
+            pairs = [
+                (box, *box.rect.split(rng.uniform(0.1, 0.9)))
+                for box, s in zip(boxes, split)
+                if s
+            ]
+            replaced = np.count_nonzero(edges.kid_count[: edges.size])
+            halves = edges.cut(pairs)
+            cuts["straddled"] += np.count_nonzero(edges.kid_count[: edges.size]) - replaced
+            for box, low, _ in pairs:
+                cuts["vertical" if low.re_max < box.rect.re_max else "horizontal"] += 1
+            boxes = [box for box, s in zip(boxes, split) if not s] + halves
+        _assert_walked_counterclockwise(edges, boxes)
+    assert min(cuts[k] for k in ("vertical", "horizontal", "straddled")) >= 50, cuts

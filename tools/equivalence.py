@@ -17,7 +17,9 @@ trees.  That count is information; the rule above decides ``equivalent``.
 
 Each run also counts its kernel work: the ``exppoly._parts`` calls and
 their term-points (terms x points, over every sum of a stacked call), by
-workload and by the function that asked for them.
+workload and by the function that asked for them, and by workload summed
+over those functions, so work that only moves from one function to
+another reads the same (``same_per_workload``).
 
 It reports each tree's line count of its ``**/*.py`` files as
 ``src_lines``, and as ``code_lines`` the count of those lines that are
@@ -132,6 +134,26 @@ def run_tree(src: str) -> dict:
     return {"runs": runs, "work": {f"{w}/{c}": v for (w, c), v in work.items()}}
 
 
+def kernel_work(parent: dict, change: dict) -> dict:
+    """The two trees' kernel work (``workload/caller: [calls, term-points]``)
+    as it is and summed over callers per workload, with whether those sums
+    agree."""
+    per_workload = {}
+    for side, work in (("parent", parent), ("change", change)):
+        totals = per_workload[side] = {}
+        for key, (calls, points) in sorted(work.items()):
+            entry = totals.setdefault(key.split("/")[0], [0, 0])
+            entry[0] += calls
+            entry[1] += points
+    return {
+        "keys": "workload/caller: [calls, term-points]",
+        "parent": parent,
+        "change": change,
+        "per_workload": per_workload,
+        "same_per_workload": per_workload["parent"] == per_workload["change"],
+    }
+
+
 def differences(a, b, path: tuple, moves: list[float]):
     """The paths at which payloads ``a`` and ``b`` differ; each zero's move
     relative to |z| in ``a`` is appended to ``moves`` instead."""
@@ -188,11 +210,7 @@ def main(argv: list[str]) -> int:
     verdict = compare(parent, change)
     verdict["src_lines"] = dict(zip(("parent", "change"), map(src_lines, argv)))
     verdict["code_lines"] = dict(zip(("parent", "change"), map(code_lines, argv)))
-    verdict["kernel_work"] = {
-        "keys": "workload/caller: [calls, term-points]",
-        "parent": parent["work"],
-        "change": change["work"],
-    }
+    verdict["kernel_work"] = kernel_work(parent["work"], change["work"])
     print(json.dumps(verdict, indent=1, sort_keys=True))
     return 0 if verdict["equivalent"] else 1
 
