@@ -42,6 +42,7 @@ from .exppoly import (
     DEFAULT_WINDOW,
     Rectangle,
     ZeroSet,
+    _searched_together,
     find_zeros,
     from_vector,
 )
@@ -460,13 +461,14 @@ def _echo_input(job: JobSpec) -> dict:
 
 
 def _run_zeros(job: JobSpec) -> dict:
-    return {
-        "requested_window": _enc_rect(job.window),
-        "results": [
-            {"vector_index": k, **_enc_zeroset(find_zeros(from_vector(v), job.window))}
-            for k, v in enumerate(job.vectors)
-        ],
-    }
+    polys = [from_vector(v) for v in job.vectors]
+    # one zero search for the job; each vector's result is still its own
+    with _searched_together(polys):
+        results = [
+            {"vector_index": k, **_enc_zeroset(find_zeros(f, job.window))}
+            for k, f in enumerate(polys)
+        ]
+    return {"requested_window": _enc_rect(job.window), "results": results}
 
 
 def _run_norms(job: JobSpec) -> dict:

@@ -14,8 +14,11 @@ what lets the quadrature run with an aggressive acceptance test.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -415,23 +418,27 @@ _FRACTIONS = {n: np.arange(n + 1) / n for n in range(4, 161)}
 
 @dataclass(eq=False, slots=True)
 class _Box:
-    """A box of a zero search: its rectangle and the stored panels of its
+    """A box of a zero search: its rectangle, the stored panels of its
     boundary (each on one of its four edges, which fixes the box's
-    direction along it: ``_Edges.walk``); once counted, its count and its
-    (s_0, s_1, error estimate) from ``_contour_sums``."""
+    direction along it: ``_Edges.walk``) and the index of its sum in
+    ``_Edges.polys``; once counted, its count and its (s_0, s_1, error
+    estimate) from ``_contour_sums``."""
 
     rect: Rectangle
     panels: np.ndarray
+    poly: int = 0
     count: int = 0
     sums: tuple = ()
 
 
 class _Edges:
-    """The contour panels of one zero search, each evaluated once.
+    """The contour panels of one zero search of the sums ``polys``, each
+    evaluated once.
 
-    Every box boundary of a search lies on the window's four edges and on
+    Every box boundary of a search lies on its window's four edges and on
     the cuts.  A panel is an interval [lo, hi] of one such line, Im p =
-    ``fixed`` or, if ``vertical``, Re p = ``fixed``.  Evaluated, it keeps
+    ``fixed`` or, if ``vertical``, Re p = ``fixed``, and belongs to the sum
+    ``polys[poly]``: only that sum's boxes hold it.  Evaluated, it keeps
     its midpoint ``mid``, its ``length``, its ``step`` (dp/dx times half
     its length), the Kronrod terms w_k f'/f at its 15 nodes (``terms``),
     its integral ``k0``, its first moment about its midpoint ``k1`` and its
@@ -441,15 +448,15 @@ class _Edges:
     in the line's direction), which ``resolve`` puts in its place.
     """
 
-    def __init__(self, f: ExpPoly) -> None:
-        self.f = f
+    def __init__(self, *polys: ExpPoly) -> None:
+        self.polys = polys
         self.size = self.evaluated = self.capacity = 0
 
     def _grow(self, cap: int) -> None:
         """Room for ``cap`` panels: each field is a row of one of five blocks."""
         blocks = (
             np.empty((5, cap)),
-            np.empty((3, cap), np.intp),
+            np.empty((4, cap), np.intp),
             np.empty((4, cap), complex),
             np.empty(cap, bool),
             np.empty((cap, _KRONROD_NODES.size), complex),
@@ -460,28 +467,28 @@ class _Edges:
             blocks[4][: self.size] = self.terms[: self.size]
         self._blocks, self.capacity = blocks, cap
         self.fixed, self.lo, self.hi, self.length, self.err = blocks[0]
-        self.depth, self.kids, self.kid_count = blocks[1]
+        self.depth, self.kids, self.kid_count, self.poly = blocks[1]
         self.mid, self.step, self.k0, self.k1 = blocks[2]
         self.vertical, self.terms = blocks[3:]
 
-    def add(self, vertical, fixed, lo, hi, depth) -> int:
-        """Append unevaluated panels [lo, hi] on the lines (vertical, fixed);
-        the index of the first."""
+    def add(self, vertical, fixed, lo, hi, depth, poly) -> int:
+        """Append unevaluated panels [lo, hi] of the sums ``poly`` on the
+        lines (vertical, fixed); the index of the first."""
         start, end = self.size, self.size + len(lo)
         if end > self.capacity:
             self._grow(max(end, 2 * self.capacity))
         new = slice(start, end)
         self.vertical[new], self.fixed[new], self.lo[new], self.hi[new] = vertical, fixed, lo, hi
-        self.depth[new], self.kid_count[new] = depth, 0
+        self.depth[new], self.kid_count[new], self.poly[new] = depth, 0, poly
         self.size = end
         return start
 
     def lines(
-        self, segments: list[tuple[bool, float, float, float]]
+        self, segments: list[tuple[bool, float, float, float]], polys: list[int]
     ) -> tuple[np.ndarray, list[int]]:
         """Base panels on each segment (vertical, fixed, lo, hi) of a line
-        (``_base_count`` equal ones): their indices, segment after segment,
-        and each segment's count."""
+        (``_base_count`` equal ones), of the sum ``polys[i]`` on segment i:
+        their indices, segment after segment, and each segment's count."""
         counts, lows, highs = [], [], []
         for _, _, lo, hi in segments:
             n = _base_count(hi - lo)
@@ -492,14 +499,16 @@ class _Edges:
             highs.append(ends[1:])
         vertical, fixed = np.array([s[:2] for s in segments]).T
         lo, hi = np.concatenate(lows), np.concatenate(highs)
-        start = self.add(vertical.repeat(counts), fixed.repeat(counts), lo, hi, 0)
+        poly = np.repeat(polys, counts)
+        start = self.add(vertical.repeat(counts), fixed.repeat(counts), lo, hi, 0, poly)
         return np.arange(start, self.size), counts
 
-    def outline(self, rect: Rectangle) -> _Box:
-        """A box of base panels on four new lines along ``rect``'s edges."""
+    def outline(self, rect: Rectangle, poly: int = 0) -> _Box:
+        """A box of the sum ``polys[poly]`` of base panels on four new lines
+        along ``rect``'s edges."""
         r0, r1, i0, i1 = rect.re_min, rect.re_max, rect.im_min, rect.im_max
         edges = [(False, i0, r0, r1), (True, r1, i0, i1), (False, i1, r0, r1), (True, r0, i0, i1)]
-        return _Box(rect, self.lines(edges)[0])
+        return _Box(rect, self.lines(edges, [poly] * 4)[0], poly)
 
     def nodes(self, panels: np.ndarray | slice) -> np.ndarray:
         """The 15 Kronrod nodes of each of the evaluated ``panels``, one row
@@ -530,14 +539,18 @@ class _Edges:
         with np.errstate(over="ignore", invalid="ignore"):
             return (self.mid[panels] - centers) * self.k0[panels] + self.k1[panels]
 
-    def evaluate_panels(self, check: bool = False) -> float:
-        """Evaluate every new panel, one kernel call per _MAX_CALL_POINTS
-        nodes; with ``check``, the least relative |f| over their nodes (nan
-        if one is nan)."""
+    def evaluate_panels(self, check: bool = False) -> np.ndarray | None:
+        """Evaluate every new panel: for each sum that has new panels, one
+        kernel call on their nodes, in store order (one per
+        _MAX_CALL_POINTS nodes).  With ``check``, per sum the least
+        relative |f| over the nodes of its new panels (inf if it has none,
+        nan if one is nan)."""
+        least = np.full(len(self.polys), math.inf) if check else None
         new = slice(self.evaluated, self.size)
         if new.start == new.stop:
-            return math.inf
+            return least
         self.evaluated = self.size
+        poly = self.poly[new]
         vertical, fixed, lo, hi = self.vertical[new], self.fixed[new], self.lo[new], self.hi[new]
         along = 0.5 * (lo + hi)
         mid = self.mid[new]
@@ -547,19 +560,29 @@ class _Edges:
         # dp/dx, times the half-length: 1 along a horizontal line, i up a vertical one
         self.step[new] = step = np.where(vertical, 1j, 1.0) * (0.5 * length)
         pts = self.nodes(new)
-        _, s_val, ds_val, bound = _chunked_parts(self.f, pts.ravel())
+        # the panels of each sum (all of them when one sum has new panels)
+        if len(self.polys) == 1 or (poly == poly[0]).all():
+            groups = [(int(poly[0]), slice(None))]
+        else:
+            groups = [(k, poly == k) for k in sorted(set(poly.tolist()))]
+        integrand = np.empty_like(pts)
         # A node on a zero makes its panel's values non-finite, which stops
         # its box unconverged: a cut through a zero is refused, not warned
         # about.  Far from the origin the moment can overflow;
         # _judge_winding refuses it.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            integrand = (ds_val / s_val).reshape(pts.shape)
+            for k, rows in groups:
+                nodes = pts[rows]
+                _, s_val, ds_val, bound = _chunked_parts(self.polys[k], nodes.ravel())
+                integrand[rows] = (ds_val / s_val).reshape(nodes.shape)
+                if check:
+                    least[k] = np.min(np.abs(s_val) / bound)
             self.terms[new] = integrand * _KRONROD_WEIGHTS
             k0, error, k1 = (integrand @ _PANEL_RULES).T
             self.k0[new] = step * k0
             self.err[new] = np.abs(step * error)
             self.k1[new] = step * step * k1
-        return np.min(np.abs(s_val) / bound) if check else math.inf
+        return least
 
     def resolve(self, panels: np.ndarray, carried: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``panels`` with every replaced panel put back as its pieces, and
@@ -582,6 +605,7 @@ class _Edges:
             lo,
             hi,
             np.repeat(depth, counts),
+            np.repeat(self.poly[panels], counts),
         )
         self.kids[panels] = start + np.cumsum(counts) - counts
         self.kid_count[panels] = counts
@@ -642,14 +666,16 @@ class _Edges:
             across = self.vertical[panels] != vertical[pair]
             cut_at = at[pair]
         high = np.where(across, self.lo[panels] >= cut_at, self.fixed[panels] > cut_at)
-        line, counts = self.lines(segments)
+        line, counts = self.lines(segments, [box.poly for box, _, _ in pairs])
         line_pair = np.repeat(np.arange(len(pairs)), counts)
         half = np.concatenate((2 * pair + high, 2 * line_pair, 2 * line_pair + 1))
         panels = np.concatenate((panels, line, line))[np.argsort(half, kind="stable")]
         stops = np.cumsum(np.bincount(half, minlength=2 * len(pairs))).tolist()
         rects = [rect for _, low_half, high_half in pairs for rect in (low_half, high_half)]
+        polys = [box.poly for box, _, _ in pairs for _ in range(2)]
         return [
-            _Box(rect, panels[start:stop]) for rect, start, stop in zip(rects, [0] + stops, stops)
+            _Box(rect, panels[start:stop], poly)
+            for rect, poly, start, stop in zip(rects, polys, [0] + stops, stops)
         ]
 
 
@@ -665,15 +691,17 @@ def _per_box(owner: np.ndarray, values: np.ndarray, boxes: int) -> list[complex]
 
 def _contour_sums(
     edges: _Edges, boxes: list[_Box], check_boundary: bool = False
-) -> list[tuple[complex, complex, float]]:
+) -> list[tuple[complex, complex, float] | BoundaryProximityError]:
     """Per box of ``boxes``: (s_0, s_1, error estimate of s_0) from
-    ``_box_sums``, once each box's panels are integrated.
+    ``_box_sums``, once each box's panels are integrated, or the
+    BoundaryProximityError that refuses it.
 
     Locally adaptive Gauss-Kronrod over the panels ``edges`` stores for
     each box: every panel has the 15-point Kronrod rule, and |K - G|
     against the embedded 7-point Gauss rule is its error estimate.  A round
     evaluates every new panel of every box together, one kernel call per
-    _MAX_CALL_POINTS points.  Each box is judged on its own: once its
+    _MAX_CALL_POINTS points of a sum (``_Edges.evaluate_panels``).  Each
+    box is judged on its own: once its
     estimates sum below _WINDING_ERROR_TOL its integrals are done;
     otherwise each of its panels over its length's share of that tolerance
     is bisected, once for all the boxes that hold it, and the others are
@@ -686,9 +714,10 @@ def _contour_sums(
     In the round it stops, a box keeps in ``panels`` the panels of that
     round, so its sums, its halves and its higher power sums all start
     from them.
-    ``check_boundary`` is for a window of its own (``count_zeros``): it
-    applies the relative-|f| test to the first round's nodes and raises
-    naming ``boxes[0]``.
+    ``check_boundary`` is for windows (``_count_windows``), at most one box
+    of each sum, all of whose panels are new: it applies the relative-|f|
+    test to the nodes of each box's first round, and a box that fails it
+    stops there, refused.
     """
     n = len(boxes)
     sizes = [box.panels.size for box in boxes]
@@ -703,15 +732,19 @@ def _contour_sums(
     budget = 2 * _PANEL_BUDGET * np.array(base)
     used = np.array(sizes, dtype=float)
     live = np.ones(n, dtype=bool)
+    refused = {}
     check = check_boundary
     while True:
-        rel_min = edges.evaluate_panels(check)
-        if rel_min < _BOUNDARY_REL_MIN:
-            raise BoundaryProximityError(
-                f"contour of {boxes[0].rect} passes within relative magnitude "
-                f"{rel_min:.2e} of a zero; inflate the window"
-            )
+        least = edges.evaluate_panels(check)
         check = False
+        if least is not None:
+            for i, box in enumerate(boxes):
+                if least[box.poly] < _BOUNDARY_REL_MIN:
+                    live[i] = False
+                    refused[i] = BoundaryProximityError(
+                        f"contour of {box.rect} passes within relative magnitude "
+                        f"{least[box.poly]:.2e} of a zero; inflate the window"
+                    )
         err = edges.err[panels]
         total = np.bincount(owner, err, n)
         going = live & (tol <= total) & (total < math.inf)
@@ -731,7 +764,8 @@ def _contour_sums(
         for i in np.flatnonzero(live ^ going).tolist():
             boxes[i].panels = panels[ends[i] - sizes[i] : ends[i]]
         if not going.any():
-            return _box_sums(edges, boxes, 2)
+            sums = _box_sums(edges, boxes, 2)
+            return [refused.get(i, s) for i, s in enumerate(sums)]
         live = going
         used += 2 * held
         # a panel two boxes hold is bisected once
@@ -792,7 +826,8 @@ def _box_sums(edges: _Edges, boxes: list[_Box], top: int) -> list[tuple[complex 
 class _WindowCount(int):
     """The zero count of a window, with the panel store that counted it
     (``edges``) and the counted window box (``box``), so a search that
-    asks ``count_zeros`` for its window builds on those panels."""
+    asks ``count_zeros`` for its window builds on those panels (the store
+    of its ``_searched_together`` block)."""
 
     edges: _Edges
     box: _Box
@@ -812,18 +847,42 @@ def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
     The count is an int that also carries the panels it was integrated on
-    (``_WindowCount``).
+    (``_WindowCount``).  Inside a ``_searched_together`` block that holds f
+    the count is made in the block's store, with those of the block's
+    other sums (``_Together.window_count``); what it returns or raises is
+    the same.
     """
-    edges = _Edges(f)
-    box = edges.outline(rect)
-    (box.sums,) = _contour_sums(edges, [box], True)
-    counted = _judge_winding(f, rect, box.sums)
+    together = _TOGETHER.get()
+    if together is not None and f in together.polys:
+        counted = together.window_count(f, rect)
+    else:
+        (counted,) = _count_windows(_Edges(f), [(0, rect)])
     if isinstance(counted, Exception):
         raise counted
-    box.count = counted
-    total = _WindowCount(counted)
-    total.edges, total.box = edges, box
-    return total
+    return counted
+
+
+def _count_windows(
+    edges: _Edges, windows: list[tuple[int, Rectangle]]
+) -> list[_WindowCount | QuadratureError | BoundaryProximityError]:
+    """Per (sum, rect) of ``windows``: the count of ``edges.polys[sum]``
+    over rect, or the error that refuses it; at most one window per sum.
+
+    All the windows are integrated in one ``_contour_sums`` batch, with
+    the boundary test, and each is judged on its own by ``_judge_winding``.
+    """
+    boxes = [edges.outline(rect, k) for k, rect in windows]
+    out: list[_WindowCount | QuadratureError | BoundaryProximityError] = []
+    for box, sums in zip(boxes, _contour_sums(edges, boxes, True)):
+        counted = sums
+        if not isinstance(sums, Exception):
+            counted = _judge_winding(edges.polys[box.poly], box.rect, sums)
+        if not isinstance(counted, Exception):
+            box.sums, box.count = sums, counted
+            counted = _WindowCount(counted)
+            counted.edges, counted.box = edges, box
+        out.append(counted)
+    return out
 
 
 def _count_adaptive(
@@ -836,7 +895,7 @@ def _count_adaptive(
     """
     for box, sums in zip(boxes, _contour_sums(edges, boxes)):
         box.sums = sums
-    return [_judge_winding(edges.f, box.rect, box.sums) for box in boxes]
+    return [_judge_winding(edges.polys[box.poly], box.rect, box.sums) for box in boxes]
 
 
 def _judge_winding(
@@ -941,74 +1000,107 @@ def _centroid(rect: Rectangle, sums: tuple[complex, ...]) -> complex:
     return rect.center + 0.5 * rect.diameter * sums[1] / sums[0]
 
 
-def _hankel_solve(s: np.ndarray, n: int, noise: float) -> tuple[list[complex], list[int]] | None:
-    """The distinct points u_j and multiplicities m_j (positive integers,
-    summing to ``n``) with s[k] = sum_j m_j u_j^k for k < 2n, or None.
+def _hankel_solve(
+    s: np.ndarray, noise: np.ndarray
+) -> list[tuple[list[complex], list[int]] | None]:
+    """Per row i of ``s`` (rows of 2n sums each): the distinct points u_j
+    and multiplicities m_j (positive integers, summing to n) with
+    s[i, k] = sum_j m_j u_j^k for k < 2n, or None.
 
     The count d of distinct points is the numerical rank of the Hankel
     matrix H_0 = [s_(i+j)], i, j < n: the number of its singular values
-    above n * ``noise``, where ``noise`` is the error estimate of the
-    quadrature that gave ``s``.  An error of at most ``noise`` in every
-    entry moves no singular value by more than that (Weyl), so a smaller
-    one may be noise.
+    above n * ``noise[i]``, the error estimate of the quadrature that gave
+    the row.  An error of at most that in every entry moves no singular
+    value by more than that (Weyl), so a smaller one may be noise.
     The points are the eigenvalues of the pencil (H_1, H_0), H_1 = [s_(i+j+1)],
     restricted to the range of H_0 through its SVD (Kravanja, Sakurai and
     Van Barel, BIT 39, 1999).  The multiplicities solve the d x d
     Vandermonde system of s_0, ..., s_(d-1), and each must lie within 0.1
-    of a positive integer.  Sums that are not finite, a rank of 0 and a
-    matrix that LAPACK cannot factor give None.
+    of a positive integer.  A row whose sums are not finite or whose rank
+    is 0 gives None.
+    The rows are one LAPACK stack: one SVD call for all of them, then one
+    pencil, eigenvalue and Vandermonde solve for the rows of each rank.
+    Each matrix gets the bits of its own call (the Vandermonde matrix is
+    built as ``np.vander`` builds it), so no row's solve depends on the
+    others; but a stack that LAPACK cannot factor gives None for every row.
     """
-    s = np.asarray(s, dtype=complex)
+    rows, n = len(s), s.shape[1] // 2
+    out: list[tuple[list[complex], list[int]] | None] = [None] * rows
+    where = list(range(rows))
     if not np.isfinite(s).all():
-        return None
+        where = np.flatnonzero(np.isfinite(s).all(axis=1)).tolist()
+        s, noise = s[where], noise[where]
     hankel = np.add.outer(np.arange(n), np.arange(n))
     try:
-        left, sigma, right = np.linalg.svd(s[hankel])
-        d = int(np.count_nonzero(sigma > n * noise))
-        if d == 0:
-            return None
-        pencil = left[:, :d].conj().T @ s[hankel + 1] @ right[:d].conj().T / sigma[:d, None]
-        points = np.linalg.eigvals(pencil)
-        # a huge point makes an infinite or nan multiplicity, which fails
-        with np.errstate(over="ignore", invalid="ignore"):
-            mult = np.linalg.solve(np.vander(points, d, increasing=True).T, s[:d])
-            counts = np.rint(mult.real)
-            near = np.abs(mult - counts) <= 0.1
+        left, sigma, right = np.linalg.svd(s[:, hankel])
+        ranks = (sigma > n * noise[:, None]).sum(axis=1).tolist()
+        for d in set(ranks) - {0}:
+            at = [i for i, r in enumerate(ranks) if r == d]
+            u, w, v, sd = (x if len(at) == len(ranks) else x[at] for x in (left, sigma, right, s))
+            # H_1 in C order: a product on a strided matrix can round otherwise
+            pencil = (
+                u[..., :d].conj().swapaxes(1, 2)
+                @ sd.take(hankel + 1, axis=1)
+                @ v[:, :d].conj().swapaxes(1, 2)
+                / w[:, :d, None]
+            )
+            points = np.linalg.eigvals(pencil)
+            # a huge point makes an infinite or nan multiplicity, which fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                vander = np.empty_like(pencil)
+                vander[..., 0] = 1
+                vander[..., 1:] = points[..., None]
+                np.multiply.accumulate(vander[..., 1:], axis=-1, out=vander[..., 1:])
+                mult = np.linalg.solve(vander.swapaxes(1, 2), sd[:, :d, None])[..., 0]
+                counts = np.rint(mult.real)
+                near = (np.abs(mult - counts) <= 0.1).all(axis=1)
+            solved = zip([where[i] for i in at], points.tolist(), counts.tolist(), near.tolist())
+            for i, z, m, ok in solved:
+                if ok and min(m) >= 1 and sum(m) == n:
+                    out[i] = z, [int(c) for c in m]
     except np.linalg.LinAlgError:
-        return None
-    if not near.all() or counts.min() < 1 or counts.sum() != n:
-        return None
-    return points.tolist(), counts.astype(int).tolist()
+        return [None] * rows
+    return out
 
 
 def _moment_zeros(
-    f: ExpPoly, boxes: list[_Box], sums: list[tuple[complex | float, ...]]
+    edges: _Edges, boxes: list[_Box], sums: list[tuple[complex | float, ...]]
 ) -> list[list[Zero] | None]:
     """Per counted box of ``boxes``: its ``count`` zeros from its power
     ``sums`` (s_0, ..., s_(2 count - 1) or more, error estimate), or None.
 
     ``_hankel_solve`` gives their points u and multiplicities m from
-    s_0, ..., s_(2 count - 1), each box on its own; each zero c + r u is
-    polished by Newton on f^(m-1) as a leaf's is, the zeros of every solved
-    box in one ``_newton_polish`` batch.  A box's zeros stand only if each
-    is refined inside it and no two lie within _CLUSTER_DIAMETER; the
-    multiplicities sum to ``count``, the winding that proved them.
+    s_0, ..., s_(2 count - 1), the boxes of each count in one stack; each
+    zero c + r u is polished by Newton on f^(m-1) as a leaf's is, the zeros
+    of every solved box of one sum in one ``_newton_polish`` batch.  A
+    box's zeros stand only if each is refined inside it and no two lie
+    within _CLUSTER_DIAMETER; the multiplicities sum to ``count``, the
+    winding that proved them.
     """
-    pencils = [_hankel_solve(s[: 2 * box.count], box.count, s[-1]) for box, s in zip(boxes, sums)]
-    starts = [
-        (box.rect.center + 0.5 * box.rect.diameter * u, box.rect, m - 1)
-        for box, pencil in zip(boxes, pencils)
-        if pencil is not None
-        for u, m in zip(*pencil)
-    ]
-    polished = iter(_newton_polish(f, starts))
+    pencils: list[tuple[list[complex], list[int]] | None] = [None] * len(boxes)
+    for n in sorted({box.count for box in boxes}):
+        rows = [i for i, box in enumerate(boxes) if box.count == n]
+        solved = _hankel_solve(
+            np.array([sums[i][: 2 * n] for i in rows]), np.array([sums[i][-1] for i in rows])
+        )
+        for i, pencil in zip(rows, solved):
+            pencils[i] = pencil
+    polished = {}
+    for k in dict.fromkeys(box.poly for box in boxes):
+        starts = [
+            (box.rect.center + 0.5 * box.rect.diameter * u, box.rect, m - 1)
+            for box, pencil in zip(boxes, pencils)
+            if box.poly == k and pencil is not None
+            for u, m in zip(*pencil)
+        ]
+        polished[k] = iter(_newton_polish(edges.polys[k], starts) if starts else [])
     out: list[list[Zero] | None] = []
-    for pencil in pencils:
+    for box, pencil in zip(boxes, pencils):
         if pencil is None:
             out.append(None)
             continue
         # zip takes one polished zero per multiplicity, and no more
-        zeros = [Zero(z, m) for m, (z, refined) in zip(pencil[1], polished) if refined]
+        zeros = [Zero(z, m) for m, (z, refined) in zip(pencil[1], polished[box.poly]) if refined]
         close = any(
             abs(a.location - b.location) <= _CLUSTER_DIAMETER
             for a, b in itertools.combinations(zeros, 2)
@@ -1017,14 +1109,18 @@ def _moment_zeros(
     return out
 
 
-def _isolate(window: _WindowCount) -> list[Zero]:
-    """The zeros in the window ``count_zeros`` counted, in ``ZeroSet``
-    order, isolated in count rounds on that count's panels.
+def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
+    """Per count of ``windows`` (from ``count_zeros`` in one
+    ``_searched_together`` block, each of another sum): the zeros in its
+    window, in ``ZeroSet`` order, or the error that fails that sum's
+    search.
 
-    A box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
+    The sums are isolated together, in count rounds on the panels their
+    windows were counted on, each round over the boxes of every sum.  A
+    box of 2 to _MOMENT_ZEROS zeros is solved from its power sums
     (``_box_sums`` and ``_moment_zeros``, every such box of a round in one
-    call, so all their zeros are polished together).  A box with more
-    zeros, or whose solve fails, splits if it is wider than
+    call, so all the zeros of one sum are polished together).  A box with
+    more zeros, or whose solve fails, splits if it is wider than
     _CLUSTER_DIAMETER.  Each round counts
     in one ``_count_adaptive`` batch the halves of every box being split: a
     box new to the round cut at the first of _CUT_FRACTIONS of its longer
@@ -1038,43 +1134,55 @@ def _isolate(window: _WindowCount) -> list[Zero]:
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  A leaf of at least
-    len(f.terms) zeros fails the search in the round it forms.  After the
-    last round every leaf is polished in one ``_newton_polish`` batch, a
-    leaf of m zeros by Newton of order m - 1 from the centroid of its own
-    power sums (``_centroid``).  Then, leaf by leaf, a leaf of several
-    zeros that Newton does not verify as one m-fold zero fails the search,
-    and so does an unrefined simple zero whose centroid lies outside its
-    leaf.
+    len(f.terms) zeros fails its sum in the round it forms, and so do
+    halves that lose zeros: that sum's boxes leave the rounds, and the
+    other sums go on.  After the last round the leaves of each sum are
+    polished in one ``_newton_polish`` batch, a leaf of m zeros by Newton
+    of order m - 1 from the centroid of its own power sums
+    (``_centroid``).  Then, leaf by leaf, a leaf of several zeros that
+    Newton does not verify as one m-fold zero fails its sum, and so does an
+    unrefined simple zero whose centroid lies outside its leaf.  A sum's
+    boxes, solves and Newton batches are those of its search alone, so its
+    result and the first error that fails it are too.
     """
-    edges = window.edges
-    zeros = []
+    edges = windows[0].edges
+    # a sum counted twice (zero_multiset_equal(f, f, ...)) is isolated once
+    new = list({window.box.poly: window.box for window in windows}.values())
+    zeros: list[list[Zero]] = [[] for _ in edges.polys]
+    failed: dict[int, QuadratureError] = {}
     leaves = []
-    new = [window.box]
     retry = []
+
+    def fail(box: _Box, message: str) -> None:
+        failed.setdefault(box.poly, QuadratureError(message))
 
     def leaf(box: _Box) -> None:
         # a sum of t terms has no zero of multiplicity t or more: the
         # Vandermonde matrix of its distinct exponents is nonsingular
-        if box.count >= len(edges.f.terms):
-            raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
-        leaves.append(box)
+        if box.count >= len(edges.polys[box.poly].terms):
+            fail(box, f"no subdivision of {box.rect} counts its {box.count} zeros")
+        else:
+            leaves.append(box)
 
     while True:
+        new = [box for box in new if box.poly not in failed]
         split = []
         solvable = [box for box in new if 1 < box.count <= _MOMENT_ZEROS]
         if solvable:
             sums = _box_sums(edges, solvable, 2 * max(box.count for box in solvable))
-            solved = iter(_moment_zeros(edges.f, solvable, sums))
+            solved = iter(_moment_zeros(edges, solvable, sums))
         for box in new:
             solution = 1 < box.count <= _MOMENT_ZEROS and next(solved)
+            if box.poly in failed:
+                continue
             if solution:
-                zeros += solution
+                zeros[box.poly] += solution
             elif box.count > 1 and box.rect.diameter > _CLUSTER_DIAMETER:
                 split.append(box)
             elif box.count:
                 leaf(box)
         # (box, the index of the cut fraction to try)
-        tries = [(box, 0) for box in split] + retry
+        tries = [(box, k) for box, k in [(box, 0) for box in split] + retry if box.poly not in failed]
         if not tries:
             break
         halves = edges.cut([(box, *box.rect.split(_CUT_FRACTIONS[k])) for box, k in tries])
@@ -1082,11 +1190,12 @@ def _isolate(window: _WindowCount) -> list[Zero]:
         new, retry = [], []
         for j, (box, k) in enumerate(tries):
             counts = counted[2 * j : 2 * j + 2]
+            if box.poly in failed:
+                continue
             if not any(isinstance(n, Exception) for n in counts):
                 if sum(counts) != box.count:
-                    raise QuadratureError(
-                        f"subdivision of {box.rect} lost zeros: {counts} vs parent {box.count}"
-                    )
+                    fail(box, f"subdivision of {box.rect} lost zeros: {counts} vs parent {box.count}")
+                    continue
                 for half, n in zip(halves[2 * j : 2 * j + 2], counts):
                     half.count = n
                     new.append(half)
@@ -1094,17 +1203,23 @@ def _isolate(window: _WindowCount) -> list[Zero]:
                 retry.append((box, k + 1))
             else:
                 leaf(box)
-    starts = [(_centroid(box.rect, box.sums), box.rect, box.count - 1) for box in leaves]
-    for box, (z, refined) in zip(leaves, _newton_polish(edges.f, starts) if starts else []):
-        if box.count > 1 and not refined:
-            raise QuadratureError(f"no subdivision of {box.rect} counts its {box.count} zeros")
-        if not box.rect.contains(z):
-            raise QuadratureError(
-                f"the centroid {z} of the zero counted in {box.rect} lies outside it"
-            )
-        zeros.append(Zero(z, box.count, refined))
+    leaves = [box for box in leaves if box.poly not in failed]
+    for k in dict.fromkeys(box.poly for box in leaves):
+        own = [box for box in leaves if box.poly == k]
+        starts = [(_centroid(box.rect, box.sums), box.rect, box.count - 1) for box in own]
+        for box, (z, refined) in zip(own, _newton_polish(edges.polys[k], starts)):
+            if box.count > 1 and not refined:
+                fail(box, f"no subdivision of {box.rect} counts its {box.count} zeros")
+                break
+            if not box.rect.contains(z):
+                fail(box, f"the centroid {z} of the zero counted in {box.rect} lies outside it")
+                break
+            zeros[k].append(Zero(z, box.count, refined))
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
-    return sorted(zeros, key=lambda z: (round(z.location.real, 9), z.location.imag))
+    return [
+        failed.get(k) or sorted(zeros[k], key=lambda z: (round(z.location.real, 9), z.location.imag))
+        for k in (window.box.poly for window in windows)
+    ]
 
 
 def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
@@ -1117,8 +1232,9 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     recorded on the result.  Isolation works in count rounds (``_isolate``):
     a box is cut in two across its longer side, at 0.45 of it, else at 0.55,
     else at 0.35, until both halves count, and all boxes split in a round
-    share each quadrature round of its batch, so a search makes a kernel
-    call per quadrature round of a count round, not per box.  The search
+    share each quadrature round of its batch, so the search makes one
+    kernel call per quadrature round in which it has new panels, not one
+    per box.  The search
     keeps every panel it evaluates (``_Edges``): a half takes its box's
     panels on its outer edges and shares its cut with its sibling, so each
     piece of contour is evaluated once.  f is evaluated only on contours
@@ -1136,9 +1252,95 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     ``refined=False``, and a centroid outside the box raises
     QuadratureError; so does a leaf of several zeros that does not polish
     to one m-fold zero.
+    Inside a ``_searched_together`` block that holds f the search of f
+    runs with those of the block's other sums (``_Together.zero_set``);
+    what it returns or raises is the same.
     """
-    window, (total,) = _counted_window((f,), rect)
-    return ZeroSet(tuple(_isolate(total)), window, int(total))
+    together = _TOGETHER.get()
+    if together is not None and f in together.polys:
+        zero_set = together.zero_set(f, rect)
+    else:
+        with _searched_together([f]) as together:
+            zero_set = together.zero_set(f, rect)
+    if isinstance(zero_set, Exception):
+        raise zero_set
+    return zero_set
+
+
+class _Together:
+    """The zero searches of the sums ``polys`` in one store (``edges``):
+    their window counts and zero sets, by (sum, window), as they are made.
+
+    A sum's count or zero set, or the error that fails it, is the one its
+    own search gives: only the work is shared.
+    """
+
+    def __init__(self, polys: list[ExpPoly]) -> None:
+        self.polys = tuple(dict.fromkeys(polys))
+        self.edges = _Edges(*self.polys)
+        self.counts: dict = {}
+        self.found: dict = {}
+        # the sums not counted yet
+        self.fresh = set(range(len(self.polys)))
+
+    def window_count(self, f: ExpPoly, rect: Rectangle) -> _WindowCount | Exception:
+        """The count of f over ``rect``: the first count of a sum counts
+        every sum not counted yet over ``rect`` in one batch
+        (``_count_windows``), a later one (an inflated window) its sum
+        alone."""
+        k = self.polys.index(f)
+        if (k, rect) not in self.counts:
+            batch = sorted(self.fresh) if k in self.fresh else [k]
+            self.fresh.difference_update(batch)
+            counted = _count_windows(self.edges, [(i, rect) for i in batch])
+            self.counts.update(zip([(i, rect) for i in batch], counted))
+        return self.counts[k, rect]
+
+    def zero_set(self, f: ExpPoly, rect: Rectangle) -> ZeroSet | Exception:
+        """``find_zeros(f, rect)``, or the error it raises: the first call
+        over ``rect`` searches every sum over it, each window counted and
+        inflated for its sum alone (``_counted_window``, the first tries in
+        one batch) and every sum whose window counts isolated in one search
+        (``_isolate``)."""
+        if (f, rect) not in self.found:
+            counted: list = []
+            for g in self.polys:
+                try:
+                    counted.append(_counted_window((g,), rect))
+                except Exception as error:  # raised when the sum's result is read
+                    counted.append(error)
+            windows = [total for c in counted if not isinstance(c, Exception) for total in c[1]]
+            found = iter(_isolate(windows) if windows else [])
+            for g, c in zip(self.polys, counted):
+                zeros = c if isinstance(c, Exception) else next(found)
+                if not isinstance(zeros, Exception):
+                    window, (total,) = c
+                    zeros = ZeroSet(tuple(zeros), window, int(total))
+                self.found[g, rect] = zeros
+        return self.found[f, rect]
+
+
+# The innermost _searched_together block
+_TOGETHER: contextvars.ContextVar[_Together | None] = contextvars.ContextVar(
+    "_TOGETHER", default=None
+)
+
+
+@contextlib.contextmanager
+def _searched_together(polys: list[ExpPoly]) -> Iterator[_Together]:
+    """Within the block the zero searches of ``polys`` share their work.
+
+    ``count_zeros`` and ``find_zeros`` of one of them read its result from
+    the block's searches (``_Together``), which count the first windows of
+    all of them in one batch and isolate their zeros in one search; each
+    returns or raises what it does outside the block.
+    """
+    together = _Together(polys)
+    token = _TOGETHER.set(together)
+    try:
+        yield together
+    finally:
+        _TOGETHER.reset(token)
 
 
 def _counted_window(
@@ -1148,7 +1350,9 @@ def _counted_window(
 
     A count that does not converge inflates too: a zero on the edge can
     slip between the first round's check nodes.  The last of
-    _MAX_INFLATIONS + 1 tries raises.
+    _MAX_INFLATIONS + 1 tries raises.  Inside a ``_searched_together``
+    block the first ``count_zeros`` counts the windows of all the block's
+    sums in one batch (``_Together.window_count``).
     """
     window = rect
     for _ in range(_MAX_INFLATIONS):
@@ -1175,10 +1379,16 @@ def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
 
     Every sum is counted once over one shared window (inflated jointly until
     every count is clean), and only the sums whose total another sum shares
-    are isolated, each once.
+    are isolated, all in one search (``_isolate``); the first of them whose
+    search fails raises.
     """
-    window, totals = _counted_window(tuple(polys), rect)
-    zero_sets = [_isolate(n) if totals.count(n) > 1 else None for n in totals]
+    with _searched_together(polys):
+        window, totals = _counted_window(tuple(polys), rect)
+        shared = [i for i, n in enumerate(totals) if totals.count(n) > 1]
+        zero_sets = dict(zip(shared, _isolate([totals[i] for i in shared]) if shared else []))
+    for zeros in zero_sets.values():
+        if isinstance(zeros, Exception):
+            raise zeros
     return [
         totals[i] == totals[j] and _zeros_match(zero_sets[i], zero_sets[j])
         for i in range(len(polys))

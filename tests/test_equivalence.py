@@ -1,4 +1,6 @@
+import collections
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -143,3 +145,22 @@ def test_code_lines_skip_blank_lines_comments_and_docstrings(tmp_path):
     assert equivalence.src_lines(str(tmp_path)) == 15
     # def, both lines of the assigned string, return, class and y
     assert equivalence.code_lines(str(tmp_path)) == 6
+
+
+def test_stage_calls_are_counted_under_the_running_job():
+    # a stage's calls go to the workload and command of the job running
+    # them; a stage that a tree lacks is not counted, and each call still
+    # returns what the stage returns
+    module = types.SimpleNamespace(_contour_sums=lambda boxes: [len(boxes)])
+    calls = collections.Counter()
+    key = ["zeros-monodromy", "zeros"]
+    equivalence.count_stages(module, calls, lambda: key)
+    assert module._contour_sums([1, 2]) == [2]
+    module._contour_sums([])
+    key[1] = "analyze"
+    module._contour_sums([3])
+    assert calls == {
+        ("zeros-monodromy", "zeros", "_contour_sums"): 2,
+        ("zeros-monodromy", "analyze", "_contour_sums"): 1,
+    }
+    assert not hasattr(module, "_hankel_solve")

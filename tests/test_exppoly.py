@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -243,6 +244,13 @@ HANKEL_PROBLEMS = [
 ]
 
 
+def solve_one(s, n, noise):
+    """``_hankel_solve`` of one problem (s, n, noise), as a stack of one."""
+    assert len(s) == 2 * n
+    (solution,) = exppoly._hankel_solve(np.array([s], dtype=complex), np.array([noise]))
+    return solution
+
+
 def _solution_bits(solution):
     if solution is None:
         return None
@@ -251,7 +259,7 @@ def _solution_bits(solution):
 
 
 def test_a_hankel_solve_gives_each_box_its_points_and_multiplicities():
-    solved = [exppoly._hankel_solve(*problem) for problem in HANKEL_PROBLEMS]
+    solved = [solve_one(*problem) for problem in HANKEL_PROBLEMS]
     assert [None if s is None else sorted(s[1]) for s in solved] == [
         [1, 1], [1, 1, 1], [3], [1, 2], [1, 1], None, [1, 1, 1, 1]
     ]
@@ -265,29 +273,61 @@ def test_a_hankel_solve_gives_each_box_its_points_and_multiplicities():
 def test_sums_that_are_not_finite_give_no_solve():
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         s, n, noise = HANKEL_PROBLEMS[0]
-        assert exppoly._hankel_solve((bad,) + s[1:], n, noise) is None
+        assert solve_one((bad,) + s[1:], n, noise) is None
 
 
 def test_a_rank_0_hankel_matrix_gives_no_solve():
     # every singular value under n * noise: no distinct point to solve for
     s, n, _ = HANKEL_PROBLEMS[0]
-    assert exppoly._hankel_solve(s, n, 1e3) is None
+    assert solve_one(s, n, 1e3) is None
 
 
-def test_a_linalg_error_refuses_only_its_own_box(monkeypatch):
-    # of HANKEL_PROBLEMS only the second has three distinct points
+def solve_stacks(problems):
+    """``_hankel_solve`` of ``problems``, those of each count n as one stack."""
+    out = [None] * len(problems)
+    for n in {n for _, n, _ in problems}:
+        rows = [i for i, (_, m, _) in enumerate(problems) if m == n]
+        s = np.array([problems[i][0] for i in rows], dtype=complex)
+        noise = np.array([problems[i][2] for i in rows])
+        for i, solution in zip(rows, exppoly._hankel_solve(s, noise)):
+            out[i] = solution
+    return out
+
+
+def test_a_stacked_hankel_solve_gives_each_row_the_bits_of_its_own_solve():
+    # counts 2 to 4 with every rank (simple, double and triple points,
+    # points closer than the noise) and a row that is not finite: each row
+    # of a stack solves to the bits it solves to alone
+    rng = random.Random(7)
+    problems = list(HANKEL_PROBLEMS)
+    for n in (2, 3, 4):
+        for _ in range(12):
+            parts = []
+            while sum(parts) < n:
+                parts.append(rng.randint(1, n - sum(parts)))
+            points = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in parts]
+            problems.append(hankel_problem(points, parts, noise=rng.choice((1e-9, 1e-3))))
+    alone = [_solution_bits(solve_one(*problem)) for problem in problems]
+    stacked = [_solution_bits(solution) for solution in solve_stacks(problems)]
+    assert stacked == alone
+    assert sum(solution is not None for solution in alone) > len(problems) // 2
+
+
+def test_a_linalg_error_refuses_only_its_own_stack(monkeypatch):
+    # of HANKEL_PROBLEMS only the second has three distinct points; it is in
+    # the stack of count 3, with the third and the fourth
     real = np.linalg.eigvals
 
     def eigvals(pencil):
-        if pencil.shape == (3, 3):
+        if pencil.shape[-2:] == (3, 3):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         return real(pencil)
 
-    expected = [_solution_bits(exppoly._hankel_solve(*problem)) for problem in HANKEL_PROBLEMS]
+    expected = [_solution_bits(s) for s in solve_stacks(HANKEL_PROBLEMS)]
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    got = [_solution_bits(exppoly._hankel_solve(*problem)) for problem in HANKEL_PROBLEMS]
-    assert got[1] is None and expected[1] is not None
-    assert got[:1] + got[2:] == expected[:1] + expected[2:]
+    got = [_solution_bits(s) for s in solve_stacks(HANKEL_PROBLEMS)]
+    assert got[1:4] == [None] * 3 and None not in expected[1:4]
+    assert got[:1] + got[4:] == expected[:1] + expected[4:]
 
 
 def test_a_box_whose_solve_fails_splits_and_finds_the_same_zeros(monkeypatch):
@@ -296,7 +336,11 @@ def test_a_box_whose_solve_fails_splits_and_finds_the_same_zeros(monkeypatch):
     f = from_vector(RealVector((math.e, 1.0)))
     solved = find_zeros(f, WINDOW)
     refused = []
-    monkeypatch.setattr(exppoly, "_hankel_solve", lambda s, n, noise: refused.append(n))
+    monkeypatch.setattr(
+        exppoly,
+        "_hankel_solve",
+        lambda s, noise: refused.extend([s.shape[1] // 2] * len(s)) or [None] * len(s),
+    )
     split = find_zeros(f, WINDOW)
     assert refused and all(2 <= n <= exppoly._MOMENT_ZEROS for n in refused)
     assert_same_zeros(solved, split)

@@ -19,7 +19,11 @@ Each run also counts its kernel work: the ``exppoly._parts`` calls and
 their term-points (terms x points, over every sum of a stacked call), by
 workload and by the function that asked for them, and by workload summed
 over those functions, so work that only moves from one function to
-another reads the same (``same_per_workload``).
+another reads the same (``same_per_workload``).  Next to it, it counts
+the calls of the stages named in ``STAGES`` by workload and command: a
+``_contour_sums`` call is a count round (a window try or a round of box
+halves) and a ``_hankel_solve`` call a Hankel solve (of one box, or of a
+stack of boxes).
 
 It reports each tree's line count of its ``**/*.py`` files as
 ``src_lines``, and as ``code_lines`` the count of those lines that are
@@ -52,6 +56,8 @@ SEEDS = (101, 102, 103)
 ZERO_REL_TOL = 1e-12
 # the line that differs between two runs of one job (bench/oracle.py drops it too)
 TIMING_LINE = re.compile(r'\n  "timing_ms": [^\n]*')
+# zero-search stages whose calls are counted, where a tree has them
+STAGES = ("_contour_sums", "_hankel_solve")
 
 
 def term_points(f, ps) -> int:
@@ -86,8 +92,9 @@ def code_lines(src: str) -> int:
 
 def run_tree(src: str) -> dict:
     """Every job's exit code, payload, CSV and the SHA-256 of its certificate
-    text less the timing line, under the package in ``src``, and the kernel
-    work by workload and caller."""
+    text less the timing line, under the package in ``src``, the kernel
+    work by workload and caller, and the calls of ``STAGES`` by workload and
+    command."""
     sys.path[:0] = [src, str(BENCH)]
     import jobs  # bench/jobs.py
     from pnormcert import cli, exppoly
@@ -109,6 +116,10 @@ def run_tree(src: str) -> dict:
         return kernel(f, ps, *args, **kwargs)
 
     exppoly._parts = counted
+    # (workload, command, stage) -> calls
+    calls: collections.Counter = collections.Counter()
+    key = None
+    count_stages(exppoly, calls, lambda: key)
 
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,6 +127,7 @@ def run_tree(src: str) -> dict:
             for seed in SEEDS:
                 for job in jobs.generate(workload, seed):
                     name = f"{workload}/{seed}/{job.name}"
+                    key = workload, job.command
                     path, cert, csv = (Path(tmp) / f"job.{ext}" for ext in ("json", "cert", "csv"))
                     for artifact in (cert, csv):
                         artifact.unlink(missing_ok=True)
@@ -131,7 +143,27 @@ def run_tree(src: str) -> dict:
                         csv.read_text() if csv.exists() else None,
                         text and hashlib.sha256(TIMING_LINE.sub("", text).encode()).hexdigest(),
                     )
-    return {"runs": runs, "work": {f"{w}/{c}": v for (w, c), v in work.items()}}
+    return {
+        "runs": runs,
+        "work": {f"{w}/{c}": v for (w, c), v in work.items()},
+        "stages": {"/".join(k): v for k, v in sorted(calls.items())},
+    }
+
+
+def count_stages(module, calls: collections.Counter, where) -> None:
+    """Replace each function of ``STAGES`` that ``module`` has by one that
+    also counts its calls in ``calls``, under ``(*where(), stage)``."""
+
+    def staged(stage, fn):
+        def run(*args, **kwargs):
+            calls[(*where(), stage)] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    for stage in STAGES:
+        if hasattr(module, stage):
+            setattr(module, stage, staged(stage, getattr(module, stage)))
 
 
 def kernel_work(parent: dict, change: dict) -> dict:
@@ -211,6 +243,11 @@ def main(argv: list[str]) -> int:
     verdict["src_lines"] = dict(zip(("parent", "change"), map(src_lines, argv)))
     verdict["code_lines"] = dict(zip(("parent", "change"), map(code_lines, argv)))
     verdict["kernel_work"] = kernel_work(parent["work"], change["work"])
+    verdict["stage_calls"] = {
+        "keys": "workload/command/stage: calls",
+        "parent": parent["stages"],
+        "change": change["stages"],
+    }
     print(json.dumps(verdict, indent=1, sort_keys=True))
     return 0 if verdict["equivalent"] else 1
 
