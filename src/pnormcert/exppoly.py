@@ -52,10 +52,16 @@ _MAX_BISECTIONS = 16
 _CLUSTER_DIAMETER = 1e-6
 # A box of 2 to this many zeros is solved from its power sums, not split.
 _MOMENT_ZEROS = 4
-# A box is cut at these fractions of its longer side, in this order, until
-# both halves count.  The first is off the midline: in a symmetric window
-# the zeros of sums like 1 + 2^p all lie on it.
-_CUT_FRACTIONS = (0.45, 0.55, 0.35)
+# A box of n zeros is cut across its longer side into k = min(_MAX_PIECES,
+# max(2, ceil(n / 3))) pieces, at the fractions (j + a) / k of that side for
+# j = 1 ... k - 1, with a each of these offsets in turn until every piece
+# counts (for k = 2 the fractions 0.45, 0.55 and 0.35).  The first is off
+# the midline: in a symmetric window the zeros of sums like 1 + 2^p all lie
+# on it.
+_CUT_FRACTIONS = (-0.1, 0.1, -0.3)
+# The most pieces one cut makes: it bounds the boxes a round counts, and
+# with them a round's panels.
+_MAX_PIECES = 16
 # Newton accepts a zero once |f| <= this fraction of the local term scale.
 _NEWTON_REL_TARGET = 1e-12
 _MAX_NEWTON_ITERS = 60
@@ -210,15 +216,17 @@ class Rectangle:
         hh = 0.5 * self.height * factor
         return Rectangle(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
 
-    def split(self, fraction: float) -> tuple["Rectangle", "Rectangle"]:
-        """Cut across the longer side (the width on a tie) at ``fraction`` of
-        it from its low end: into left and right, or bottom and top."""
+    def split(self, fractions: list[float]) -> tuple["Rectangle", ...]:
+        """Cut across the longer side (the width on a tie) at each of the
+        increasing ``fractions`` of it from its low end: into pieces left
+        to right, or bottom to top.  Adjacent pieces share the very float
+        of their cut."""
         r0, r1, i0, i1 = self.re_min, self.re_max, self.im_min, self.im_max
         if self.width >= self.height:
-            at = r0 + fraction * (r1 - r0)
-            return Rectangle(r0, at, i0, i1), Rectangle(at, r1, i0, i1)
-        at = i0 + fraction * (i1 - i0)
-        return Rectangle(r0, r1, i0, at), Rectangle(r0, r1, at, i1)
+            at = [r0, *(r0 + t * (r1 - r0) for t in fractions), r1]
+            return tuple(Rectangle(a, b, i0, i1) for a, b in zip(at, at[1:]))
+        at = [i0, *(i0 + t * (i1 - i0) for t in fractions), i1]
+        return tuple(Rectangle(r0, r1, a, b) for a, b in zip(at, at[1:]))
 
 
 DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
@@ -521,10 +529,10 @@ class _Edges:
         along it.
 
         A panel's ``fixed`` is the very float of the box edge it lies on
-        (the window's bound, or the ``at`` that ``Rectangle.split`` gives
-        both halves), so the walk runs 1 along a horizontal panel whose
-        ``fixed`` is the box's ``im_min`` or a vertical one whose ``fixed``
-        is its ``re_max``, and -1 along the others.
+        (the window's bound, or a cut, which ``Rectangle.split`` gives both
+        pieces it separates), so the walk runs 1 along a horizontal panel
+        whose ``fixed`` is the box's ``im_min`` or a vertical one whose
+        ``fixed`` is its ``re_max``, and -1 along the others.
         """
         owner = np.repeat(np.arange(len(boxes)), [box.panels.size for box in boxes])
         panels = np.concatenate([box.panels for box in boxes])
@@ -622,39 +630,44 @@ class _Edges:
             self.depth[panels] + 1,
         )
 
-    def cut(self, pairs: list[tuple[_Box, Rectangle, Rectangle]]) -> list[_Box]:
-        """The halves of each (box, low half, high half) of ``pairs``, two
-        boxes per pair, low first.
+    def cut(self, cuts: list[tuple[_Box, tuple[Rectangle, ...]]]) -> list[_Box]:
+        """The pieces of each (box, pieces) of ``cuts``, box after box, in
+        the order ``Rectangle.split`` gives them.
 
-        A half takes its box's panels on its side of the cut; a panel that
-        straddles the cut is replaced by its pieces on either side.  The cut
-        line gets base panels once, and both halves take them: it is the
-        low half's top or right edge and the high half's bottom or left
-        one, so each walks it its own way (``walk``).
+        A piece takes its box's panels within its span; a panel that
+        straddles cuts is replaced by its pieces between them.  Each cut
+        line gets base panels once, and the two pieces it separates both
+        take them: it is the top or right edge of the lower piece and the
+        bottom or left one of the higher, so each walks it its own way
+        (``walk``).
         """
-        # per pair its cut line's segment: a vertical one across a wide box
-        segments = []
-        for box, low, _ in pairs:
+        # per box the segments of its cut lines: vertical ones across a wide box
+        rows = []
+        for box, pieces in cuts:
             r = box.rect
-            if low.re_max < r.re_max:
-                segments.append((True, low.re_max, r.im_min, r.im_max))
+            if pieces[0].re_max < r.re_max:
+                rows.append([(True, piece.re_max, r.im_min, r.im_max) for piece in pieces[:-1]])
             else:
-                segments.append((False, low.im_max, r.re_min, r.re_max))
-        vertical = np.array([s[0] for s in segments])
-        at = np.array([s[1] for s in segments])
-        pair = np.repeat(np.arange(len(pairs)), [box.panels.size for box, _, _ in pairs])
-        panels, pair = self.resolve(np.concatenate([box.panels for box, _, _ in pairs]), pair)
-        # a panel crosses the cut if it runs across the cut's line
-        across = self.vertical[panels] != vertical[pair]
-        cut_at = at[pair]
-        straddle = across & (self.lo[panels] < cut_at) & (cut_at < self.hi[panels])
+                rows.append([(False, piece.im_max, r.re_min, r.re_max) for piece in pieces[:-1]])
+        vertical = np.array([row[0][0] for row in rows])
+        # box i's cuts, increasing, in row i, padded with inf
+        at = np.full((len(rows), max(map(len, rows))), math.inf)
+        for i, row in enumerate(rows):
+            at[i, : len(row)] = [segment[1] for segment in row]
+        owner = np.repeat(np.arange(len(cuts)), [box.panels.size for box, _ in cuts])
+        panels, owner = self.resolve(np.concatenate([box.panels for box, _ in cuts]), owner)
+        # a panel crosses its box's cuts if it runs across their lines
+        across = self.vertical[panels] != vertical[owner]
+        lo, hi = self.lo[panels, None], self.hi[panels, None]
+        straddle = across[:, None] & (lo < at[owner]) & (at[owner] < hi)
         if straddle.any():
             # each straddled panel is cut once at every cut that crosses it
-            cuts: dict[int, set[float]] = {}
-            for p, a in zip(panels[straddle].tolist(), cut_at[straddle].tolist()):
-                cuts.setdefault(p, set()).add(a)
-            ends = [[self.lo[p], *sorted(c), self.hi[p]] for p, c in cuts.items()]
-            split = np.array(list(cuts), dtype=np.intp)
+            cut: dict[int, set[float]] = {}
+            where, which = np.nonzero(straddle)
+            for p, a in zip(panels[where].tolist(), at[owner[where], which].tolist()):
+                cut.setdefault(p, set()).add(a)
+            ends = [[self.lo[p], *sorted(c), self.hi[p]] for p, c in cut.items()]
+            split = np.array(list(cut), dtype=np.intp)
             self._replace(
                 split,
                 np.array([len(e) - 1 for e in ends]),
@@ -662,17 +675,24 @@ class _Edges:
                 [b for e in ends for b in e[1:]],
                 self.depth[split],
             )
-            panels, pair = self.resolve(panels, pair)
-            across = self.vertical[panels] != vertical[pair]
-            cut_at = at[pair]
-        high = np.where(across, self.lo[panels] >= cut_at, self.fixed[panels] > cut_at)
-        line, counts = self.lines(segments, [box.poly for box, _, _ in pairs])
-        line_pair = np.repeat(np.arange(len(pairs)), counts)
-        half = np.concatenate((2 * pair + high, 2 * line_pair, 2 * line_pair + 1))
-        panels = np.concatenate((panels, line, line))[np.argsort(half, kind="stable")]
-        stops = np.cumsum(np.bincount(half, minlength=2 * len(pairs))).tolist()
-        rects = [rect for _, low_half, high_half in pairs for rect in (low_half, high_half)]
-        polys = [box.poly for box, _, _ in pairs for _ in range(2)]
+            panels, owner = self.resolve(panels, owner)
+            across = self.vertical[panels] != vertical[owner]
+        # a panel lies in its box's piece above as many cuts as lie at or
+        # below its start (across them) or its line (along them, never on one)
+        place = np.where(across, self.lo[panels], self.fixed[panels])
+        below = (at[owner] <= place[:, None]).sum(axis=1)
+        lines = [len(row) for row in rows]
+        segments = [segment for row in rows for segment in row]
+        line, counts = self.lines(segments, np.repeat([box.poly for box, _ in cuts], lines))
+        # box i's pieces are numbered from first[i]; its cut g (counted over
+        # all boxes) lies between the pieces g + i and g + i + 1
+        first = np.cumsum(lines) - lines + np.arange(len(rows))
+        low = np.repeat(np.arange(len(segments)) + np.repeat(np.arange(len(rows)), lines), counts)
+        piece = np.concatenate((first[owner] + below, low, low + 1))
+        panels = np.concatenate((panels, line, line))[np.argsort(piece, kind="stable")]
+        stops = np.cumsum(np.bincount(piece, minlength=len(segments) + len(rows))).tolist()
+        rects = [rect for _, pieces in cuts for rect in pieces]
+        polys = [box.poly for box, pieces in cuts for _ in pieces]
         return [
             _Box(rect, panels[start:stop], poly)
             for rect, poly, start, stop in zip(rects, polys, [0] + stops, stops)
@@ -712,7 +732,7 @@ def _contour_sums(
     bisection), when a panel it would bisect has been bisected
     _MAX_BISECTIONS times, or when none of its panels is over its share.
     In the round it stops, a box keeps in ``panels`` the panels of that
-    round, so its sums, its halves and its higher power sums all start
+    round, so its sums, its pieces and its higher power sums all start
     from them.
     ``check_boundary`` is for windows (``_count_windows``), at most one box
     of each sum, all of whose panels are new: it applies the relative-|f|
@@ -1109,6 +1129,15 @@ def _moment_zeros(
     return out
 
 
+def _cut_fractions(count: int, attempt: int) -> list[float]:
+    """The fractions of its longer side at which a box of ``count`` zeros
+    is cut on its try number ``attempt``: (j + a) / k for j = 1 ... k - 1,
+    k = min(_MAX_PIECES, max(2, ceil(count / 3))) and a the offset
+    ``_CUT_FRACTIONS[attempt]``."""
+    k = min(_MAX_PIECES, max(2, math.ceil(count / 3)))
+    return [(j + _CUT_FRACTIONS[attempt]) / k for j in range(1, k)]
+
+
 def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
     """Per count of ``windows`` (from ``count_zeros`` in one
     ``_searched_together`` block, each of another sum): the zeros in its
@@ -1121,21 +1150,26 @@ def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
     (``_box_sums`` and ``_moment_zeros``, every such box of a round in one
     call, so all the zeros of one sum are polished together).  A box with
     more zeros, or whose solve fails, splits if it is wider than
-    _CLUSTER_DIAMETER.  Each round counts
-    in one ``_count_adaptive`` batch the halves of every box being split: a
-    box new to the round cut at the first of _CUT_FRACTIONS of its longer
-    side, a box whose last try failed at the next.  The halves are built
-    on the panels their box was counted on (``_Edges.cut``), so each piece
-    of contour is evaluated once in the whole search.  Halves that both
-    count must sum to their box's count and are the next round's new
-    boxes.  Cuts lie at 0.35-0.55 of the longer side, so two in a row leave
-    both sides at most 0.65 of it, and _CLUSTER_DIAMETER ends every search
+    _CLUSTER_DIAMETER.  Each round counts in one ``_count_adaptive`` batch
+    the pieces of every box being split: a box of n zeros is cut across
+    its longer side into k = min(_MAX_PIECES, max(2, ceil(n / 3))) pieces
+    (``_cut_fractions``), a box new to the round with the first offset of
+    _CUT_FRACTIONS, a box whose last try failed with the next.  Zeros of
+    an exponential sum rise up vertical strips at nearly even spacing, so
+    the equal pieces of a tall box hold about n / k zeros each, and most
+    are solved in the next round.  The pieces are built on the panels
+    their box was counted on (``_Edges.cut``), so each piece of contour is
+    evaluated once in the whole search.  Pieces that all count must sum to
+    their box's count and are the next round's new boxes; if one of them
+    does not count, the whole box is tried again.  The largest piece is at
+    most 1.3 / k <= 0.65 of the cut side, so two cuts in a row leave both
+    sides at most 0.65 of it, and _CLUSTER_DIAMETER ends every search
     without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  A leaf of at least
     len(f.terms) zeros fails its sum in the round it forms, and so do
-    halves that lose zeros: that sum's boxes leave the rounds, and the
+    pieces that lose zeros: that sum's boxes leave the rounds, and the
     other sums go on.  After the last round the leaves of each sum are
     polished in one ``_newton_polish`` batch, a leaf of m zeros by Newton
     of order m - 1 from the centroid of its own power sums
@@ -1181,24 +1215,26 @@ def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
                 split.append(box)
             elif box.count:
                 leaf(box)
-        # (box, the index of the cut fraction to try)
+        # (box, the index of the cut offset to try)
         tries = [(box, k) for box, k in [(box, 0) for box in split] + retry if box.poly not in failed]
         if not tries:
             break
-        halves = edges.cut([(box, *box.rect.split(_CUT_FRACTIONS[k])) for box, k in tries])
-        counted = _count_adaptive(edges, halves)
+        cuts = [(box, box.rect.split(_cut_fractions(box.count, k))) for box, k in tries]
+        pieces = edges.cut(cuts)
+        counted = _count_adaptive(edges, pieces)
         new, retry = [], []
-        for j, (box, k) in enumerate(tries):
-            counts = counted[2 * j : 2 * j + 2]
+        ends = list(itertools.accumulate(len(rects) for _, rects in cuts))
+        for (box, k), start, stop in zip(tries, [0] + ends, ends):
+            counts = counted[start:stop]
             if box.poly in failed:
                 continue
             if not any(isinstance(n, Exception) for n in counts):
                 if sum(counts) != box.count:
                     fail(box, f"subdivision of {box.rect} lost zeros: {counts} vs parent {box.count}")
                     continue
-                for half, n in zip(halves[2 * j : 2 * j + 2], counts):
-                    half.count = n
-                    new.append(half)
+                for piece, n in zip(pieces[start:stop], counts):
+                    piece.count = n
+                    new.append(piece)
             elif k + 1 < len(_CUT_FRACTIONS):
                 retry.append((box, k + 1))
             else:
@@ -1230,15 +1266,16 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
     zero or its count does not converge; the window actually used is
     recorded on the result.  Isolation works in count rounds (``_isolate``):
-    a box is cut in two across its longer side, at 0.45 of it, else at 0.55,
-    else at 0.35, until both halves count, and all boxes split in a round
-    share each quadrature round of its batch, so the search makes one
-    kernel call per quadrature round in which it has new panels, not one
-    per box.  The search
-    keeps every panel it evaluates (``_Edges``): a half takes its box's
-    panels on its outer edges and shares its cut with its sibling, so each
-    piece of contour is evaluated once.  f is evaluated only on contours
-    and in Newton.  A box of 2 to 4 zeros is solved from power sums
+    a box of n zeros is cut across its longer side into k = min(16, max(2,
+    ceil(n / 3))) pieces, at (j + a) / k of it for j = 1 ... k - 1 with the
+    offset a = -0.1, else 0.1, else -0.3 (in two at 0.45, 0.55 or 0.35),
+    until every piece counts, and all boxes split in a round share each
+    quadrature round of its batch, so the search makes one kernel call per
+    quadrature round in which it has new panels, not one per box.  The
+    search keeps every panel it evaluates (``_Edges``): a piece takes its
+    box's panels within its span and shares each cut with its neighbour,
+    so each piece of contour is evaluated once.  f is evaluated only on
+    contours and in Newton.  A box of 2 to 4 zeros is solved from power sums
     reduced from its stored panels (``_moment_zeros``) and splits only if a
     check of that solve fails.  A box of one zero, a box of diameter at most 1e-6 and a box
     that none of its three cuts can count are leaves.

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pnormcert import ExpPoly, exppoly
+from pnormcert import ExpPoly, QuadratureError, RealVector, exppoly
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
 _SPEC = importlib.util.spec_from_file_location("equivalence", _PATH)
@@ -164,3 +164,32 @@ def test_stage_calls_are_counted_under_the_running_job():
         ("zeros-monodromy", "analyze", "_contour_sums"): 1,
     }
     assert not hasattr(module, "_hankel_solve")
+
+
+def test_the_boxes_of_each_count_round_are_counted_with_the_empty_and_refused():
+    # each _count_adaptive call adds its boxes, its counts of 0 and its
+    # refusals under the workload and command of the job running it, and
+    # returns what the call returns
+    rounds = [[2, 0, 1], [QuadratureError("refused"), 0], [3]]
+    module = types.SimpleNamespace(_count_adaptive=lambda edges, boxes: rounds[boxes])
+    boxes = collections.defaultdict(lambda: [0, 0, 0])
+    key = ["zeros-monodromy", "zeros"]
+    equivalence.count_boxes(module, boxes, lambda: tuple(key))
+    assert module._count_adaptive(None, 0) == [2, 0, 1]
+    module._count_adaptive(None, 1)
+    key[1] = "monodromy"
+    module._count_adaptive(None, 2)
+    assert boxes == {
+        ("zeros-monodromy", "zeros"): [5, 2, 1],
+        ("zeros-monodromy", "monodromy"): [1, 0, 0],
+    }
+
+
+def test_count_boxes_reads_the_pieces_of_a_real_search(monkeypatch):
+    # 1 + 40^p has 23 zeros over the default window, cut into 8 pieces in
+    # one count round, none empty or refused
+    monkeypatch.setattr(exppoly, "_count_adaptive", exppoly._count_adaptive)
+    boxes = collections.defaultdict(lambda: [0, 0, 0])
+    equivalence.count_boxes(exppoly, boxes, lambda: "zeros")
+    exppoly.find_zeros(exppoly.from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
+    assert boxes == {"zeros": [8, 0, 0]}

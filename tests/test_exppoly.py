@@ -738,9 +738,10 @@ def test_find_zeros_integrates_no_box_twice(monkeypatch, kernel_calls):
 
 def test_halves_reuse_their_parents_panels(kernel_calls):
     # 1 + 40^p has 23 zeros here, so boxes split: 17,460 contour
-    # term-points when each half integrated its whole perimeter, 5,400 now
-    # that a half takes its parent's panels and integrates only its cut and
-    # the pieces of the panels the cut straddles
+    # term-points when each half integrated its whole perimeter, 5,400 once
+    # a half took its parent's panels and integrated only its cut and the
+    # pieces of the panels the cut straddles, and 5,760 now that the window
+    # is cut into 8 pieces in one round
     zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 23
     contour = [c for c, who in zip(kernel_calls, kernel_calls.callers) if who == "evaluate_panels"]
@@ -795,10 +796,10 @@ def test_find_zeros_makes_one_kernel_call_per_round_of_a_level(kernel_calls):
 
 
 def test_newton_makes_one_kernel_call_per_iteration_of_a_count_round(kernel_calls):
-    # 1 + 40^p has 23 zeros here on Re p = 0.  The window splits until every
-    # box holds 2 to 4 zeros; all 23 are solved from power sums in the last
+    # 1 + 40^p has 23 zeros here on Re p = 0.  The window is cut into 8
+    # pieces of 2 to 4 zeros; all 23 are solved from power sums in that
     # count round and polished in one batch: 3 Newton calls, of 23, 23 and
-    # 11 points (57 with a call per zero and step)
+    # 8 points (57 with a call per zero and step)
     zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 23 and all(z.refined for z in zs.zeros)
     assert kernel_calls.callers.count("_newton_polish") <= 4
@@ -814,54 +815,124 @@ def test_newton_makes_one_kernel_call_per_iteration_of_a_count_round(kernel_call
 )
 @pytest.mark.parametrize("fraction", [0.45, 0.55, 0.35])
 def test_a_box_is_cut_across_its_longer_side_at_the_fraction(rect, wide, fraction):
-    # a wide box (or a square) by a vertical line, a tall one by a
-    # horizontal line, at the fraction of the cut side from its low end
-    low, high = rect.split(fraction)
-    if wide:
-        at = rect.re_min + fraction * rect.width
-        assert low == Rectangle(rect.re_min, at, rect.im_min, rect.im_max)
-        assert high == Rectangle(at, rect.re_max, rect.im_min, rect.im_max)
-    else:
-        at = rect.im_min + fraction * rect.height
-        assert low == Rectangle(rect.re_min, rect.re_max, rect.im_min, at)
-        assert high == Rectangle(rect.re_min, rect.re_max, at, rect.im_max)
+    # a wide box (or a square) by vertical lines, a tall one by horizontal
+    # lines: in two at the fraction of the cut side from its low end, and
+    # into k pieces at (j + a) / k with the offset a of that fraction.  The
+    # pieces tile the box, and adjacent ones share the very float of their
+    # cut
+    offset = exppoly._CUT_FRACTIONS[[0.45, 0.55, 0.35].index(fraction)]
+    low, side = (rect.re_min, rect.width) if wide else (rect.im_min, rect.height)
+    for k in range(2, 17):
+        fractions = [(j + offset) / k for j in range(1, k)]
+        pieces = rect.split(fractions)
+        ends = [low, *(low + t * side for t in fractions), rect.re_max if wide else rect.im_max]
+        assert len(pieces) == k
+        for piece, a, b in zip(pieces, ends, ends[1:]):
+            if wide:
+                assert piece == Rectangle(a, b, rect.im_min, rect.im_max)
+            else:
+                assert piece == Rectangle(rect.re_min, rect.re_max, a, b)
+        for below, above in zip(pieces, pieces[1:]):
+            assert (below.re_max == above.re_min) if wide else (below.im_max == above.im_min)
+
+
+def test_the_two_piece_cuts_are_the_halving_fractions():
+    # a box of 2 to 6 zeros is cut in two, at 0.45, else 0.55, else 0.35 of
+    # its longer side, to the bit
+    for n in range(2, 7):
+        assert [exppoly._cut_fractions(n, k) for k in range(3)] == [[0.45], [0.55], [0.35]]
+    assert len(exppoly._cut_fractions(7, 0)) == 2
+    assert len(exppoly._cut_fractions(46, 0)) == len(exppoly._cut_fractions(10**6, 0)) == 15
 
 
 def test_a_split_search_cuts_at_fixed_fractions_and_evaluates_f_only_on_contours(
     monkeypatch, kernel_calls
 ):
     # 1 + 40^p has its zeros up Re p = 0, 23 in the default window and 9 in
-    # the wide one, so boxes of more than 4 zeros split: the tall window's
-    # across their height, the wide window and its first halves across their
-    # width.  Each pair of halves counted together is its box cut at 0.45,
-    # 0.55 or 0.35 of the longer side, and f is evaluated only by the
-    # contour quadrature and by Newton: no cut is placed by sampling f
-    halves = []
-    count = exppoly._count_adaptive
+    # the wide one, so boxes of more than 4 zeros split: the tall window
+    # across its height, the wide window and its middle piece across their
+    # width.  A box of n zeros is cut into k = min(16, max(2, ceil(n / 3)))
+    # pieces at (j + a) / k of its longer side, with a one of -0.1, 0.1 and
+    # -0.3; the pieces are the boxes the next count round counts, and f is
+    # evaluated only by the contour quadrature and by Newton: no cut is
+    # placed by sampling f
+    cut, counted = [], []
+    real_cut, real_count = exppoly._Edges.cut, exppoly._count_adaptive
+
+    def spy_cut(edges, cuts):
+        cut.extend((box.rect, box.count, pieces) for box, pieces in cuts)
+        return real_cut(edges, cuts)
 
     def spy_count(edges, boxes):
-        halves.extend(b.rect for b in boxes)
-        return count(edges, boxes)
+        counted.extend(b.rect for b in boxes)
+        return real_count(edges, boxes)
 
+    monkeypatch.setattr(exppoly._Edges, "cut", spy_cut)
     monkeypatch.setattr(exppoly, "_count_adaptive", spy_count)
     f = from_vector(RealVector((1.0, 40.0)))
     for window, total in ((exppoly.DEFAULT_WINDOW, 23), (Rectangle(-20.0, 20.0, 0.5, 15.0), 9)):
         zs = find_zeros(f, window)
         assert zs.total == total and sum(z.multiplicity for z in zs.zeros) == total
     assert set(kernel_calls.callers) == {"evaluate_panels", "_newton_polish"}
+    assert counted == [piece for _, _, pieces in cut for piece in pieces]
     orientations = set()
-    for low, high in zip(halves[::2], halves[1::2]):
-        box = Rectangle(low.re_min, high.re_max, low.im_min, high.im_max)
+    for box, n, pieces in cut:
+        k = min(16, max(2, math.ceil(n / 3)))
         wide = box.width >= box.height
         orientations.add(wide)
+        assert len(pieces) == k
         if wide:
-            assert (low.im_min, low.im_max, low.re_max) == (high.im_min, high.im_max, high.re_min)
-            fraction = (low.re_max - box.re_min) / box.width
+            assert all((p.im_min, p.im_max) == (box.im_min, box.im_max) for p in pieces)
+            ats = [p.re_max for p in pieces[:-1]]
+            fractions = [(at - box.re_min) / box.width for at in ats]
         else:
-            assert (low.re_min, low.re_max, low.im_max) == (high.re_min, high.re_max, high.im_min)
-            fraction = (low.im_max - box.im_min) / box.height
-        assert min(abs(fraction - t) for t in (0.45, 0.55, 0.35)) <= 1e-9
+            assert all((p.re_min, p.re_max) == (box.re_min, box.re_max) for p in pieces)
+            ats = [p.im_max for p in pieces[:-1]]
+            fractions = [(at - box.im_min) / box.height for at in ats]
+        assert min(
+            max(abs(t - (j + a) / k) for j, t in enumerate(fractions, 1))
+            for a in (-0.1, 0.1, -0.3)
+        ) <= 1e-9
     assert orientations == {True, False}
+
+
+def test_a_window_of_23_zeros_is_cut_into_8_solved_pieces_in_one_round(monkeypatch):
+    # 1 + 40^p has 23 zeros over the default window: one count round of 8
+    # pieces of 2 to 4 zeros, each solved from its power sums (halving took
+    # three rounds, of 2, 4 and 8 boxes)
+    rounds, solved = [], []
+    real_count, real_solve = exppoly._count_adaptive, exppoly._moment_zeros
+
+    def spy_count(edges, boxes):
+        rounds.append(len(boxes))
+        return real_count(edges, boxes)
+
+    def spy_solve(edges, boxes, sums):
+        out = real_solve(edges, boxes, sums)
+        solved.extend(zeros is not None for zeros in out)
+        return out
+
+    monkeypatch.setattr(exppoly, "_count_adaptive", spy_count)
+    monkeypatch.setattr(exppoly, "_moment_zeros", spy_solve)
+    zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 23 and all(z.refined for z in zs.zeros)
+    assert rounds == [8] and solved == [True] * 8
+
+
+def test_a_box_is_cut_into_at_most_16_pieces(monkeypatch):
+    # 1 + 1e30^p has 435 zeros over the default window: the window is cut
+    # into exactly 16 pieces, and no round cuts a box into more
+    cut = []
+    real = exppoly._Edges.cut
+
+    def spy(edges, cuts):
+        cut.append([len(pieces) for _, pieces in cuts])
+        return real(edges, cuts)
+
+    monkeypatch.setattr(exppoly._Edges, "cut", spy)
+    zs = find_zeros(from_vector(RealVector((1.0, 1e30))), exppoly.DEFAULT_WINDOW)
+    assert zs.total == 435
+    assert cut[0] == [16] and max(max(sizes) for sizes in cut) == 16
 
 
 def test_search_at_a_vanishing_quad_tol_reports_no_false_cluster(monkeypatch):
@@ -935,38 +1006,44 @@ def test_a_leaf_of_more_zeros_than_terms_fails_before_newton():
 
 def test_a_leaf_of_more_zeros_than_terms_fails_in_the_round_it_forms(monkeypatch):
     # over the default window the 4,680 zeros of this 2-term sum end in a
-    # box of 287 zeros that none of its three cuts counts; the search
-    # fails in that round, so its last count round holds that box's halves
-    # (not after every other box's rounds have run)
+    # box of 293 zeros whose pieces none of its three cuts counts; the
+    # search fails in that round, so its last count round holds that box's
+    # pieces (not after every other box's rounds have run)
     f = from_vector(RealVector((5e-324, 1.0)))
     rounds = []
-    real = exppoly._count_adaptive
+    real = exppoly._Edges.cut
 
-    def spy(edges, boxes):
-        rounds.append([box.rect for box in boxes])
-        return real(edges, boxes)
+    def spy(edges, cuts):
+        rounds.append({str(box.rect): pieces for box, pieces in cuts})
+        return real(edges, cuts)
 
-    monkeypatch.setattr(exppoly, "_count_adaptive", spy)
-    with pytest.raises(QuadratureError, match="no subdivision of .* counts its 287 zeros") as error:
+    monkeypatch.setattr(exppoly._Edges, "cut", spy)
+    with pytest.raises(QuadratureError, match="no subdivision of .* counts its 293 zeros") as error:
         find_zeros(f, exppoly.DEFAULT_WINDOW)
-    low, high = rounds[-1][::2], rounds[-1][1::2]
-    cut = {str(Rectangle(a.re_min, b.re_max, a.im_min, b.im_max)) for a, b in zip(low, high)}
-    assert str(error.value).split(" counts")[0].removeprefix("no subdivision of ") in cut
+    failed = str(error.value).split(" counts")[0].removeprefix("no subdivision of ")
+    # the box was cut at each of its three offsets in the last three rounds
+    tries = [cut[failed] for cut in rounds[-3:]]
+    assert [len(pieces) for pieces in tries] == [16] * 3 and len(set(tries)) == 3
+    for pieces in tries:
+        whole = Rectangle(pieces[0].re_min, pieces[-1].re_max, pieces[0].im_min, pieces[-1].im_max)
+        assert str(whole) == failed
 
 
 def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
     # e^p + 1 has its six zeros here at (2k + 1) pi i; the window's first
-    # cut is forced through the zero 3 pi i, so its halves are refused and
-    # it is cut again at its next fraction
+    # cut is forced through the zero 3 pi i, so its pieces are refused and
+    # the whole window is cut again at its next offset
     f = from_vector(RealVector((math.e, 1.0)))
     real_split, real_count = Rectangle.split, exppoly._count_adaptive
-    refused = []
+    tried, refused = [], []
 
-    def through_a_zero_first(rect, fraction):
-        if rect == WINDOW and fraction == exppoly._CUT_FRACTIONS[0]:
-            at = 3 * math.pi
-            return Rectangle(-1.0, 1.0, 0.5, at), Rectangle(-1.0, 1.0, at, 40.0)
-        return real_split(rect, fraction)
+    def through_a_zero_first(rect, fractions):
+        if rect == WINDOW:
+            tried.append(fractions)
+            if len(tried) == 1:
+                at = 3 * math.pi
+                return Rectangle(-1.0, 1.0, 0.5, at), Rectangle(-1.0, 1.0, at, 40.0)
+        return real_split(rect, fractions)
 
     def spy(edges, boxes):
         counted = real_count(edges, boxes)
@@ -977,6 +1054,7 @@ def test_a_box_whose_first_split_fails_splits_at_its_next_point(monkeypatch):
     monkeypatch.setattr(exppoly, "_count_adaptive", spy)
     zs = find_zeros(f, WINDOW)
     assert zs.window == WINDOW
+    assert tried == [exppoly._cut_fractions(6, 0), exppoly._cut_fractions(6, 1)]
     assert refused and all(3 * math.pi in (r.im_min, r.im_max) for r in refused)
     assert zs.total == 6 and all(z.multiplicity == 1 and z.refined for z in zs.zeros)
     for k, z in enumerate(zs.zeros):

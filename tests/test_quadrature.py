@@ -191,8 +191,9 @@ def test_halving_boxes_across_their_longer_side_keeps_split_work_down(kernel_cal
     # 1 + 40^p has 23 zeros here, up the line Re p = 0, so its boxes of
     # more than 4 zeros split: 26,119 kernel points when each box was cut
     # into four at a point, 13,759 once it was halved across its longer
-    # side, with no empty half to count, and 8,787 now that no cut line is
-    # sampled
+    # side, with no empty half to count, 8,787 once no cut line was
+    # sampled, and 2,934 now that each piece of contour is integrated once
+    # and the window is cut into 8 pieces in one round
     zs = find_zeros(from_vector(RealVector((1.0, 40.0))), exppoly.DEFAULT_WINDOW)
     assert zs.total == 23
     assert kernel_calls.points <= 10_000
@@ -412,9 +413,9 @@ def _assert_walked_counterclockwise(edges: exppoly._Edges, boxes: list) -> None:
 def test_every_box_outline_and_cut_build_is_walked_counterclockwise():
     # a box stores no directions: _Edges.walk reads each panel's from the
     # edge it lies on.  Windows wide and tall are cut in rounds, random
-    # boxes at random fractions after random panels are bisected (as a
-    # count bisects them), so cuts run both ways and through straddled
-    # panels, several cuts to a batch
+    # boxes into 2 to 6 pieces at random fractions after random panels are
+    # bisected (as a count bisects them), so cuts run both ways and through
+    # straddled panels, several boxes to a batch
     rng = np.random.default_rng(5)
     cuts = collections.Counter()
     for _ in range(40):
@@ -429,16 +430,17 @@ def test_every_box_outline_and_cut_build_is_walked_counterclockwise():
             edges.bisect(rng.choice(held, min(8, held.size), replace=False))
             split = rng.random(len(boxes)) < 0.6
             split[rng.integers(len(boxes))] = True
-            pairs = [
-                (box, *box.rect.split(rng.uniform(0.1, 0.9)))
+            cut = [
+                (box, box.rect.split(np.sort(rng.uniform(0.1, 0.9, rng.integers(1, 6))).tolist()))
                 for box, s in zip(boxes, split)
                 if s
             ]
             replaced = np.count_nonzero(edges.kid_count[: edges.size])
-            halves = edges.cut(pairs)
+            pieces = edges.cut(cut)
             cuts["straddled"] += np.count_nonzero(edges.kid_count[: edges.size]) - replaced
-            for box, low, _ in pairs:
+            for box, (low, *_) in cut:
                 cuts["vertical" if low.re_max < box.rect.re_max else "horizontal"] += 1
-            boxes = [box for box, s in zip(boxes, split) if not s] + halves
+            assert len(pieces) == sum(len(rects) for _, rects in cut)
+            boxes = [box for box, s in zip(boxes, split) if not s] + pieces
         _assert_walked_counterclockwise(edges, boxes)
     assert min(cuts[k] for k in ("vertical", "horizontal", "straddled")) >= 50, cuts

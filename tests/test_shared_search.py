@@ -94,10 +94,10 @@ def cli_zeros(tmp_path, capsys, vectors, window=None) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-# fails in its 7th count round: a leaf of 287 zeros of a 2-term sum
+# fails in its 4th count round: a leaf of 293 zeros of a 2-term sum
 EARLY = [5e-324, 1.0]
-# fails in its 16th count round
-LATE = [1e308, 5e-324]
+# fails in its 7th count round: a leaf of 17 zeros of a 2-term sum
+LATE = [1e308, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -116,6 +116,23 @@ def test_a_zeros_job_fails_with_the_error_of_its_first_failing_vector(
     expected = cli_zeros(tmp_path, capsys, [failing])
     assert expected[0] == 3 and expected[1].startswith("error: no subdivision of ")
     assert cli_zeros(tmp_path, capsys, vectors) == expected
+
+
+def test_the_later_failing_vector_fails_in_a_later_count_round(monkeypatch):
+    # the premise of the case above: alone, LATE's search runs more count
+    # rounds than EARLY's before it fails
+    rounds = []
+    real = exppoly._count_adaptive
+    monkeypatch.setattr(
+        exppoly, "_count_adaptive", lambda edges, boxes: rounds.append(1) or real(edges, boxes)
+    )
+    made = []
+    for v in (EARLY, LATE):
+        rounds.clear()
+        with pytest.raises(exppoly.QuadratureError, match="no subdivision of "):
+            find_zeros(from_vector(RealVector(v)), exppoly.DEFAULT_WINDOW)
+        made.append(len(rounds))
+    assert made == [4, 7]
 
 
 def test_each_vector_keeps_the_window_of_its_own_search():

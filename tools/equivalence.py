@@ -23,7 +23,10 @@ another reads the same (``same_per_workload``).  Next to it, it counts
 the calls of the stages named in ``STAGES`` by workload and command: a
 ``_contour_sums`` call is a count round (a window try or a round of box
 halves) and a ``_hankel_solve`` call a Hankel solve (of one box, or of a
-stack of boxes).
+stack of boxes).  It also counts, by workload and command, the boxes
+that each ``_count_adaptive`` round counts (the pieces of the boxes being
+split), and how many of them come back empty (a count of 0) or refused
+(an error): ``boxes_counted``.
 
 It reports each tree's line count of its ``**/*.py`` files as
 ``src_lines``, and as ``code_lines`` the count of those lines that are
@@ -120,6 +123,9 @@ def run_tree(src: str) -> dict:
     calls: collections.Counter = collections.Counter()
     key = None
     count_stages(exppoly, calls, lambda: key)
+    # (workload, command) -> [counted, empty, refused]
+    boxes: dict = collections.defaultdict(lambda: [0, 0, 0])
+    count_boxes(exppoly, boxes, lambda: key)
 
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -147,6 +153,7 @@ def run_tree(src: str) -> dict:
         "runs": runs,
         "work": {f"{w}/{c}": v for (w, c), v in work.items()},
         "stages": {"/".join(k): v for k, v in sorted(calls.items())},
+        "boxes": {"/".join(k): v for k, v in sorted(boxes.items())},
     }
 
 
@@ -164,6 +171,23 @@ def count_stages(module, calls: collections.Counter, where) -> None:
     for stage in STAGES:
         if hasattr(module, stage):
             setattr(module, stage, staged(stage, getattr(module, stage)))
+
+
+def count_boxes(module, boxes: dict, where) -> None:
+    """Replace ``module._count_adaptive`` by one that also adds, under
+    ``where()`` in ``boxes`` (a defaultdict of [0, 0, 0]), the boxes each
+    call counts, those whose count is 0 and those refused with an error."""
+    real = module._count_adaptive
+
+    def run(edges, counted_boxes):
+        counts = real(edges, counted_boxes)
+        entry = boxes[where()]
+        entry[0] += len(counts)
+        entry[1] += sum(n == 0 for n in counts if not isinstance(n, Exception))
+        entry[2] += sum(isinstance(n, Exception) for n in counts)
+        return counts
+
+    module._count_adaptive = run
 
 
 def kernel_work(parent: dict, change: dict) -> dict:
@@ -247,6 +271,11 @@ def main(argv: list[str]) -> int:
         "keys": "workload/command/stage: calls",
         "parent": parent["stages"],
         "change": change["stages"],
+    }
+    verdict["boxes_counted"] = {
+        "keys": "workload/command: [boxes counted, empty, refused]",
+        "parent": parent["boxes"],
+        "change": change["boxes"],
     }
     print(json.dumps(verdict, indent=1, sort_keys=True))
     return 0 if verdict["equivalent"] else 1
