@@ -48,7 +48,6 @@ from .continuation import (
     Path,
     build_loop_path,
     continue_log,
-    continue_pnorm,
     loop_monodromies,
     loop_monodromy,
     pnorm_at,

@@ -304,17 +304,6 @@ def _evaluate(f: ExpPoly, nodes: np.ndarray) -> tuple[np.ndarray, int | None]:
     return out, int(np.argmax(singular)) if singular.any() else None
 
 
-def continue_pnorm(f: ExpPoly, path: Path) -> complex:
-    """The continued branch of the p-norm at the path end: exp(logf(end)/end)."""
-    pts = np.array(path.points)
-    # the floor absorbs rounding in the projection, so a segment whose
-    # exact crossing is lost to fp noise is still rejected
-    floor = 1e-15 * np.maximum(np.abs(pts[:-1]), np.abs(pts[1:]))
-    if (_segment_distances(0j, pts) <= floor).any():
-        raise InvalidInputError("path passes through p = 0")
-    return continue_log(f, path).norm_value
-
-
 def build_loop_path(
     center: complex,
     base_p: float,

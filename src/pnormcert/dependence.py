@@ -135,7 +135,8 @@ def default_grid_count(n: int) -> int:
 def make_grid(a: float, b: float, count: int) -> SampleGrid:
     """Chebyshev points with exact endpoints on [a, min(b, a+39)].
 
-    Requires 1 <= a < b and count >= 2.  For b = +inf the last of the
+    Requires 1 <= a < b, count >= 2 and an interval wide enough for the
+    finite samples to be distinct floats.  For b = +inf the last of the
     ``count`` samples is the symbolic infinity sample (evaluated later as
     the exact max norm) and only count-1 finite points are generated.
     """
@@ -156,6 +157,8 @@ def make_grid(a: float, b: float, count: int) -> SampleGrid:
         pts = [mid - half * math.cos(math.pi * k / (n_finite - 1)) for k in range(n_finite)]
         pts[0] = a
         pts[-1] = hi
+        if any(x >= y for x, y in zip(pts, pts[1:])):
+            raise InvalidInputError(f"[{a}, {b}] is too narrow for {n_finite} distinct samples")
     return SampleGrid(a, b, tuple(pts), include_inf)
 
 

@@ -52,12 +52,10 @@ _MAX_BISECTIONS = 16
 _CLUSTER_DIAMETER = 1e-6
 # A box of 2 to this many zeros is solved from its power sums, not split.
 _MOMENT_ZEROS = 4
-# A box of n zeros is cut across its longer side into k = min(_MAX_PIECES,
-# max(2, ceil(n / 3))) pieces, at the fractions (j + a) / k of that side for
-# j = 1 ... k - 1, with a each of these offsets in turn until every piece
-# counts (for k = 2 the fractions 0.45, 0.55 and 0.35).  The first is off
-# the midline: in a symmetric window the zeros of sums like 1 + 2^p all lie
-# on it.
+# The offsets a of a box's cuts (``_cut_fractions``), tried in turn until
+# every piece counts: a box cut in two is cut at 0.45, 0.55, then 0.35 of
+# its longer side.  The first is off the midline: in a symmetric window
+# the zeros of sums like 1 + 2^p all lie on it.
 _CUT_FRACTIONS = (-0.1, 0.1, -0.3)
 # The most pieces one cut makes: it bounds the boxes a round counts, and
 # with them a round's panels.
@@ -415,13 +413,18 @@ def relative_magnitude(f: ExpPoly, p: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The fewest and the most base panels of an edge.
+_MIN_BASE_PANELS, _MAX_BASE_PANELS = 4, 160
+
+
 def _base_count(length: float) -> int:
-    """Base panels of an edge of this length: max(4, min(160, ceil(1.25 L)))."""
-    return min(max(math.ceil(1.25 * length), 4), 160)
+    """Base panels of an edge of length L: ceil(1.25 L), clamped to
+    _MIN_BASE_PANELS ... _MAX_BASE_PANELS."""
+    return min(max(math.ceil(1.25 * length), _MIN_BASE_PANELS), _MAX_BASE_PANELS)
 
 
 # The ends of n equal base panels on [0, 1], for every base panel count n.
-_FRACTIONS = {n: np.arange(n + 1) / n for n in range(4, 161)}
+_FRACTIONS = {n: np.arange(n + 1) / n for n in range(_MIN_BASE_PANELS, _MAX_BASE_PANELS + 1)}
 
 
 @dataclass(eq=False, slots=True)
@@ -734,10 +737,10 @@ def _contour_sums(
     In the round it stops, a box keeps in ``panels`` the panels of that
     round, so its sums, its pieces and its higher power sums all start
     from them.
-    ``check_boundary`` is for windows (``_count_windows``), at most one box
-    of each sum, all of whose panels are new: it applies the relative-|f|
-    test to the nodes of each box's first round, and a box that fails it
-    stops there, refused.
+    ``check_boundary`` is for windows (``_Together.window_count``), at
+    most one box of each sum, all of whose panels are new: it applies the
+    relative-|f| test to the nodes of each box's first round, and a box
+    that fails it stops there, refused.
     """
     n = len(boxes)
     sizes = [box.panels.size for box in boxes]
@@ -843,66 +846,27 @@ def _box_sums(edges: _Edges, boxes: list[_Box], top: int) -> list[tuple[complex 
     return out
 
 
-class _WindowCount(int):
-    """The zero count of a window, with the panel store that counted it
-    (``edges``) and the counted window box (``box``), so a search that
-    asks ``count_zeros`` for its window builds on those panels (the store
-    of its ``_searched_together`` block)."""
-
-    edges: _Edges
-    box: _Box
-
-
 def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     """Number of zeros of f inside ``rect``, counted with multiplicity.
 
     Locally adaptive Gauss-Kronrod quadrature of f'/f and of its first
     moment about the center of ``rect`` (see ``_contour_sums``); accepted
-    once the summed error estimate is below 1e-4 and the value sits within
-    1e-3 of a non-negative integer.
+    once the summed error estimate is below _WINDING_ERROR_TOL and the
+    value sits within _QUAD_TOL of a non-negative integer
+    (``_judge_winding``).
     Raises BoundaryProximityError when the boundary runs too close to a
     zero (callers may inflate and retry) and QuadratureError when the
     first moment overflows float64, when no converged integer emerges
     within the work cap, or when the integer is one f cannot have: a
     rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
-    The count is an int that also carries the panels it was integrated on
-    (``_WindowCount``).  Inside a ``_searched_together`` block that holds f
-    the count is made in the block's store, with those of the block's
-    other sums (``_Together.window_count``); what it returns or raises is
-    the same.
+    The count is made in the search of the innermost ``_searched_together``
+    block that holds f, else in a block of f alone
+    (``_Together.window_count``), which keeps the counted window box for
+    that search; what it returns or raises is the same either way.
     """
-    together = _TOGETHER.get()
-    if together is not None and f in together.polys:
-        counted = together.window_count(f, rect)
-    else:
-        (counted,) = _count_windows(_Edges(f), [(0, rect)])
-    if isinstance(counted, Exception):
-        raise counted
-    return counted
-
-
-def _count_windows(
-    edges: _Edges, windows: list[tuple[int, Rectangle]]
-) -> list[_WindowCount | QuadratureError | BoundaryProximityError]:
-    """Per (sum, rect) of ``windows``: the count of ``edges.polys[sum]``
-    over rect, or the error that refuses it; at most one window per sum.
-
-    All the windows are integrated in one ``_contour_sums`` batch, with
-    the boundary test, and each is judged on its own by ``_judge_winding``.
-    """
-    boxes = [edges.outline(rect, k) for k, rect in windows]
-    out: list[_WindowCount | QuadratureError | BoundaryProximityError] = []
-    for box, sums in zip(boxes, _contour_sums(edges, boxes, True)):
-        counted = sums
-        if not isinstance(sums, Exception):
-            counted = _judge_winding(edges.polys[box.poly], box.rect, sums)
-        if not isinstance(counted, Exception):
-            box.sums, box.count = sums, counted
-            counted = _WindowCount(counted)
-            counted.edges, counted.box = edges, box
-        out.append(counted)
-    return out
+    with _search_of(f) as together:
+        return together.window_count(f, rect).count
 
 
 def _count_adaptive(
@@ -960,9 +924,10 @@ def _newton_polish(
     zero is simple, to (the zero, True); else (z0, False).
 
     A point is accepted only inside its rect (outside it is some other zero)
-    where f and each derivative up to f^(order) is within 1e-12 of its own
-    term scale: near a multiple zero |f| is that small in a wide disc, and a
-    zero of f^(order) alone may be no zero of f or of a lower derivative.
+    where f and each derivative up to f^(order) is within
+    _NEWTON_REL_TARGET of its own term scale: near a multiple zero |f| is
+    that small in a wide disc, and a zero of f^(order) alone may be no
+    zero of f or of a lower derivative.
     The first point that meets the test on f^(order) can lie ~1e-12 from
     the zero, so Newton takes one step more.
     Every Newton iteration evaluates all the live points of one order in
@@ -1138,11 +1103,10 @@ def _cut_fractions(count: int, attempt: int) -> list[float]:
     return [(j + _CUT_FRACTIONS[attempt]) / k for j in range(1, k)]
 
 
-def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
-    """Per count of ``windows`` (from ``count_zeros`` in one
-    ``_searched_together`` block, each of another sum): the zeros in its
-    window, in ``ZeroSet`` order, or the error that fails that sum's
-    search.
+def _isolate(edges: _Edges, windows: list[_Box]) -> list[list[Zero] | QuadratureError]:
+    """Per counted window box of ``windows`` (``_Together.window_count``,
+    all in the store ``edges``): the zeros in its window, in ``ZeroSet``
+    order, or the error that fails that sum's search.
 
     The sums are isolated together, in count rounds on the panels their
     windows were counted on, each round over the boxes of every sum.  A
@@ -1152,19 +1116,19 @@ def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
     more zeros, or whose solve fails, splits if it is wider than
     _CLUSTER_DIAMETER.  Each round counts in one ``_count_adaptive`` batch
     the pieces of every box being split: a box of n zeros is cut across
-    its longer side into k = min(_MAX_PIECES, max(2, ceil(n / 3))) pieces
-    (``_cut_fractions``), a box new to the round with the first offset of
-    _CUT_FRACTIONS, a box whose last try failed with the next.  Zeros of
-    an exponential sum rise up vertical strips at nearly even spacing, so
-    the equal pieces of a tall box hold about n / k zeros each, and most
-    are solved in the next round.  The pieces are built on the panels
-    their box was counted on (``_Edges.cut``), so each piece of contour is
-    evaluated once in the whole search.  Pieces that all count must sum to
-    their box's count and are the next round's new boxes; if one of them
-    does not count, the whole box is tried again.  The largest piece is at
-    most 1.3 / k <= 0.65 of the cut side, so two cuts in a row leave both
-    sides at most 0.65 of it, and _CLUSTER_DIAMETER ends every search
-    without a depth cap.
+    its longer side into the k pieces of ``_cut_fractions``, a box new to
+    the round with the first offset of _CUT_FRACTIONS, a box whose last
+    try failed with the next.  Zeros of an exponential sum rise up
+    vertical strips at nearly even spacing, so the equal pieces of a tall
+    box hold about n / k zeros each, and most are solved in the next
+    round.  The pieces are built on the panels their box was counted on
+    (``_Edges.cut``), so each piece of contour is evaluated once in the
+    whole search.  Pieces that all count must sum to their box's count and
+    are the next round's new boxes; if one of them does not count, the
+    whole box is tried again.  The largest piece is at most (1 + the
+    largest |offset|) / k <= 0.65 of the cut side, as k >= 2, so two cuts
+    in a row leave both sides at most 0.65 of it, and _CLUSTER_DIAMETER
+    ends every search without a depth cap.
 
     The leaves are the boxes of one zero, the boxes no wider than
     _CLUSTER_DIAMETER and the boxes that no try splits.  A leaf of at least
@@ -1179,9 +1143,8 @@ def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
     boxes, solves and Newton batches are those of its search alone, so its
     result and the first error that fails it are too.
     """
-    edges = windows[0].edges
     # a sum counted twice (zero_multiset_equal(f, f, ...)) is isolated once
-    new = list({window.box.poly: window.box for window in windows}.values())
+    new = list({box.poly: box for box in windows}.values())
     zeros: list[list[Zero]] = [[] for _ in edges.polys]
     failed: dict[int, QuadratureError] = {}
     leaves = []
@@ -1254,7 +1217,7 @@ def _isolate(windows: list[_WindowCount]) -> list[list[Zero] | QuadratureError]:
     # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
     return [
         failed.get(k) or sorted(zeros[k], key=lambda z: (round(z.location.real, 9), z.location.imag))
-        for k in (window.box.poly for window in windows)
+        for k in (box.poly for box in windows)
     ]
 
 
@@ -1262,51 +1225,46 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     """Locate all zeros of f inside ``rect`` with multiplicities.
 
     Every winding count (the window's and each box's) is accepted as in
-    ``count_zeros``.  The window inflates by small factors (up to
-    ``_MAX_INFLATIONS`` times) when its boundary starts out too close to a
-    zero or its count does not converge; the window actually used is
-    recorded on the result.  Isolation works in count rounds (``_isolate``):
-    a box of n zeros is cut across its longer side into k = min(16, max(2,
-    ceil(n / 3))) pieces, at (j + a) / k of it for j = 1 ... k - 1 with the
-    offset a = -0.1, else 0.1, else -0.3 (in two at 0.45, 0.55 or 0.35),
-    until every piece counts, and all boxes split in a round share each
-    quadrature round of its batch, so the search makes one kernel call per
-    quadrature round in which it has new panels, not one per box.  The
-    search keeps every panel it evaluates (``_Edges``): a piece takes its
-    box's panels within its span and shares each cut with its neighbour,
-    so each piece of contour is evaluated once.  f is evaluated only on
-    contours and in Newton.  A box of 2 to 4 zeros is solved from power sums
-    reduced from its stored panels (``_moment_zeros``) and splits only if a
-    check of that solve fails.  A box of one zero, a box of diameter at most 1e-6 and a box
-    that none of its three cuts can count are leaves.
+    ``count_zeros``.  The window inflates by _INFLATION_FACTOR (up to
+    _MAX_INFLATIONS times) when its boundary starts out too close to a
+    zero or its count does not converge (``_counted_window``); the window
+    actually used is recorded on the result.  Isolation works in count
+    rounds (``_isolate``): a box is cut across its longer side into the
+    pieces ``_cut_fractions`` gives, with each offset of _CUT_FRACTIONS in
+    turn until every piece counts, and all boxes split in a round share
+    each quadrature round of its batch, so the search makes one kernel
+    call per quadrature round in which it has new panels, not one per
+    box.  The search keeps every panel it evaluates (``_Edges``): a piece
+    takes its box's panels within its span and shares each cut with its
+    neighbour, so each piece of contour is evaluated once.  f is evaluated
+    only on contours and in Newton.  A box of 2 to _MOMENT_ZEROS zeros is
+    solved from power sums reduced from its stored panels
+    (``_moment_zeros``) and splits only if a check of that solve fails.  A
+    box of one zero, a box no wider than _CLUSTER_DIAMETER and a box that
+    none of its cuts can count are leaves.
     Every zero, solved or a leaf's, is polished by Newton on f^(m-1) to a
-    point inside its box where f, f', ..., f^(m-1) are each <= 1e-12 of
-    their own term scale.  The zeros of all boxes solved in a count round
-    are polished together, and all leaves together after the last round,
-    one kernel call per Newton iteration and order, not per zero; a box
-    whose solve fails has polished all of its zeros before it splits.  A
-    simple zero that does not polish is reported at its box's centroid with
-    ``refined=False``, and a centroid outside the box raises
-    QuadratureError; so does a leaf of several zeros that does not polish
-    to one m-fold zero.
-    Inside a ``_searched_together`` block that holds f the search of f
-    runs with those of the block's other sums (``_Together.zero_set``);
-    what it returns or raises is the same.
+    point inside its box where f, f', ..., f^(m-1) are each within
+    _NEWTON_REL_TARGET of their own term scale.  The zeros of all boxes
+    solved in a count round are polished together, and all leaves
+    together after the last round, one kernel call per Newton iteration
+    and order, not per zero; a box whose solve fails has polished all of
+    its zeros before it splits.  A simple zero that does not polish is
+    reported at its box's centroid with ``refined=False``, and a centroid
+    outside the box raises QuadratureError; so does a leaf of several
+    zeros that does not polish to one m-fold zero.
+    The search is that of the innermost ``_searched_together`` block that
+    holds f, run with those of the block's other sums, else that of a
+    block of f alone (``_Together.zero_set``); what it returns or raises
+    is the same either way.
     """
-    together = _TOGETHER.get()
-    if together is not None and f in together.polys:
-        zero_set = together.zero_set(f, rect)
-    else:
-        with _searched_together([f]) as together:
-            zero_set = together.zero_set(f, rect)
-    if isinstance(zero_set, Exception):
-        raise zero_set
-    return zero_set
+    with _search_of(f) as together:
+        return together.zero_set(f, rect)
 
 
 class _Together:
     """The zero searches of the sums ``polys`` in one store (``edges``):
-    their window counts and zero sets, by (sum, window), as they are made.
+    by (sum, window), their counted window boxes (``counts``) and zero
+    sets (``found``), or the errors that refuse them, as they are made.
 
     A sum's count or zero set, or the error that fails it, is the one its
     own search gives: only the work is shared.
@@ -1320,41 +1278,52 @@ class _Together:
         # the sums not counted yet
         self.fresh = set(range(len(self.polys)))
 
-    def window_count(self, f: ExpPoly, rect: Rectangle) -> _WindowCount | Exception:
-        """The count of f over ``rect``: the first count of a sum counts
-        every sum not counted yet over ``rect`` in one batch
-        (``_count_windows``), a later one (an inflated window) its sum
-        alone."""
+    def window_count(self, f: ExpPoly, rect: Rectangle) -> _Box:
+        """The counted box of f over ``rect``, or raises the error that
+        refuses it.  The first count of a sum counts every sum not counted
+        yet over ``rect``, a later one (an inflated window) its sum alone:
+        in one ``_contour_sums`` batch with the boundary test, each box
+        judged on its own by ``_judge_winding``."""
         k = self.polys.index(f)
         if (k, rect) not in self.counts:
             batch = sorted(self.fresh) if k in self.fresh else [k]
             self.fresh.difference_update(batch)
-            counted = _count_windows(self.edges, [(i, rect) for i in batch])
-            self.counts.update(zip([(i, rect) for i in batch], counted))
-        return self.counts[k, rect]
+            boxes = [self.edges.outline(rect, i) for i in batch]
+            for box, sums in zip(boxes, _contour_sums(self.edges, boxes, True)):
+                counted = sums
+                if not isinstance(sums, Exception):
+                    counted = _judge_winding(self.polys[box.poly], rect, sums)
+                if not isinstance(counted, Exception):
+                    box.sums, box.count, counted = sums, counted, box
+                self.counts[box.poly, rect] = counted
+        counted = self.counts[k, rect]
+        if isinstance(counted, Exception):
+            raise counted
+        return counted
 
-    def zero_set(self, f: ExpPoly, rect: Rectangle) -> ZeroSet | Exception:
-        """``find_zeros(f, rect)``, or the error it raises: the first call
-        over ``rect`` searches every sum over it, each window counted and
-        inflated for its sum alone (``_counted_window``, the first tries in
-        one batch) and every sum whose window counts isolated in one search
-        (``_isolate``)."""
+    def zero_set(self, f: ExpPoly, rect: Rectangle) -> ZeroSet:
+        """``find_zeros(f, rect)``: the first call over ``rect`` searches
+        every sum over it, each window counted and inflated for its sum
+        alone (``_counted_window``, the first tries in one batch) and every
+        sum whose window counts isolated in one search (``_isolate``)."""
         if (f, rect) not in self.found:
             counted: list = []
             for g in self.polys:
                 try:
-                    counted.append(_counted_window((g,), rect))
+                    counted.append(self.window_count(g, _counted_window((g,), rect)[0]))
                 except Exception as error:  # raised when the sum's result is read
                     counted.append(error)
-            windows = [total for c in counted if not isinstance(c, Exception) for total in c[1]]
-            found = iter(_isolate(windows) if windows else [])
-            for g, c in zip(self.polys, counted):
-                zeros = c if isinstance(c, Exception) else next(found)
+            boxes = [box for box in counted if not isinstance(box, Exception)]
+            found = iter(_isolate(self.edges, boxes) if boxes else [])
+            for g, box in zip(self.polys, counted):
+                zeros = box if isinstance(box, Exception) else next(found)
                 if not isinstance(zeros, Exception):
-                    window, (total,) = c
-                    zeros = ZeroSet(tuple(zeros), window, int(total))
+                    zeros = ZeroSet(tuple(zeros), box.rect, box.count)
                 self.found[g, rect] = zeros
-        return self.found[f, rect]
+        zero_set = self.found[f, rect]
+        if isinstance(zero_set, Exception):
+            raise zero_set
+        return zero_set
 
 
 # The innermost _searched_together block
@@ -1380,10 +1349,19 @@ def _searched_together(polys: list[ExpPoly]) -> Iterator[_Together]:
         _TOGETHER.reset(token)
 
 
-def _counted_window(
-    polys: tuple[ExpPoly, ...], rect: Rectangle
-) -> tuple[Rectangle, list[_WindowCount]]:
-    """``rect`` or its first inflation over which every sum counts cleanly.
+def _search_of(f: ExpPoly) -> contextlib.AbstractContextManager[_Together]:
+    """The search of the innermost ``_searched_together`` block if it holds
+    f, else a block of f alone: the one way ``count_zeros`` and
+    ``find_zeros`` reach a search."""
+    together = _TOGETHER.get()
+    if together is not None and f in together.polys:
+        return contextlib.nullcontext(together)
+    return _searched_together([f])
+
+
+def _counted_window(polys: tuple[ExpPoly, ...], rect: Rectangle) -> tuple[Rectangle, list[int]]:
+    """``rect`` or its first inflation over which every sum counts cleanly,
+    and the sums' counts over it.
 
     A count that does not converge inflates too: a zero on the edge can
     slip between the first round's check nodes.  The last of
@@ -1419,10 +1397,11 @@ def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
     are isolated, all in one search (``_isolate``); the first of them whose
     search fails raises.
     """
-    with _searched_together(polys):
+    with _searched_together(polys) as together:
         window, totals = _counted_window(tuple(polys), rect)
         shared = [i for i, n in enumerate(totals) if totals.count(n) > 1]
-        zero_sets = dict(zip(shared, _isolate([totals[i] for i in shared]) if shared else []))
+        boxes = [together.window_count(polys[i], window) for i in shared]
+        zero_sets = dict(zip(shared, _isolate(together.edges, boxes) if shared else []))
     for zeros in zero_sets.values():
         if isinstance(zeros, Exception):
             raise zeros

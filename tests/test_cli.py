@@ -198,6 +198,18 @@ def test_main_names_an_interval_the_grid_cannot_sample(tmp_path, capsys, command
     assert captured.err.startswith("error: interval: ") and not captured.out
 
 
+@pytest.mark.parametrize("interval", [[1, 1.0000000000000002], [1, 1.00000000000001]])
+@pytest.mark.parametrize("command", ["analyze", "norms"])
+def test_main_refuses_an_interval_too_narrow_for_its_samples(tmp_path, capsys, command, interval):
+    # the 16 Chebyshev samples of these intervals round onto fewer floats
+    job_file = tmp_path / "job.json"
+    job_file.write_text(job_text(command=command, vectors=[[1, 2]], interval=interval))
+    assert main([command, "--input", str(job_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: interval: [1.0, {float(interval[1])}] is too narrow for 16 distinct samples\n"
+    )
+
+
 def test_parse_option_validation():
     for key, value in (
         ("radius", 0),

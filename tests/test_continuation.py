@@ -17,7 +17,6 @@ from pnormcert import (
     Zero,
     build_loop_path,
     continue_log,
-    continue_pnorm,
     evaluate,
     evaluate_log,
     find_zeros,
@@ -170,15 +169,9 @@ def test_continue_log_near_zero_crossing_reports_point():
 def test_continue_pnorm_real_segment_matches_direct():
     v = RealVector((3.0, 4.0))
     f = from_vector(v)
-    assert abs(continue_pnorm(f, Path((2 + 0j, 2 + 0j))) - 5.0) <= 1e-12
-    end = continue_pnorm(f, Path((2 + 0j, 5 + 0j)))
+    assert abs(continue_log(f, Path((2 + 0j, 2 + 0j))).norm_value - 5.0) <= 1e-12
+    end = continue_log(f, Path((2 + 0j, 5 + 0j))).norm_value
     assert abs(end - pnorm_at(v, 5.0)) <= 1e-10
-
-
-def test_continue_pnorm_rejects_path_through_origin():
-    f = from_vector(RealVector((3.0, 4.0)))
-    with pytest.raises(InvalidInputError):
-        continue_pnorm(f, Path((1 + 1j, -1 - 1j)))
 
 
 def test_continue_pnorm_loop_flips_sign_for_simple_zero():
@@ -187,9 +180,9 @@ def test_continue_pnorm_loop_flips_sign_for_simple_zero():
     f = ExpPoly(((0.0, 1), (1.0, 1)))
     start = pnorm_value(f, 2.0)
     loop = build_loop_path(complex(0.0, math.pi), 2.0, 1.0)
-    assert abs(continue_pnorm(f, loop) + start) <= 1e-8 * start
+    assert abs(continue_log(f, loop).norm_value + start) <= 1e-8 * start
     double = build_loop_path(complex(0.0, math.pi), 2.0, 1.0, turns=2)
-    assert abs(continue_pnorm(f, double) - start) <= 1e-8 * start
+    assert abs(continue_log(f, double).norm_value - start) <= 1e-8 * start
 
 
 def test_build_loop_path_geometry():

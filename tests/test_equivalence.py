@@ -1,11 +1,13 @@
 import collections
 import importlib.util
+import json
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from pnormcert import ExpPoly, QuadratureError, RealVector, exppoly
+from pnormcert import ExpPoly, QuadratureError, RealVector, cli, exppoly
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
 _SPEC = importlib.util.spec_from_file_location("equivalence", _PATH)
@@ -164,6 +166,45 @@ def test_stage_calls_are_counted_under_the_running_job():
         ("zeros-monodromy", "analyze", "_contour_sums"): 1,
     }
     assert not hasattr(module, "_hankel_solve")
+
+
+def test_entry_calls_are_counted_under_every_name_that_binds_them():
+    # a module that binds find_zeros of its own is counted as well, its
+    # other names are left alone, and each call returns what it returns
+    def find_zeros(f):
+        return f + 1
+
+    def count_zeros(f):
+        return 2 * f
+
+    owner = types.SimpleNamespace(find_zeros=find_zeros, count_zeros=count_zeros)
+    user = types.SimpleNamespace(find_zeros=find_zeros, other=len)
+    calls = collections.Counter()
+    key = ["zeros-monodromy", "zeros"]
+    equivalence.count_entries(owner, [owner, user], calls, lambda: key)
+    assert user.find_zeros(1) == 2 and owner.find_zeros(2) == 3
+    assert owner.count_zeros(3) == 6 and user.other is len
+    assert calls == {
+        ("zeros-monodromy", "zeros", "find_zeros"): 2,
+        ("zeros-monodromy", "zeros", "count_zeros"): 1,
+    }
+
+
+def test_count_entries_sees_the_calls_of_a_zeros_job(monkeypatch, tmp_path):
+    # cli calls its own find_zeros once per vector, and each search calls
+    # exppoly's count_zeros for its window
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "pnormcert"]
+    for module in modules:
+        for name in equivalence.ENTRIES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, getattr(module, name))
+    calls = collections.Counter()
+    equivalence.count_entries(exppoly, modules, calls, lambda: ("zeros",))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "zeros", "vectors": [[1, 2], [1, 40], [3]]}))
+    assert cli.main(["zeros", "--input", str(job), "--output", str(tmp_path / "cert.json")]) == 0
+    assert calls["zeros", "find_zeros"] == 3
+    assert calls["zeros", "count_zeros"] >= calls["zeros", "find_zeros"]
 
 
 def test_the_boxes_of_each_count_round_are_counted_with_the_empty_and_refused():

@@ -6,6 +6,7 @@ solves are shared."""
 import collections
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from pnormcert import exppoly
 from pnormcert.cli import main
-from pnormcert.exppoly import ExpPoly, Rectangle, find_zeros, from_vector
+from pnormcert.exppoly import ExpPoly, Rectangle, count_zeros, find_zeros, from_vector
 from pnormcert.vectors import RealVector
 
 
@@ -81,6 +82,60 @@ def test_a_shared_search_gives_each_sum_its_own_result(polys, zero_free, at, rec
     alone = [outcome(f, rect) for f in polys]
     assert shared(polys, rect) == alone
     assert alone[polys.index(zero_free)][2] == 0
+
+
+def counted(f: ExpPoly, rect: Rectangle):
+    """What ``count_zeros(f, rect)`` returns, with its type, or the type and
+    text of what it raises."""
+    try:
+        n = count_zeros(f, rect)
+    except Exception as error:
+        return type(error), str(error)
+    return type(n), n
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.lists(exp_sums(), min_size=1, max_size=3), windows)
+def test_a_count_outside_a_block_is_the_count_inside_one(polys, rect):
+    alone = [counted(f, rect) for f in polys]
+    for f, own in zip(polys, alone):
+        with exppoly._searched_together([f]):
+            assert counted(f, rect) == own
+    with exppoly._searched_together(polys):
+        assert [counted(f, rect) for f in polys] == alone
+    assert all(kind is int for kind, _ in alone if not issubclass(kind, Exception))
+
+
+def test_a_count_is_a_plain_int():
+    f = from_vector(RealVector((1.0, 2.0)))
+    n = count_zeros(f, exppoly.DEFAULT_WINDOW)
+    # it holds no panel store, so it pickles as the int it is
+    assert type(n) is int
+    assert len(pickle.dumps(n)) == len(pickle.dumps(int(n)))
+
+
+def test_an_inflated_window_counts_its_sum_alone(monkeypatch):
+    batches = []
+    real = exppoly._contour_sums
+
+    def contour_sums(edges, boxes, *args):
+        batches.append([edges.polys[box.poly] for box in boxes])
+        return real(edges, boxes, *args)
+
+    monkeypatch.setattr(exppoly, "_contour_sums", contour_sums)
+    f, g = (from_vector(RealVector(v)) for v in ((1.0, 2.0), (1.0, math.e)))
+    rect = exppoly.DEFAULT_WINDOW
+    wider = rect.inflate(exppoly._INFLATION_FACTOR)
+    expected = [count_zeros(h, r) for r in (rect, wider) for h in (f, g)]
+    batches.clear()
+    with exppoly._searched_together([f, g]):
+        # the first count counts both windows, the second reads g's
+        got = [count_zeros(f, rect), count_zeros(g, rect)]
+        assert batches == [[f, g]]
+        # each inflated window is a count of its own sum alone
+        got += [count_zeros(f, wider), count_zeros(g, wider)]
+        assert batches == [[f, g], [f], [g]]
+    assert got == expected
 
 
 def cli_zeros(tmp_path, capsys, vectors, window=None) -> tuple[int, str]:

@@ -23,10 +23,12 @@ another reads the same (``same_per_workload``).  Next to it, it counts
 the calls of the stages named in ``STAGES`` by workload and command: a
 ``_contour_sums`` call is a count round (a window try or a round of box
 halves) and a ``_hankel_solve`` call a Hankel solve (of one box, or of a
-stack of boxes).  It also counts, by workload and command, the boxes
-that each ``_count_adaptive`` round counts (the pieces of the boxes being
-split), and how many of them come back empty (a count of 0) or refused
-(an error): ``boxes_counted``.
+stack of boxes); and the calls of the public ``find_zeros`` and
+``count_zeros`` (``ENTRIES``), inner calls included, so a change shows
+that it keeps the calls the benchmark's tracer counts.  It also counts,
+by workload and command, the boxes that each ``_count_adaptive`` round
+counts (the pieces of the boxes being split), and how many of them come
+back empty (a count of 0) or refused (an error): ``boxes_counted``.
 
 It reports each tree's line count of its ``**/*.py`` files as
 ``src_lines``, and as ``code_lines`` the count of those lines that are
@@ -61,6 +63,10 @@ ZERO_REL_TOL = 1e-12
 TIMING_LINE = re.compile(r'\n  "timing_ms": [^\n]*')
 # zero-search stages whose calls are counted, where a tree has them
 STAGES = ("_contour_sums", "_hankel_solve")
+# public entry points into the zero search whose calls are counted, under
+# every name a ``pnormcert`` module binds them to (``cli`` binds its own
+# ``find_zeros``), as the benchmark's tracer sees them
+ENTRIES = ("find_zeros", "count_zeros")
 
 
 def term_points(f, ps) -> int:
@@ -123,6 +129,8 @@ def run_tree(src: str) -> dict:
     calls: collections.Counter = collections.Counter()
     key = None
     count_stages(exppoly, calls, lambda: key)
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "pnormcert"]
+    count_entries(exppoly, modules, calls, lambda: key)
     # (workload, command) -> [counted, empty, refused]
     boxes: dict = collections.defaultdict(lambda: [0, 0, 0])
     count_boxes(exppoly, boxes, lambda: key)
@@ -157,20 +165,35 @@ def run_tree(src: str) -> dict:
     }
 
 
+def counting(fn, calls: collections.Counter, where, name: str):
+    """``fn``, also counting its calls in ``calls`` under ``(*where(), name)``."""
+
+    def run(*args, **kwargs):
+        calls[(*where(), name)] += 1
+        return fn(*args, **kwargs)
+
+    return run
+
+
 def count_stages(module, calls: collections.Counter, where) -> None:
     """Replace each function of ``STAGES`` that ``module`` has by one that
     also counts its calls in ``calls``, under ``(*where(), stage)``."""
-
-    def staged(stage, fn):
-        def run(*args, **kwargs):
-            calls[(*where(), stage)] += 1
-            return fn(*args, **kwargs)
-
-        return run
-
     for stage in STAGES:
         if hasattr(module, stage):
-            setattr(module, stage, staged(stage, getattr(module, stage)))
+            setattr(module, stage, counting(getattr(module, stage), calls, where, stage))
+
+
+def count_entries(owner, modules: list, calls: collections.Counter, where) -> None:
+    """Replace each function of ``ENTRIES`` that ``owner`` defines, under
+    every name any of ``modules`` binds it to, by one that also counts its
+    calls in ``calls``, under ``(*where(), name)``."""
+    for name in ENTRIES:
+        real = getattr(owner, name)
+        counted = counting(real, calls, where, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    setattr(module, attr, counted)
 
 
 def count_boxes(module, boxes: dict, where) -> None:
