@@ -29,7 +29,7 @@ from .exppoly import (
     ExpPoly,
     Zero,
     _chunked_parts,
-    _singular,
+    _log,
     _stacks,
     evaluate_log,
 )
@@ -210,7 +210,7 @@ def _track_paths(
         else:
             grown[:, old] = values
             fresh = new
-        grown[:, fresh], bad = _evaluate(f, nodes[fresh])
+        grown[:, fresh], bad = _log(f, nodes[fresh])
         singular = None if bad is None else fresh[bad]
         values = grown
         logs, derivs = values
@@ -245,7 +245,8 @@ def _refused(
     """The first path that a round refuses, and why; (None, None) if none.
 
     A path is refused, in this order: at its first singular node (the node
-    index ``singular``, the first of all paths); at the end of its first
+    index ``singular``, the first of all paths, where f is numerically
+    zero by the rule of ``exppoly._log``); at the end of its first
     rejected gap shorter than _MIN_STEP; or, when cutting gap k into
     pieces[k] would take it past _MAX_STEPS evaluated points, at the start
     of its first rejected gap, before any of them is evaluated.
@@ -292,18 +293,6 @@ def _subdivide(
     return out, np.repeat(gaps / counts, counts), old, new
 
 
-def _evaluate(f: ExpPoly, nodes: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """(principal log f, f'/f) at ``nodes`` as two rows, and the index of the
-    first singular node (``exppoly._singular``; None if there is none), from
-    which on both rows are 0.  One kernel call, singular node or not."""
-    m_val, s_val, ds_val, _ = _chunked_parts(f, nodes)
-    singular = _singular(f, s_val)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.array((m_val + np.log(s_val), ds_val / s_val))
-    out[:, np.logical_or.accumulate(singular)] = 0.0
-    return out, int(np.argmax(singular)) if singular.any() else None
-
-
 def build_loop_path(
     center: complex,
     base_p: float,
@@ -314,11 +303,11 @@ def build_loop_path(
 
     Vertical leg up from base_p to the height of the circle point nearest
     the real axis, horizontal leg to that point, ``turns`` full
-    counterclockwise circles of ``radius`` (a vertex every 5 degrees at
-    most), then the legs retraced.  The legs never come closer than
-    ``radius`` to the center, for any base point; with base_p below the
-    center the horizontal leg vanishes and the loop degenerates to a
-    lollipop.  ``Path(points[::-1])`` is the clockwise loop.
+    counterclockwise circles of ``radius`` (a vertex every
+    _MAX_ARC_DEGREES degrees at most), then the legs retraced.  The legs
+    never come closer than ``radius`` to the center, for any base point;
+    with base_p below the center the horizontal leg vanishes and the loop
+    degenerates to a lollipop.  ``Path(points[::-1])`` is the clockwise loop.
     """
     return Path(tuple(_loop_vertices(complex(center), float(base_p), radius, turns).tolist()))
 
@@ -362,12 +351,13 @@ def loop_monodromy(
     (measured, predicted) where measured = exp(i Im(logf_end) / base_p),
     the loop's change of log f over base_p (log f is real at the base
     point), and predicted = exp(2 pi i m / base_p) for an m-fold zero.
-    The two must agree to 1e-6 relative or MonodromyMismatchError
-    is raised; agreement is the end-to-end check on the branch tracking.
-    A base_p so small that float64 cannot resolve the phase 2 pi m / base_p
-    to 1e-6 is refused with InvalidInputError, and so is a point where
-    |f| is above 1e-6 of its term scale, unless it is a ``Zero`` the zero
-    search could not refine: that one raises ContinuationError.
+    The two must agree to _MONODROMY_REL_TOL relative or
+    MonodromyMismatchError is raised; agreement is the end-to-end check on
+    the branch tracking.  A base_p so small that float64 cannot resolve
+    the phase 2 pi m / base_p to _MONODROMY_REL_TOL is refused with
+    InvalidInputError, and so is a point where |f| is above 1e-6 of its
+    term scale, unless it is a ``Zero`` the zero search could not refine:
+    that one raises ContinuationError.
 
     Any known non-target zeros may be passed in ``other_zeros``; the loop
     refuses to run if one of them lies inside the circle or within half a

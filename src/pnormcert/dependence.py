@@ -133,15 +133,16 @@ def default_grid_count(n: int) -> int:
 
 
 def make_grid(a: float, b: float, count: int) -> SampleGrid:
-    """Chebyshev points with exact endpoints on [a, min(b, a+39)].
+    """Chebyshev points with exact endpoints on [a, hi], hi = min(b, a +
+    _INTERVAL_CUTOFF).
 
-    Requires 1 <= a < b, count >= 2 and an interval wide enough for the
-    finite samples to be distinct floats.  For b = +inf the last of the
-    ``count`` samples is the symbolic infinity sample (evaluated later as
-    the exact max norm) and only count-1 finite points are generated.
+    Requires 1 <= a < b, count >= 2 and a span [a, hi] wide enough for the
+    finite samples to be distinct floats; a refusal names [a, hi] too when
+    hi < b.  For b = +inf the last of the ``count`` samples is the
+    symbolic infinity sample (evaluated later as the exact max norm) and
+    only count-1 finite points are generated.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b) or not (1.0 <= a < b):
         raise InvalidInputError(f"invalid interval [{a}, {b}]: need 1 <= a < b")
     if count < 2:
@@ -158,7 +159,8 @@ def make_grid(a: float, b: float, count: int) -> SampleGrid:
         pts[0] = a
         pts[-1] = hi
         if any(x >= y for x, y in zip(pts, pts[1:])):
-            raise InvalidInputError(f"[{a}, {b}] is too narrow for {n_finite} distinct samples")
+            span = f"[{a}, {b}]" + (f" sampled on [{a}, {hi}]" if hi < b else "")
+            raise InvalidInputError(f"{span} is too narrow for {n_finite} distinct samples")
     return SampleGrid(a, b, tuple(pts), include_inf)
 
 
@@ -195,10 +197,10 @@ def numeric_rank(matrix: NormMatrix) -> tuple[int | None, tuple[float, ...], flo
     """(rank, singular values, rank gap) of the column-scaled matrix.
 
     rank is the largest r whose spectral gap sigma_r/sigma_{r+1} reaches
-    1e6 while sigma_r stays at or above 1e-10 relative to sigma_1 (with
-    sigma_{n+1} taken as 0, so a clean full-rank matrix reports an infinite
-    gap).  rank None means no admissible gap exists: the matrix is too
-    ill-conditioned to classify.
+    _GAP_THRESHOLD while sigma_r stays at or above _SIGMA_FLOOR relative
+    to sigma_1 (with sigma_{n+1} taken as 0, so a clean full-rank matrix
+    reports an infinite gap).  rank None means no admissible gap exists:
+    the matrix is too ill-conditioned to classify.
     """
     rows, cols = matrix.entries.shape
     if rows <= cols:
@@ -270,10 +272,10 @@ def analyze(
     """Full certification run for one family of vectors on [a, b].
 
     Partitions the family into equivalence classes (relative tolerance
-    1e-9), samples the norm matrix on ``default_grid_count`` points, and
-    compares the numeric rank and null space against the partition's
-    prediction: rank = number of classes and null space = span of the
-    trivial dependencies.  Any disagreement is surfaced in the
+    _EQUIV_TOL), samples the norm matrix on ``default_grid_count``
+    points, and compares the numeric rank and null space against the
+    partition's prediction: rank = number of classes and null space =
+    span of the trivial dependencies.  Any disagreement is surfaced in the
     classification, never patched over.  A ``zero_window`` adds zero
     evidence: the class representatives' zero multisets compared pairwise
     inside it.  A family the equivalence rule cannot split raises

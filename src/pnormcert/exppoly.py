@@ -361,20 +361,31 @@ def _stacks(sizes: list[int], points: int) -> list[tuple[int, list[int]]]:
     return calls
 
 
-def _singular(f: ExpPoly, s_val: np.ndarray) -> np.ndarray:
-    """Where f is numerically zero: |S| <= 1e-12 * degree, the coefficient total."""
-    return np.abs(s_val) <= 1e-12 * f.degree
-
-
-def _log(f: ExpPoly, ps: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M + log(S), S, S') of the one sum f at ``ps``; SingularEvaluationError
-    where ``_singular``, naming the first such point."""
+def _log(f: ExpPoly, ps: complex | np.ndarray) -> tuple[np.ndarray, int | None]:
+    """(M + log(S), S'/S) of the one sum f at ``ps`` as two rows, that is
+    (principal log f, f'/f), and the index of the first point where f is
+    numerically zero (None if there is none), from which on both rows are
+    0.  f is numerically zero where |S| <= 1e-12 * f.degree, that is where
+    |f(p)| is at most 1e-12 of exp(M) times the coefficient total, which is
+    at least the local term scale sum_j c_j exp(Re(beta_j p)).  One kernel
+    call per _MAX_CALL_POINTS points (``_chunked_parts``), singular point
+    or not."""
     m_val, s_val, ds_val, _ = _chunked_parts(f, ps)
-    singular = _singular(f, s_val)
-    if singular.any():
-        p = np.asarray(ps).reshape(-1)[singular][0].item()
+    singular = np.abs(s_val) <= 1e-12 * f.degree
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.array((m_val + np.log(s_val), ds_val / s_val))
+    out[:, np.logical_or.accumulate(singular)] = 0.0
+    return out, int(np.argmax(singular)) if singular.any() else None
+
+
+def _log_at(f: ExpPoly, p: complex) -> tuple[complex, complex]:
+    """(principal log f, f'/f) at the one point p (``_log``); raises
+    SingularEvaluationError where f is numerically zero."""
+    p = complex(p)
+    out, singular = _log(f, p)
+    if singular is not None:
         raise SingularEvaluationError(f"f is numerically zero at p={p!r}", point=p)
-    return m_val + np.log(s_val), s_val, ds_val
+    return complex(out[0, 0]), complex(out[1, 0])
 
 
 def evaluate(f: ExpPoly, p: complex) -> complex:
@@ -388,18 +399,15 @@ def evaluate_log(f: ExpPoly, p: complex) -> complex:
 
     Computed as M + log(S) with the dominant real exponent factored out, so
     large |Re(exponent * p)| never overflows.  Raises SingularEvaluationError
-    when |S| <= 1e-12 * f.degree, that is when |f(p)| is at most 1e-12 of
-    exp(M) times the coefficient total, which is at least the local term
-    scale sum_j c_j exp(Re(beta_j p)).
+    where f is numerically zero by the rule of ``_log``.
     """
-    return complex(_log(f, complex(p))[0][0])
+    return _log_at(f, p)[0]
 
 
 def log_derivative(f: ExpPoly, p: complex) -> complex:
     """f'(p)/f(p); the exp(M) factors cancel, so this never overflows.
     Singular where evaluate_log is."""
-    _, s_val, ds_val = _log(f, complex(p))
-    return complex(ds_val[0] / s_val[0])
+    return _log_at(f, p)[1]
 
 
 def relative_magnitude(f: ExpPoly, p: complex) -> float:
@@ -553,9 +561,10 @@ class _Edges:
     def evaluate_panels(self, check: bool = False) -> np.ndarray | None:
         """Evaluate every new panel: for each sum that has new panels, one
         kernel call on their nodes, in store order (one per
-        _MAX_CALL_POINTS nodes).  With ``check``, per sum the least
-        relative |f| over the nodes of its new panels (inf if it has none,
-        nan if one is nan)."""
+        _MAX_CALL_POINTS nodes).  With ``check``, the boundary test's
+        reading (``_Together.window_count``): per sum the least relative
+        |f| over the nodes of its new panels (inf if it has none, nan if
+        one is nan); else None."""
         least = np.full(len(self.polys), math.inf) if check else None
         new = slice(self.evaluated, self.size)
         if new.start == new.stop:
@@ -712,12 +721,9 @@ def _per_box(owner: np.ndarray, values: np.ndarray, boxes: int) -> list[complex]
     return [complex(re, im) for re, im in zip(real, imag)]
 
 
-def _contour_sums(
-    edges: _Edges, boxes: list[_Box], check_boundary: bool = False
-) -> list[tuple[complex, complex, float] | BoundaryProximityError]:
+def _contour_sums(edges: _Edges, boxes: list[_Box]) -> list[tuple[complex, complex, float]]:
     """Per box of ``boxes``: (s_0, s_1, error estimate of s_0) from
-    ``_box_sums``, once each box's panels are integrated, or the
-    BoundaryProximityError that refuses it.
+    ``_box_sums``, once each box's panels are integrated.
 
     Locally adaptive Gauss-Kronrod over the panels ``edges`` stores for
     each box: every panel has the 15-point Kronrod rule, and |K - G|
@@ -736,11 +742,11 @@ def _contour_sums(
     _MAX_BISECTIONS times, or when none of its panels is over its share.
     In the round it stops, a box keeps in ``panels`` the panels of that
     round, so its sums, its pieces and its higher power sums all start
-    from them.
-    ``check_boundary`` is for windows (``_Together.window_count``), at
-    most one box of each sum, all of whose panels are new: it applies the
-    relative-|f| test to the nodes of each box's first round, and a box
-    that fails it stops there, refused.
+    from them.  Nothing here tests how close a contour runs to a zero: a
+    window is tested before it is counted (``_Together.window_count``),
+    and a box whose contour runs through or near a zero is left to
+    ``_judge_winding``, as its estimate does not converge or its winding
+    sits near a half-integer.
     """
     n = len(boxes)
     sizes = [box.panels.size for box in boxes]
@@ -755,19 +761,8 @@ def _contour_sums(
     budget = 2 * _PANEL_BUDGET * np.array(base)
     used = np.array(sizes, dtype=float)
     live = np.ones(n, dtype=bool)
-    refused = {}
-    check = check_boundary
     while True:
-        least = edges.evaluate_panels(check)
-        check = False
-        if least is not None:
-            for i, box in enumerate(boxes):
-                if least[box.poly] < _BOUNDARY_REL_MIN:
-                    live[i] = False
-                    refused[i] = BoundaryProximityError(
-                        f"contour of {box.rect} passes within relative magnitude "
-                        f"{least[box.poly]:.2e} of a zero; inflate the window"
-                    )
+        edges.evaluate_panels()
         err = edges.err[panels]
         total = np.bincount(owner, err, n)
         going = live & (tol <= total) & (total < math.inf)
@@ -787,8 +782,7 @@ def _contour_sums(
         for i in np.flatnonzero(live ^ going).tolist():
             boxes[i].panels = panels[ends[i] - sizes[i] : ends[i]]
         if not going.any():
-            sums = _box_sums(edges, boxes, 2)
-            return [refused.get(i, s) for i, s in enumerate(sums)]
+            return _box_sums(edges, boxes, 2)
         live = going
         used += 2 * held
         # a panel two boxes hold is bisected once
@@ -874,8 +868,11 @@ def _count_adaptive(
 ) -> list[int | QuadratureError | BoundaryProximityError]:
     """Per box of ``boxes``: its count, or the error that refuses it.
 
-    All boxes are integrated in one ``_contour_sums`` batch, without the
-    boundary test, and each is judged on its own by ``_judge_winding``.
+    All boxes are integrated in one ``_contour_sums`` batch and each is
+    judged on its own by ``_judge_winding``.  Unlike a window
+    (``_Together.window_count``), a box here has no boundary test: it is a
+    piece of a counted box, and a zero near its cut shows in its estimate
+    or its winding.
     """
     for box, sums in zip(boxes, _contour_sums(edges, boxes)):
         box.sums = sums
@@ -1281,21 +1278,34 @@ class _Together:
     def window_count(self, f: ExpPoly, rect: Rectangle) -> _Box:
         """The counted box of f over ``rect``, or raises the error that
         refuses it.  The first count of a sum counts every sum not counted
-        yet over ``rect``, a later one (an inflated window) its sum alone:
-        in one ``_contour_sums`` batch with the boundary test, each box
-        judged on its own by ``_judge_winding``."""
+        yet over ``rect``, a later one (an inflated window) its sum alone.
+
+        This is the one boundary test of the search: the base panels of
+        the batch's windows are evaluated first, and a window on whose
+        nodes the least relative |f| (``_Edges.evaluate_panels``) is below
+        _BOUNDARY_REL_MIN is refused with BoundaryProximityError, so that
+        ``_counted_window`` inflates it.  The others are integrated in one
+        ``_contour_sums`` batch, none if all are refused, each judged on
+        its own by ``_judge_winding``.
+        """
         k = self.polys.index(f)
         if (k, rect) not in self.counts:
             batch = sorted(self.fresh) if k in self.fresh else [k]
             self.fresh.difference_update(batch)
             boxes = [self.edges.outline(rect, i) for i in batch]
-            for box, sums in zip(boxes, _contour_sums(self.edges, boxes, True)):
-                counted = sums
-                if not isinstance(sums, Exception):
-                    counted = _judge_winding(self.polys[box.poly], rect, sums)
+            least = self.edges.evaluate_panels(True)
+            # a nan reading passes: its estimate does not converge
+            clear = [box for box in boxes if not least[box.poly] < _BOUNDARY_REL_MIN]
+            for box, sums in zip(clear, _contour_sums(self.edges, clear) if clear else []):
+                counted = _judge_winding(self.polys[box.poly], rect, sums)
                 if not isinstance(counted, Exception):
                     box.sums, box.count, counted = sums, counted, box
                 self.counts[box.poly, rect] = counted
+            for i in set(batch) - {box.poly for box in clear}:
+                self.counts[i, rect] = BoundaryProximityError(
+                    f"contour of {rect} passes within relative magnitude "
+                    f"{least[i]:.2e} of a zero; inflate the window"
+                )
         counted = self.counts[k, rect]
         if isinstance(counted, Exception):
             raise counted

@@ -119,7 +119,7 @@ def partition(vs: list[RealVector]) -> EquivalencePartition:
 
     Each vector is canonicalized once.  Two vectors match when they have
     as many canonical weights and every pair x, y of them has
-    |x - y| <= 1e-9 * max(x, y); the vectors of one support size are
+    |x - y| <= _EQUIV_TOL * max(x, y); the vectors of one support size are
     compared pairwise in blocks of rows, at most _MAX_STACK_ELEMENTS
     elements at a time (a row larger than that runs alone).  Each vector
     joins the class of the first vector it matches, itself if none before

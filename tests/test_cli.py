@@ -198,15 +198,23 @@ def test_main_names_an_interval_the_grid_cannot_sample(tmp_path, capsys, command
     assert captured.err.startswith("error: interval: ") and not captured.out
 
 
-@pytest.mark.parametrize("interval", [[1, 1.0000000000000002], [1, 1.00000000000001]])
+@pytest.mark.parametrize(
+    "interval", [[1, 1.0000000000000002], [1, 1.00000000000001], [1e300, 1.7e308]]
+)
 @pytest.mark.parametrize("command", ["analyze", "norms"])
 def test_main_refuses_an_interval_too_narrow_for_its_samples(tmp_path, capsys, command, interval):
-    # the 16 Chebyshev samples of these intervals round onto fewer floats
+    # the 16 Chebyshev samples of these intervals round onto fewer floats;
+    # the last is sampled on [a, a + 39] only, and 1e300 + 39 rounds to 1e300
     job_file = tmp_path / "job.json"
     job_file.write_text(job_text(command=command, vectors=[[1, 2]], interval=interval))
     assert main([command, "--input", str(job_file)]) == 1
+    span = {
+        1.0000000000000002: "[1.0, 1.0000000000000002]",
+        1.00000000000001: "[1.0, 1.00000000000001]",
+        1.7e308: "[1e+300, 1.7e+308] sampled on [1e+300, 1e+300]",
+    }[interval[1]]
     assert capsys.readouterr().err == (
-        f"error: interval: [1.0, {float(interval[1])}] is too narrow for 16 distinct samples\n"
+        f"error: interval: {span} is too narrow for 16 distinct samples\n"
     )
 
 

@@ -502,3 +502,15 @@ def test_only_an_unrefined_zero_is_spared_the_not_a_zero_verdict():
     for zero in (Zero(near, 1), (near, 1)):
         with pytest.raises(InvalidInputError, match="is not a zero of f"):
             loop_monodromy(f, zero, 2.0, 0.25)
+
+
+def test_a_rejected_gap_below_the_least_step_refuses_the_path(monkeypatch):
+    # with a least step of 1 the first rejected gap of round 2 is already
+    # too short: the loop around i pi / ln 2 of 1 + 2^p from base 1 is
+    # refused at that gap's end, on its horizontal leg at Re p = 0.25
+    monkeypatch.setattr(continuation, "_MIN_STEP", 1.0)
+    f = from_vector(RealVector((1.0, 2.0)))
+    zero = 1j * math.pi / math.log(2.0)
+    with pytest.raises(ContinuationError, match="step size underflow") as error:
+        loop_monodromy(f, (zero, 1), 1.0, 0.25)
+    assert abs(error.value.point - (0.25 + zero - 0.25j)) <= 1e-12

@@ -416,6 +416,52 @@ def test_analyze_refuses_what_the_samples_cannot_certify(
     assert not captured.err
 
 
+def test_a_rank_below_the_classes_above_the_floor_is_an_unexpected_dependence(
+    tmp_path, capsys, monkeypatch
+):
+    # numeric_rank reports one rank fewer than the two classes of this
+    # clean pair, whose sigma_2/sigma_1 is above the floor: the samples
+    # show a dependence the partition does not explain
+    real = dependence.numeric_rank
+
+    def one_rank_less(matrix):
+        rank, sigmas, gap = real(matrix)
+        return rank - 1, sigmas, gap
+
+    monkeypatch.setattr(dependence, "numeric_rank", one_rank_less)
+    coords = [[1, 2], [1, 3]]
+    report = analyze([RealVector(tuple(map(float, v))) for v in coords])
+    assert report.classification == UNEXPECTED and report.numeric_rank == 1
+    assert report.principal_angle is None
+    assert report.notes[-1] == (
+        "numeric rank 1 below the 2 equivalence classes: "
+        "a non-trivial dependence among the sampled curves"
+    )
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"command": "analyze", "vectors": coords}))
+    assert main(["analyze", "--input", str(job_file)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["payload"]["classification"] == UNEXPECTED
+    assert not captured.err
+
+
+def test_an_analyze_job_whose_zero_evidence_fails_exits_3(tmp_path, capsys):
+    # both classes count 4,680 zeros over the default window, so both are
+    # isolated, and the search of the first ends in a leaf of 293 zeros
+    # that no cut counts; without zero evidence the pair is certified
+    coords = [[5e-324, 1], [5e-324, 1, 1]]
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"command": "analyze", "vectors": coords}))
+    assert main(["analyze", "--input", str(job_file)]) == 0
+    capsys.readouterr()
+    doc = {"command": "analyze", "vectors": coords, "options": {"include_zero_evidence": True}}
+    job_file.write_text(json.dumps(doc))
+    assert main(["analyze", "--input", str(job_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no subdivision of ")
+    assert captured.err.endswith(" counts its 293 zeros\n") and not captured.out
+
+
 def test_grid_validation():
     with pytest.raises(InvalidInputError):
         SampleGrid(1, 4, (), False)

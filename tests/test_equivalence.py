@@ -1,13 +1,21 @@
 import collections
 import importlib.util
 import json
+import math
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from pnormcert import ExpPoly, QuadratureError, RealVector, cli, exppoly
+from pnormcert import (
+    BoundaryProximityError,
+    ExpPoly,
+    QuadratureError,
+    RealVector,
+    cli,
+    exppoly,
+)
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
 _SPEC = importlib.util.spec_from_file_location("equivalence", _PATH)
@@ -188,6 +196,55 @@ def test_entry_calls_are_counted_under_every_name_that_binds_them():
         ("zeros-monodromy", "zeros", "find_zeros"): 2,
         ("zeros-monodromy", "zeros", "count_zeros"): 1,
     }
+
+
+def test_entry_errors_are_counted_by_type_and_still_raised():
+    # each error an entry raises is counted under the running job, the
+    # entry and its type, and raised on; a call that returns adds none
+    def count_zeros(f):
+        if f < 0:
+            raise QuadratureError("refused")
+        if f == 0:
+            raise BoundaryProximityError("near a zero")
+        return f
+
+    owner = types.SimpleNamespace(find_zeros=abs, count_zeros=count_zeros)
+    calls, raised = collections.Counter(), collections.Counter()
+    key = ["zeros-monodromy", "zeros"]
+    equivalence.count_entries(owner, [owner], calls, lambda: key, raised)
+    with pytest.raises(QuadratureError):
+        owner.count_zeros(-1)
+    for _ in range(2):
+        with pytest.raises(BoundaryProximityError):
+            owner.count_zeros(0)
+    assert owner.count_zeros(2) == 2
+    key[1] = "analyze"
+    with pytest.raises(QuadratureError, match="refused"):
+        owner.count_zeros(-3)
+    assert owner.find_zeros(-4) == 4
+    assert raised == {
+        ("zeros-monodromy", "zeros", "count_zeros", "QuadratureError"): 1,
+        ("zeros-monodromy", "zeros", "count_zeros", "BoundaryProximityError"): 2,
+        ("zeros-monodromy", "analyze", "count_zeros", "QuadratureError"): 1,
+    }
+    assert calls[("zeros-monodromy", "zeros", "count_zeros")] == 4
+
+
+def test_entry_errors_name_the_refusal_of_an_inflated_window(monkeypatch):
+    # 1 + 2^p has a zero at Im p = pi / ln 2, on this window's bottom edge:
+    # the first count is refused near a zero, and the inflated one counts
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "pnormcert"]
+    for module in modules:
+        for name in equivalence.ENTRIES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, getattr(module, name))
+    calls, raised = collections.Counter(), collections.Counter()
+    equivalence.count_entries(exppoly, modules, calls, lambda: ("zeros",), raised)
+    rect = exppoly.Rectangle(-1.0, 1.0, math.pi / math.log(2.0), 20.0)
+    found = exppoly.find_zeros(exppoly.from_vector(RealVector((1.0, 2.0))), rect)
+    assert found.window == rect.inflate(exppoly._INFLATION_FACTOR)
+    assert calls == {("zeros", "find_zeros"): 1, ("zeros", "count_zeros"): 2}
+    assert raised == {("zeros", "count_zeros", "BoundaryProximityError"): 1}
 
 
 def test_count_entries_sees_the_calls_of_a_zeros_job(monkeypatch, tmp_path):

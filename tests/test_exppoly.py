@@ -16,6 +16,7 @@ from pnormcert import (
     RealVector,
     Rectangle,
     SingularEvaluationError,
+    Zero,
     count_zeros,
     evaluate,
     evaluate_log,
@@ -655,6 +656,32 @@ def test_zero_multiset_equal_counts_each_window_once(monkeypatch):
     h = from_vector(RealVector((math.e**2, 1.0)))
     assert not zero_multiset_equal(f, h, rect)
     assert calls == [f, h]
+
+
+def test_a_comparison_raises_the_failed_isolation_of_a_sum_it_must_isolate():
+    # the 4,680 zeros of this 2-term sum end in a leaf of 293 zeros that no
+    # cut counts; comparing it with itself shares its total, so it is
+    # isolated, and the comparison raises what its search raises
+    f = from_vector(RealVector((5e-324, 1.0)))
+    with pytest.raises(QuadratureError) as alone:
+        find_zeros(f, WINDOW)
+    assert str(alone.value).endswith(" counts its 293 zeros")
+    with pytest.raises(QuadratureError) as compared:
+        zero_multiset_equal(f, f, WINDOW)
+    assert str(compared.value) == str(alone.value)
+
+
+def test_zeros_match_pairs_only_zeros_of_equal_multiplicity():
+    # a double zero has the total of two simple zeros, at the very same
+    # point too, but matches neither of them, either way round
+    double, simple = [Zero(1j, 2)], [Zero(1j, 1), Zero(1j, 1)]
+    assert not exppoly._zeros_match(double, simple)
+    assert not exppoly._zeros_match(simple, double)
+    # a nearer candidate of another multiplicity is passed over, not refused
+    zf = [Zero(1j, 1), Zero(2j, 2)]
+    zg = [Zero(1j + 1e-9, 2), Zero(1j + 1e-7, 1), Zero(2j, 2)]
+    assert not exppoly._zeros_match(zf, zg)
+    assert exppoly._zeros_match(zf, zg[1:]) and exppoly._zeros_match(zg[1:], zf)
 
 
 @pytest.mark.parametrize(

@@ -245,10 +245,10 @@ def test_a_kernel_call_holds_at_most_the_stack_cap_of_term_points(kernel_calls):
     f = from_vector(RealVector(tuple(1.0 + k / 1000 for k in range(1000))))
     assert len(f.terms) == 1000
     ps = np.linspace(1.0, 4.0, 5000)
-    logs = _log(f, ps)[0]
+    logs = _log(f, ps)[0][0]
     assert [c.size for c in kernel_calls] == [1048] * 4 + [808]
     assert max(c.size for c in kernel_calls) * 1000 <= exppoly._MAX_STACK_ELEMENTS
-    assert logs.tobytes() == _log(f, ps[:2500])[0].tobytes() + _log(f, ps[2500:])[0].tobytes()
+    assert logs.tobytes() == _log(f, ps[:2500])[0][0].tobytes() + _log(f, ps[2500:])[0][0].tobytes()
 
 
 @st.composite

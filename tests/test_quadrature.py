@@ -378,7 +378,7 @@ def test_a_converged_winding_counts_within_1e_3_of_an_integer(
     monkeypatch.setattr(
         exppoly,
         "_contour_sums",
-        lambda edges, boxes, check_boundary: [(complex(winding), 0j, 0.0) for _ in boxes],
+        lambda edges, boxes: [(complex(winding), 0j, 0.0) for _ in boxes],
     )
     coords, rect = search
     f = from_vector(RealVector(coords))

@@ -200,6 +200,61 @@ def test_each_vector_keeps_the_window_of_its_own_search():
     assert got[0][1] != rect and got[1][1] == rect
 
 
+def test_a_window_near_a_zero_is_refused_before_it_is_integrated(monkeypatch):
+    # the boundary test reads the window's base panels: the bottom edge of
+    # this window runs through the zero i pi / ln 2 of 1 + 2^p at the middle
+    # node of a base panel, so that window is refused without a quadrature
+    # round, and the batch integrates the window of 1 + e^p alone
+    batches = []
+    real = exppoly._contour_sums
+
+    def contour_sums(edges, boxes):
+        batches.append([edges.polys[box.poly] for box in boxes])
+        return real(edges, boxes)
+
+    monkeypatch.setattr(exppoly, "_contour_sums", contour_sums)
+    rect = Rectangle(-0.75, 1.25, math.pi / math.log(2.0), 20.0)
+    f, g = (from_vector(RealVector(v)) for v in ((1.0, 2.0), (1.0, math.e)))
+    with exppoly._searched_together([f, g]):
+        refused = counted(f, rect)
+        assert counted(g, rect) == (int, count_zeros(g, rect))
+    assert batches == [[g]]
+    assert refused[0] is exppoly.BoundaryProximityError
+    assert refused[1].startswith(f"contour of {rect} passes within relative magnitude ")
+    assert refused[1].endswith(" of a zero; inflate the window")
+    # alone, its refusal is the same and makes no quadrature round at all
+    batches.clear()
+    assert counted(f, rect) == refused and batches == []
+
+
+def test_pieces_that_lose_zeros_fail_their_own_sum_only(monkeypatch):
+    # a spy adds one zero to the first piece of 1 + 40^p's window in the
+    # first count round, which also counts the pieces of 1 + 10^p's: the
+    # eight pieces then sum to 24 against the window's 23, which fails
+    # 1 + 40^p, and 1 + 10^p gets what its own search gives
+    f, g = (from_vector(RealVector(v)) for v in ((1.0, 40.0), (1.0, 10.0)))
+    rect = exppoly.DEFAULT_WINDOW
+    alone = outcome(g, rect)
+    real = exppoly._count_adaptive
+    rounds = []
+
+    def one_zero_more(edges, boxes):
+        counts = real(edges, boxes)
+        rounds.append({edges.polys[box.poly] for box in boxes})
+        if len(rounds) == 1:
+            counts[[edges.polys[box.poly] for box in boxes].index(f)] += 1
+        return counts
+
+    monkeypatch.setattr(exppoly, "_count_adaptive", one_zero_more)
+    got = shared([f, g], rect)
+    assert rounds[0] == {f, g}
+    assert got[0] == (
+        exppoly.QuadratureError,
+        f"subdivision of {rect} lost zeros: [4, 3, 3, 3, 2, 3, 3, 3] vs parent 23",
+    )
+    assert got[1] == alone and alone[2] == 15
+
+
 @pytest.fixture
 def spies(monkeypatch):
     """Calls of the zero-search stages, recorded from here on: each

@@ -25,7 +25,11 @@ the calls of the stages named in ``STAGES`` by workload and command: a
 halves) and a ``_hankel_solve`` call a Hankel solve (of one box, or of a
 stack of boxes); and the calls of the public ``find_zeros`` and
 ``count_zeros`` (``ENTRIES``), inner calls included, so a change shows
-that it keeps the calls the benchmark's tracer counts.  It also counts,
+that it keeps the calls the benchmark's tracer counts; and, by workload,
+command and entry, the errors those calls raise by exception type
+(``entry_errors``), so a change shows that it refuses the same windows
+with the same errors (a window try that ``find_zeros`` inflates is a
+``count_zeros`` call that raised).  It also counts,
 by workload and command, the boxes that each ``_count_adaptive`` round
 counts (the pieces of the boxes being split), and how many of them come
 back empty (a count of 0) or refused (an error): ``boxes_counted``.
@@ -102,8 +106,9 @@ def code_lines(src: str) -> int:
 def run_tree(src: str) -> dict:
     """Every job's exit code, payload, CSV and the SHA-256 of its certificate
     text less the timing line, under the package in ``src``, the kernel
-    work by workload and caller, and the calls of ``STAGES`` by workload and
-    command."""
+    work by workload and caller, the calls of ``STAGES`` and ``ENTRIES`` and
+    the errors ``ENTRIES`` raise by workload and command, and the boxes
+    ``_count_adaptive`` counts."""
     sys.path[:0] = [src, str(BENCH)]
     import jobs  # bench/jobs.py
     from pnormcert import cli, exppoly
@@ -130,7 +135,9 @@ def run_tree(src: str) -> dict:
     key = None
     count_stages(exppoly, calls, lambda: key)
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "pnormcert"]
-    count_entries(exppoly, modules, calls, lambda: key)
+    # (workload, command, entry, exception type) -> raises
+    raised: collections.Counter = collections.Counter()
+    count_entries(exppoly, modules, calls, lambda: key, raised)
     # (workload, command) -> [counted, empty, refused]
     boxes: dict = collections.defaultdict(lambda: [0, 0, 0])
     count_boxes(exppoly, boxes, lambda: key)
@@ -161,16 +168,24 @@ def run_tree(src: str) -> dict:
         "runs": runs,
         "work": {f"{w}/{c}": v for (w, c), v in work.items()},
         "stages": {"/".join(k): v for k, v in sorted(calls.items())},
+        "errors": {"/".join(k): v for k, v in sorted(raised.items())},
         "boxes": {"/".join(k): v for k, v in sorted(boxes.items())},
     }
 
 
-def counting(fn, calls: collections.Counter, where, name: str):
-    """``fn``, also counting its calls in ``calls`` under ``(*where(), name)``."""
+def counting(fn, calls: collections.Counter, where, name: str, raised=None):
+    """``fn``, also counting its calls in ``calls`` under ``(*where(), name)``
+    and, given the Counter ``raised``, the errors it raises there under
+    ``(*where(), name, the exception's type name)``."""
 
     def run(*args, **kwargs):
         calls[(*where(), name)] += 1
-        return fn(*args, **kwargs)
+        try:
+            return fn(*args, **kwargs)
+        except Exception as error:
+            if raised is not None:
+                raised[(*where(), name, type(error).__name__)] += 1
+            raise
 
     return run
 
@@ -183,13 +198,14 @@ def count_stages(module, calls: collections.Counter, where) -> None:
             setattr(module, stage, counting(getattr(module, stage), calls, where, stage))
 
 
-def count_entries(owner, modules: list, calls: collections.Counter, where) -> None:
+def count_entries(owner, modules: list, calls: collections.Counter, where, raised=None) -> None:
     """Replace each function of ``ENTRIES`` that ``owner`` defines, under
     every name any of ``modules`` binds it to, by one that also counts its
-    calls in ``calls``, under ``(*where(), name)``."""
+    calls in ``calls``, under ``(*where(), name)``, and the errors it
+    raises in ``raised`` (``counting``)."""
     for name in ENTRIES:
         real = getattr(owner, name)
-        counted = counting(real, calls, where, name)
+        counted = counting(real, calls, where, name, raised)
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is real:
@@ -294,6 +310,11 @@ def main(argv: list[str]) -> int:
         "keys": "workload/command/stage: calls",
         "parent": parent["stages"],
         "change": change["stages"],
+    }
+    verdict["entry_errors"] = {
+        "keys": "workload/command/entry/exception type: raises",
+        "parent": parent["errors"],
+        "change": change["errors"],
     }
     verdict["boxes_counted"] = {
         "keys": "workload/command: [boxes counted, empty, refused]",
