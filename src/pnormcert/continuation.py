@@ -7,7 +7,9 @@ one or several at a time, in refinement rounds: every round evaluates all
 of its new path nodes together and cuts each gap whose argument step is
 too large.  It also builds the keyhole loop that encircles one zero while
 starting and ending on the positive real axis, and reads off the loops'
-multiplicative monodromy factors.
+multiplicative monodromy factors: the loops of a vector are continued
+together, and run again one at a time when that fails, so a failure is
+always that of the first loop to fail.
 """
 
 from __future__ import annotations
@@ -156,24 +158,22 @@ def continue_log(f: ExpPoly, path: Path) -> BranchState:
 
 def _track(f: ExpPoly, path: Path) -> tuple[BranchState, np.ndarray]:
     """``continue_log`` and the path nodes it accepted, in order."""
-    tracked, refusal = _track_paths(f, [np.array(path.points)])
-    if refusal is not None:
-        raise refusal
-    return tracked[0]
+    return _track_paths(f, [np.array(path.points)])[0]
 
 
-def _track_paths(
-    f: ExpPoly, paths: list[np.ndarray]
-) -> tuple[list[tuple[BranchState, np.ndarray]], ContinuationError | None]:
+def _track_paths(f: ExpPoly, paths: list[np.ndarray]) -> list[tuple[BranchState, np.ndarray]]:
     """``_track`` of each vertex array in ``paths``, in shared rounds.
 
     The nodes of all paths lie end to end in one array, path k from node
     starts[k] on.  The link from a path's end to the next path's start is a
     gap of length 0 that is never judged or cut, so each path keeps its own
-    gaps, budget, refusals and argument sum, while each round evaluates the
-    new nodes of all paths together.  A refused path ends the paths after
-    it.  Returns (end state, accepted nodes) of each path before the first
-    refused one, and that path's ContinuationError (None if there is none).
+    gaps, budget and argument sum, while each round evaluates the new nodes
+    of all paths together.  Returns (end state, accepted nodes) of each
+    path.  A round that refuses a path raises its ContinuationError: at the
+    first node of the round where f is numerically zero (by the rule of
+    ``exppoly._log``), else as ``_refused`` finds it.  A path tracked
+    alone so raises its own refusal; in a batch the refused path need not
+    be the first that would be refused.
     """
     first = np.cumsum([0] + [p.size for p in paths[:-1]])
     nodes = np.concatenate(paths)
@@ -189,19 +189,9 @@ def _track_paths(
     pieces = np.fmax(1.0, np.ceil(np.fmin(gaps, reach) / _INITIAL_STEP))
     rejected = np.ones(gaps.size, dtype=bool)  # round 1 cuts every gap
     short = np.zeros(gaps.size, dtype=bool)
-    values = singular = refusal = None
+    values = None
     while True:
-        stop, err = _refused(nodes, starts, rejected, short, pieces, singular)
-        if err is not None:
-            if stop == 0:
-                return [], err
-            refusal, n = err, starts[stop]
-            nodes, starts, gaps = nodes[:n], starts[:stop], gaps[: n - 1]
-            rejected, pieces = rejected[: n - 1], pieces[: n - 1]
-            if values is not None:
-                values = values[:, :n]
-                if not rejected.any():
-                    break
+        _refused(nodes, starts, rejected, short, pieces)
         nodes, gaps, old, new = _subdivide(nodes, gaps, pieces)
         starts = old[starts]
         grown = np.empty((2, nodes.size), dtype=complex)
@@ -211,7 +201,10 @@ def _track_paths(
             grown[:, old] = values
             fresh = new
         grown[:, fresh], bad = _log(f, nodes[fresh])
-        singular = None if bad is None else fresh[bad]
+        if bad is not None:
+            at = fresh[bad]
+            where = "starts at" if at in starts else "runs into"
+            raise ContinuationError(f"path {where} a zero of f", point=complex(nodes[at]))
         values = grown
         logs, derivs = values
         darg = np.diff(logs.imag)
@@ -219,19 +212,17 @@ def _track_paths(
         predicted = gaps * np.abs(derivs[:-1])
         rejected = ~((np.abs(darg) < _MAX_ARG_CHANGE) & (predicted <= _TARGET_ARG_CHANGE))
         rejected[starts[1:] - 1] = False
-        if singular is None and not rejected.any():
+        if not rejected.any():
             break
         short = rejected & (gaps < _MIN_STEP)
         # fmax turns the NaN of a non-finite f'/f into a bisection
         pieces = np.where(rejected, np.fmax(2.0, np.ceil(predicted / _TARGET_ARG_CHANGE)), 1.0)
-    # a refusal may have cut the node arrays after logs and darg were read;
-    # the paths left index only their common prefix
     ends = np.append(starts[1:] - 1, nodes.size - 1)
     tracked = []
     for s, e in zip(starts.tolist(), ends.tolist()):
         logf = complex(logs[e].real, logs[s].imag + math.fsum(darg[s:e]))
         tracked.append((BranchState(complex(nodes[e]), logf), nodes[s : e + 1]))
-    return tracked, refusal
+    return tracked
 
 
 def _refused(
@@ -240,38 +231,30 @@ def _refused(
     rejected: np.ndarray,
     short: np.ndarray,
     pieces: np.ndarray,
-    singular: int | None,
-) -> tuple[int | None, ContinuationError | None]:
-    """The first path that a round refuses, and why; (None, None) if none.
+) -> None:
+    """Raise the ContinuationError of a round that cannot go on.
 
-    A path is refused, in this order: at its first singular node (the node
-    index ``singular``, the first of all paths, where f is numerically
-    zero by the rule of ``exppoly._log``); at the end of its first
-    rejected gap shorter than _MIN_STEP; or, when cutting gap k into
-    pieces[k] would take it past _MAX_STEPS evaluated points, at the start
-    of its first rejected gap, before any of them is evaluated.
+    A rejected gap shorter than _MIN_STEP refuses the round at its end.
+    Otherwise, when cutting gap k into pieces[k] would take a path past
+    _MAX_STEPS evaluated points, the first such path is refused at the
+    start of its first rejected gap, before any of the new points is
+    evaluated.
     """
-    extra = pieces - 1.0
-    if singular is None and not short.any() and nodes.size + extra.sum() <= _MAX_STEPS:
-        return None, None
-    faults = []  # (node or gap index in the path, message, node index of the point)
-    if singular is not None:
-        where = "starts at" if singular in starts else "runs into"
-        faults.append((singular, f"path {where} a zero of f", singular))
     if short.any():
         gap = np.argmax(short)
-        faults.append((gap, "step size underflow (argument of f varies too fast)", gap + 1))
-    used = np.diff(np.append(starts, nodes.size))
-    over = np.flatnonzero(used + np.add.reduceat(np.append(extra, 0.0), starts) > _MAX_STEPS)
+        raise ContinuationError(
+            "step size underflow (argument of f varies too fast)", point=complex(nodes[gap + 1])
+        )
+    # a path holds a point per piece of its gaps and its end point, which
+    # the one piece of its link to the next path counts (the appended 1
+    # for the last path)
+    over = np.flatnonzero(np.add.reduceat(np.append(pieces, 1.0), starts) > _MAX_STEPS)
     if over.size:
         gap = starts[over[0]] + np.argmax(rejected[starts[over[0]] :])
-        message = f"step budget of {_MAX_STEPS} evaluated points spent before the path end"
-        faults.append((gap, message, gap))
-    if not faults:
-        return None, None
-    owners = [np.searchsorted(starts, at, side="right") - 1 for at, _, _ in faults]
-    k = owners.index(min(owners))
-    return owners[k], ContinuationError(faults[k][1], point=complex(nodes[faults[k][2]]))
+        raise ContinuationError(
+            f"step budget of {_MAX_STEPS} evaluated points spent before the path end",
+            point=complex(nodes[gap]),
+        )
 
 
 def _subdivide(
@@ -378,45 +361,39 @@ def loop_monodromies(
 
     Returns the pair of each loop, zero by zero and base point by base
     point; ``other_zeros[i]`` are the known zeros other than zeros[i]
-    (none by default).  Each loop is checked as ``loop_monodromy`` checks
-    it and the loops that pass are continued in shared rounds; the error
-    raised is that of the first loop to fail at any stage, so the pairs and
-    the error are those of one ``loop_monodromy`` call per loop in turn.
+    (none by default).  The loops are checked as ``loop_monodromy`` checks
+    them, continued in shared rounds (``_track_paths``) and their factors
+    compared, all in one pass.  If that pass fails, the loops run again one
+    ``loop_monodromy`` call at a time, so the pairs and the error raised
+    are those of one call per loop in turn: the error is that of the first
+    loop to fail.
     """
     targets = [z if isinstance(z, Zero) else Zero(complex(z[0]), int(z[1])) for z in zeros]
     others = other_zeros if other_zeros is not None else [()] * len(targets)
     loops = [(i, float(bp)) for i in range(len(targets)) for bp in base_ps]
-    # paths[k] and phases[k] belong to loops[k], each of which has passed
-    # every check so far; error is that of the next loop
-    paths, phases, error = [], [], None
-    for i, base_p in loops:
-        z, m = targets[i].location, targets[i].multiplicity
-        try:
-            if m < 1:
+    if not loops:
+        return []
+    try:
+        paths, phases = [], []
+        for i, base_p in loops:
+            if targets[i].multiplicity < 1:
                 raise InvalidInputError("zero multiplicity must be a positive integer")
-            path = _loop_vertices(z, base_p, loop_radius, 1)
+            paths.append(_loop_vertices(targets[i].location, base_p, loop_radius, 1))
             # The factors are exp(i phase), phase = 2 pi m / base_p; float64
             # resolves them to _MONODROMY_REL_TOL only while its spacing at
             # phase is no coarser (phase below 2^33, about 8.6e9 rad).
-            phase = 2.0 * math.pi * m / base_p
+            phase = 2.0 * math.pi * targets[i].multiplicity / base_p
             if not math.ulp(phase) <= _MONODROMY_REL_TOL:
                 raise InvalidInputError(
                     f"base_p {base_p!r} is too small: the loop's phase 2 pi m / base_p = "
                     f"{phase:.3g} rad is not resolved to {_MONODROMY_REL_TOL:g} in float64"
                 )
-        except InvalidInputError as err:
-            error = err
-            break
-        paths.append(path)
-        phases.append(phase)
-    live = sorted({i for i, _ in loops[: len(paths)]})
-    if live:
-        _, s_val, _, bound = _chunked_parts(f, np.array([targets[i].location for i in live]))
-        relative = dict(zip(live, (np.abs(s_val) / bound).tolist()))
-    clearance = loop_radius / 2.0
-    for k, (path, (i, _)) in enumerate(zip(paths, loops)):
-        z = targets[i].location
-        try:
+            phases.append(phase)
+        _, s_val, _, bound = _chunked_parts(f, np.array([t.location for t in targets]))
+        relative = (np.abs(s_val) / bound).tolist()
+        clearance = loop_radius / 2.0
+        for path, (i, _) in zip(paths, loops):
+            z = targets[i].location
             if relative[i] > 1e-6:
                 if not targets[i].refined:
                     raise ContinuationError(
@@ -437,26 +414,26 @@ def loop_monodromies(
                         if inside[j]
                         else f"path passes within {clearance!r} of the zero at {oz!r}"
                     )
-        except (InvalidInputError, ContinuationError) as err:
-            error = err
-            del paths[k:]
-            break
-    tracked, refusal = _track_paths(f, paths) if paths else ([], None)
-    pairs = []
-    for (state, _), (i, base_p), phase in zip(tracked, loops, phases):
-        z, m = targets[i].location, targets[i].multiplicity
-        # the loop starts and ends at base_p, where f > 0 and log f is real
-        measured = cmath.exp(1j * state.logf.imag / base_p)
-        predicted = cmath.exp(1j * phase)
-        if abs(measured - predicted) > _MONODROMY_REL_TOL * abs(predicted):
-            raise MonodromyMismatchError(
-                f"loop around {z!r} (m={m}, base_p={base_p}) measured {measured!r}, "
-                f"predicted {predicted!r}"
-            )
-        pairs.append((measured, predicted))
-    if refusal is not None or error is not None:
-        raise refusal or error
-    return pairs
+        pairs = []
+        for (state, _), (i, base_p), phase in zip(_track_paths(f, paths), loops, phases):
+            z, m = targets[i].location, targets[i].multiplicity
+            # the loop starts and ends at base_p, where f > 0 and log f is real
+            measured = cmath.exp(1j * state.logf.imag / base_p)
+            predicted = cmath.exp(1j * phase)
+            if abs(measured - predicted) > _MONODROMY_REL_TOL * abs(predicted):
+                raise MonodromyMismatchError(
+                    f"loop around {z!r} (m={m}, base_p={base_p}) measured {measured!r}, "
+                    f"predicted {predicted!r}"
+                )
+            pairs.append((measured, predicted))
+        return pairs
+    except (InvalidInputError, ContinuationError, MonodromyMismatchError):
+        if len(loops) == 1:
+            raise
+    return [
+        loop_monodromy(f, targets[i], base_p, loop_radius, other_zeros=others[i])
+        for i, base_p in loops
+    ]
 
 
 def _check_points(pts: np.ndarray) -> None:

@@ -364,17 +364,16 @@ def _stacks(sizes: list[int], points: int) -> list[tuple[int, list[int]]]:
 def _log(f: ExpPoly, ps: complex | np.ndarray) -> tuple[np.ndarray, int | None]:
     """(M + log(S), S'/S) of the one sum f at ``ps`` as two rows, that is
     (principal log f, f'/f), and the index of the first point where f is
-    numerically zero (None if there is none), from which on both rows are
-    0.  f is numerically zero where |S| <= 1e-12 * f.degree, that is where
-    |f(p)| is at most 1e-12 of exp(M) times the coefficient total, which is
-    at least the local term scale sum_j c_j exp(Re(beta_j p)).  One kernel
-    call per _MAX_CALL_POINTS points (``_chunked_parts``), singular point
-    or not."""
+    numerically zero (None if there is none), where its callers
+    (``_log_at``, ``continuation._track_paths``) raise.  f is numerically
+    zero where |S| <= 1e-12 * f.degree, that is where |f(p)| is at most
+    1e-12 of exp(M) times the coefficient total, which is at least the
+    local term scale sum_j c_j exp(Re(beta_j p)).  One kernel call per
+    _MAX_CALL_POINTS points (``_chunked_parts``), singular point or not."""
     m_val, s_val, ds_val, _ = _chunked_parts(f, ps)
     singular = np.abs(s_val) <= 1e-12 * f.degree
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.array((m_val + np.log(s_val), ds_val / s_val))
-    out[:, np.logical_or.accumulate(singular)] = 0.0
     return out, int(np.argmax(singular)) if singular.any() else None
 
 
@@ -1167,8 +1166,6 @@ def _isolate(edges: _Edges, windows: list[_Box]) -> list[list[Zero] | Quadrature
             solved = iter(_moment_zeros(edges, solvable, sums))
         for box in new:
             solution = 1 < box.count <= _MOMENT_ZEROS and next(solved)
-            if box.poly in failed:
-                continue
             if solution:
                 zeros[box.poly] += solution
             elif box.count > 1 and box.rect.diameter > _CLUSTER_DIAMETER:
@@ -1186,8 +1183,6 @@ def _isolate(edges: _Edges, windows: list[_Box]) -> list[list[Zero] | Quadrature
         ends = list(itertools.accumulate(len(rects) for _, rects in cuts))
         for (box, k), start, stop in zip(tries, [0] + ends, ends):
             counts = counted[start:stop]
-            if box.poly in failed:
-                continue
             if not any(isinstance(n, Exception) for n in counts):
                 if sum(counts) != box.count:
                     fail(box, f"subdivision of {box.rect} lost zeros: {counts} vs parent {box.count}")

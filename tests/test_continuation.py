@@ -469,16 +469,19 @@ def test_a_batch_tracks_each_path_as_alone_up_to_the_first_refused(
         "budget": np.array([1 + 0j, 1 + 300j]),
     }[refusal]
     monkeypatch.setattr(continuation, "_MAX_STEPS", 1000)
-    paths = loops[:where] + [refused] + loops[where:]
-    tracked, err = continuation._track_paths(f, paths)
-    assert len(tracked) == where
-    for (end, nodes), path in zip(tracked, paths):
+    # without the refused path, each path of the batch tracks as it does alone
+    tracked = continuation._track_paths(f, loops)
+    assert len(tracked) == len(loops)
+    for (end, nodes), path in zip(tracked, loops):
         alone_end, alone_nodes = continuation._track(f, Path(tuple(path.tolist())))
         assert end == alone_end and nodes.tolist() == alone_nodes.tolist()
+    # with it, the batch raises that path's own refusal
     with pytest.raises(ContinuationError) as alone:
         continuation._track(f, Path(tuple(refused.tolist())))
-    assert str(err) == str(alone.value) and err.point == alone.value.point
-    assert {"budget": "step budget"}.get(refusal, refusal) in str(err)
+    with pytest.raises(ContinuationError) as batch:
+        continuation._track_paths(f, loops[:where] + [refused] + loops[where:])
+    assert str(batch.value) == str(alone.value) and batch.value.point == alone.value.point
+    assert {"budget": "step budget"}.get(refusal, refusal) in str(batch.value)
 
 
 def test_loop_monodromies_raise_the_error_of_the_first_loop_to_fail():
@@ -492,6 +495,12 @@ def test_loop_monodromies_raise_the_error_of_the_first_loop_to_fail():
     # the first loop's failure decides even when it comes later in the stages
     with pytest.raises(InvalidInputError, match="base_p 1e-300"):
         continuation.loop_monodromies(f, [(z, 1), (complex(0.0, 2.0), 1)], [1e-300, 2.0], 1.0)
+
+
+def test_loop_monodromies_of_a_sum_without_zeros_make_no_kernel_call(kernel_calls):
+    # the sum of the vector (1) has no zeros, so its monodromy job has no loops
+    assert continuation.loop_monodromies(from_vector(RealVector((1.0,))), [], [2.0], 0.25) == []
+    assert kernel_calls == []
 
 
 def test_only_an_unrefined_zero_is_spared_the_not_a_zero_verdict():

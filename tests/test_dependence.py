@@ -60,6 +60,30 @@ def test_make_grid_known_cases():
         make_grid(1, 4, 1)
 
 
+def test_make_grid_to_infinity_with_two_samples_has_one_finite_point():
+    g = make_grid(1, math.inf, 2)
+    assert g.points == (1.0,)
+    assert g.include_infinity and g.count == 2
+
+
+@pytest.mark.parametrize(
+    "rows, entry, scales, message",
+    [
+        (3, 1.0, 2, "matrix shape does not match the grid"),
+        (2, 0.0, 2, "norm matrix entries must be positive"),
+        (2, -1.0, 2, "norm matrix entries must be positive"),
+        (2, math.nan, 2, "norm matrix entries must be positive"),
+        (2, 1.0, 3, "one scale per column required"),
+    ],
+)
+def test_norm_matrix_refuses_entries_that_do_not_fit(rows, entry, scales, message):
+    # a two-point grid and two columns, one entry of which is ``entry``
+    entries = np.full((rows, 2), 2.0)
+    entries[-1, -1] = entry
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        NormMatrix(entries, np.ones(scales), make_grid(1, 4, 2))
+
+
 def test_make_grid_caps_long_intervals():
     g = make_grid(2, 1e9, 8)
     assert g.points[-1] == 41.0

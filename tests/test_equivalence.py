@@ -91,6 +91,38 @@ def test_exit_codes_must_be_equal():
     assert not verdict["equivalent"]
 
 
+@pytest.mark.parametrize(
+    "refusal, difference",
+    [
+        ((3, "error: step budget of 1000 points\n"), "job: stderr"),
+        ((1, "error: step budget of 100 points\n"), "job: exit 3 -> 1"),
+        ((3, "error: step budget of 100 points"), "job: stderr"),
+    ],
+)
+def test_a_refusal_job_must_keep_its_exit_code_and_stderr(refusal, difference):
+    parent, change = run(), run()
+    parent["refusals"] = {"job": (3, "error: step budget of 100 points\n")}
+    change["refusals"] = {"job": refusal}
+    verdict = equivalence.compare(parent, change)
+    assert verdict["refusal_jobs"] == 1 and not verdict["equivalent"]
+    assert [d.split(" '")[0] for d in verdict["refusal_differences"]] == [difference]
+    assert equivalence.compare(parent, parent)["equivalent"]
+
+
+def test_the_refusal_corpus_exits_as_it_says(monkeypatch):
+    # each job runs under this tree's package and ends with its stated code,
+    # an error message for a refusal and nothing for a success
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    corpus = json.loads(equivalence.REFUSALS.read_text(encoding="utf-8"))
+    runs = equivalence.run_refusals(src)
+    assert list(runs) == [job["name"] for job in corpus]
+    for job in corpus:
+        code, err = runs[job["name"]]
+        assert code == job["code"]
+        assert err.startswith("error: ") if code else err == ""
+
+
 def test_a_stacked_call_counts_the_term_points_of_every_sum_it_holds(monkeypatch):
     # five sums of two and three terms: their ratio fits make one kernel
     # call per term count, and count what five calls of one sum counted

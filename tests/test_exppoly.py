@@ -50,6 +50,12 @@ def test_exppoly_validation():
         ExpPoly(((2.0, 1), (1.0, 1)))
 
 
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_exppoly_refuses_an_exponent_that_is_not_finite(exponent):
+    with pytest.raises(InvalidInputError, match="^exponents must be finite$"):
+        ExpPoly(((exponent, 1),))
+
+
 def test_rectangle_validation():
     with pytest.raises(InvalidInputError):
         Rectangle(1.0, 1.0, 0.0, 1.0)

@@ -35,6 +35,17 @@ def test_rejects_degenerate_vectors():
     assert RealVector((1.0, 5e-324)).max_abs == 1.0
 
 
+@pytest.mark.parametrize("coord", ["x", None])
+def test_rejects_coordinates_that_are_not_real_numbers(coord):
+    with pytest.raises(InvalidInputError, match="^coordinates must be real numbers: "):
+        RealVector((coord,))
+
+
+def test_partition_needs_a_vector():
+    with pytest.raises(InvalidInputError, match="^need at least one vector$"):
+        partition([])
+
+
 def test_canonicalize_known_forms():
     c = canonicalize(RealVector((-2.0, 0.0, 4.0)))
     assert c.weights == (1.0, 0.5)

@@ -34,6 +34,13 @@ by workload and command, the boxes that each ``_count_adaptive`` round
 counts (the pieces of the boxes being split), and how many of them come
 back empty (a count of 0) or refused (an error): ``boxes_counted``.
 
+It then runs the jobs of ``REFUSALS`` (``tools/refusals.json``), a
+fixed corpus of jobs that are refused or that recover from a refusal, in
+another fresh interpreter per tree.  Each must exit with the same code
+and write the same bytes to stderr in both trees; the benchmark's jobs
+all succeed, so this is where a change shows that it keeps the error
+paths.
+
 It reports each tree's line count of its ``**/*.py`` files as
 ``src_lines``, and as ``code_lines`` the count of those lines that are
 not blank, comment-only or docstrings, so a change's net source lines
@@ -61,6 +68,8 @@ from pathlib import Path
 import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# job documents whose exit code and stderr must be the same in both trees
+REFUSALS = Path(__file__).resolve().with_name("refusals.json")
 SEEDS = (101, 102, 103)
 ZERO_REL_TOL = 1e-12
 # the line that differs between two runs of one job (bench/oracle.py drops it too)
@@ -109,12 +118,10 @@ def run_tree(src: str) -> dict:
     work by workload and caller, the calls of ``STAGES`` and ``ENTRIES`` and
     the errors ``ENTRIES`` raise by workload and command, and the boxes
     ``_count_adaptive`` counts."""
-    sys.path[:0] = [src, str(BENCH)]
+    cli = load_cli(src, str(BENCH))
     import jobs  # bench/jobs.py
-    from pnormcert import cli, exppoly
+    from pnormcert import exppoly
 
-    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"equivalence: pnormcert was imported from {cli.__file__}, not {src}")
     kernel = exppoly._parts
     # (workload, caller) -> [calls, term-points]
     work: dict = collections.defaultdict(lambda: [0, 0])
@@ -171,6 +178,34 @@ def run_tree(src: str) -> dict:
         "errors": {"/".join(k): v for k, v in sorted(raised.items())},
         "boxes": {"/".join(k): v for k, v in sorted(boxes.items())},
     }
+
+
+def load_cli(src: str, *paths: str):
+    """``pnormcert.cli`` of the package in ``src``, with ``paths`` also
+    put first on ``sys.path``; refuses a ``pnormcert`` imported from
+    anywhere else."""
+    sys.path[:0] = [src, *paths]
+    from pnormcert import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"equivalence: pnormcert was imported from {cli.__file__}, not {src}")
+    return cli
+
+
+def run_refusals(src: str) -> dict:
+    """The exit code and stderr of each job of ``REFUSALS`` under the
+    package in ``src``, by job name."""
+    cli = load_cli(src)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, cert = Path(tmp) / "job.json", Path(tmp) / "job.cert"
+        for job in json.loads(REFUSALS.read_text(encoding="utf-8")):
+            path.write_text(json.dumps(job["doc"]), encoding="utf-8")
+            argv = [job["doc"]["command"], "--input", str(path), "--output", str(cert)]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(argv + ["--threads", "1"])
+            out[job["name"]] = (code, err.getvalue())
+    return out
 
 
 def counting(fn, calls: collections.Counter, where, name: str, raised=None):
@@ -283,6 +318,14 @@ def compare(parent: dict, change: dict) -> dict:
         ]
     moved = [m for m in moves if m != 0]
     worst = max(moves, default=0.0)
+    refusals = parent.get("refusals", {})
+    refused = []
+    for name, (code, err) in refusals.items():
+        code_b, err_b = change["refusals"][name]
+        if code != code_b:
+            refused.append(f"{name}: exit {code} -> {code_b}")
+        if err != err_b:
+            refused.append(f"{name}: stderr {err!r} -> {err_b!r}")
     return {
         "jobs": len(parent["runs"]),
         "exit_code_differences": codes,
@@ -291,17 +334,22 @@ def compare(parent: dict, change: dict) -> dict:
         "zeros_moved": len(moved),
         "max_zero_move_rel": worst,
         "byte_identical": identical,
-        "equivalent": not codes and not fields and worst <= ZERO_REL_TOL,
+        "refusal_jobs": len(refusals),
+        "refusal_differences": refused,
+        "equivalent": not codes and not fields and not refused and worst <= ZERO_REL_TOL,
     }
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         raise SystemExit(__doc__.split("\n\n")[1].strip())
-    # one fresh interpreter per tree: the two packages share a name
+    # one fresh interpreter per tree and run: the two packages share a name,
+    # and no refusal job runs under run_tree's counters
     spawn = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
-        parent, change = pool.map(run_tree, [str(Path(src).resolve()) for src in argv])
+    srcs = [str(Path(src).resolve()) for src in argv]
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn, max_tasks_per_child=1) as pool:
+        parent, change = pool.map(run_tree, srcs)
+        parent["refusals"], change["refusals"] = pool.map(run_refusals, srcs)
     verdict = compare(parent, change)
     verdict["src_lines"] = dict(zip(("parent", "change"), map(src_lines, argv)))
     verdict["code_lines"] = dict(zip(("parent", "change"), map(code_lines, argv)))
