@@ -37,11 +37,10 @@ from .dependence import (
 )
 from .errors import InvalidInputError, MonodromyMismatchError
 from .exppoly import (
-    _INFLATION_FACTOR,
-    _MAX_INFLATIONS,
     DEFAULT_WINDOW,
     Rectangle,
     ZeroSet,
+    _check_reach,
     _searched_together,
     find_zeros,
     from_vector,
@@ -139,15 +138,8 @@ def _as_window(value, where: str) -> Rectangle:
         hi = _as_float(pair[1], f"{where}.{axis}[1]")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidInputError(f"{where}.{axis}: need finite lo < hi")
-        # a bound of a fully inflated window, times the largest difference of
-        # two exponents ln|x| (the kernel forms exponent * p - M), must stay finite
-        spread = math.log(sys.float_info.max) - math.log(math.ulp(0.0))
-        reach = _INFLATION_FACTOR**_MAX_INFLATIONS * spread
-        if not math.isfinite(max(abs(lo), abs(hi)) * reach):
-            raise InvalidInputError(
-                f"{where}.{axis}: a bound above {sys.float_info.max / reach:.2g} "
-                "in magnitude is out of float64's reach"
-            )
+        # so that no inflation of the window is out of the search's reach
+        _check_reach(f"{where}.{axis}", lo, hi, headroom=True)
         bounds[axis] = (lo, hi)
     return Rectangle(*bounds["re"], *bounds["im"])
 

@@ -205,9 +205,8 @@ def numeric_rank(matrix: NormMatrix) -> tuple[int | None, tuple[float, ...], flo
     rows, cols = matrix.entries.shape
     if rows <= cols:
         raise InvalidInputError("rank analysis needs more samples than vectors")
+    # sigma_1 is at least the length of a scaled column, 1 (``column_scales``)
     sigmas = tuple(float(s) for s in matrix.svd[0])
-    if sigmas[0] <= 0:
-        return None, sigmas, math.nan
     rank: int | None = None
     rank_gap = math.nan
     for r in range(1, cols + 1):

@@ -18,6 +18,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -228,6 +229,20 @@ class Rectangle:
 
 
 DEFAULT_WINDOW = Rectangle(-1.0, 1.0, 0.5, 40.0)
+
+
+def _check_reach(where: str, lo: float, hi: float, headroom: bool = False) -> None:
+    """Refuses the window axis ``where`` = [lo, hi] if a bound of it (with
+    ``headroom``, of its _MAX_INFLATIONS-th inflation) times the largest
+    difference of two exponents ln|x| is not finite: the kernel forms
+    exponent * p - M."""
+    spread = math.log(sys.float_info.max) - math.log(math.ulp(0.0))
+    reach = (_INFLATION_FACTOR**_MAX_INFLATIONS if headroom else 1.0) * spread
+    if not math.isfinite(max(abs(lo), abs(hi)) * reach):
+        raise InvalidInputError(
+            f"{where}: a bound above {sys.float_info.max / reach:.2g} "
+            "in magnitude is out of float64's reach"
+        )
 
 
 @dataclass(frozen=True)
@@ -853,12 +868,14 @@ def count_zeros(f: ExpPoly, rect: Rectangle) -> int:
     within the work cap, or when the integer is one f cannot have: a
     rectangle of height h holds at most
     h * (beta_max - beta_min) / 2pi + len(terms) - 1 zeros (Polya).
-    The count is made in the search of the innermost ``_searched_together``
-    block that holds f, else in a block of f alone
+    Raises InvalidInputError, before any kernel call, for a window out of
+    float64's reach (``_check_reach``).
+    The count is made in the search of ``_searched_together([f])``, the
+    innermost block if it holds f, else a block of f alone
     (``_Together.window_count``), which keeps the counted window box for
     that search; what it returns or raises is the same either way.
     """
-    with _search_of(f) as together:
+    with _searched_together([f]) as together:
         return together.window_count(f, rect).count
 
 
@@ -1099,10 +1116,13 @@ def _cut_fractions(count: int, attempt: int) -> list[float]:
     return [(j + _CUT_FRACTIONS[attempt]) / k for j in range(1, k)]
 
 
-def _isolate(edges: _Edges, windows: list[_Box]) -> list[list[Zero] | QuadratureError]:
-    """Per counted window box of ``windows`` (``_Together.window_count``,
-    all in the store ``edges``): the zeros in its window, in ``ZeroSet``
-    order, or the error that fails that sum's search.
+def _isolate(edges: _Edges, windows: list[_Box | Exception]) -> list[ZeroSet | Exception]:
+    """Per entry of ``windows``, a counted window box
+    (``_Together.window_count``, all in the store ``edges``) or the error
+    that refused that window: the window's ``ZeroSet`` (its zeros in
+    ``ZeroSet`` order, the box's rect and count), or an error, the window's
+    own or the first one that fails its sum's search.  No window, no
+    search: ``_isolate(edges, [])`` is [].
 
     The sums are isolated together, in count rounds on the panels their
     windows were counted on, each round over the boxes of every sum.  A
@@ -1140,7 +1160,7 @@ def _isolate(edges: _Edges, windows: list[_Box]) -> list[list[Zero] | Quadrature
     result and the first error that fails it are too.
     """
     # a sum counted twice (zero_multiset_equal(f, f, ...)) is isolated once
-    new = list({box.poly: box for box in windows}.values())
+    new = list({box.poly: box for box in windows if isinstance(box, _Box)}.values())
     zeros: list[list[Zero]] = [[] for _ in edges.polys]
     failed: dict[int, QuadratureError] = {}
     leaves = []
@@ -1206,10 +1226,14 @@ def _isolate(edges: _Edges, windows: list[_Box]) -> list[list[Zero] | Quadrature
                 fail(box, f"the centroid {z} of the zero counted in {box.rect} lies outside it")
                 break
             zeros[k].append(Zero(z, box.count, refined))
-    # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
+    for own in zeros:
+        # rounding Re keeps zeros on one vertical line in Im order despite last-bit noise
+        own.sort(key=lambda z: (round(z.location.real, 9), z.location.imag))
     return [
-        failed.get(k) or sorted(zeros[k], key=lambda z: (round(z.location.real, 9), z.location.imag))
-        for k in (box.poly for box in windows)
+        failed.get(box.poly) or ZeroSet(tuple(zeros[box.poly]), box.rect, box.count)
+        if isinstance(box, _Box)
+        else box
+        for box in windows
     ]
 
 
@@ -1243,20 +1267,29 @@ def find_zeros(f: ExpPoly, rect: Rectangle) -> ZeroSet:
     its zeros before it splits.  A simple zero that does not polish is
     reported at its box's centroid with ``refined=False``, and a centroid
     outside the box raises QuadratureError; so does a leaf of several
-    zeros that does not polish to one m-fold zero.
-    The search is that of the innermost ``_searched_together`` block that
-    holds f, run with those of the block's other sums, else that of a
-    block of f alone (``_Together.zero_set``); what it returns or raises
-    is the same either way.
+    zeros that does not polish to one m-fold zero.  A window out of
+    float64's reach raises InvalidInputError, as in ``count_zeros``.
+    The search is that of ``_searched_together([f])``: the innermost block
+    if it holds f, run with those of the block's other sums, else a block
+    of f alone (``_Together.zero_set``); what it returns or raises is the
+    same either way.
     """
-    with _search_of(f) as together:
+    with _searched_together([f]) as together:
         return together.zero_set(f, rect)
+
+
+def _stored(result):
+    """A stored search ``result``, or raises it if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class _Together:
     """The zero searches of the sums ``polys`` in one store (``edges``):
     by (sum, window), their counted window boxes (``counts``) and zero
-    sets (``found``), or the errors that refuse them, as they are made.
+    sets (``found``), or the errors that refuse them, as they are made;
+    ``_stored`` reads them back.
 
     A sum's count or zero set, or the error that fails it, is the one its
     own search gives: only the work is shared.
@@ -1285,6 +1318,8 @@ class _Together:
         """
         k = self.polys.index(f)
         if (k, rect) not in self.counts:
+            _check_reach("window.re", rect.re_min, rect.re_max)
+            _check_reach("window.im", rect.im_min, rect.im_max)
             batch = sorted(self.fresh) if k in self.fresh else [k]
             self.fresh.difference_update(batch)
             boxes = [self.edges.outline(rect, i) for i in batch]
@@ -1301,16 +1336,15 @@ class _Together:
                     f"contour of {rect} passes within relative magnitude "
                     f"{least[i]:.2e} of a zero; inflate the window"
                 )
-        counted = self.counts[k, rect]
-        if isinstance(counted, Exception):
-            raise counted
-        return counted
+        return _stored(self.counts[k, rect])
 
     def zero_set(self, f: ExpPoly, rect: Rectangle) -> ZeroSet:
         """``find_zeros(f, rect)``: the first call over ``rect`` searches
         every sum over it, each window counted and inflated for its sum
         alone (``_counted_window``, the first tries in one batch) and every
-        sum whose window counts isolated in one search (``_isolate``)."""
+        sum whose window counts isolated in one search (``_isolate``).  It
+        stores ``_isolate``'s record of each sum as it comes, a ``ZeroSet``
+        or the error that refused its window or failed its search."""
         if (f, rect) not in self.found:
             counted: list = []
             for g in self.polys:
@@ -1318,17 +1352,9 @@ class _Together:
                     counted.append(self.window_count(g, _counted_window((g,), rect)[0]))
                 except Exception as error:  # raised when the sum's result is read
                     counted.append(error)
-            boxes = [box for box in counted if not isinstance(box, Exception)]
-            found = iter(_isolate(self.edges, boxes) if boxes else [])
-            for g, box in zip(self.polys, counted):
-                zeros = box if isinstance(box, Exception) else next(found)
-                if not isinstance(zeros, Exception):
-                    zeros = ZeroSet(tuple(zeros), box.rect, box.count)
-                self.found[g, rect] = zeros
-        zero_set = self.found[f, rect]
-        if isinstance(zero_set, Exception):
-            raise zero_set
-        return zero_set
+            for g, found in zip(self.polys, _isolate(self.edges, counted)):
+                self.found[g, rect] = found
+        return _stored(self.found[f, rect])
 
 
 # The innermost _searched_together block
@@ -1344,24 +1370,21 @@ def _searched_together(polys: list[ExpPoly]) -> Iterator[_Together]:
     ``count_zeros`` and ``find_zeros`` of one of them read its result from
     the block's searches (``_Together``), which count the first windows of
     all of them in one batch and isolate their zeros in one search; each
-    returns or raises what it does outside the block.
+    returns or raises what it does outside the block.  This is the one way
+    into a search: a block asked for sums that the innermost block already
+    holds is that block, and any other opens a new one (``count_zeros`` and
+    ``find_zeros`` ask for their own sum alone).
     """
+    together = _TOGETHER.get()
+    if together is not None and set(polys) <= set(together.polys):
+        yield together
+        return
     together = _Together(polys)
     token = _TOGETHER.set(together)
     try:
         yield together
     finally:
         _TOGETHER.reset(token)
-
-
-def _search_of(f: ExpPoly) -> contextlib.AbstractContextManager[_Together]:
-    """The search of the innermost ``_searched_together`` block if it holds
-    f, else a block of f alone: the one way ``count_zeros`` and
-    ``find_zeros`` reach a search."""
-    together = _TOGETHER.get()
-    if together is not None and f in together.polys:
-        return contextlib.nullcontext(together)
-    return _searched_together([f])
 
 
 def _counted_window(polys: tuple[ExpPoly, ...], rect: Rectangle) -> tuple[Rectangle, list[int]]:
@@ -1400,18 +1423,16 @@ def _zero_multisets_equal(polys: list[ExpPoly], rect: Rectangle) -> list[bool]:
     Every sum is counted once over one shared window (inflated jointly until
     every count is clean), and only the sums whose total another sum shares
     are isolated, all in one search (``_isolate``); the first of them whose
-    search fails raises.
+    search fails raises its error (``_stored``); otherwise each pair's
+    ``ZeroSet`` zeros are matched.
     """
     with _searched_together(polys) as together:
         window, totals = _counted_window(tuple(polys), rect)
         shared = [i for i, n in enumerate(totals) if totals.count(n) > 1]
         boxes = [together.window_count(polys[i], window) for i in shared]
-        zero_sets = dict(zip(shared, _isolate(together.edges, boxes) if shared else []))
-    for zeros in zero_sets.values():
-        if isinstance(zeros, Exception):
-            raise zeros
+        zero_sets = dict(zip(shared, map(_stored, _isolate(together.edges, boxes))))
     return [
-        totals[i] == totals[j] and _zeros_match(zero_sets[i], zero_sets[j])
+        totals[i] == totals[j] and _zeros_match(zero_sets[i].zeros, zero_sets[j].zeros)
         for i in range(len(polys))
         for j in range(i + 1, len(polys))
     ]

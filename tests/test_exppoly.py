@@ -677,6 +677,28 @@ def test_a_comparison_raises_the_failed_isolation_of_a_sum_it_must_isolate():
     assert str(compared.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("axis", ["re", "im"])
+@pytest.mark.parametrize(
+    "entry",
+    [count_zeros, find_zeros, lambda f, rect: zero_multiset_equal(f, f, rect)],
+    ids=["count_zeros", "find_zeros", "zero_multiset_equal"],
+)
+def test_a_window_beyond_the_reach_of_float64_is_refused_before_any_kernel_call(
+    kernel_calls, entry, axis
+):
+    # a bound times the largest difference of two exponents ln|x|,
+    # 709.8 + 744.4, must be finite, as the CLI's rule asks with room for
+    # every inflation; warnings are errors here
+    far = {"re": Rectangle(1e308, 1.5e308, 0.5, 40.0), "im": Rectangle(-1.0, 1.0, 1e308, 1.5e308)}
+    f = from_vector(RealVector((1.0, 2.0)))
+    with pytest.raises(InvalidInputError) as refused:
+        entry(f, far[axis])
+    assert str(refused.value) == (
+        f"window.{axis}: a bound above 1.2e+305 in magnitude is out of float64's reach"
+    )
+    assert not kernel_calls
+
+
 def test_zeros_match_pairs_only_zeros_of_equal_multiplicity():
     # a double zero has the total of two simple zeros, at the very same
     # point too, but matches neither of them, either way round

@@ -83,6 +83,49 @@ def test_count_matches_the_closed_form_of_two_term_sums(case):
     assert count_zeros(f, rect) == expected
 
 
+@st.composite
+def two_term_searches(draw):
+    """c1 e^(b1 p) + c2 e^((b1 + s) p), with exponents up to 700 in
+    magnitude and s up to 700, and a window near its zeros' vertical line
+    that holds at most about 200 of them."""
+    s = 10.0 ** draw(st.floats(-1.0, math.log10(700.0)))
+    b1 = draw(st.floats(-700.0, 700.0 - s))
+    c1, c2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width = draw(st.floats(0.01, 3.0))
+    re_min = math.log(c1 / c2) / s - width * draw(st.floats(-0.25, 1.0))
+    im_min = draw(st.floats(-50.0, 50.0))
+    height = draw(st.floats(0.01, min(40.0, 400.0 * math.pi / s)))
+    rect = Rectangle(re_min, re_min + width, im_min, im_min + height)
+    return ExpPoly(((b1, c1), (b1 + s, c2))), rect
+
+
+@PROPERTY
+@given(two_term_searches())
+def test_a_two_term_search_finds_its_closed_form_zeros_or_refuses(case):
+    f, rect = case
+    try:
+        zs = find_zeros(f, rect)
+    except QuadratureError:
+        return
+    (b1, c1), (b2, c2) = f.terms
+    s = b2 - b1
+    # the zeros are (ln(c1 / c2) + (2k + 1) pi i) / s
+    w = zs.window
+    ks = range(
+        math.floor(w.im_min * s / (2 * math.pi)) - 1,
+        math.ceil(w.im_max * s / (2 * math.pi)) + 1,
+    )
+    expect = [complex(math.log(c1 / c2), (2 * k + 1) * math.pi) / s for k in ks]
+    expect = [z for z in expect if w.contains(z)]
+    assert zs.total == len(zs.zeros) == len(expect)
+    for z, e in zip(sorted(zs.zeros, key=lambda z: z.location.imag), expect):
+        assert z.multiplicity == 1 and abs(z.location - e) <= 1e-9 * abs(e)
+        # Newton's target is 1e-12 of the term scale; a zero may stay
+        # unrefined only where the rounding of beta * p alone comes within
+        # a tenth of it
+        assert z.refined or max(abs(b1), abs(b2)) * abs(e) * 2.0**-53 > 1e-13
+
+
 # Kernel points find_zeros used on each search before the adaptive rule,
 # when every count doubled the panels of all four edges per level.
 UNIFORM_POINTS = {

@@ -114,6 +114,22 @@ def test_a_count_is_a_plain_int():
     assert len(pickle.dumps(n)) == len(pickle.dumps(int(n)))
 
 
+def test_a_block_of_sums_the_innermost_block_holds_is_that_block():
+    f, g, h = (from_vector(RealVector(v)) for v in ((1.0, 2.0), (1.0, math.e), (1.0, 3.0)))
+    with exppoly._searched_together([f, g]) as outer:
+        for polys in ([g], [g, f], [f, f]):
+            with exppoly._searched_together(polys) as inner:
+                assert inner is outer
+        with exppoly._searched_together([f, h]) as inner:
+            assert inner is not outer and inner.polys == (f, h)
+            with exppoly._searched_together([h]) as innermost:
+                assert innermost is inner
+        with exppoly._searched_together([h]) as inner:
+            assert inner is not outer and inner.polys == (h,)
+        # a search that is not asked for is no search
+        assert exppoly._isolate(outer.edges, []) == []
+
+
 def test_an_inflated_window_counts_its_sum_alone(monkeypatch):
     batches = []
     real = exppoly._contour_sums
